@@ -55,7 +55,9 @@ void Run(size_t num_threads, const std::string& query_log,
 // against the compressed path (HybridBitmap::And + final ToBitmap).
 // Per-sample times land in the metrics registry as fig3c.and.ewah_us /
 // fig3c.and.hybrid_us so the committed BENCH_fig3c.json baseline gates
-// regressions of either path through tools/bench_compare.py.
+// regressions of either path through tools/bench_compare.py. (The
+// ewah_us name is historical and kept because the baseline gates it; it
+// times the word-at-a-time path.)
 void RunHybridSweep() {
   Title("Figure 3(c) supplement — AND loop: hybrid containers vs words");
   PaperNote(

@@ -3,7 +3,9 @@
 //
 //   load <trace-file>     ingest walk records (see workload/trace_loader.h)
 //   seal                  freeze the relation; enables queries
-//   append <trace-file>   incremental ingest (views refresh automatically)
+//   append <trace-file>   incremental ingest into a sealed engine: the walks
+//                         become a tail dataset that is attached and then
+//                         compacted in (views are re-materialized)
 //   query <text>          run a query in the text language, e.g.
 //                           query [1,2,3] AND NOT [3,4]
 //                           query SUM [1,2,3,4]
@@ -62,6 +64,33 @@ void PrintAggregate(const PathAggResult& result, AggFn fn) {
   }
 }
 
+// `append`: the one way a sealed engine grows. The walks are sealed into a
+// tail dataset, attached, and compacted into the primary so materialized
+// views cover them. A failure leaves `engine` unchanged.
+StatusOr<size_t> AppendTraceFile(ColGraphEngine* engine,
+                                 const std::string& path) {
+  if (!engine->relation().sealed()) {
+    return Status::InvalidArgument("append needs a sealed engine; use load");
+  }
+  COLGRAPH_ASSIGN_OR_RETURN(const std::vector<WalkTrace> traces,
+                            LoadTraceFile(path));
+  std::vector<GraphRecord> records;
+  records.reserve(traces.size());
+  for (const WalkTrace& trace : traces) {
+    COLGRAPH_ASSIGN_OR_RETURN(GraphRecord record,
+                              WalkToRecord(trace.walk, trace.measures));
+    records.push_back(std::move(record));
+  }
+  ColGraphEngine next = engine->SharedCopy();
+  COLGRAPH_ASSIGN_OR_RETURN(MasterRelation tail,
+                            next.BuildTailRelation(records));
+  COLGRAPH_RETURN_NOT_OK(next.AttachDataset(
+      std::make_shared<const MasterRelation>(std::move(tail))));
+  COLGRAPH_RETURN_NOT_OK(next.Compact());
+  *engine = std::move(next);
+  return records.size();
+}
+
 }  // namespace
 
 int main() {
@@ -83,22 +112,11 @@ int main() {
         std::printf("usage: %s <trace-file>\n", command.c_str());
         continue;
       }
-      if (command == "append") {
-        if (auto s = engine.BeginAppend(); !s.ok()) {
-          std::printf("error: %s\n", s.ToString().c_str());
-          continue;
-        }
-      }
-      const auto added = IngestTraceFile(&engine, path);
+      const auto added = command == "load" ? IngestTraceFile(&engine, path)
+                                           : AppendTraceFile(&engine, path);
       if (!added.ok()) {
         std::printf("error: %s\n", added.status().ToString().c_str());
         continue;
-      }
-      if (command == "append") {
-        if (auto s = engine.FinishAppend(); !s.ok()) {
-          std::printf("error: %s\n", s.ToString().c_str());
-          continue;
-        }
       }
       std::printf("ingested %zu record(s); total %zu\n", *added,
                   engine.num_records());

@@ -1,5 +1,5 @@
-// Fuzz harness for the relation snapshot codec (v1 legacy through the v4
-// extent layout). Invariant under test: DecodeRelation on ANY byte string
+// Fuzz harness for the relation snapshot codec (the v5 extent layout).
+// Invariant under test: DecodeRelation on ANY byte string
 // returns a clean Status — never a crash, out-of-bounds access, or
 // unbounded allocation.
 //
@@ -7,14 +7,13 @@
 // magic/footer/CRC rejection paths; the fixup pass recomputes every
 // section CRC and the footer over the (mutated) payload bytes so the
 // input penetrates *past* checksum validation into the real parsing code
-// (header bounds, extent-directory validation, column decode, EWAH
-// validation). Without the fixup a checksummed format would deflect
+// (header bounds, extent-directory validation, column decode, container
+// codec validation). Without the fixup a checksummed format would deflect
 // nearly every mutant at the CRC check and the deep paths would never be
 // fuzzed.
 
 #include <cstdint>
 #include <cstring>
-#include <limits>
 #include <string>
 #include <vector>
 
@@ -25,7 +24,6 @@
 
 namespace {
 
-constexpr uint32_t kRelationMagic = 0x4347524C;   // "CGRL" (persistence.cc)
 constexpr uint32_t kFooterMagic = 0x43474654;     // io_util.cc footer
 constexpr size_t kFooterBytes = 16;               // [crc u32][len u64][magic u32]
 constexpr size_t kSectionHeaderBytes = 12;        // [len u64][crc u32]
@@ -40,29 +38,27 @@ void CheckDecode(std::vector<char> data) {
   }
 }
 
-// Rewrites the preamble to the relation magic, re-checksums every section
-// whose length prefix is in bounds, and rebuilds the footer, so the
-// mutated payload bytes — not the stale CRCs — decide how decoding goes.
+// Rewrites the preamble to the relation magic, re-checksums the two
+// header sections when their length prefixes are in bounds, and rebuilds
+// the footer, so the mutated payload bytes — not the stale CRCs — decide
+// how decoding goes. The version word is left as mutated: any value other
+// than the codec's own must still fail cleanly.
 std::vector<char> FixupChecksums(std::vector<char> data) {
   if (data.size() < 2 * sizeof(uint32_t)) return data;
-  std::memcpy(data.data(), &kRelationMagic, sizeof(kRelationMagic));
-  uint32_t version = 0;
-  std::memcpy(&version, data.data() + 4, sizeof(version));
-  if (version < 2) return data;  // v1 has no checksums to fix
+  std::memcpy(data.data(), &colgraph::internal::kRelationMagic,
+              sizeof(colgraph::internal::kRelationMagic));
   if (data.size() < 2 * sizeof(uint32_t) + kFooterBytes) return data;
 
   const size_t footer_pos = data.size() - kFooterBytes;
-  // v2/v3 bodies are wall-to-wall sections. A v4 body has exactly two
-  // (header, extent directory) followed by raw page-aligned column
-  // extents with no section framing — walking past the second section
-  // would misread extent bytes as section headers and stamp bogus "CRCs"
-  // into the very payloads under test, so cap the walk there. Extents
-  // carry no per-extent checksum; the footer rebuild below is all the
-  // fixing they need.
-  size_t sections_left =
-      version >= 4 ? 2 : std::numeric_limits<size_t>::max();
+  // The body has exactly two sections (header, extent directory) followed
+  // by raw page-aligned column extents with no section framing — walking
+  // past the second section would misread extent bytes as section headers
+  // and stamp bogus "CRCs" into the very payloads under test, so the walk
+  // stops there. Extents carry no per-extent checksum; the footer rebuild
+  // below is all the fixing they need.
   size_t pos = 2 * sizeof(uint32_t);
-  while (sections_left > 0 && footer_pos - pos >= kSectionHeaderBytes) {
+  for (int section = 0;
+       section < 2 && footer_pos - pos >= kSectionHeaderBytes; ++section) {
     uint64_t len = 0;
     std::memcpy(&len, data.data() + pos, sizeof(len));
     if (len > footer_pos - pos - kSectionHeaderBytes) break;
@@ -70,7 +66,6 @@ std::vector<char> FixupChecksums(std::vector<char> data) {
         data.data() + pos + kSectionHeaderBytes, static_cast<size_t>(len));
     std::memcpy(data.data() + pos + sizeof(len), &crc, sizeof(crc));
     pos += kSectionHeaderBytes + static_cast<size_t>(len);
-    --sections_left;
   }
 
   const uint32_t file_crc = colgraph::Crc32c(data.data(), footer_pos);

@@ -17,11 +17,11 @@
 // to an uncompressed Bitmap in place, which is how the query engine's
 // conjunction loop consumes columns sealed in this encoding.
 //
-// The serialized form (ToRaw / FromRawChecked) is a flat word buffer meant
-// to be embedded in the checksummed v3 snapshot sections: FromRawChecked
-// validates every key, length, ordering, and cardinality claim against the
-// buffer actually present and returns Status::Corruption on any violation,
-// matching the FromRawChecked discipline of EwahBitmap.
+// The serialized form (ToRaw / FromRawChecked) is a flat word buffer and
+// the one on-disk bitmap codec: every bitmap in a snapshot's column extents
+// is stored this way. FromRawChecked validates every key, length,
+// ordering, and cardinality claim against the buffer actually present and
+// returns Status::Corruption on any violation.
 #pragma once
 
 #include <cstddef>

@@ -26,6 +26,11 @@ void BitmapColumn::ChooseEncoding(bool hybrid_enabled) {
   }
 }
 
+std::vector<uint64_t> BitmapColumn::EncodeContainers() const {
+  if (hybrid_ != nullptr) return hybrid_->ToRaw();
+  return HybridBitmap::FromBitmap(bits_).ToRaw();
+}
+
 size_t BitmapColumn::Rank(size_t pos) const {
   COLGRAPH_DCHECK(sealed_);
   COLGRAPH_DCHECK_LE(pos, bits_.size());
@@ -44,10 +49,6 @@ Status MeasureColumn::Append(size_t record, double value) {
   if (!pending_records_.empty() && record <= pending_records_.back()) {
     return Status::InvalidArgument(
         "MeasureColumn::Append requires strictly increasing record ids");
-  }
-  if (record < min_next_record_) {
-    return Status::InvalidArgument(
-        "append into the already-sealed record range");
   }
   if (presence_.sealed()) {
     return Status::InvalidArgument("cannot append to a sealed column");
@@ -77,14 +78,27 @@ void MeasureColumn::Seal(size_t num_records) {
   presence_.Seal();
 }
 
-void MeasureColumn::Unseal() {
-  min_next_record_ = presence_.size();
-  presence_.Unseal();
-}
-
 std::optional<double> MeasureColumn::Get(size_t record) const {
   if (!presence_.Test(record)) return std::nullopt;
   return values_[presence_.Rank(record)];
+}
+
+StatusOr<MeasureColumn> MergeColumn(const std::vector<ColumnPart>& parts) {
+  size_t total = 0;
+  for (const ColumnPart& part : parts) total += part.num_records;
+  Bitmap presence(total);
+  std::vector<double> values;
+  size_t base = 0;
+  for (const ColumnPart& part : parts) {
+    if (part.column != nullptr) {
+      presence.OrAt(part.column->presence().bits(), base);
+      for (size_t rank = 0; rank < part.column->num_values(); ++rank) {
+        values.push_back(part.column->ValueAtRank(rank));
+      }
+    }
+    base += part.num_records;
+  }
+  return MeasureColumn::FromParts(std::move(presence), std::move(values));
 }
 
 }  // namespace colgraph

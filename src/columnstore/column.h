@@ -37,12 +37,6 @@ class BitmapColumn {
 
   /// Builds the rank directory; must be called after the last mutation.
   void Seal();
-  /// Re-enables mutation (incremental ingest); Seal() again afterwards.
-  /// Drops any hybrid encoding — ChooseEncoding() again after resealing.
-  void Unseal() {
-    sealed_ = false;
-    hybrid_.reset();
-  }
   bool sealed() const { return sealed_; }
 
   /// Density threshold for the hybrid encoding: a sealed column whose
@@ -65,6 +59,12 @@ class BitmapColumn {
 
   /// The hybrid encoding, or nullptr when the column is plain-encoded.
   const HybridBitmap* hybrid() const { return hybrid_.get(); }
+
+  /// The column's on-disk encoding: the container codec's serialized
+  /// words (HybridBitmap::ToRaw). Taken from the hybrid sidecar when the
+  /// column has one and encoded on the fly otherwise; construction is
+  /// deterministic, so both give the same words.
+  std::vector<uint64_t> EncodeContainers() const;
 
   /// Number of set bits strictly before `pos`. Requires sealed().
   size_t Rank(size_t pos) const;
@@ -107,10 +107,6 @@ class MeasureColumn {
 
   /// Resizes the presence domain to the final record count and builds rank.
   void Seal(size_t num_records);
-  /// Re-opens a sealed column for appends of records with ids >= the
-  /// current presence-domain size (incremental ingest, Section 6.1's
-  /// "records are continuously generated"). Existing data is untouched.
-  void Unseal();
   bool sealed() const { return presence_.sealed(); }
 
   /// Applies the seal-time encoding choice to the presence bitmap (see
@@ -138,8 +134,22 @@ class MeasureColumn {
   std::vector<uint64_t> pending_records_;
   std::vector<double> values_;
   BitmapColumn presence_;
-  // After Unseal(), appends must not collide with already-sealed records.
-  uint64_t min_next_record_ = 0;
 };
+
+/// One dataset's share of a column merge: the dataset's column, or
+/// nullptr when the dataset never grew it, and the dataset's record count.
+struct ColumnPart {
+  const MeasureColumn* column = nullptr;
+  size_t num_records = 0;
+};
+
+/// \brief The column merge behind both compactions (DatasetStore::CompactAll
+/// on disk, ColGraphEngine::Compact in memory). Lays `parts` end to end:
+/// for each dataset in order, its presence bits are ORed in at its base
+/// (the record count of the parts before it) and its values are appended.
+/// Bases ascend, so every value keeps its presence rank. The result is
+/// sealed and carries no hybrid sidecar; MasterRelation::FromColumns makes
+/// that choice.
+StatusOr<MeasureColumn> MergeColumn(const std::vector<ColumnPart>& parts);
 
 }  // namespace colgraph

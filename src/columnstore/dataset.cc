@@ -73,20 +73,18 @@ bool HasSuffix(const std::string& s, const std::string& suffix) {
 }  // namespace
 
 StatusOr<MappedRelationFile> MappedRelationFile::Open(const std::string& path) {
-  // Same magic as ReadRelation: a dataset file IS a relation snapshot.
-  COLGRAPH_ASSIGN_OR_RETURN(io::Reader in,
-                            io::Reader::OpenMapped(path, 0x4347524C));
-  if (in.version() < 4) {
-    return Status::NotSupported(
-        "per-column access needs a v4 relation image: " + path);
-  }
-  internal::RelationLayoutV4 layout;
-  COLGRAPH_ASSIGN_OR_RETURN(layout, internal::ReadRelationLayoutV4(&in, path));
+  // Same codec as ReadRelation: a dataset file IS a relation snapshot.
+  COLGRAPH_ASSIGN_OR_RETURN(
+      io::Reader in,
+      io::Reader::OpenMapped(path, internal::kRelationMagic,
+                             internal::kRelationVersion));
+  internal::RelationLayout layout;
+  COLGRAPH_ASSIGN_OR_RETURN(layout, internal::ReadRelationLayout(&in, path));
   return MappedRelationFile(std::move(in), std::move(layout));
 }
 
 StatusOr<MeasureColumn> MappedRelationFile::ReadColumn(size_t i) const {
-  const internal::V4Extent& e = layout_.extents[i];
+  const internal::Extent& e = layout_.extents[i];
   COLGRAPH_ASSIGN_OR_RETURN(io::Reader sub, reader_.AtExtent(e.offset, e.len));
   COLGRAPH_ASSIGN_OR_RETURN(MeasureColumn col,
                             sub.ReadMeasureColumn(layout_.num_records));
@@ -115,7 +113,8 @@ StatusOr<DatasetStore> DatasetStore::Open(const std::string& dir,
 
   if (std::filesystem::exists(store.ManifestPath())) {
     COLGRAPH_ASSIGN_OR_RETURN(
-        io::Reader in, io::Reader::Open(store.ManifestPath(), kManifestMagic));
+        io::Reader in, io::Reader::Open(store.ManifestPath(), kManifestMagic,
+                                        kManifestVersion));
     COLGRAPH_RETURN_NOT_OK(in.BeginSection("manifest"));
     COLGRAPH_RETURN_NOT_OK(in.ReadPod(&store.next_id_));
     COLGRAPH_RETURN_NOT_OK(in.ReadVec(&store.ids_));
@@ -221,34 +220,26 @@ Status DatasetStore::CompactAll() {
   }
   COLGRAPH_RETURN_NOT_OK(io::ValidateRecordCount(total_records, dir_));
 
-  // Column-streaming merge: concatenate column c of every input (each
-  // dataset's records sit at its cumulative base offset), encode, drop.
-  // Peak memory is one merged column plus its encoded payload — the
-  // inputs stay on disk behind their mappings.
+  // Column-streaming merge: decode column c of every input, merge, encode,
+  // drop. Peak memory is one column per input plus the merged column and
+  // its encoded payload — the inputs stay on disk behind their mappings.
   std::vector<std::vector<char>> payloads;
   payloads.reserve(num_columns);
   for (size_t c = 0; c < num_columns; ++c) {
     // Simulated crash mid-merge: published datasets and the manifest are
     // untouched; the next Open() sweeps the lock (and any stray file).
     COLGRAPH_FAILPOINT("compact:crash");
-    Bitmap presence(static_cast<size_t>(total_records));
-    std::vector<double> values;
-    size_t base = 0;
-    for (const MappedRelationFile& input : inputs) {
-      if (c < input.num_columns()) {
-        COLGRAPH_ASSIGN_OR_RETURN(MeasureColumn col, input.ReadColumn(c));
-        presence.OrAt(col.presence().bits(), base);
-        for (size_t rank = 0; rank < col.num_values(); ++rank) {
-          values.push_back(col.ValueAtRank(rank));
-        }
+    std::vector<MeasureColumn> decoded(inputs.size());
+    std::vector<ColumnPart> parts(inputs.size());
+    for (size_t i = 0; i < inputs.size(); ++i) {
+      parts[i].num_records = static_cast<size_t>(inputs[i].num_records());
+      if (c < inputs[i].num_columns()) {
+        COLGRAPH_ASSIGN_OR_RETURN(decoded[i], inputs[i].ReadColumn(c));
+        parts[i].column = &decoded[i];
       }
-      base += static_cast<size_t>(input.num_records());
     }
-    MeasureColumn merged;
-    COLGRAPH_ASSIGN_OR_RETURN(
-        merged, MeasureColumn::FromParts(std::move(presence), std::move(values)));
-    merged.ChooseEncoding(options_.relation.hybrid_bitmaps);
-    io::Writer enc(4);
+    COLGRAPH_ASSIGN_OR_RETURN(const MeasureColumn merged, MergeColumn(parts));
+    io::Writer enc;
     enc.WriteMeasureColumn(merged);
     payloads.push_back(enc.TakePayload());
   }
@@ -256,7 +247,7 @@ Status DatasetStore::CompactAll() {
   const uint64_t id = next_id_;
   const std::string name = DatasetName(id);
   COLGRAPH_RETURN_NOT_OK(
-      internal::WriteRelationPayloadsV4(total_records, payloads, PathFor(name)));
+      internal::WriteRelationPayloads(total_records, payloads, PathFor(name)));
   const Status st = WriteManifest({id}, id + 1);
   if (!st.ok()) {
     std::remove(PathFor(name).c_str());

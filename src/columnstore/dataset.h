@@ -13,7 +13,7 @@
 // On disk a DatasetStore is a directory:
 //
 //   MANIFEST            io::Writer image (magic "CGMF"): next id + live ids
-//   ds-000042.cgds      v4 relation image per live dataset
+//   ds-000042.cgds      v5 relation image per live dataset
 //   compact.lock        ExclusiveFile held only while a compaction runs
 //
 // Every mutation publishes by writing the new dataset file first and then
@@ -34,7 +34,7 @@
 
 namespace colgraph {
 
-/// \brief Lazy per-column access to a v4 relation image through an mmap.
+/// \brief Lazy per-column access to a relation image through an mmap.
 ///
 /// Open() maps and validates the file (whole-file CRC + extent
 /// directory); ReadColumn() then decodes a single column extent on
@@ -42,8 +42,8 @@ namespace colgraph {
 /// datasets holds one column per input in memory, not N whole relations.
 class MappedRelationFile {
  public:
-  /// Maps and validates `path`, which must be a v4 relation image (older
-  /// versions have no extent directory to address columns by).
+  /// Maps and validates `path`, which must be a v5 relation image; any
+  /// other version is Corruption.
   static StatusOr<MappedRelationFile> Open(const std::string& path);
 
   uint64_t num_records() const { return layout_.num_records; }
@@ -53,11 +53,11 @@ class MappedRelationFile {
   StatusOr<MeasureColumn> ReadColumn(size_t i) const;
 
  private:
-  MappedRelationFile(io::Reader in, internal::RelationLayoutV4 layout)
+  MappedRelationFile(io::Reader in, internal::RelationLayout layout)
       : reader_(std::move(in)), layout_(std::move(layout)) {}
 
   io::Reader reader_;
-  internal::RelationLayoutV4 layout_;
+  internal::RelationLayout layout_;
 };
 
 /// \brief A directory of immutable sealed dataset files plus the MANIFEST
@@ -91,7 +91,7 @@ class DatasetStore {
     return dir_ + "/" + name;
   }
 
-  /// Seals `relation` as the next dataset: writes its v4 file, then
+  /// Seals `relation` as the next dataset: writes its relation image, then
   /// atomically publishes it by rewriting the manifest. Returns the new
   /// dataset's name. A crash between the two steps leaves an unreferenced
   /// file for the next Open() to sweep — never a torn manifest.
@@ -102,8 +102,9 @@ class DatasetStore {
 
   /// Merges all live datasets into one new dataset file under the
   /// compact.lock ExclusiveFile, then publishes it via a manifest rewrite
-  /// and unlinks the retired inputs. Column-streaming: decodes one column
-  /// per input at a time. No-op below min_datasets_to_compact. Returns
+  /// and unlinks the retired inputs. Column-streaming: decodes column c of
+  /// every input, merges them with MergeColumn, encodes, and drops them
+  /// before column c + 1. No-op below min_datasets_to_compact. Returns
   /// Unavailable while another compaction holds the lock. A crash mid-
   /// merge (failpoint "compact:crash") leaves the manifest — and thus
   /// every published dataset — untouched.

@@ -33,7 +33,7 @@ void SyncParentDir(const std::string& path) {
 }  // namespace
 
 Writer::Writer(std::string path, uint32_t magic, uint32_t version)
-    : path_(std::move(path)), version_(version) {
+    : path_(std::move(path)) {
   WritePod(magic);
   WritePod(version);
 }
@@ -73,26 +73,9 @@ std::vector<char> Writer::TakePayload() {
   return std::move(body_);
 }
 
-void Writer::WriteEwah(const Bitmap& bits) {
-  const EwahBitmap compressed = EwahBitmap::FromBitmap(bits);
-  WritePod(static_cast<uint64_t>(compressed.size_bits()));
-  WriteVec(compressed.buffer());
-}
-
 void Writer::WriteBitmap(const BitmapColumn& col) {
-  if (version_ < 3) {
-    WriteEwah(col.bits());
-    return;
-  }
-  if (col.hybrid() != nullptr) {
-    WritePod(uint8_t{1});
-    WritePod(static_cast<uint64_t>(col.hybrid()->size_bits()));
-    const std::vector<uint64_t> raw = col.hybrid()->ToRaw();
-    WriteVec(raw);
-  } else {
-    WritePod(uint8_t{0});
-    WriteEwah(col.bits());
-  }
+  WritePod(static_cast<uint64_t>(col.size()));
+  WriteVec(col.EncodeContainers());
 }
 
 void Writer::WriteMeasureColumn(const MeasureColumn& col) {
@@ -226,20 +209,22 @@ Status WriteFileAtomic(const std::string& path, const void* data, size_t n) {
   return Status::OK();
 }
 
-StatusOr<Reader> Reader::Open(const std::string& path, uint32_t magic) {
+StatusOr<Reader> Reader::Open(const std::string& path, uint32_t magic,
+                              uint32_t version) {
   std::vector<char> bytes;
   COLGRAPH_ASSIGN_OR_RETURN(bytes, ReadFileBytes(path));
-  return FromBytes(std::move(bytes), path, magic);
+  return FromBytes(std::move(bytes), path, magic, version);
 }
 
-StatusOr<Reader> Reader::OpenMapped(const std::string& path, uint32_t magic) {
+StatusOr<Reader> Reader::OpenMapped(const std::string& path, uint32_t magic,
+                                    uint32_t version) {
   COLGRAPH_FAILPOINT("io:open_read");
   auto mapped = MemMap::Open(path);
   if (!mapped.ok()) {
     // The mapping can fail for environmental reasons (exhausted address
     // space, a filesystem without mmap support) that the copying path
     // survives; an absent file fails either way.
-    return Open(path, magic);
+    return Open(path, magic, version);
   }
   Reader r;
   r.path_ = path;
@@ -253,45 +238,38 @@ StatusOr<Reader> Reader::OpenMapped(const std::string& path, uint32_t magic) {
     static obs::LatencyHistogram& prefault_us =
         obs::MetricsRegistry::Global().GetHistogram("io.crc_prefault_us");
     const obs::Span span(&prefault_us, nullptr, "crc_prefault");
-    COLGRAPH_RETURN_NOT_OK(r.Validate(magic));
+    COLGRAPH_RETURN_NOT_OK(r.Validate(magic, version));
   }
   return r;
 }
 
 StatusOr<Reader> Reader::FromBytes(std::vector<char> data, std::string label,
-                                   uint32_t magic) {
+                                   uint32_t magic, uint32_t version) {
   Reader r;
   r.path_ = std::move(label);
   r.owned_ = std::make_shared<const std::vector<char>>(std::move(data));
   r.base_ = r.owned_->data();
   r.size_ = r.owned_->size();
-  COLGRAPH_RETURN_NOT_OK(r.Validate(magic));
+  COLGRAPH_RETURN_NOT_OK(r.Validate(magic, version));
   return r;
 }
 
-Status Reader::Validate(uint32_t magic) {
+Status Reader::Validate(uint32_t magic, uint32_t version) {
   if (size_ < 2 * sizeof(uint32_t)) {
     return Corrupt("truncated preamble");
   }
-  uint32_t got_magic = 0;
+  uint32_t got_magic = 0, got_version = 0;
   std::memcpy(&got_magic, base_, sizeof(got_magic));
-  std::memcpy(&version_, base_ + sizeof(got_magic), sizeof(version_));
+  std::memcpy(&got_version, base_ + sizeof(got_magic), sizeof(got_version));
   if (got_magic != magic) {
     return Corrupt("bad magic");
   }
-  pos_ = 2 * sizeof(uint32_t);
-
-  if (version_ == 1) {
-    // Legacy format: no sections, no footer; reads are bounded by the
-    // file size only.
-    body_end_ = limit_ = size_;
-    sectioned_ = false;
-    return Status::OK();
-  }
-  if (version_ < 2 || version_ > 4) {
+  if (got_version != version) {
     return Corrupt("unsupported snapshot version " +
-                   std::to_string(version_));
+                   std::to_string(got_version) + " (this build reads v" +
+                   std::to_string(version) + ")");
   }
+  pos_ = 2 * sizeof(uint32_t);
   if (size_ < pos_ + kFooterBytes) {
     return Corrupt("truncated footer");
   }
@@ -312,7 +290,6 @@ Status Reader::Validate(uint32_t magic) {
   }
   body_end_ = footer_pos;
   limit_ = pos_;  // nothing readable until BeginSection
-  sectioned_ = true;
   return Status::OK();
 }
 
@@ -325,12 +302,10 @@ StatusOr<Reader> Reader::AtExtent(uint64_t offset, uint64_t len) const {
   sub.limit_ = sub.body_end_ = static_cast<size_t>(offset + len);
   // Extents carry no section framing; the bytes were already validated by
   // the whole-file CRC at open time.
-  sub.sectioned_ = false;
   return sub;
 }
 
 Status Reader::BeginSection(const char* what) {
-  if (!sectioned_) return Status::OK();
   COLGRAPH_DCHECK_EQ(pos_, limit_);
   if (body_end_ - pos_ < kSectionHeaderBytes) {
     return Corrupt(std::string("truncated section header for ") + what);
@@ -352,7 +327,6 @@ Status Reader::BeginSection(const char* what) {
 }
 
 Status Reader::EndSection(const char* what) {
-  if (!sectioned_) return Status::OK();
   if (pos_ != limit_) {
     return Corrupt(std::string("section size mismatch in ") + what);
   }
@@ -360,34 +334,13 @@ Status Reader::EndSection(const char* what) {
 }
 
 Status Reader::ExpectEnd() {
-  if (!sectioned_) return Status::OK();
   if (pos_ != body_end_) {
     return Corrupt("trailing bytes after the final section");
   }
   return Status::OK();
 }
 
-StatusOr<Bitmap> Reader::ReadEwah(uint64_t expected_bits) {
-  uint64_t num_bits = 0;
-  COLGRAPH_RETURN_NOT_OK(ReadPod(&num_bits));
-  if (num_bits != expected_bits) {
-    return Corrupt("bitmap bit length does not match the record count");
-  }
-  std::vector<uint64_t> buffer;
-  COLGRAPH_RETURN_NOT_OK(ReadVec(&buffer));
-  COLGRAPH_ASSIGN_OR_RETURN(
-      EwahBitmap compressed,
-      EwahBitmap::FromRawChecked(std::move(buffer),
-                                 static_cast<size_t>(num_bits)));
-  return compressed.ToBitmap();
-}
-
 StatusOr<Bitmap> Reader::ReadBitmap(uint64_t expected_bits) {
-  if (version_ < 3) return ReadEwah(expected_bits);
-  uint8_t tag = 0;
-  COLGRAPH_RETURN_NOT_OK(ReadPod(&tag));
-  if (tag == 0) return ReadEwah(expected_bits);
-  if (tag != 1) return Corrupt("unknown bitmap encoding tag");
   uint64_t num_bits = 0;
   COLGRAPH_RETURN_NOT_OK(ReadPod(&num_bits));
   if (num_bits != expected_bits) {

@@ -3,20 +3,24 @@
 // are machine-local artifacts, like a database directory, not an exchange
 // format).
 //
-// Snapshot format v2+ (see DESIGN.md "Durability & failure model"):
+// Snapshot format (see DESIGN.md "Durability & failure model"):
 //
 //   [u32 codec magic][u32 version]
 //   section*:  [u64 payload_len][u32 crc32c(payload)][payload]
+//   extent*:   page-aligned raw column payloads (relation/engine images)
 //   footer:    [u32 crc32c(file[0, len))][u64 len][u32 footer magic]
 //
-// v3 adds tagged bitmap encodings inside sections; v4 (DESIGN.md §14)
-// additionally places column payloads in page-aligned raw extents between
-// the last section and the footer, located by an extent directory section,
-// so sealed dataset files can be read through an mmap without
-// deserializing columns that a query never touches. The extents sit
-// inside the footer-checksummed body, so the open-time whole-file CRC
-// still validates every byte (and, on the mapped path, faults in every
-// page once — which is why post-open reads cannot SIGBUS).
+// Each codec owns one version and the Reader rejects any other as
+// Status::Corruption. Relation and engine images (v5, DESIGN.md §14) keep
+// their headers and definitions in sections and place column payloads in
+// page-aligned raw extents between the last section and the footer,
+// located by an extent directory section, so sealed dataset files can be
+// read through an mmap without deserializing columns that a query never
+// touches. The extents sit inside the footer-checksummed body, so the
+// open-time whole-file CRC still validates every byte (and, on the mapped
+// path, faults in every page once — which is why post-open reads cannot
+// SIGBUS). Every bitmap on disk is in the container codec
+// (HybridBitmap::ToRaw).
 //
 // Writer buffers the whole snapshot, then commits it atomically: the bytes
 // go to `<path>.tmp`, are fsync'd, and the tmp is rename(2)'d over the
@@ -25,9 +29,7 @@
 // footer and every section CRC, and bounds every read by the bytes
 // actually present — a corrupt length prefix surfaces as
 // Status::Corruption, never as a multi-GB resize or an out-of-bounds
-// read. Version-1 files (no sections, no footer) still load through the
-// same call sequence: the section calls become no-ops and only the
-// per-read bounds checks apply.
+// read.
 //
 // All snapshot file I/O in the library must go through these helpers (the
 // repo lint bans raw std::ifstream/std::ofstream elsewhere in src/).
@@ -40,7 +42,6 @@
 #include <string>
 #include <vector>
 
-#include "bitmap/ewah_bitmap.h"
 #include "bitmap/hybrid_bitmap.h"
 #include "columnstore/column.h"
 #include "columnstore/mem_map.h"
@@ -83,10 +84,10 @@ class Writer {
   Writer(std::string path, uint32_t magic, uint32_t version);
 
   /// Payload-mode writer: encodes values into an in-memory buffer with no
-  /// preamble, sections, or footer. Used to pre-encode v4 column extents
+  /// preamble, sections, or footer. Used to pre-encode column extents
   /// (the payload is later appended verbatim with AppendRaw). Commit() is
   /// forbidden; fetch the bytes with TakePayload().
-  explicit Writer(uint32_t version) : version_(version), payload_only_(true) {}
+  Writer() : payload_only_(true) {}
 
   /// Opens / closes a checksummed section. Sections must not nest.
   void BeginSection();
@@ -103,21 +104,16 @@ class Writer {
     Append(v.data(), v.size() * sizeof(T));
   }
 
-  /// EWAH-compresses and writes a bitmap: [u64 num_bits][buffer vec].
-  void WriteEwah(const Bitmap& bits);
-
-  /// Writes a bitmap column in its sealed encoding. On v3+ snapshots the
-  /// stream is tagged: [u8 tag][u64 num_bits][buffer vec] with tag 0 =
-  /// EWAH, tag 1 = hybrid containers (the column's seal-time choice). On
-  /// v2 and older it degrades to the untagged WriteEwah layout so legacy
-  /// fixtures can still be produced.
+  /// Writes a bitmap column in the container codec:
+  /// [u64 num_bits][u64 word count][BitmapColumn::EncodeContainers words].
   void WriteBitmap(const BitmapColumn& col);
 
   /// Writes a sealed measure column: compressed presence + packed values.
   void WriteMeasureColumn(const MeasureColumn& col);
 
-  /// Bytes buffered so far (preamble + sections written). The v4 writers
-  /// use this to compute extent offsets before emitting the directory.
+  /// Bytes buffered so far (preamble + sections written). The extent
+  /// writers use this to compute extent offsets before emitting the
+  /// directory.
   size_t bytes_buffered() const { return body_.size(); }
 
   /// Zero-pads the buffer up to absolute offset `target` (>= current
@@ -125,13 +121,11 @@ class Writer {
   /// whole-file CRC but no section's.
   void PadTo(size_t target);
 
-  /// Appends `n` raw bytes outside any section (a v4 column extent).
+  /// Appends `n` raw bytes outside any section (a column extent).
   void AppendRaw(const void* data, size_t n);
 
   /// Payload-mode only: returns the encoded bytes. The writer is spent.
   std::vector<char> TakePayload();
-
-  uint32_t version() const { return version_; }
 
   /// Appends the footer and atomically publishes the snapshot:
   /// write to `<path>.tmp`, fsync, rename over `path`, fsync the parent
@@ -151,7 +145,6 @@ class Writer {
   std::string path_;
   std::vector<char> body_;
   size_t section_header_pos_ = 0;
-  uint32_t version_ = 0;
   bool in_section_ = false;
   bool committed_ = false;
   bool payload_only_ = false;
@@ -159,14 +152,15 @@ class Writer {
 
 /// \brief Bounds-checked, checksum-verified snapshot reader.
 ///
-/// Open() loads the whole file, validates the codec magic and — for v2
-/// files — the footer and whole-file CRC before any parsing. Every Read*
-/// is bounded by the current section (v2) or the file (v1); running out of
-/// bytes is Status::Corruption, never UB.
+/// Open() loads the whole file and validates the codec magic, the codec's
+/// version (any other is Corruption), the footer, and the whole-file CRC
+/// before any parsing. Every Read* is bounded by the current section (or
+/// extent); running out of bytes is Status::Corruption, never UB.
 class Reader {
  public:
   /// Failpoint: "io:open_read".
-  static StatusOr<Reader> Open(const std::string& path, uint32_t magic);
+  static StatusOr<Reader> Open(const std::string& path, uint32_t magic,
+                               uint32_t version);
 
   /// mmap-backed variant of Open(): maps the file read-only instead of
   /// copying it into memory, then runs the identical validation (the
@@ -177,28 +171,25 @@ class Reader {
   /// AtExtent() share the mapping, so decoding a column keeps the file
   /// mapped only as long as some reader is alive.
   /// Failpoints: "io:open_read", "io:mmap" (forces the fallback).
-  static StatusOr<Reader> OpenMapped(const std::string& path, uint32_t magic);
+  static StatusOr<Reader> OpenMapped(const std::string& path, uint32_t magic,
+                                     uint32_t version);
 
   /// In-memory variant of Open(): validates and reads `data` as a snapshot
   /// without touching the filesystem. `label` stands in for the path in
   /// error messages. This is the entry point the fuzz harnesses drive —
   /// identical validation to Open() (which delegates here), zero I/O.
   static StatusOr<Reader> FromBytes(std::vector<char> data, std::string label,
-                                    uint32_t magic);
+                                    uint32_t magic, uint32_t version);
 
   /// A bounds-checked sub-reader over `[offset, offset + len)` of the
-  /// checksummed body — the access path for v4 column extents. The
+  /// checksummed body — the access path for column extents. The
   /// sub-reader shares this reader's storage (copying it is cheap), reads
   /// without section framing (the extent bytes are covered by the
   /// whole-file CRC validated at open), and fails with Corruption when the
   /// range falls outside the body.
   StatusOr<Reader> AtExtent(uint64_t offset, uint64_t len) const;
 
-  /// 1 for legacy pre-checksum files, 2 for checksummed sections, 3 for
-  /// checksummed sections with tagged bitmap encodings (EWAH or hybrid),
-  /// 4 for sections + page-aligned column extents (the mmap layout).
-  uint32_t version() const { return version_; }
-  /// Bytes left in the current window (section for v2, file for v1).
+  /// Bytes left in the current window (section or extent).
   uint64_t remaining() const { return limit_ - pos_; }
   /// Absolute offset of the read cursor (extent-directory validation).
   uint64_t position() const { return pos_; }
@@ -206,11 +197,11 @@ class Reader {
   uint64_t body_size() const { return body_end_; }
 
   /// Enters the next section: validates its header and payload CRC.
-  /// No-ops on v1 files. `what` names the section in error messages.
+  /// `what` names the section in error messages.
   [[nodiscard]] Status BeginSection(const char* what);
-  /// Leaves a section; the payload must be fully consumed (v2 only).
+  /// Leaves a section; the payload must be fully consumed.
   [[nodiscard]] Status EndSection(const char* what);
-  /// Verifies no trailing sections/bytes remain (v2 only).
+  /// Verifies no trailing sections/bytes remain.
   [[nodiscard]] Status ExpectEnd();
 
   template <typename T>
@@ -243,13 +234,9 @@ class Reader {
     return Status::OK();
   }
 
-  /// Reads a bitmap written by WriteEwah; its decoded length must equal
-  /// `expected_bits` and the compressed stream must validate.
-  StatusOr<Bitmap> ReadEwah(uint64_t expected_bits);
-
-  /// Reads a bitmap written by WriteBitmap: tagged (EWAH or hybrid) on v3+
-  /// snapshots, plain WriteEwah layout on v2 and older. Both decoders run
-  /// their full FromRawChecked validation.
+  /// Reads a bitmap written by WriteBitmap; its length must equal
+  /// `expected_bits` and the words must pass every check of
+  /// HybridBitmap::FromRawChecked.
   StatusOr<Bitmap> ReadBitmap(uint64_t expected_bits);
 
   /// Reads a column written by WriteMeasureColumn; the presence bitmap
@@ -261,7 +248,7 @@ class Reader {
 
   /// Validates preamble, footer, and whole-file CRC over [base_, size_).
   /// Shared by the owned and mapped open paths.
-  [[nodiscard]] Status Validate(uint32_t magic);
+  [[nodiscard]] Status Validate(uint32_t magic, uint32_t version);
 
   Status Corrupt(const std::string& what) const {
     return Status::Corruption(what + " in " + path_);
@@ -277,9 +264,7 @@ class Reader {
   size_t size_ = 0;
   size_t pos_ = 0;
   size_t limit_ = 0;     // end of the current read window
-  size_t body_end_ = 0;  // end of the checksummed body (v2+) / file (v1)
-  uint32_t version_ = 0;
-  bool sectioned_ = false;
+  size_t body_end_ = 0;  // end of the checksummed body (or extent)
 };
 
 /// Opens a text file for line-based reading (trace ingest) through the

@@ -2,7 +2,6 @@
 
 #include <unordered_set>
 
-#include "bitmap/ewah_bitmap.h"
 #include "util/check.h"
 
 namespace colgraph {
@@ -38,13 +37,6 @@ Status MasterRelation::Seal() {
     col.ChooseEncoding(options_.hybrid_bitmaps);
   }
   sealed_ = true;
-  return Status::OK();
-}
-
-Status MasterRelation::Unseal() {
-  if (!sealed_) return Status::InvalidArgument("relation is not sealed");
-  for (auto& col : columns_) col.Unseal();
-  sealed_ = false;
   return Status::OK();
 }
 
@@ -101,21 +93,6 @@ size_t MasterRelation::AddGraphView(Bitmap bits) {
   return graph_views_.size() - 1;
 }
 
-void MasterRelation::ReplaceGraphView(size_t view_index, Bitmap bits) {
-  COLGRAPH_CHECK_LT(view_index, graph_views_.size());
-  COLGRAPH_CHECK_EQ(bits.size(), num_records_);
-  graph_views_[view_index] = BitmapColumn(std::move(bits));
-  graph_views_[view_index].ChooseEncoding(options_.hybrid_bitmaps);
-}
-
-void MasterRelation::ReplaceAggregateView(size_t view_index,
-                                          MeasureColumn column) {
-  COLGRAPH_CHECK_LT(view_index, agg_views_.size());
-  COLGRAPH_CHECK(column.sealed());
-  column.ChooseEncoding(options_.hybrid_bitmaps);
-  agg_views_[view_index] = std::move(column);
-}
-
 const Bitmap& MasterRelation::FetchGraphView(size_t view_index) const {
   COLGRAPH_CHECK_LT(view_index, graph_views_.size());
   ++stats_.bitmap_columns_fetched;
@@ -159,15 +136,16 @@ size_t MasterRelation::MemoryBytes() const {
 }
 
 size_t MasterRelation::DiskBytes() const {
-  size_t total = 0;
-  auto column_disk_bytes = [](const MeasureColumn& col) {
-    return EwahBitmap::FromBitmap(col.presence().bits()).CompressedBytes() +
+  auto bitmap_disk_bytes = [](const BitmapColumn& col) {
+    return col.EncodeContainers().size() * sizeof(uint64_t);
+  };
+  auto column_disk_bytes = [&](const MeasureColumn& col) {
+    return bitmap_disk_bytes(col.presence()) +
            col.num_values() * sizeof(double);
   };
+  size_t total = 0;
   for (const auto& col : columns_) total += column_disk_bytes(col);
-  for (const auto& view : graph_views_) {
-    total += EwahBitmap::FromBitmap(view.bits()).CompressedBytes();
-  }
+  for (const auto& view : graph_views_) total += bitmap_disk_bytes(view);
   for (const auto& view : agg_views_) total += column_disk_bytes(view);
   return total;
 }

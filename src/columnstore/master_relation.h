@@ -43,8 +43,9 @@ struct MasterRelationOptions {
   /// When true (default), columns at or below the hybrid density threshold
   /// (BitmapColumn::kHybridDensityDivisor) get a roaring-style HybridBitmap
   /// encoding at seal time, which the query engine's AND loop consumes.
-  /// False pins every column to the plain/EWAH path (ablation, and the
-  /// byte-identical-results determinism check).
+  /// False pins every column to the plain-word AND path (ablation, and the
+  /// byte-identical-results determinism check). Snapshot bytes are the
+  /// same either way.
   bool hybrid_bitmaps = true;
 };
 
@@ -66,13 +67,10 @@ class MasterRelation {
       const std::vector<std::pair<EdgeId, double>>& elements);
 
   /// Freezes the relation: sizes every presence bitmap to the final record
-  /// count and builds rank directories.
+  /// count and builds rank directories. A sealed relation never grows
+  /// again; new records arrive as further sealed relations (tail datasets,
+  /// DESIGN.md §14).
   [[nodiscard]] Status Seal();
-  /// Re-opens a sealed relation for incremental ingest (new records and, if
-  /// needed, new columns). Materialized views become stale: the caller
-  /// must refresh them after the next Seal() (ColGraphEngine::FinishAppend
-  /// does). Queries are rejected until resealed.
-  [[nodiscard]] Status Unseal();
   bool sealed() const { return sealed_; }
 
   size_t num_records() const { return num_records_; }
@@ -97,14 +95,12 @@ class MasterRelation {
 
   /// Adds a graph-view bitmap column bv; returns its view index.
   size_t AddGraphView(Bitmap bits);
-  /// Replaces a view column in place (view refresh after incremental
-  /// ingest).
-  void ReplaceGraphView(size_t view_index, Bitmap bits);
-  void ReplaceAggregateView(size_t view_index, MeasureColumn column);
   const Bitmap& FetchGraphView(size_t view_index) const;
   size_t num_graph_views() const { return graph_views_.size(); }
 
-  /// Reconstructs a sealed relation from stored columns (persistence path).
+  /// Reconstructs a sealed relation from stored or merged columns (the
+  /// persistence and compaction paths). The hybrid encoding choice for
+  /// every column is made here.
   static StatusOr<MasterRelation> FromColumns(size_t num_records,
                                               std::vector<MeasureColumn> cols,
                                               MasterRelationOptions options);
@@ -176,9 +172,10 @@ class MasterRelation {
 
   /// In-memory footprint of all columns (bytes).
   size_t MemoryBytes() const;
-  /// Estimated on-disk footprint: EWAH-compressed bitmaps + packed values.
-  /// This is what Figure 4 plots: independent of record density, since
-  /// NULLs occupy no space.
+  /// On-disk footprint: container-codec bitmaps (the words a snapshot
+  /// writes, BitmapColumn::EncodeContainers) + packed values. This is what
+  /// Figure 4 plots: independent of record density, since NULLs occupy no
+  /// space.
   size_t DiskBytes() const;
 
  private:

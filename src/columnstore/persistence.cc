@@ -1,6 +1,5 @@
 #include "columnstore/persistence.h"
 
-#include <algorithm>
 #include <cstdint>
 #include <vector>
 
@@ -11,45 +10,79 @@
 namespace colgraph {
 
 namespace {
-constexpr uint32_t kMagic = 0x4347524C;  // "CGRL"
-// v4 moves column payloads into page-aligned extents behind an extent
-// directory (the mmap layout, DESIGN.md §14); v1-v3 files still load.
-constexpr uint32_t kVersion = 4;
 // Extent directory section: u64 count + {u64 offset, u64 len} per column,
 // inside a standard section frame.
 constexpr size_t kExtentEntryBytes = 16;
 constexpr size_t kSectionFrameBytes = 12;  // u64 len + u32 crc
 
+// Shared tail of ReadRelation/DecodeRelation: parses a validated Reader.
+StatusOr<MasterRelation> ReadRelationFrom(io::Reader in,
+                                          const std::string& path,
+                                          MasterRelationOptions options) {
+  internal::RelationLayout layout;
+  COLGRAPH_ASSIGN_OR_RETURN(layout, internal::ReadRelationLayout(&in, path));
+  std::vector<MeasureColumn> columns;
+  columns.reserve(layout.extents.size());
+  for (const internal::Extent& e : layout.extents) {
+    COLGRAPH_ASSIGN_OR_RETURN(io::Reader sub, in.AtExtent(e.offset, e.len));
+    COLGRAPH_ASSIGN_OR_RETURN(MeasureColumn col,
+                              sub.ReadMeasureColumn(layout.num_records));
+    if (sub.remaining() != 0) {
+      return Status::Corruption("trailing bytes in column extent in " + path);
+    }
+    columns.push_back(std::move(col));
+  }
+  return MasterRelation::FromColumns(static_cast<size_t>(layout.num_records),
+                                     std::move(columns), options);
+}
+
 }  // namespace
 
 Status WriteRelation(const MasterRelation& relation, const std::string& path) {
-  return internal::WriteRelationAtVersion(relation, path, kVersion);
+  if (!relation.sealed()) {
+    return Status::InvalidArgument("can only persist a sealed relation");
+  }
+  // Pre-encode each column, then lay the payloads out as page-aligned
+  // extents behind a directory so readers can decode columns lazily.
+  std::vector<std::vector<char>> payloads;
+  payloads.reserve(relation.num_edge_columns());
+  for (EdgeId id = 0; id < relation.num_edge_columns(); ++id) {
+    io::Writer enc;
+    enc.WriteMeasureColumn(relation.PeekMeasureColumn(id));
+    payloads.push_back(enc.TakePayload());
+  }
+  return internal::WriteRelationPayloads(relation.num_records(), payloads,
+                                         path);
 }
 
 StatusOr<MasterRelation> ReadRelation(const std::string& path,
                                       MasterRelationOptions options) {
   io::RemoveStaleTemp(path);
-  COLGRAPH_ASSIGN_OR_RETURN(io::Reader in,
-                            io::Reader::OpenMapped(path, kMagic));
-  return internal::ReadRelationFrom(std::move(in), path, std::move(options));
+  COLGRAPH_ASSIGN_OR_RETURN(
+      io::Reader in,
+      io::Reader::OpenMapped(path, internal::kRelationMagic,
+                             internal::kRelationVersion));
+  return ReadRelationFrom(std::move(in), path, std::move(options));
 }
 
 StatusOr<MasterRelation> DecodeRelation(std::vector<char> data,
                                         const std::string& what,
                                         MasterRelationOptions options) {
   COLGRAPH_ASSIGN_OR_RETURN(
-      io::Reader in, io::Reader::FromBytes(std::move(data), what, kMagic));
-  return internal::ReadRelationFrom(std::move(in), what, std::move(options));
+      io::Reader in,
+      io::Reader::FromBytes(std::move(data), what, internal::kRelationMagic,
+                            internal::kRelationVersion));
+  return ReadRelationFrom(std::move(in), what, std::move(options));
 }
 
 namespace internal {
 
-void WriteExtentsV4(io::Writer* out,
-                    const std::vector<std::vector<char>>& payloads) {
+void WriteExtents(io::Writer* out,
+                  const std::vector<std::vector<char>>& payloads) {
   const size_t dir_bytes = kSectionFrameBytes + sizeof(uint64_t) +
                            payloads.size() * kExtentEntryBytes;
   uint64_t cursor = out->bytes_buffered() + dir_bytes;
-  std::vector<V4Extent> extents(payloads.size());
+  std::vector<Extent> extents(payloads.size());
   for (size_t i = 0; i < payloads.size(); ++i) {
     extents[i].offset = io::RoundUpToPage(cursor);
     extents[i].len = payloads[i].size();
@@ -57,7 +90,7 @@ void WriteExtentsV4(io::Writer* out,
   }
   out->BeginSection();
   out->WritePod(static_cast<uint64_t>(payloads.size()));
-  for (const V4Extent& e : extents) {
+  for (const Extent& e : extents) {
     out->WritePod(e.offset);
     out->WritePod(e.len);
   }
@@ -68,8 +101,9 @@ void WriteExtentsV4(io::Writer* out,
   }
 }
 
-StatusOr<std::vector<V4Extent>> ReadExtentDirectoryV4(
-    io::Reader* in, uint64_t expected_count, const std::string& path) {
+StatusOr<std::vector<Extent>> ReadExtentDirectory(io::Reader* in,
+                                                  uint64_t expected_count,
+                                                  const std::string& path) {
   COLGRAPH_RETURN_NOT_OK(in->BeginSection("extent directory"));
   uint64_t count = 0;
   COLGRAPH_RETURN_NOT_OK(in->ReadPod(&count));
@@ -81,8 +115,8 @@ StatusOr<std::vector<V4Extent>> ReadExtentDirectoryV4(
     return Status::Corruption("extent directory larger than its section in " +
                               path);
   }
-  std::vector<V4Extent> extents(static_cast<size_t>(count));
-  for (V4Extent& e : extents) {
+  std::vector<Extent> extents(static_cast<size_t>(count));
+  for (Extent& e : extents) {
     COLGRAPH_RETURN_NOT_OK(in->ReadPod(&e.offset));
     COLGRAPH_RETURN_NOT_OK(in->ReadPod(&e.len));
   }
@@ -91,7 +125,7 @@ StatusOr<std::vector<V4Extent>> ReadExtentDirectoryV4(
   // Extents must live after the directory, ascend without overlap, and
   // stay inside the checksummed body.
   uint64_t prev_end = in->position();
-  for (const V4Extent& e : extents) {
+  for (const Extent& e : extents) {
     if (e.offset < prev_end || e.offset > in->body_size() ||
         e.len > in->body_size() - e.offset) {
       return Status::Corruption("extent directory out of bounds in " + path);
@@ -101,59 +135,23 @@ StatusOr<std::vector<V4Extent>> ReadExtentDirectoryV4(
   return extents;
 }
 
-Status WriteRelationAtVersion(const MasterRelation& relation,
-                              const std::string& path, uint32_t version) {
-  if (!relation.sealed()) {
-    return Status::InvalidArgument("can only persist a sealed relation");
-  }
-  io::Writer out(path, kMagic, version);
-
-  out.BeginSection();
-  out.WritePod(static_cast<uint64_t>(relation.num_records()));
-  out.WritePod(static_cast<uint64_t>(relation.num_edge_columns()));
-  out.EndSection();
-  COLGRAPH_FAILPOINT("persist:after_header");
-
-  if (version < 4) {
-    // Sequential layout: every column in one checksummed section.
-    out.BeginSection();
-    for (EdgeId id = 0; id < relation.num_edge_columns(); ++id) {
-      out.WriteMeasureColumn(relation.PeekMeasureColumn(id));
-    }
-    out.EndSection();
-    return out.Commit();
-  }
-
-  // v4: pre-encode each column, then lay the payloads out as page-aligned
-  // extents behind a directory so readers can decode columns lazily.
-  std::vector<std::vector<char>> payloads;
-  payloads.reserve(relation.num_edge_columns());
-  for (EdgeId id = 0; id < relation.num_edge_columns(); ++id) {
-    io::Writer enc(version);
-    enc.WriteMeasureColumn(relation.PeekMeasureColumn(id));
-    payloads.push_back(enc.TakePayload());
-  }
-  WriteExtentsV4(&out, payloads);
-  return out.Commit();
-}
-
-Status WriteRelationPayloadsV4(uint64_t num_records,
-                               const std::vector<std::vector<char>>& payloads,
-                               const std::string& path) {
+Status WriteRelationPayloads(uint64_t num_records,
+                             const std::vector<std::vector<char>>& payloads,
+                             const std::string& path) {
   COLGRAPH_RETURN_NOT_OK(io::ValidateRecordCount(num_records, path));
-  io::Writer out(path, kMagic, 4);
+  io::Writer out(path, kRelationMagic, kRelationVersion);
   out.BeginSection();
   out.WritePod(num_records);
   out.WritePod(static_cast<uint64_t>(payloads.size()));
   out.EndSection();
   COLGRAPH_FAILPOINT("persist:after_header");
-  WriteExtentsV4(&out, payloads);
+  WriteExtents(&out, payloads);
   return out.Commit();
 }
 
-StatusOr<RelationLayoutV4> ReadRelationLayoutV4(io::Reader* in,
-                                                const std::string& path) {
-  RelationLayoutV4 layout;
+StatusOr<RelationLayout> ReadRelationLayout(io::Reader* in,
+                                            const std::string& path) {
+  RelationLayout layout;
   uint64_t num_columns = 0;
   COLGRAPH_RETURN_NOT_OK(in->BeginSection("relation header"));
   if (!in->ReadPod(&layout.num_records).ok() ||
@@ -163,56 +161,8 @@ StatusOr<RelationLayoutV4> ReadRelationLayoutV4(io::Reader* in,
   COLGRAPH_RETURN_NOT_OK(in->EndSection("relation header"));
   COLGRAPH_RETURN_NOT_OK(io::ValidateRecordCount(layout.num_records, path));
   COLGRAPH_ASSIGN_OR_RETURN(layout.extents,
-                            ReadExtentDirectoryV4(in, num_columns, path));
+                            ReadExtentDirectory(in, num_columns, path));
   return layout;
-}
-
-StatusOr<MasterRelation> ReadRelationFrom(io::Reader in,
-                                          const std::string& path,
-                                          MasterRelationOptions options) {
-  if (in.version() >= 4) {
-    RelationLayoutV4 layout;
-    COLGRAPH_ASSIGN_OR_RETURN(layout, ReadRelationLayoutV4(&in, path));
-    std::vector<MeasureColumn> columns;
-    columns.reserve(layout.extents.size());
-    for (const V4Extent& e : layout.extents) {
-      COLGRAPH_ASSIGN_OR_RETURN(io::Reader sub, in.AtExtent(e.offset, e.len));
-      COLGRAPH_ASSIGN_OR_RETURN(MeasureColumn col,
-                                sub.ReadMeasureColumn(layout.num_records));
-      if (sub.remaining() != 0) {
-        return Status::Corruption("trailing bytes in column extent in " +
-                                  path);
-      }
-      columns.push_back(std::move(col));
-    }
-    return MasterRelation::FromColumns(static_cast<size_t>(layout.num_records),
-                                       std::move(columns), options);
-  }
-
-  uint64_t num_records = 0, num_columns = 0;
-  COLGRAPH_RETURN_NOT_OK(in.BeginSection("relation header"));
-  if (!in.ReadPod(&num_records).ok() || !in.ReadPod(&num_columns).ok()) {
-    return Status::Corruption("truncated header in " + path);
-  }
-  COLGRAPH_RETURN_NOT_OK(in.EndSection("relation header"));
-  COLGRAPH_RETURN_NOT_OK(io::ValidateRecordCount(num_records, path));
-
-  COLGRAPH_RETURN_NOT_OK(in.BeginSection("columns"));
-  std::vector<MeasureColumn> columns;
-  // Each column costs >= 24 bytes on disk; don't let a corrupt count
-  // reserve unbounded memory.
-  columns.reserve(static_cast<size_t>(
-      std::min<uint64_t>(num_columns, in.remaining() / 24 + 1)));
-  for (uint64_t i = 0; i < num_columns; ++i) {
-    COLGRAPH_ASSIGN_OR_RETURN(MeasureColumn col,
-                              in.ReadMeasureColumn(num_records));
-    columns.push_back(std::move(col));
-  }
-  COLGRAPH_RETURN_NOT_OK(in.EndSection("columns"));
-  COLGRAPH_RETURN_NOT_OK(in.ExpectEnd());
-
-  return MasterRelation::FromColumns(static_cast<size_t>(num_records),
-                                     std::move(columns), options);
 }
 
 }  // namespace internal

@@ -1,16 +1,16 @@
 // Binary persistence for the master relation. The on-disk layout mirrors
-// the in-memory one: per column a compressed presence bitmap followed by
-// the packed (NULL-suppressed) values, so file size tracks the
+// the in-memory one: per column a container-codec presence bitmap followed
+// by the packed (NULL-suppressed) values, so file size tracks the
 // DiskBytes() accounting used by the space experiments (Figure 4).
 //
-// Writes use snapshot format v4 (checksummed sections + footer + one
-// page-aligned raw extent per column, written to `<path>.tmp` and
-// atomically renamed — see io_util.h and DESIGN.md §14); reads accept
-// v1–v4. The extent layout is what lets sealed dataset files be read
+// Snapshot format v5 (checksummed sections + footer + one page-aligned raw
+// extent per column, written to `<path>.tmp` and atomically renamed — see
+// io_util.h and DESIGN.md §14). Reads accept v5 only; any other version,
+// and any corrupt or truncated file, loads as Status::Corruption, never as
+// a crash. The extent layout is what lets sealed dataset files be read
 // through an mmap with per-column lazy decoding (dataset.h) — alignment
 // costs up to one page of zero padding per column, a deliberate trade the
-// ≤1000-column partitioning rule keeps bounded. Corrupt or truncated
-// files of any version load as Status::Corruption, never as a crash.
+// ≤1000-column partitioning rule keeps bounded.
 #pragma once
 
 #include <string>
@@ -31,8 +31,8 @@ namespace colgraph {
 [[nodiscard]] StatusOr<MasterRelation> ReadRelation(const std::string& path,
                                       MasterRelationOptions options = {});
 
-/// In-memory variant of ReadRelation: decodes a snapshot image (v1–v4)
-/// from `data` without touching the filesystem; `what` names the buffer in
+/// In-memory variant of ReadRelation: decodes a snapshot image from
+/// `data` without touching the filesystem; `what` names the buffer in
 /// error messages. Same validation as ReadRelation — this is the entry
 /// point the snapshot fuzz harness drives.
 [[nodiscard]] StatusOr<MasterRelation> DecodeRelation(
@@ -41,58 +41,54 @@ namespace colgraph {
 
 namespace internal {
 
-/// Shared tail of ReadRelation/DecodeRelation: parses a validated Reader.
-StatusOr<MasterRelation> ReadRelationFrom(io::Reader in,
-                                          const std::string& path,
-                                          MasterRelationOptions options);
+/// Codec magic ("CGRL") and the one version relation images are written
+/// in and read back at.
+inline constexpr uint32_t kRelationMagic = 0x4347524C;
+inline constexpr uint32_t kRelationVersion = 5;
 
-/// Writes the relation in an explicit snapshot format version (2, 3, or
-/// 4) — compat-fixture support for tests and the fuzz corpus generator.
-Status WriteRelationAtVersion(const MasterRelation& relation,
-                              const std::string& path, uint32_t version);
-
-/// One column extent of a v4 relation image: absolute file offset plus
-/// exact payload length (padding between extents belongs to neither).
-struct V4Extent {
+/// One column extent of a relation or engine image: absolute file offset
+/// plus exact payload length (padding between extents belongs to neither).
+struct Extent {
   uint64_t offset = 0;
   uint64_t len = 0;
 };
 
-/// Emits the v4 extent-directory section followed by the page-aligned raw
+/// Emits the extent-directory section followed by the page-aligned raw
 /// extents for `payloads`. Offsets are computed against the writer's
 /// current buffer position, so this must be the last content before
 /// Commit(). Shared by the relation and engine snapshot writers.
-void WriteExtentsV4(io::Writer* out,
-                    const std::vector<std::vector<char>>& payloads);
+void WriteExtents(io::Writer* out,
+                  const std::vector<std::vector<char>>& payloads);
 
-/// Parses the v4 extent-directory section (whose count must equal
+/// Parses the extent-directory section (whose count must equal
 /// `expected_count`) and validates every entry: after the directory,
 /// ascending, non-overlapping, inside the checksummed body.
-StatusOr<std::vector<V4Extent>> ReadExtentDirectoryV4(
-    io::Reader* in, uint64_t expected_count, const std::string& path);
+StatusOr<std::vector<Extent>> ReadExtentDirectory(io::Reader* in,
+                                                  uint64_t expected_count,
+                                                  const std::string& path);
 
-/// Writes a v4 relation image from pre-encoded column payloads (one per
-/// column, WriteMeasureColumn encoding). The column-streaming compaction
-/// path uses this so merged columns can be encoded and dropped one at a
-/// time instead of materializing a whole merged MasterRelation.
-Status WriteRelationPayloadsV4(uint64_t num_records,
-                               const std::vector<std::vector<char>>& payloads,
-                               const std::string& path);
+/// Writes a relation image from pre-encoded column payloads (one per
+/// column, WriteMeasureColumn encoding). WriteRelation encodes through
+/// this, and the column-streaming compaction path uses it so merged
+/// columns can be encoded and dropped one at a time instead of
+/// materializing a whole merged MasterRelation.
+Status WriteRelationPayloads(uint64_t num_records,
+                             const std::vector<std::vector<char>>& payloads,
+                             const std::string& path);
 
-/// The parsed v4 relation header + extent directory. Produced by
-/// ReadRelationLayoutV4 once the Reader's open-time validation passed.
-struct RelationLayoutV4 {
+/// The parsed relation header + extent directory. Produced by
+/// ReadRelationLayout once the Reader's open-time validation passed.
+struct RelationLayout {
   uint64_t num_records = 0;
-  std::vector<V4Extent> extents;  // one per column, ascending offsets
+  std::vector<Extent> extents;  // one per column, ascending offsets
 };
 
-/// Parses the two v4 header sections from `in` (which must be positioned
-/// at the first section of a version-4 relation image) and validates the
-/// extent directory: entries must be in-bounds, non-overlapping, and
-/// ascending. Shared by the eager reader and the lazy per-column path in
-/// dataset.cc.
-StatusOr<RelationLayoutV4> ReadRelationLayoutV4(io::Reader* in,
-                                                const std::string& path);
+/// Parses the two header sections from `in` (which must be positioned at
+/// the first section of a relation image) and validates the extent
+/// directory: entries must be in-bounds, non-overlapping, and ascending.
+/// Shared by the eager reader and the lazy per-column path in dataset.cc.
+StatusOr<RelationLayout> ReadRelationLayout(io::Reader* in,
+                                            const std::string& path);
 
 }  // namespace internal
 

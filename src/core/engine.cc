@@ -39,8 +39,7 @@ ColGraphEngine::ColGraphEngine(const ColGraphEngine& other)
       relation_(std::make_shared<MasterRelation>(*other.relation_)),
       tails_(other.tails_),  // tails are immutable: sharing IS copying
       views_(other.views_),
-      query_log_(other.query_log_),
-      append_watermark_(other.append_watermark_) {
+      query_log_(other.query_log_) {
   if (options_.num_threads > 1) {
     pool_ = std::make_unique<ThreadPool>(options_.num_threads);
   }
@@ -53,8 +52,7 @@ ColGraphEngine::ColGraphEngine(const ColGraphEngine& other, ShareTag)
       relation_(other.relation_),  // shared; OwnedRelation() clones on write
       tails_(other.tails_),
       views_(other.views_),
-      query_log_(other.query_log_),
-      append_watermark_(other.append_watermark_) {
+      query_log_(other.query_log_) {
   if (options_.num_threads > 1) {
     pool_ = std::make_unique<ThreadPool>(options_.num_threads);
   }
@@ -73,7 +71,6 @@ ColGraphEngine& ColGraphEngine::operator=(const ColGraphEngine& other) {
   tails_ = other.tails_;
   views_ = other.views_;
   query_log_ = other.query_log_;
-  append_watermark_ = other.append_watermark_;
   pool_.reset();
   if (options_.num_threads > 1) {
     pool_ = std::make_unique<ThreadPool>(options_.num_threads);
@@ -120,7 +117,8 @@ ColGraphEngine ColGraphEngine::FromParts(EngineOptions options,
   return engine;
 }
 
-StatusOr<RecordId> ColGraphEngine::AddRecord(const GraphRecord& record) {
+StatusOr<RecordId> ColGraphEngine::ShredInto(const GraphRecord& record,
+                                             MasterRelation* relation) {
   if (record.elements.size() != record.measures.size()) {
     return Status::InvalidArgument(
         "record elements/measures size mismatch for record " +
@@ -132,20 +130,17 @@ StatusOr<RecordId> ColGraphEngine::AddRecord(const GraphRecord& record) {
     shredded.emplace_back(catalog_.GetOrAssign(record.elements[i]),
                           record.measures[i]);
   }
-  return OwnedRelation().AddRecord(shredded);
+  return relation->AddRecord(shredded);
+}
+
+StatusOr<RecordId> ColGraphEngine::AddRecord(const GraphRecord& record) {
+  return ShredInto(record, &OwnedRelation());
 }
 
 StatusOr<RecordId> ColGraphEngine::AddWalk(const std::vector<NodeId>& walk,
                                            const std::vector<double>& measures) {
-  if (walk.size() < 2) {
-    return Status::InvalidArgument("a walk needs at least two nodes");
-  }
-  if (measures.size() != walk.size() - 1) {
-    return Status::InvalidArgument("a walk of n nodes needs n-1 measures");
-  }
-  GraphRecord record;
-  record.elements = WalkToEdges(walk);
-  record.measures = measures;
+  COLGRAPH_ASSIGN_OR_RETURN(const GraphRecord record,
+                            WalkToRecord(walk, measures));
   return AddRecord(record);
 }
 
@@ -156,41 +151,11 @@ void ColGraphEngine::RegisterUniverse(const std::vector<Edge>& edges) {
 
 Status ColGraphEngine::Seal() { return OwnedRelation().Seal(); }
 
-Status ColGraphEngine::BeginAppend() {
-  if (!tails_.empty()) {
-    // In-place growth would shift every tail's global id base out from
-    // under published bitmaps; collapse the datasets first.
-    return Status::InvalidArgument(
-        "cannot append in place while tail datasets are attached; "
-        "Compact() first");
-  }
-  COLGRAPH_RETURN_NOT_OK(OwnedRelation().Unseal());
-  append_watermark_ = relation_->num_records();
-  return Status::OK();
-}
-
-Status ColGraphEngine::FinishAppend() {
-  COLGRAPH_RETURN_NOT_OK(OwnedRelation().Seal());
-  // Delta maintenance: only the appended record range is re-aggregated.
-  return RefreshViewsIncremental(relation_.get(), views_, append_watermark_);
-}
-
 StatusOr<MasterRelation> ColGraphEngine::BuildTailRelation(
     const std::vector<GraphRecord>& records) {
   MasterRelation tail(options_.relation);
   for (const GraphRecord& record : records) {
-    if (record.elements.size() != record.measures.size()) {
-      return Status::InvalidArgument(
-          "record elements/measures size mismatch for record " +
-          std::to_string(record.id));
-    }
-    std::vector<std::pair<EdgeId, double>> shredded;
-    shredded.reserve(record.elements.size());
-    for (size_t i = 0; i < record.elements.size(); ++i) {
-      shredded.emplace_back(catalog_.GetOrAssign(record.elements[i]),
-                            record.measures[i]);
-    }
-    COLGRAPH_RETURN_NOT_OK(tail.AddRecord(shredded).status());
+    COLGRAPH_RETURN_NOT_OK(ShredInto(record, &tail).status());
   }
   COLGRAPH_RETURN_NOT_OK(tail.Seal());
   return tail;
@@ -221,32 +186,24 @@ Status ColGraphEngine::Compact() {
     num_columns = std::max(num_columns, tail->num_edge_columns());
   }
 
-  // Column-at-a-time merge, mirroring DatasetStore::CompactAll: each
-  // dataset's presence bits land at its global base, values concatenate in
-  // dataset order (presence ranks are preserved because bases ascend).
+  // Column-at-a-time merge, the same MergeColumn DatasetStore::CompactAll
+  // runs: each dataset's presence bits land at its global base, values
+  // concatenate in dataset order.
+  std::vector<const MasterRelation*> datasets = {relation_.get()};
+  for (const auto& tail : tails_) datasets.push_back(tail.get());
   std::vector<MeasureColumn> cols;
   cols.reserve(num_columns);
   for (size_t c = 0; c < num_columns; ++c) {
-    Bitmap presence(total);
-    std::vector<double> values;
-    const MasterRelation* primary = relation_.get();
-    size_t base = 0;
-    auto merge_from = [&](const MasterRelation& rel) {
-      if (c < rel.num_edge_columns()) {
-        const MeasureColumn& col = rel.PeekMeasureColumn(static_cast<EdgeId>(c));
-        presence.OrAt(col.presence().bits(), base);
-        for (size_t rank = 0; rank < col.num_values(); ++rank) {
-          values.push_back(col.ValueAtRank(rank));
-        }
-      }
-      base += rel.num_records();
-    };
-    merge_from(*primary);
-    for (const auto& tail : tails_) merge_from(*tail);
-    COLGRAPH_ASSIGN_OR_RETURN(
-        MeasureColumn merged,
-        MeasureColumn::FromParts(std::move(presence), std::move(values)));
-    merged.ChooseEncoding(options_.relation.hybrid_bitmaps);
+    std::vector<ColumnPart> parts;
+    parts.reserve(datasets.size());
+    for (const MasterRelation* rel : datasets) {
+      const bool has_column = c < rel->num_edge_columns();
+      parts.push_back(ColumnPart{
+          has_column ? &rel->PeekMeasureColumn(static_cast<EdgeId>(c))
+                     : nullptr,
+          rel->num_records()});
+    }
+    COLGRAPH_ASSIGN_OR_RETURN(MeasureColumn merged, MergeColumn(parts));
     cols.push_back(std::move(merged));
   }
   COLGRAPH_ASSIGN_OR_RETURN(
@@ -381,19 +338,32 @@ std::string ColGraphEngine::DumpMetricsJson() const {
   w.Key("num_threads");
   w.Uint(options_.num_threads);
   w.EndObject();
+  // Queries route fetches to the dataset holding each record, so the
+  // engine's totals are the sum over the primary and every tail.
+  uint64_t bitmap_columns = 0, measure_columns = 0, values = 0,
+           partitions = 0, joins = 0;
+  auto add = [&](const MasterRelation& rel) {
+    const FetchStats& fs = rel.stats();
+    bitmap_columns += fs.bitmap_columns_fetched;
+    measure_columns += fs.measure_columns_fetched;
+    values += fs.values_fetched;
+    partitions += fs.partitions_touched;
+    joins += fs.partition_joins;
+  };
+  add(*relation_);
+  for (const auto& tail : tails_) add(*tail);
   w.Key("fetch_stats");
   w.BeginObject();
-  const FetchStats& fs = relation_->stats();
   w.Key("bitmap_columns_fetched");
-  w.Uint(fs.bitmap_columns_fetched);
+  w.Uint(bitmap_columns);
   w.Key("measure_columns_fetched");
-  w.Uint(fs.measure_columns_fetched);
+  w.Uint(measure_columns);
   w.Key("values_fetched");
-  w.Uint(fs.values_fetched);
+  w.Uint(values);
   w.Key("partitions_touched");
-  w.Uint(fs.partitions_touched);
+  w.Uint(partitions);
   w.Key("partition_joins");
-  w.Uint(fs.partition_joins);
+  w.Uint(joins);
   w.EndObject();
   w.Key("metrics");
   w.Raw(obs::MetricsRegistry::Global().ToJson());

@@ -105,23 +105,15 @@ class ColGraphEngine {
   /// Freezes the relation; queries and materialization require this.
   [[nodiscard]] Status Seal();
 
-  // --- Incremental ingest (the applications generate records
-  // --- continuously; Section 6.1's schema likewise "expands on demand").
-
-  /// Re-opens a sealed engine for more AddRecord/AddWalk calls. Queries
-  /// are unavailable until FinishAppend(). Rejected while tail datasets
-  /// are attached — in-place growth would shift their global id bases;
-  /// Compact() first.
-  [[nodiscard]] Status BeginAppend();
-  /// Reseals the relation and refreshes every materialized view so query
-  /// rewriting stays sound over the grown record set.
-  [[nodiscard]] Status FinishAppend();
-
-  // --- Tail datasets (out-of-core incremental ingest, DESIGN.md §14). ---
+  // --- Incremental ingest: tail datasets (DESIGN.md §14). The applications
+  // --- generate records continuously, and Section 6.1's schema likewise
+  // --- "expands on demand". A sealed engine grows only here:
+  // --- BuildTailRelation, AttachDataset, then Compact() when materialized
+  // --- views must cover the new records.
 
   /// Shreds `records` through this engine's catalog (growing it) into a
   /// fresh *sealed* relation — a tail dataset — leaving the primary
-  /// relation untouched. Pair with AttachDataset(); the cheap-ingest path.
+  /// relation untouched. Pair with AttachDataset().
   [[nodiscard]] StatusOr<MasterRelation> BuildTailRelation(
       const std::vector<GraphRecord>& records);
 
@@ -133,8 +125,9 @@ class ColGraphEngine {
       std::shared_ptr<const MasterRelation> tail);
 
   /// Merges the primary and every attached tail into one relation (records
-  /// keep their global ids) and re-materializes every registered view over
-  /// the merged record set. No-op without tails.
+  /// keep their global ids; one MergeColumn per column) and re-materializes
+  /// every registered view over the merged record set. No-op without
+  /// tails.
   [[nodiscard]] Status Compact();
 
   const std::vector<std::shared_ptr<const MasterRelation>>& tails() const {
@@ -211,8 +204,9 @@ class ColGraphEngine {
 
   /// One JSON document combining the process-wide metrics registry
   /// (counters, gauges, per-phase latency histograms) with this engine's
-  /// FetchStats and shape (records, columns, views). This is what the
-  /// bench harnesses write to --metrics-out.
+  /// FetchStats, summed over the primary and every tail, and its shape
+  /// (records, columns, views). This is what the bench harnesses write to
+  /// --metrics-out.
   std::string DumpMetricsJson() const;
 
   /// Reassembles an engine from persisted parts (see core/engine_io.h).
@@ -263,6 +257,11 @@ class ColGraphEngine {
   /// Copy-on-write funnel: every in-place relation mutator goes through
   /// here, cloning the relation first if a SharedCopy still references it.
   MasterRelation& OwnedRelation();
+  /// Resolves `record`'s elements through the catalog (growing it) and
+  /// adds the shredded record to `relation`: the primary (AddRecord) or a
+  /// tail under construction (BuildTailRelation).
+  [[nodiscard]] StatusOr<RecordId> ShredInto(const GraphRecord& record,
+                                             MasterRelation* relation);
   /// Recomputes segments_ (tail base offsets) after relation_/tails_
   /// change.
   void RebuildSegments();
@@ -288,8 +287,6 @@ class ColGraphEngine {
   /// thread-safe sink, and the trace loader's staged-copy commit must keep
   /// appending to the same file, not truncate a second one.
   std::shared_ptr<obs::QueryLog> query_log_;
-  /// Record count at the last BeginAppend (delta view maintenance).
-  size_t append_watermark_ = 0;
 };
 
 }  // namespace colgraph

@@ -1,6 +1,5 @@
 #include "core/engine_io.h"
 
-#include <algorithm>
 #include <utility>
 
 #include "columnstore/io_util.h"
@@ -12,10 +11,9 @@ namespace colgraph {
 namespace {
 
 constexpr uint32_t kMagic = 0x4347454E;  // "CGEN"
-// v4 moves base-column and view payloads into page-aligned extents behind
-// an extent directory (the mmap layout, DESIGN.md §14); v1-v3 files still
-// load.
-constexpr uint32_t kVersion = 4;
+// Base-column and view payloads sit in page-aligned extents behind an
+// extent directory (the mmap layout, DESIGN.md §14).
+constexpr uint32_t kVersion = 5;
 
 void WriteNodeRef(io::Writer& out, const NodeRef& n) {
   out.WritePod(n.base);
@@ -47,7 +45,7 @@ Status ValidateViewElements(const std::vector<EdgeId>& ids,
   return Status::OK();
 }
 
-// Parsed view definitions from the v4 def sections, decoded before the
+// Parsed view definitions from the def sections, decoded before the
 // extents they point into.
 struct GraphViewEntry {
   GraphViewDef def;
@@ -61,18 +59,16 @@ struct AggViewEntry {
 }  // namespace
 
 Status WriteEngine(const ColGraphEngine& engine, const std::string& path) {
-  return internal::WriteEngineAtVersion(engine, path, kVersion);
-}
-
-namespace internal {
-
-Status WriteEngineAtVersion(const ColGraphEngine& engine,
-                            const std::string& path, uint32_t version) {
   const MasterRelation& relation = engine.relation();
   if (!relation.sealed()) {
     return Status::InvalidArgument("can only persist a sealed engine");
   }
-  io::Writer out(path, kMagic, version);
+  if (!engine.tails().empty()) {
+    return Status::InvalidArgument(
+        "cannot persist an engine with tail datasets attached; Compact() "
+        "before persisting");
+  }
+  io::Writer out(path, kMagic, kVersion);
 
   // Options + edge catalog: edges in id order (ids are dense, so position
   // == id).
@@ -92,38 +88,7 @@ Status WriteEngineAtVersion(const ColGraphEngine& engine,
   const auto& graph_views = engine.views().graph_views();
   const auto& agg_views = engine.views().agg_views();
 
-  if (version < 4) {
-    // Sequential layout: columns and views inline in their sections.
-    out.BeginSection();
-    out.WritePod(static_cast<uint64_t>(relation.num_records()));
-    out.WritePod(static_cast<uint64_t>(relation.num_edge_columns()));
-    for (EdgeId id = 0; id < relation.num_edge_columns(); ++id) {
-      out.WriteMeasureColumn(relation.PeekMeasureColumn(id));
-    }
-    out.EndSection();
-
-    out.BeginSection();
-    out.WritePod(static_cast<uint64_t>(graph_views.size()));
-    for (const auto& [def, index] : graph_views) {
-      out.WriteVec(def.edges);
-      out.WritePod(static_cast<uint64_t>(index));
-      out.WriteBitmap(relation.PeekGraphViewColumn(index));
-    }
-    out.EndSection();
-
-    out.BeginSection();
-    out.WritePod(static_cast<uint64_t>(agg_views.size()));
-    for (const auto& [def, index] : agg_views) {
-      out.WritePod(static_cast<uint8_t>(def.fn));
-      out.WriteVec(def.elements);
-      out.WritePod(static_cast<uint64_t>(index));
-      out.WriteMeasureColumn(relation.PeekAggregateView(index));
-    }
-    out.EndSection();
-    return out.Commit();
-  }
-
-  // v4: definitions stay in checksummed sections; the bulky column and
+  // Definitions stay in checksummed sections; the bulky column and
   // view payloads move to page-aligned extents. Extent order: base
   // columns, then graph-view bitmaps, then agg-view columns — the same
   // order the defs are written in.
@@ -153,121 +118,31 @@ Status WriteEngineAtVersion(const ColGraphEngine& engine,
   payloads.reserve(relation.num_edge_columns() + graph_views.size() +
                    agg_views.size());
   for (EdgeId id = 0; id < relation.num_edge_columns(); ++id) {
-    io::Writer enc(version);
+    io::Writer enc;
     enc.WriteMeasureColumn(relation.PeekMeasureColumn(id));
     payloads.push_back(enc.TakePayload());
   }
   for (const auto& [def, index] : graph_views) {
-    io::Writer enc(version);
+    io::Writer enc;
     enc.WriteBitmap(relation.PeekGraphViewColumn(index));
     payloads.push_back(enc.TakePayload());
   }
   for (const auto& [def, index] : agg_views) {
-    io::Writer enc(version);
+    io::Writer enc;
     enc.WriteMeasureColumn(relation.PeekAggregateView(index));
     payloads.push_back(enc.TakePayload());
   }
-  WriteExtentsV4(&out, payloads);
+  internal::WriteExtents(&out, payloads);
   return out.Commit();
 }
 
-}  // namespace internal
-
 namespace {
 
-// Shared v1-v3 sequential tail: everything after the options+catalog
-// section.
-StatusOr<ColGraphEngine> ReadEngineSequential(io::Reader& in,
-                                              const std::string& path,
-                                              EngineOptions options,
-                                              EdgeCatalog catalog) {
-  COLGRAPH_RETURN_NOT_OK(in.BeginSection("base columns"));
-  uint64_t num_records = 0, num_columns = 0;
-  if (!in.ReadPod(&num_records).ok() || !in.ReadPod(&num_columns).ok()) {
-    return Status::Corruption("truncated relation header in " + path);
-  }
-  COLGRAPH_RETURN_NOT_OK(io::ValidateRecordCount(num_records, path));
-  std::vector<MeasureColumn> columns;
-  columns.reserve(static_cast<size_t>(
-      std::min<uint64_t>(num_columns, in.remaining() / 24 + 1)));
-  for (uint64_t i = 0; i < num_columns; ++i) {
-    COLGRAPH_ASSIGN_OR_RETURN(MeasureColumn col,
-                              in.ReadMeasureColumn(num_records));
-    columns.push_back(std::move(col));
-  }
-  COLGRAPH_RETURN_NOT_OK(in.EndSection("base columns"));
-  COLGRAPH_ASSIGN_OR_RETURN(
-      MasterRelation relation,
-      MasterRelation::FromColumns(static_cast<size_t>(num_records),
-                                  std::move(columns), options.relation));
-
-  ViewCatalog views;
-  COLGRAPH_RETURN_NOT_OK(in.BeginSection("graph views"));
-  uint64_t num_graph_views = 0;
-  if (!in.ReadPod(&num_graph_views).ok()) {
-    return Status::Corruption("truncated graph-view section in " + path);
-  }
-  if (num_graph_views > in.remaining() / 24) {
-    return Status::Corruption("implausible graph-view count in " + path);
-  }
-  for (uint64_t i = 0; i < num_graph_views; ++i) {
-    GraphViewDef def;
-    uint64_t index = 0;
-    if (!in.ReadVec(&def.edges).ok() || !in.ReadPod(&index).ok()) {
-      return Status::Corruption("truncated graph view in " + path);
-    }
-    COLGRAPH_RETURN_NOT_OK(
-        ValidateViewElements(def.edges, num_columns, path));
-    COLGRAPH_ASSIGN_OR_RETURN(Bitmap bits, in.ReadBitmap(num_records));
-    const size_t actual = relation.AddGraphView(std::move(bits));
-    if (actual != index) {
-      return Status::Corruption("graph-view indexes not dense in " + path);
-    }
-    views.AddGraphView(std::move(def), actual);
-  }
-  COLGRAPH_RETURN_NOT_OK(in.EndSection("graph views"));
-
-  COLGRAPH_RETURN_NOT_OK(in.BeginSection("aggregate views"));
-  uint64_t num_agg_views = 0;
-  if (!in.ReadPod(&num_agg_views).ok()) {
-    return Status::Corruption("truncated agg-view section in " + path);
-  }
-  if (num_agg_views > in.remaining() / 25) {
-    return Status::Corruption("implausible agg-view count in " + path);
-  }
-  for (uint64_t i = 0; i < num_agg_views; ++i) {
-    AggViewDef def;
-    uint8_t fn = 0;
-    uint64_t index = 0;
-    if (!in.ReadPod(&fn).ok() || !in.ReadVec(&def.elements).ok() ||
-        !in.ReadPod(&index).ok()) {
-      return Status::Corruption("truncated aggregate view in " + path);
-    }
-    if (fn > static_cast<uint8_t>(AggFn::kAvg)) {
-      return Status::Corruption("unknown aggregate function in " + path);
-    }
-    def.fn = static_cast<AggFn>(fn);
-    COLGRAPH_RETURN_NOT_OK(
-        ValidateViewElements(def.elements, num_columns, path));
-    COLGRAPH_ASSIGN_OR_RETURN(MeasureColumn col,
-                              in.ReadMeasureColumn(num_records));
-    const size_t actual = relation.AddAggregateView(std::move(col));
-    if (actual != index) {
-      return Status::Corruption("agg-view indexes not dense in " + path);
-    }
-    views.AddAggView(std::move(def), actual);
-  }
-  COLGRAPH_RETURN_NOT_OK(in.EndSection("aggregate views"));
-  COLGRAPH_RETURN_NOT_OK(in.ExpectEnd());
-
-  return ColGraphEngine::FromParts(options, std::move(catalog),
-                                   std::move(relation), std::move(views));
-}
-
-// v4 tail: def sections first, then the extent directory, then per-extent
-// decoding. Each extent must be consumed exactly (trailing bytes in an
-// extent are corruption, same as a section size mismatch).
-StatusOr<ColGraphEngine> ReadEngineV4(io::Reader& in, const std::string& path,
+// Everything after the options+catalog section: def sections, then the
+// extent directory, then per-extent decoding. Each extent must be consumed
+// exactly (trailing bytes in an extent are corruption, same as a section
+// size mismatch).
+StatusOr<ColGraphEngine> ReadRelationAndViews(io::Reader& in, const std::string& path,
                                       EngineOptions options,
                                       EdgeCatalog catalog) {
   COLGRAPH_RETURN_NOT_OK(in.BeginSection("relation header"));
@@ -325,13 +200,13 @@ StatusOr<ColGraphEngine> ReadEngineV4(io::Reader& in, const std::string& path,
 
   const uint64_t total_extents =
       num_columns + num_graph_views + num_agg_views;
-  std::vector<internal::V4Extent> extents;
+  std::vector<internal::Extent> extents;
   COLGRAPH_ASSIGN_OR_RETURN(
-      extents, internal::ReadExtentDirectoryV4(&in, total_extents, path));
+      extents, internal::ReadExtentDirectory(&in, total_extents, path));
 
   size_t next = 0;
   auto extent_reader = [&]() -> StatusOr<io::Reader> {
-    const internal::V4Extent& e = extents[next++];
+    const internal::Extent& e = extents[next++];
     return in.AtExtent(e.offset, e.len);
   };
 
@@ -387,7 +262,7 @@ StatusOr<ColGraphEngine> ReadEngineV4(io::Reader& in, const std::string& path,
 StatusOr<ColGraphEngine> ReadEngine(const std::string& path) {
   io::RemoveStaleTemp(path);
   COLGRAPH_ASSIGN_OR_RETURN(io::Reader in,
-                            io::Reader::OpenMapped(path, kMagic));
+                            io::Reader::OpenMapped(path, kMagic, kVersion));
 
   COLGRAPH_RETURN_NOT_OK(in.BeginSection("options+catalog"));
   EngineOptions options;
@@ -419,10 +294,7 @@ StatusOr<ColGraphEngine> ReadEngine(const std::string& path) {
   }
   COLGRAPH_RETURN_NOT_OK(in.EndSection("options+catalog"));
 
-  if (in.version() >= 4) {
-    return ReadEngineV4(in, path, std::move(options), std::move(catalog));
-  }
-  return ReadEngineSequential(in, path, std::move(options),
+  return ReadRelationAndViews(in, path, std::move(options),
                               std::move(catalog));
 }
 

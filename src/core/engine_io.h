@@ -3,14 +3,13 @@
 // state needed to shut an engine down and answer the same workload after a
 // restart without re-ingesting or re-materializing.
 //
-// Writes use snapshot format v4 (checksummed sections + footer, column
-// and view payloads in page-aligned extents, written to `<path>.tmp` and
-// atomically renamed — see io_util.h and DESIGN.md §14); reads accept
-// v1-v4. Corrupt or truncated files of any version load as
+// Snapshot format v5 (checksummed sections + footer, column and view
+// payloads in page-aligned extents, written to `<path>.tmp` and atomically
+// renamed — see io_util.h and DESIGN.md §14). Reads accept v5 only; any
+// other version, and any corrupt or truncated file, loads as
 // Status::Corruption, never as a crash.
 #pragma once
 
-#include <cstdint>
 #include <string>
 
 #include "core/engine.h"
@@ -18,19 +17,14 @@
 
 namespace colgraph {
 
-/// Writes a sealed engine's complete state to `path`.
+/// Writes a sealed engine's complete state to `path`. An engine with tail
+/// datasets attached is InvalidArgument: the image holds one relation, so
+/// Compact() first.
 [[nodiscard]] Status WriteEngine(const ColGraphEngine& engine, const std::string& path);
 
 /// Restores an engine previously written by WriteEngine. The result is
 /// sealed, views registered, ready for queries. Sweeps a stale
 /// `<path>.tmp` left by a crashed write before opening.
 [[nodiscard]] StatusOr<ColGraphEngine> ReadEngine(const std::string& path);
-
-namespace internal {
-/// Writes the engine in an explicit snapshot format version (2, 3, or 4)
-/// — compat-fixture support for tests.
-Status WriteEngineAtVersion(const ColGraphEngine& engine,
-                            const std::string& path, uint32_t version);
-}  // namespace internal
 
 }  // namespace colgraph

@@ -27,6 +27,20 @@ std::vector<Edge> WalkToEdges(const std::vector<NodeId>& walk) {
   return edges;
 }
 
+StatusOr<GraphRecord> WalkToRecord(const std::vector<NodeId>& walk,
+                                   const std::vector<double>& measures) {
+  if (walk.size() < 2) {
+    return Status::InvalidArgument("a walk needs at least two nodes");
+  }
+  if (measures.size() != walk.size() - 1) {
+    return Status::InvalidArgument("a walk of n nodes needs n-1 measures");
+  }
+  GraphRecord record;
+  record.elements = WalkToEdges(walk);
+  record.measures = measures;
+  return record;
+}
+
 namespace {
 
 enum class Mark : uint8_t { kUnvisited, kOnStack, kDone };

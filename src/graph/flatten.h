@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "graph/graph.h"
+#include "util/status.h"
 
 namespace colgraph {
 
@@ -20,6 +21,13 @@ std::vector<NodeRef> FlattenWalk(const std::vector<NodeId>& walk);
 
 /// \brief Converts the walk directly into the flattened edge sequence.
 std::vector<Edge> WalkToEdges(const std::vector<NodeId>& walk);
+
+/// \brief The one walk → record conversion of every ingest path (AddWalk,
+/// colgraphd's ingest, the shell's append): the flattened edge sequence
+/// with one measure per hop. InvalidArgument when the walk has fewer than
+/// two nodes or `measures.size() != walk.size() - 1`.
+StatusOr<GraphRecord> WalkToRecord(const std::vector<NodeId>& walk,
+                                   const std::vector<double>& measures);
 
 /// \brief DAG-ifies an arbitrary directed graph.
 ///

@@ -603,15 +603,8 @@ StatusOr<Response> Daemon::Ingest(const std::string& trace_text) {
   std::vector<GraphRecord> records;
   records.reserve(traces.size());
   for (const WalkTrace& trace : traces) {
-    if (trace.walk.size() < 2) {
-      return Status::InvalidArgument("a walk needs at least two nodes");
-    }
-    if (trace.measures.size() != trace.walk.size() - 1) {
-      return Status::InvalidArgument("a walk of n nodes needs n-1 measures");
-    }
-    GraphRecord record;
-    record.elements = WalkToEdges(trace.walk);
-    record.measures = trace.measures;
+    COLGRAPH_ASSIGN_OR_RETURN(GraphRecord record,
+                              WalkToRecord(trace.walk, trace.measures));
     records.push_back(std::move(record));
   }
   COLGRAPH_ASSIGN_OR_RETURN(MasterRelation tail,

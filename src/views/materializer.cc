@@ -197,112 +197,4 @@ StatusOr<std::vector<size_t>> MaterializeAggViews(
   return indices;
 }
 
-Status RefreshAllViewsParallel(MasterRelation* relation,
-                               const ViewCatalog& catalog, ThreadPool* pool) {
-  if (!relation->sealed()) {
-    return Status::InvalidArgument("refresh requires a sealed relation");
-  }
-  const auto& graph_views = catalog.graph_views();
-  const auto& agg_views = catalog.agg_views();
-  for (const auto& [def, index] : graph_views) {
-    (void)index;
-    COLGRAPH_RETURN_NOT_OK(ValidateIds(def.edges, *relation));
-  }
-  for (const auto& [def, index] : agg_views) {
-    (void)index;
-    COLGRAPH_RETURN_NOT_OK(ValidateIds(def.elements, *relation));
-  }
-
-  // Recompute all replacement columns in parallel (read-only over the base
-  // columns), then swap them in serially in catalog order.
-  std::vector<Bitmap> bitmaps(graph_views.size());
-  COLGRAPH_RETURN_NOT_OK(ParallelFor(
-      pool, 0, graph_views.size(), /*grain=*/1,
-      [&](size_t begin, size_t end) -> Status {
-        for (size_t i = begin; i < end; ++i) {
-          bitmaps[i] = ConjunctionBitmap(graph_views[i].first.edges, *relation);
-        }
-        return Status::OK();
-      }));
-  std::vector<MeasureColumn> columns(agg_views.size());
-  COLGRAPH_RETURN_NOT_OK(ParallelFor(
-      pool, 0, agg_views.size(), /*grain=*/1,
-      [&](size_t begin, size_t end) -> Status {
-        for (size_t i = begin; i < end; ++i) {
-          COLGRAPH_ASSIGN_OR_RETURN(
-              columns[i], ComputeAggColumn(agg_views[i].first, *relation));
-        }
-        return Status::OK();
-      }));
-
-  for (size_t i = 0; i < graph_views.size(); ++i) {
-    relation->ReplaceGraphView(graph_views[i].second, std::move(bitmaps[i]));
-  }
-  for (size_t i = 0; i < agg_views.size(); ++i) {
-    relation->ReplaceAggregateView(agg_views[i].second, std::move(columns[i]));
-  }
-  return Status::OK();
-}
-
-Status RefreshViewsIncremental(MasterRelation* relation,
-                               const ViewCatalog& catalog,
-                               size_t first_new_record) {
-  if (!relation->sealed()) {
-    return Status::InvalidArgument("refresh requires a sealed relation");
-  }
-  for (const auto& [def, index] : catalog.graph_views()) {
-    COLGRAPH_RETURN_NOT_OK(ValidateIds(def.edges, *relation));
-    relation->ReplaceGraphView(index, ConjunctionBitmap(def.edges, *relation));
-  }
-  for (const auto& [def, index] : catalog.agg_views()) {
-    COLGRAPH_RETURN_NOT_OK(ValidateIds(def.elements, *relation));
-    const MeasureColumn& old_mp = relation->PeekAggregateView(index);
-    const Bitmap bp = ConjunctionBitmap(def.elements, *relation);
-    const AggFn stored_fn = def.fn == AggFn::kAvg ? AggFn::kSum : def.fn;
-
-    std::vector<const MeasureColumn*> columns;
-    columns.reserve(def.elements.size());
-    for (EdgeId id : def.elements) {
-      columns.push_back(&relation->PeekMeasureColumn(id));
-    }
-
-    // Old packed values carry over verbatim (records < first_new_record
-    // are immutable); only the appended range is aggregated.
-    std::vector<double> values;
-    values.reserve(bp.Count());
-    for (size_t r = 0; r < old_mp.num_values(); ++r) {
-      values.push_back(old_mp.ValueAtRank(r));
-    }
-    Status status = Status::OK();
-    bp.ForEachSetBit([&](size_t record) {
-      if (!status.ok() || record < first_new_record) return;
-      AggAccumulator acc(stored_fn);
-      for (const MeasureColumn* col : columns) acc.Add(*col->Get(record));
-      values.push_back(acc.Result());
-    });
-    COLGRAPH_RETURN_NOT_OK(status);
-    COLGRAPH_ASSIGN_OR_RETURN(MeasureColumn mp,
-                              MeasureColumn::FromParts(bp, std::move(values)));
-    relation->ReplaceAggregateView(index, std::move(mp));
-  }
-  return Status::OK();
-}
-
-Status RefreshAllViews(MasterRelation* relation, const ViewCatalog& catalog) {
-  if (!relation->sealed()) {
-    return Status::InvalidArgument("refresh requires a sealed relation");
-  }
-  for (const auto& [def, index] : catalog.graph_views()) {
-    COLGRAPH_RETURN_NOT_OK(ValidateIds(def.edges, *relation));
-    relation->ReplaceGraphView(index, ConjunctionBitmap(def.edges, *relation));
-  }
-  for (const auto& [def, index] : catalog.agg_views()) {
-    COLGRAPH_RETURN_NOT_OK(ValidateIds(def.elements, *relation));
-    COLGRAPH_ASSIGN_OR_RETURN(MeasureColumn mp,
-                              ComputeAggColumn(def, *relation));
-    relation->ReplaceAggregateView(index, std::move(mp));
-  }
-  return Status::OK();
-}
-
 }  // namespace colgraph

@@ -50,26 +50,4 @@ StatusOr<std::vector<size_t>> MaterializeAggViews(
     const std::vector<AggViewDef>& defs, MasterRelation* relation,
     ViewCatalog* catalog, ThreadPool* pool = nullptr);
 
-/// \brief Recomputes every materialized view column registered in
-/// `catalog` from the current base columns — the maintenance step after
-/// incremental ingest (new records make the old bv/mp/bp columns stale).
-/// One pass per view, same as initial materialization.
-Status RefreshAllViews(MasterRelation* relation, const ViewCatalog& catalog);
-
-/// \brief Delta view maintenance after incremental ingest: records before
-/// `first_new_record` are untouched by appends, so each aggregate view
-/// keeps its existing per-record values and only computes aggregates for
-/// the appended range — O(new records) instead of O(all records) per
-/// view. Bitmap (graph) views are recomputed wholesale: a word-parallel
-/// AND is cheaper than any bookkeeping.
-Status RefreshViewsIncremental(MasterRelation* relation,
-                               const ViewCatalog& catalog,
-                               size_t first_new_record);
-
-/// \brief RefreshAllViews with the recomputation fanned across `pool`
-/// (one task per view; replacement stays serial and in catalog order, so
-/// the refreshed columns are bit-identical to the serial refresh).
-Status RefreshAllViewsParallel(MasterRelation* relation,
-                               const ViewCatalog& catalog, ThreadPool* pool);
-
 }  // namespace colgraph

@@ -1,11 +1,11 @@
-// Property-based differential harness for the three bitmap implementations
-// (ISSUE 8 headline deliverable): randomized op sequences drive Bitmap,
-// EwahBitmap, and HybridBitmap against a std::vector<bool> oracle, over
+// Property-based differential harness for the two bitmap implementations:
+// randomized op sequences drive Bitmap and HybridBitmap against a
+// std::vector<bool> oracle, over
 // adversarial density classes (empty, full, single-bit, run-heavy,
 // alternating, sparse, dense) and lengths that straddle every container
 // boundary (word edges, the 2^16-bit chunk edge, unaligned tails). Each
 // step checks membership, cardinality, full bit-for-bit equality, and the
-// serialized round-trip of both compressed codecs. The whole sequence runs
+// serialized round-trip of the container codec. The whole sequence runs
 // twice — once per SIMD dispatch mode — so the AVX2 and scalar kernels are
 // differentially tested against each other as well as against the oracle.
 //
@@ -19,7 +19,6 @@
 #include <vector>
 
 #include "bitmap/bitmap.h"
-#include "bitmap/ewah_bitmap.h"
 #include "bitmap/hybrid_bitmap.h"
 #include "bitmap/simd.h"
 #include "util/random.h"
@@ -103,21 +102,13 @@ size_t OracleCount(const Oracle& o) {
   return n;
 }
 
-// All three implementations plus both codecs must agree with the oracle.
+// Both implementations and the container codec must agree with the oracle.
 void CheckAgainstOracle(const Oracle& oracle, Rng& rng,
                         const std::string& what) {
   SCOPED_TRACE(what + " size=" + std::to_string(oracle.size()));
   const Bitmap plain = ToPlain(oracle);
   const size_t count = OracleCount(oracle);
   ASSERT_EQ(plain.Count(), count);
-
-  const EwahBitmap ewah = EwahBitmap::FromBitmap(plain);
-  ASSERT_EQ(ewah.Count(), count);
-  ASSERT_EQ(ewah.ToBitmap(), plain);
-  const auto ewah_rt =
-      EwahBitmap::FromRawChecked(ewah.buffer(), ewah.size_bits());
-  ASSERT_TRUE(ewah_rt.ok()) << ewah_rt.status().ToString();
-  ASSERT_EQ(ewah_rt.value().ToBitmap(), plain);
 
   const HybridBitmap hybrid = HybridBitmap::FromBitmap(plain);
   ASSERT_EQ(hybrid.Count(), count);
@@ -190,7 +181,7 @@ void RunSequence(Rng& rng) {
     }
     ASSERT_EQ(inplace, expected_plain);
 
-    // Word-parallel plain op and EWAH AND as additional witnesses.
+    // Word-parallel plain op as an additional witness.
     Bitmap words = pa;
     if (is_and) {
       words.And(pb);
@@ -198,11 +189,6 @@ void RunSequence(Rng& rng) {
       words.Or(pb);
     }
     ASSERT_EQ(words, expected_plain);
-    if (is_and) {
-      const EwahBitmap er = EwahBitmap::And(EwahBitmap::FromBitmap(pa),
-                                            EwahBitmap::FromBitmap(pb));
-      ASSERT_EQ(er.ToBitmap(), expected_plain);
-    }
 
     a = expected;
     if (::testing::Test::HasFatalFailure()) return;

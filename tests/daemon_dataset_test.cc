@@ -7,7 +7,9 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <cstring>
 #include <filesystem>
+#include <fstream>
 #include <memory>
 #include <string>
 #include <thread>
@@ -225,6 +227,45 @@ TEST_F(DaemonDatasetTest, BackgroundCompactionTriggersAtThreshold) {
   const std::string body = QueryAll();
   EXPECT_NE(body.find("match 8:"), std::string::npos) << body;
   EXPECT_NE(body.find(expected_tail), std::string::npos) << body;
+}
+
+// Data dirs from builds with another snapshot version are not read: a
+// dataset file carrying any version but v5 fails the restart as
+// Corruption (the operator rebuilds the dir from traces) instead of
+// serving a partial collection.
+TEST_F(DaemonDatasetTest, OtherVersionDatasetFailsStart) {
+  StartDaemon(/*compact_after_datasets=*/0);
+  ASSERT_TRUE(daemon_->Ingest(TraceBatch(1)).ok());
+  ASSERT_TRUE(daemon_->Drain().ok());
+  daemon_.reset();
+  ASSERT_EQ(CountDatasetFiles(), 1u);
+  std::string dataset;
+  for (const auto& entry : std::filesystem::directory_iterator(data_dir_)) {
+    if (entry.path().extension() == ".cgds") dataset = entry.path().string();
+  }
+  std::string valid;
+  {
+    std::ifstream in(dataset, std::ios::binary);
+    valid.assign(std::istreambuf_iterator<char>(in),
+                 std::istreambuf_iterator<char>());
+  }
+
+  DaemonOptions options;
+  options.socket_path = socket_path_;
+  options.num_workers = 2;
+  options.data_dir = data_dir_;
+  for (const uint32_t version : {1u, 2u, 3u, 4u, 6u}) {
+    std::string bytes = valid;
+    std::memcpy(bytes.data() + 4, &version, sizeof(version));
+    {
+      std::ofstream out(dataset, std::ios::binary | std::ios::trunc);
+      out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+    }
+    const auto daemon = Daemon::Start(MakeInitial(), options);
+    ASSERT_FALSE(daemon.ok()) << "v" << version << " dataset was served";
+    EXPECT_TRUE(daemon.status().IsCorruption())
+        << "v" << version << ": " << daemon.status().ToString();
+  }
 }
 
 }  // namespace

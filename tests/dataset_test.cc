@@ -6,6 +6,7 @@
 // ingested into a single in-RAM snapshot, before and after compaction.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
@@ -116,7 +117,7 @@ std::vector<GraphQuery> MakeWorkload() {
 ColGraphEngine BuildSingle(const std::vector<std::vector<NodeId>>& walks) {
   ColGraphEngine engine;
   for (size_t i = 0; i < walks.size(); ++i) {
-    COLGRAPH_CHECK_OK(engine.AddWalk(walks[i], MeasuresFor(walks[i], i)).status());
+    COLGRAPH_CHECK_OK(engine.AddWalk(walks[i], MeasuresFor(walks[i], i)));
   }
   COLGRAPH_CHECK_OK(engine.Seal());
   return engine;
@@ -129,7 +130,7 @@ ColGraphEngine BuildSplit(const std::vector<std::vector<NodeId>>& walks,
   const size_t chunk = walks.size() / (num_tails + 1);
   ColGraphEngine engine;
   for (size_t i = 0; i < chunk; ++i) {
-    COLGRAPH_CHECK_OK(engine.AddWalk(walks[i], MeasuresFor(walks[i], i)).status());
+    COLGRAPH_CHECK_OK(engine.AddWalk(walks[i], MeasuresFor(walks[i], i)));
   }
   COLGRAPH_CHECK_OK(engine.Seal());
   for (size_t t = 0; t < num_tails; ++t) {
@@ -178,7 +179,7 @@ MasterRelation MakeRelation(uint64_t seed, size_t num_records) {
     for (EdgeId e = 0; e < 6; ++e) {
       if (rng.Bernoulli(0.4)) record.emplace_back(e, rng.UniformReal(-9, 9));
     }
-    COLGRAPH_CHECK_OK(rel.AddRecord(record).status());
+    COLGRAPH_CHECK_OK(rel.AddRecord(record));
   }
   COLGRAPH_CHECK_OK(rel.Seal());
   return rel;
@@ -349,22 +350,10 @@ TEST_F(DatasetStoreTest, CompactAllContendedLockIsUnavailable) {
   EXPECT_EQ(store.value().num_datasets(), 1u);
 }
 
-TEST_F(DatasetStoreTest, MappedRelationFileRejectsPreExtentVersions) {
-  std::filesystem::create_directories(dir_);
-  const MasterRelation rel = MakeRelation(9, 10);
-  const std::string path = dir_ + "/v3.bin";
-  ASSERT_TRUE(internal::WriteRelationAtVersion(rel, path, 3).ok());
-  const auto mapped = MappedRelationFile::Open(path);
-  ASSERT_FALSE(mapped.ok());
-  EXPECT_TRUE(mapped.status().IsNotSupported()) << mapped.status().ToString();
-  // The eager reader still accepts the same file (read compatibility).
-  EXPECT_TRUE(ReadRelation(path).ok());
-}
-
 TEST_F(DatasetStoreTest, MappedRelationFileReadsColumnsLazily) {
   std::filesystem::create_directories(dir_);
   const MasterRelation rel = MakeRelation(10, 40);
-  const std::string path = dir_ + "/v4.bin";
+  const std::string path = dir_ + "/relation.bin";
   ASSERT_TRUE(WriteRelation(rel, path).ok());
   auto mapped = MappedRelationFile::Open(path);
   ASSERT_TRUE(mapped.ok()) << mapped.status().ToString();
@@ -468,18 +457,76 @@ TEST(DatasetEngineTest, ViewsSurviveCompaction) {
   ExpectQueryEquivalence(single, split, "views re-materialized post-compact");
 }
 
-TEST(DatasetEngineTest, BeginAppendRejectedWhileTailsAttached) {
-  const auto walks = MakeWalks(40, 7);
-  ColGraphEngine split = BuildSplit(walks, /*num_tails=*/1);
-  const Status st = split.BeginAppend();
-  ASSERT_FALSE(st.ok());
-  EXPECT_TRUE(st.IsInvalidArgument()) << st.ToString();
-  // After compaction the in-place append path is open again.
+// The two compactions share one column merge (MergeColumn): for the same
+// inputs, the file DatasetStore::CompactAll writes and the relation
+// ColGraphEngine::Compact builds hold identical columns — byte for byte
+// once the engine's relation is encoded too.
+TEST(DatasetEngineTest, StoreAndEngineMergesAreIdentical) {
+  const std::string dir = ::testing::TempDir() + "colgraph_ds_merge_twins";
+  std::filesystem::remove_all(dir);
+  const auto walks = MakeWalks(90, 777);
+  ColGraphEngine split = BuildSplit(walks, /*num_tails=*/3);
+  size_t narrowest = split.relation().num_edge_columns();
+  size_t widest = narrowest;
+  for (const auto& tail : split.tails()) {
+    narrowest = std::min(narrowest, tail->num_edge_columns());
+    widest = std::max(widest, tail->num_edge_columns());
+  }
+  ASSERT_LT(narrowest, widest)
+      << "inputs must include a dataset that lacks some merged column";
+
+  auto store = DatasetStore::Open(dir);
+  ASSERT_TRUE(store.ok()) << store.status().ToString();
+  ASSERT_TRUE(store.value().Seal(split.relation()).ok());
+  for (const auto& tail : split.tails()) {
+    ASSERT_TRUE(store.value().Seal(*tail).ok());
+  }
+  ASSERT_TRUE(store.value().CompactAll().ok());
+  ASSERT_EQ(store.value().num_datasets(), 1u);
   ASSERT_TRUE(split.Compact().ok());
-  ASSERT_TRUE(split.BeginAppend().ok());
-  ASSERT_TRUE(split.AddWalk({1, 2, 3}, {1.0, 2.0}).ok());
-  ASSERT_TRUE(split.FinishAppend().ok());
-  EXPECT_EQ(split.num_records(), walks.size() + 1);
+
+  auto loaded = store.value().LoadAll();
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  ExpectRelationsEqual(split.relation(), loaded.value()[0],
+                       "store merge vs engine merge");
+
+  auto slurp = [](const std::string& path) {
+    std::ifstream in(path, std::ios::binary);
+    return std::string((std::istreambuf_iterator<char>(in)),
+                       std::istreambuf_iterator<char>());
+  };
+  const std::string engine_path = dir + "/engine_merged.bin";
+  ASSERT_TRUE(WriteRelation(split.relation(), engine_path).ok());
+  EXPECT_EQ(slurp(store.value().PathFor(store.value().dataset_names()[0])),
+            slurp(engine_path));
+  std::filesystem::remove_all(dir);
+}
+
+// Queries route fetches to the dataset holding each record, so the
+// engine's metrics document must sum the primary's FetchStats and every
+// tail's.
+TEST(DatasetEngineTest, DumpMetricsJsonCountsTailFetches) {
+  ColGraphEngine engine;
+  ASSERT_TRUE(engine.AddWalk({1, 2, 3}, {1.0, 2.0}).ok());
+  ASSERT_TRUE(engine.Seal().ok());
+  auto tail = engine.BuildTailRelation({RecordFor({1, 2, 3}, 1)});
+  ASSERT_TRUE(tail.ok()) << tail.status().ToString();
+  ASSERT_TRUE(engine
+                  .AttachDataset(std::make_shared<const MasterRelation>(
+                      std::move(tail).value()))
+                  .ok());
+
+  engine.stats().Reset();
+  engine.tails()[0]->stats().Reset();
+  const Bitmap m = engine.Match(GraphQuery::FromPath({N(1), N(2), N(3)}));
+  ASSERT_EQ(m.Count(), 2u);
+  // Two edge bitmaps from the primary, two from the tail.
+  ASSERT_EQ(engine.stats().bitmap_columns_fetched, 2u);
+  ASSERT_EQ(engine.tails()[0]->stats().bitmap_columns_fetched, 2u);
+  const std::string json = engine.DumpMetricsJson();
+  EXPECT_NE(json.find("\"fetch_stats\":{\"bitmap_columns_fetched\":4,"),
+            std::string::npos)
+      << json.substr(0, 400);
 }
 
 TEST(DatasetEngineTest, AttachRequiresSealedRelations) {
@@ -487,14 +534,28 @@ TEST(DatasetEngineTest, AttachRequiresSealedRelations) {
   ColGraphEngine engine = BuildSingle(walks);
   auto unsealed = std::make_shared<MasterRelation>();
   ASSERT_TRUE(unsealed->AddRecord({{0, 1.0}}).ok());
-  const Status st = engine.AttachDataset(std::move(unsealed));
+  const Status st = engine.AttachDataset(unsealed);
   ASSERT_FALSE(st.ok());
   EXPECT_TRUE(st.IsInvalidArgument()) << st.ToString();
   EXPECT_TRUE(engine.AttachDataset(nullptr).IsInvalidArgument());
+
+  // A sealed tail cannot grow a primary that is still taking records.
+  ColGraphEngine open_primary;
+  ASSERT_TRUE(open_primary.AddWalk(walks[0], MeasuresFor(walks[0], 0)).ok());
+  auto tail = open_primary.BuildTailRelation({RecordFor(walks[1], 1)});
+  ASSERT_TRUE(tail.ok()) << tail.status().ToString();
+  EXPECT_TRUE(open_primary
+                  .AttachDataset(std::make_shared<const MasterRelation>(
+                      std::move(tail).value()))
+                  .IsInvalidArgument());
+  EXPECT_TRUE(engine.tails().empty());
+  EXPECT_TRUE(open_primary.tails().empty());
 }
 
 // SharedCopy is the daemon's publish primitive: O(catalog + views), and
-// the copy must be immune to later mutation of the source (copy-on-write).
+// the copy must be immune to later mutation of the source: an in-place
+// write (copy-on-write clones the shared relation) and growth through a
+// tail that is attached and compacted in.
 TEST(DatasetEngineTest, SharedCopyIsIsolatedFromLaterMutation) {
   const auto walks = MakeWalks(48, 55);
   ColGraphEngine engine = BuildSingle(walks);
@@ -503,13 +564,23 @@ TEST(DatasetEngineTest, SharedCopyIsIsolatedFromLaterMutation) {
   ASSERT_TRUE(before.ok());
 
   const ColGraphEngine copy = engine.SharedCopy();
-  ASSERT_TRUE(engine.BeginAppend().ok());
-  ASSERT_TRUE(engine.AddWalk({1, 2, 1, 2}, {100.0, 100.0, 100.0}).ok());
-  ASSERT_TRUE(engine.FinishAppend().ok());
+  ASSERT_TRUE(engine.MaterializeView(GraphViewDef::Make({0, 1})).ok());
+  auto tail = engine.BuildTailRelation(
+      {RecordFor({1, 2, 1, 2}, walks.size())});
+  ASSERT_TRUE(tail.ok()) << tail.status().ToString();
+  ASSERT_TRUE(engine
+                  .AttachDataset(std::make_shared<const MasterRelation>(
+                      std::move(tail).value()))
+                  .ok());
+  ASSERT_TRUE(engine.Compact().ok());
 
-  // The mutated source sees the new record; the shared copy does not.
+  // The mutated source sees the new record and its view; the shared copy
+  // sees neither.
   EXPECT_EQ(engine.num_records(), walks.size() + 1);
+  EXPECT_EQ(engine.relation().num_graph_views(), 1u);
   EXPECT_EQ(copy.num_records(), walks.size());
+  EXPECT_TRUE(copy.tails().empty());
+  EXPECT_EQ(copy.relation().num_graph_views(), 0u);
   const auto after = copy.RunGraphQuery(q);
   ASSERT_TRUE(after.ok());
   EXPECT_TRUE(TablesIdentical(before.value(), after.value()))

@@ -9,7 +9,6 @@
 #include <fstream>
 
 #include "columnstore/persistence.h"
-#include "legacy_v1_format.h"
 #include "util/failpoint.h"
 #include "workload/base_graphs.h"
 #include "workload/query_generator.h"
@@ -122,6 +121,8 @@ TEST_F(EngineIoTest, CorruptFileRejected) {
   EXPECT_TRUE(ReadEngine(path_).status().IsCorruption());
 }
 
+// A reloaded engine grows the one way every sealed engine does: the new
+// walks become a tail dataset, which is attached and then compacted in.
 TEST_F(EngineIoTest, AppendAfterReload) {
   ColGraphEngine engine;
   ASSERT_TRUE(engine.AddWalk({1, 2}, {1.0}).ok());
@@ -130,81 +131,65 @@ TEST_F(EngineIoTest, AppendAfterReload) {
 
   auto loaded = ReadEngine(path_);
   ASSERT_TRUE(loaded.ok());
-  ASSERT_TRUE(loaded->BeginAppend().ok());
-  ASSERT_TRUE(loaded->AddWalk({1, 2}, {2.0}).ok());
-  ASSERT_TRUE(loaded->FinishAppend().ok());
+  auto record = WalkToRecord({1, 2}, {2.0});
+  ASSERT_TRUE(record.ok());
+  auto tail = loaded->BuildTailRelation({record.value()});
+  ASSERT_TRUE(tail.ok()) << tail.status().ToString();
+  ASSERT_TRUE(loaded
+                  ->AttachDataset(std::make_shared<const MasterRelation>(
+                      std::move(tail).value()))
+                  .ok());
+  EXPECT_EQ(loaded->total_records(), 2u);
+  EXPECT_EQ(loaded->Match(GraphQuery::FromPath({N(1), N(2)})).Count(), 2u);
+  ASSERT_TRUE(loaded->Compact().ok());
   EXPECT_EQ(loaded->num_records(), 2u);
   EXPECT_EQ(loaded->Match(GraphQuery::FromPath({N(1), N(2)})).Count(), 2u);
 }
 
-// ---------------------------------------------------------------------------
-// Version compatibility.
-
-TEST_F(EngineIoTest, LegacyV1SnapshotStillLoadsWithViews) {
+// An engine image holds one relation, so persisting an engine with tails
+// attached must refuse until the tails are compacted: writing the primary
+// alone would silently drop the tail records.
+TEST_F(EngineIoTest, AttachedTailsMustBeCompactedBeforeWrite) {
   ColGraphEngine engine;
-  for (int i = 0; i < 5; ++i) {
-    ASSERT_TRUE(engine.AddWalk({1, 2, 3, 4}, {1, 2, 3}).ok());
-  }
+  ASSERT_TRUE(engine.AddWalk({1, 2}, {1.0}).ok());
   ASSERT_TRUE(engine.Seal().ok());
-  const EdgeId e0 = *engine.catalog().Lookup(Edge{N(1), N(2)});
-  const EdgeId e1 = *engine.catalog().Lookup(Edge{N(2), N(3)});
-  const EdgeId e2 = *engine.catalog().Lookup(Edge{N(3), N(4)});
-  ASSERT_TRUE(engine.MaterializeView(GraphViewDef::Make({e0, e1, e2})).ok());
-  AggViewDef agg;
-  agg.elements = {e0, e1};
-  agg.fn = AggFn::kSum;
-  ASSERT_TRUE(engine.MaterializeView(agg).ok());
+  std::vector<GraphRecord> records;
+  for (const double m : {2.0, 3.0}) {
+    auto record = WalkToRecord({1, 2}, {m});
+    ASSERT_TRUE(record.ok());
+    records.push_back(std::move(record).value());
+  }
+  auto tail = engine.BuildTailRelation(records);
+  ASSERT_TRUE(tail.ok()) << tail.status().ToString();
+  ASSERT_TRUE(engine
+                  .AttachDataset(std::make_shared<const MasterRelation>(
+                      std::move(tail).value()))
+                  .ok());
+  ASSERT_EQ(engine.total_records(), 3u);
 
-  legacy_v1::WriteEngineV1(engine, path_);
+  const Status st = WriteEngine(engine, path_);
+  ASSERT_TRUE(st.IsInvalidArgument()) << st.ToString();
+  EXPECT_NE(st.message().find("Compact()"), std::string::npos)
+      << st.message();
+  EXPECT_FALSE(std::ifstream(path_, std::ios::binary).good())
+      << "a refused write must not publish a file";
+
+  ASSERT_TRUE(engine.Compact().ok());
+  ASSERT_TRUE(WriteEngine(engine, path_).ok());
   auto loaded = ReadEngine(path_);
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-  EXPECT_EQ(loaded->num_records(), 5u);
-  EXPECT_EQ(loaded->catalog().size(), engine.catalog().size());
-  EXPECT_EQ(loaded->views().num_graph_views(), 1u);
-  EXPECT_EQ(loaded->views().num_agg_views(), 1u);
-  const GraphQuery q = GraphQuery::FromPath({N(1), N(2), N(3), N(4)});
-  EXPECT_EQ(loaded->Match(q).Count(), 5u);
-  auto sum = loaded->RunAggregateQuery(q, AggFn::kSum);
-  auto expected = engine.RunAggregateQuery(q, AggFn::kSum);
-  ASSERT_TRUE(sum.ok() && expected.ok());
-  EXPECT_EQ(sum->values, expected->values);
+  EXPECT_EQ(loaded->num_records(), 3u);
+  auto sum = loaded->RunAggregateQuery(GraphQuery::FromPath({N(1), N(2)}),
+                                       AggFn::kSum);
+  ASSERT_TRUE(sum.ok());
+  EXPECT_EQ(sum->values[0], (std::vector<double>{1.0, 2.0, 3.0}));
 }
 
-// Read-compat matrix: engine snapshots written at every supported
-// sectioned version (v2 tagless, v3 tagged bitmaps, v4 extents) load
-// through ReadEngine with identical query results, views included.
-TEST_F(EngineIoTest, AllSupportedVersionsRoundTrip) {
-  ColGraphEngine engine;
-  for (int i = 0; i < 8; ++i) {
-    ASSERT_TRUE(engine.AddWalk({1, 2, 3, 4}, {1, 2, 3}).ok());
-    ASSERT_TRUE(engine.AddWalk({2, 3, 5}, {4, 5}).ok());
-  }
-  ASSERT_TRUE(engine.Seal().ok());
-  ASSERT_TRUE(engine.MaterializeView(GraphViewDef::Make({0, 1})).ok());
-  AggViewDef agg_def;
-  agg_def.elements = {0, 1};
-  agg_def.fn = AggFn::kSum;
-  ASSERT_TRUE(engine.MaterializeView(agg_def).ok());
-
-  const GraphQuery q = GraphQuery::FromPath({N(1), N(2), N(3)});
-  const auto expected = engine.RunAggregateQuery(q, AggFn::kSum);
-  ASSERT_TRUE(expected.ok());
-
-  for (const uint32_t version : {2u, 3u, 4u}) {
-    ASSERT_TRUE(internal::WriteEngineAtVersion(engine, path_, version).ok())
-        << "version " << version;
-    auto loaded = ReadEngine(path_);
-    ASSERT_TRUE(loaded.ok())
-        << "version " << version << ": " << loaded.status().ToString();
-    EXPECT_EQ(loaded->num_records(), engine.num_records());
-    EXPECT_EQ(loaded->relation().num_graph_views(), 1u);
-    EXPECT_EQ(loaded->relation().num_aggregate_views(), 1u);
-    EXPECT_EQ(loaded->Match(q).ToVector(), engine.Match(q).ToVector());
-    const auto agg = loaded->RunAggregateQuery(q, AggFn::kSum);
-    ASSERT_TRUE(agg.ok());
-    EXPECT_EQ(agg->values, expected->values) << "version " << version;
-  }
-}
+// ---------------------------------------------------------------------------
+// Version: the engine codec reads v5 only. Every other version number on
+// an otherwise valid image is Corruption (relation images and dataset
+// directories: PersistenceTest.FutureVersionRejected and
+// DaemonDatasetTest.OtherVersionDatasetFailsStart).
 
 TEST_F(EngineIoTest, FutureVersionRejected) {
   ColGraphEngine engine;
@@ -213,18 +198,24 @@ TEST_F(EngineIoTest, FutureVersionRejected) {
   ASSERT_TRUE(WriteEngine(engine, path_).ok());
 
   std::ifstream in(path_, std::ios::binary);
-  std::string bytes((std::istreambuf_iterator<char>(in)),
-                    std::istreambuf_iterator<char>());
+  const std::string valid((std::istreambuf_iterator<char>(in)),
+                          std::istreambuf_iterator<char>());
   in.close();
-  const uint32_t future = 9;
-  std::memcpy(bytes.data() + 4, &future, sizeof(future));
-  std::ofstream out(path_, std::ios::binary | std::ios::trunc);
-  out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
-  out.close();
+  uint32_t written = 0;
+  std::memcpy(&written, valid.data() + 4, sizeof(written));
+  ASSERT_EQ(written, 5u);
 
-  const Status st = ReadEngine(path_).status();
-  ASSERT_TRUE(st.IsCorruption()) << st.ToString();
-  EXPECT_NE(st.message().find("version"), std::string::npos);
+  for (const uint32_t version : {0u, 1u, 2u, 3u, 4u, 6u, 9u, 0xFFFFFFFFu}) {
+    std::string bytes = valid;
+    std::memcpy(bytes.data() + 4, &version, sizeof(version));
+    std::ofstream out(path_, std::ios::binary | std::ios::trunc);
+    out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+    out.close();
+
+    const Status st = ReadEngine(path_).status();
+    ASSERT_TRUE(st.IsCorruption()) << "v" << version << ": " << st.ToString();
+    EXPECT_NE(st.message().find("version"), std::string::npos);
+  }
 }
 
 TEST_F(EngineIoTest, RelationSnapshotRejectedByEngineCodec) {

@@ -184,7 +184,7 @@ TEST(ExplainHybridTest, HybridEncodingIsSurfacedAndOrdered) {
   const std::string json = explain.ToJson();
   EXPECT_NE(json.find("\"hybrid\":true"), std::string::npos) << json;
 
-  // The dense filler edge stays plain/EWAH and Explain says so.
+  // The dense filler edge stays plain-word encoded and Explain says so.
   const obs::ExplainResult dense =
       engine.Explain(GraphQuery::FromPath({N(8), N(9)}));
   ASSERT_EQ(dense.sources.size(), 1u);

@@ -39,9 +39,8 @@ TEST_F(IoUtilTest, SectionRoundtrip) {
   out.EndSection();
   ASSERT_TRUE(out.Commit().ok());
 
-  auto in = io::Reader::Open(path_, kMagic);
+  auto in = io::Reader::Open(path_, kMagic, 2);
   ASSERT_TRUE(in.ok()) << in.status().ToString();
-  EXPECT_EQ(in->version(), 2u);
 
   ASSERT_TRUE(in->BeginSection("first").ok());
   uint64_t v = 0;
@@ -82,7 +81,7 @@ TEST_F(IoUtilTest, EmptyVecRoundtripIntoFreshVector) {
   out.EndSection();
   ASSERT_TRUE(out.Commit().ok());
 
-  auto in = io::Reader::Open(path_, kMagic);
+  auto in = io::Reader::Open(path_, kMagic, 2);
   ASSERT_TRUE(in.ok()) << in.status().ToString();
   ASSERT_TRUE(in->BeginSection("vec").ok());
   std::vector<double> v;
@@ -103,7 +102,7 @@ TEST_F(IoUtilTest, ReadVecClampsCorruptLengthPrefix) {
   out.EndSection();
   ASSERT_TRUE(out.Commit().ok());
 
-  auto in = io::Reader::Open(path_, kMagic);
+  auto in = io::Reader::Open(path_, kMagic, 2);
   ASSERT_TRUE(in.ok());
   ASSERT_TRUE(in->BeginSection("vec").ok());
   std::vector<double> v;
@@ -118,7 +117,7 @@ TEST_F(IoUtilTest, ReadPodPastEndIsCorruption) {
   out.EndSection();
   ASSERT_TRUE(out.Commit().ok());
 
-  auto in = io::Reader::Open(path_, kMagic);
+  auto in = io::Reader::Open(path_, kMagic, 2);
   ASSERT_TRUE(in.ok());
   ASSERT_TRUE(in->BeginSection("pod").ok());
   uint64_t big = 0;
@@ -133,7 +132,7 @@ TEST_F(IoUtilTest, EndSectionRejectsUnconsumedBytes) {
   out.EndSection();
   ASSERT_TRUE(out.Commit().ok());
 
-  auto in = io::Reader::Open(path_, kMagic);
+  auto in = io::Reader::Open(path_, kMagic, 2);
   ASSERT_TRUE(in.ok());
   ASSERT_TRUE(in->BeginSection("partial").ok());
   uint64_t v = 0;
@@ -151,7 +150,7 @@ TEST_F(IoUtilTest, ExpectEndRejectsTrailingSection) {
   out.EndSection();
   ASSERT_TRUE(out.Commit().ok());
 
-  auto in = io::Reader::Open(path_, kMagic);
+  auto in = io::Reader::Open(path_, kMagic, 2);
   ASSERT_TRUE(in.ok());
   ASSERT_TRUE(in->BeginSection("one").ok());
   uint32_t v = 0;
@@ -166,7 +165,7 @@ TEST_F(IoUtilTest, WrongMagicIsCorruption) {
   out.WritePod(uint32_t{1});
   out.EndSection();
   ASSERT_TRUE(out.Commit().ok());
-  EXPECT_TRUE(io::Reader::Open(path_, kMagic + 1).status().IsCorruption());
+  EXPECT_TRUE(io::Reader::Open(path_, kMagic + 1, 2).status().IsCorruption());
 }
 
 TEST_F(IoUtilTest, UnsupportedVersionIsCorruption) {
@@ -174,17 +173,21 @@ TEST_F(IoUtilTest, UnsupportedVersionIsCorruption) {
   out.BeginSection();
   out.WritePod(uint32_t{1});
   out.EndSection();
-  // A future-version file still needs a valid footer to be parsed at all;
-  // Commit writes one, so the version check is what must reject it.
+  // The file is well formed (Commit writes a valid footer), so the version
+  // check is what must reject it: a reader accepts its codec's own version
+  // only, older and newer alike.
   ASSERT_TRUE(out.Commit().ok());
-  const Status st = io::Reader::Open(path_, kMagic).status();
-  EXPECT_TRUE(st.IsCorruption()) << st.ToString();
-  EXPECT_NE(st.message().find("version"), std::string::npos);
+  for (const uint32_t expected : {4u, 6u}) {
+    const Status st = io::Reader::Open(path_, kMagic, expected).status();
+    EXPECT_TRUE(st.IsCorruption()) << st.ToString();
+    EXPECT_NE(st.message().find("version"), std::string::npos);
+  }
+  EXPECT_TRUE(io::Reader::Open(path_, kMagic, 5).ok());
 }
 
 TEST_F(IoUtilTest, MissingFileIsIOError) {
   EXPECT_TRUE(
-      io::Reader::Open("/nonexistent/dir/file.bin", kMagic).status()
+      io::Reader::Open("/nonexistent/dir/file.bin", kMagic, 2).status()
           .IsIOError());
 }
 
@@ -255,9 +258,8 @@ TEST_F(IoUtilTest, MappedOpenMatchesCopyingOpen) {
   out.EndSection();
   ASSERT_TRUE(out.Commit().ok());
 
-  auto mapped = io::Reader::OpenMapped(path_, kMagic);
+  auto mapped = io::Reader::OpenMapped(path_, kMagic, 2);
   ASSERT_TRUE(mapped.ok()) << mapped.status().ToString();
-  EXPECT_EQ(mapped->version(), 2u);
   ASSERT_TRUE(mapped->BeginSection("vec").ok());
   std::vector<uint64_t> v;
   ASSERT_TRUE(mapped->ReadVec(&v).ok());
@@ -266,16 +268,16 @@ TEST_F(IoUtilTest, MappedOpenMatchesCopyingOpen) {
   EXPECT_TRUE(mapped->ExpectEnd().ok());
 }
 
-// v4 snapshot plumbing: a payload-mode writer encodes extent bytes with no
+// Extent plumbing: a payload-mode writer encodes extent bytes with no
 // framing, PadTo aligns them, and AtExtent gives bounds-checked access.
 TEST_F(IoUtilTest, PayloadWriterAndAtExtentRoundtrip) {
-  io::Writer payload(4);
+  io::Writer payload;
   payload.WritePod(uint64_t{0xfeedbeef});
   payload.WriteVec(std::vector<uint32_t>{7, 8});
   const std::vector<char> bytes = payload.TakePayload();
   ASSERT_EQ(bytes.size(), sizeof(uint64_t) * 2 + sizeof(uint32_t) * 2);
 
-  io::Writer out(path_, kMagic, 4);
+  io::Writer out(path_, kMagic, 2);
   out.BeginSection();
   out.WritePod(uint64_t{1});
   out.EndSection();
@@ -285,7 +287,7 @@ TEST_F(IoUtilTest, PayloadWriterAndAtExtentRoundtrip) {
   out.AppendRaw(bytes.data(), bytes.size());
   ASSERT_TRUE(out.Commit().ok());
 
-  auto in = io::Reader::Open(path_, kMagic);
+  auto in = io::Reader::Open(path_, kMagic, 2);
   ASSERT_TRUE(in.ok()) << in.status().ToString();
   auto extent = in->AtExtent(aligned, bytes.size());
   ASSERT_TRUE(extent.ok()) << extent.status().ToString();

@@ -81,12 +81,16 @@ TEST_F(OpenPathTest, UnknownStructuralEdgeUnsatisfiable) {
 TEST_F(OpenPathTest, UnrecordedNodeMeasureSkipped) {
   // Add a second record without node measures: closed endpoints with no
   // column contribute nothing and do not constrain matching.
-  ASSERT_TRUE(engine_.BeginAppend().ok());
   GraphRecord record;
   record.elements = {Edge{N(11), N(12)}};
   record.measures = {5};
-  ASSERT_TRUE(engine_.AddRecord(record).ok());
-  ASSERT_TRUE(engine_.FinishAppend().ok());
+  auto tail = engine_.BuildTailRelation({record});
+  ASSERT_TRUE(tail.ok()) << tail.status().ToString();
+  ASSERT_TRUE(engine_
+                  .AttachDataset(std::make_shared<const MasterRelation>(
+                      std::move(tail).value()))
+                  .ok());
+  ASSERT_TRUE(engine_.Compact().ok());
   const auto result =
       engine_.AggregateAlongPath(Path({N(11), N(12)}), AggFn::kSum);
   ASSERT_TRUE(result.ok());

@@ -1,10 +1,9 @@
 // Planner-level behaviors: selectivity-ordered ANDs short-circuit earlier
-// (fewer bitmap fetches for empty results) while never changing answers;
-// incremental view refresh after appends matches a full recompute.
+// (fewer bitmap fetches for empty results) while never changing answers,
+// and the planner's cached cardinalities match the bitmaps.
 #include <gtest/gtest.h>
 
 #include "core/engine.h"
-#include "views/materializer.h"
 
 namespace colgraph {
 namespace {
@@ -69,79 +68,6 @@ TEST(CardinalityStatsTest, CachedCountsMatchBitmaps) {
   EXPECT_EQ(engine.relation().EdgeBitmapCardinality(e23), 1u);
   ASSERT_TRUE(engine.MaterializeView(GraphViewDef::Make({e12, e23})).ok());
   EXPECT_EQ(engine.relation().GraphViewCardinality(0), 1u);
-}
-
-TEST(IncrementalRefreshTest, DeltaRefreshMatchesFullRecompute) {
-  // Build two identical engines with views; append the same records; one
-  // uses the engine's delta refresh, the other a full RefreshAllViews.
-  auto build = [] {
-    ColGraphEngine engine;
-    for (int i = 0; i < 10; ++i) {
-      EXPECT_TRUE(engine.AddWalk({1, 2, 3, 4}, {1, 2, 3}).ok());
-    }
-    EXPECT_TRUE(engine.Seal().ok());
-    const EdgeId e0 = *engine.catalog().Lookup(Edge{N(1), N(2)});
-    const EdgeId e1 = *engine.catalog().Lookup(Edge{N(2), N(3)});
-    const EdgeId e2 = *engine.catalog().Lookup(Edge{N(3), N(4)});
-    EXPECT_TRUE(engine.MaterializeView(GraphViewDef::Make({e0, e1, e2})).ok());
-    AggViewDef agg;
-    agg.elements = {e0, e1, e2};
-    agg.fn = AggFn::kSum;
-    EXPECT_TRUE(engine.MaterializeView(agg).ok());
-    return engine;
-  };
-
-  ColGraphEngine delta = build();
-  ColGraphEngine full = build();
-
-  auto append = [](ColGraphEngine& engine) {
-    EXPECT_TRUE(engine.BeginAppend().ok());
-    EXPECT_TRUE(engine.AddWalk({1, 2, 3, 4}, {10, 20, 30}).ok());
-    EXPECT_TRUE(engine.AddWalk({2, 3, 4}, {5, 5}).ok());
-  };
-  append(delta);
-  ASSERT_TRUE(delta.FinishAppend().ok());  // incremental path
-  append(full);
-  ASSERT_TRUE(full.mutable_relation().Seal().ok());
-  ASSERT_TRUE(RefreshAllViews(&full.mutable_relation(), full.views()).ok());
-
-  const GraphQuery q = GraphQuery::FromPath({N(1), N(2), N(3), N(4)});
-  const auto a = delta.RunAggregateQuery(q, AggFn::kSum);
-  const auto b = full.RunAggregateQuery(q, AggFn::kSum);
-  ASSERT_TRUE(a.ok() && b.ok());
-  EXPECT_EQ(a->records, b->records);
-  EXPECT_EQ(a->values, b->values);
-  // Both see the appended record's aggregate.
-  EXPECT_EQ(a->values[0].back(), 60.0);
-  // And the view columns themselves are bit-identical.
-  EXPECT_EQ(delta.relation().PeekGraphView(0),
-            full.relation().PeekGraphView(0));
-  for (RecordId r = 0; r < delta.num_records(); ++r) {
-    EXPECT_EQ(delta.relation().PeekAggregateView(0).Get(r),
-              full.relation().PeekAggregateView(0).Get(r));
-  }
-}
-
-TEST(IncrementalRefreshTest, MultipleAppendRoundsStayConsistent) {
-  ColGraphEngine engine;
-  ASSERT_TRUE(engine.AddWalk({1, 2, 3}, {1, 1}).ok());
-  ASSERT_TRUE(engine.Seal().ok());
-  const EdgeId e0 = *engine.catalog().Lookup(Edge{N(1), N(2)});
-  const EdgeId e1 = *engine.catalog().Lookup(Edge{N(2), N(3)});
-  AggViewDef agg;
-  agg.elements = {e0, e1};
-  agg.fn = AggFn::kSum;
-  ASSERT_TRUE(engine.MaterializeView(agg).ok());
-  for (int round = 1; round <= 4; ++round) {
-    ASSERT_TRUE(engine.BeginAppend().ok());
-    ASSERT_TRUE(
-        engine.AddWalk({1, 2, 3}, {double(round), double(round)}).ok());
-    ASSERT_TRUE(engine.FinishAppend().ok());
-  }
-  const MeasureColumn& mp = engine.relation().PeekAggregateView(0);
-  EXPECT_EQ(mp.Get(0), 2.0);
-  EXPECT_EQ(mp.Get(1), 2.0);
-  EXPECT_EQ(mp.Get(4), 8.0);
 }
 
 }  // namespace

@@ -8,8 +8,8 @@
 #include <cstring>
 #include <fstream>
 
+#include "columnstore/dataset.h"
 #include "core/engine_io.h"
-#include "legacy_v1_format.h"
 #include "util/failpoint.h"
 #include "util/random.h"
 
@@ -106,92 +106,51 @@ TEST_F(PersistenceTest, TruncatedFileIsCorruption) {
 }
 
 // ---------------------------------------------------------------------------
-// Version compatibility.
+// One on-disk codec.
 
-TEST_F(PersistenceTest, LegacyV1SnapshotStillLoads) {
-  MasterRelation rel;
-  ASSERT_TRUE(rel.AddRecord({{0, 1.5}, {2, -2.0}}).ok());
-  ASSERT_TRUE(rel.AddRecord({{1, 3.0}}).ok());
-  ASSERT_TRUE(rel.Seal().ok());
+// Every bitmap is written in the container codec, whether the column
+// carries a hybrid sidecar or not: the same relation sealed with the
+// sidecar on and off produces the same file, byte for byte.
+TEST_F(PersistenceTest, HybridSidecarDoesNotChangeTheBytes) {
+  auto build = [](bool hybrid) {
+    MasterRelationOptions options;
+    options.hybrid_bitmaps = hybrid;
+    MasterRelation rel(options);
+    Rng rng(31);
+    for (int r = 0; r < 600; ++r) {
+      std::vector<std::pair<EdgeId, double>> rec;
+      // Edge 0 is dense (no sidecar); edges 1-3 are set in a few records
+      // only (under the 1/256 density cutoff, so they get a sidecar).
+      if (rng.Bernoulli(0.5)) rec.emplace_back(0, rng.UniformReal(-5, 5));
+      if (r % 300 == 7) rec.emplace_back(1 + r / 300, 1.0 * r);
+      if (r == 599) rec.emplace_back(3, -1.0);
+      EXPECT_TRUE(rel.AddRecord(rec).ok());
+    }
+    EXPECT_TRUE(rel.Seal().ok());
+    return rel;
+  };
+  const MasterRelation with_sidecar = build(true);
+  const MasterRelation without_sidecar = build(false);
+  ASSERT_EQ(with_sidecar.PeekEdgeBitmapHybrid(0), nullptr);
+  ASSERT_NE(with_sidecar.PeekEdgeBitmapHybrid(1), nullptr);
+  ASSERT_EQ(without_sidecar.PeekEdgeBitmapHybrid(1), nullptr);
 
-  legacy_v1::WriteRelationV1(rel, path_);
+  auto slurp = [](const std::string& path) {
+    std::ifstream in(path, std::ios::binary);
+    return std::string((std::istreambuf_iterator<char>(in)),
+                       std::istreambuf_iterator<char>());
+  };
+  ASSERT_TRUE(WriteRelation(with_sidecar, path_).ok());
+  const std::string a = slurp(path_);
+  ASSERT_TRUE(WriteRelation(without_sidecar, path_).ok());
+  const std::string b = slurp(path_);
+  EXPECT_EQ(a, b);
+  EXPECT_EQ(with_sidecar.DiskBytes(), without_sidecar.DiskBytes());
+
   auto loaded = ReadRelation(path_);
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-  EXPECT_EQ(loaded->num_records(), 2u);
-  EXPECT_EQ(loaded->num_edge_columns(), 3u);
-  EXPECT_EQ(loaded->PeekMeasureColumn(0).Get(0), 1.5);
-  EXPECT_EQ(loaded->PeekMeasureColumn(2).Get(0), -2.0);
-  EXPECT_EQ(loaded->PeekMeasureColumn(1).Get(1), 3.0);
-}
-
-TEST_F(PersistenceTest, V1ThenV2RoundtripMatches) {
-  Rng rng(7);
-  MasterRelation rel;
-  for (int r = 0; r < 64; ++r) {
-    std::vector<std::pair<EdgeId, double>> rec;
-    for (EdgeId e = 0; e < 12; ++e) {
-      if (rng.Bernoulli(0.4)) rec.emplace_back(e, rng.UniformReal(-5, 5));
-    }
-    ASSERT_TRUE(rel.AddRecord(rec).ok());
-  }
-  ASSERT_TRUE(rel.Seal().ok());
-
-  // Load a v1 snapshot, rewrite it as v2, and verify byte-for-byte equal
-  // column contents.
-  legacy_v1::WriteRelationV1(rel, path_);
-  auto from_v1 = ReadRelation(path_);
-  ASSERT_TRUE(from_v1.ok());
-  ASSERT_TRUE(WriteRelation(*from_v1, path_).ok());
-  auto from_v2 = ReadRelation(path_);
-  ASSERT_TRUE(from_v2.ok());
-  ASSERT_EQ(from_v2->num_records(), rel.num_records());
-  ASSERT_EQ(from_v2->num_edge_columns(), rel.num_edge_columns());
-  for (EdgeId e = 0; e < rel.num_edge_columns(); ++e) {
-    for (size_t r = 0; r < rel.num_records(); ++r) {
-      EXPECT_EQ(from_v2->PeekMeasureColumn(e).Get(r),
-                rel.PeekMeasureColumn(e).Get(r));
-    }
-  }
-}
-
-// Read-compat matrix (DESIGN.md §14): every supported on-disk version
-// loads through the same ReadRelation entry point with identical column
-// contents. v1 is covered by the legacy tests above.
-TEST_F(PersistenceTest, AllSupportedVersionsRoundTrip) {
-  Rng rng(31);
-  MasterRelation rel;
-  for (int r = 0; r < 40; ++r) {
-    std::vector<std::pair<EdgeId, double>> rec;
-    for (EdgeId e = 0; e < 8; ++e) {
-      if (rng.Bernoulli(0.35)) rec.emplace_back(e, rng.UniformReal(-5, 5));
-    }
-    ASSERT_TRUE(rel.AddRecord(rec).ok());
-  }
-  ASSERT_TRUE(rel.Seal().ok());
-
-  for (const uint32_t version : {2u, 3u, 4u}) {
-    ASSERT_TRUE(internal::WriteRelationAtVersion(rel, path_, version).ok())
-        << "version " << version;
-    {
-      std::ifstream in(path_, std::ios::binary);
-      std::string header(8, '\0');
-      in.read(header.data(), 8);
-      uint32_t on_disk = 0;
-      std::memcpy(&on_disk, header.data() + 4, sizeof(on_disk));
-      ASSERT_EQ(on_disk, version) << "fixture must really be v" << version;
-    }
-    auto loaded = ReadRelation(path_);
-    ASSERT_TRUE(loaded.ok())
-        << "version " << version << ": " << loaded.status().ToString();
-    ASSERT_EQ(loaded->num_records(), rel.num_records());
-    ASSERT_EQ(loaded->num_edge_columns(), rel.num_edge_columns());
-    for (EdgeId e = 0; e < rel.num_edge_columns(); ++e) {
-      for (size_t r = 0; r < rel.num_records(); ++r) {
-        EXPECT_EQ(loaded->PeekMeasureColumn(e).Get(r),
-                  rel.PeekMeasureColumn(e).Get(r))
-            << "version " << version;
-      }
-    }
+  for (EdgeId e = 0; e < with_sidecar.num_edge_columns(); ++e) {
+    EXPECT_TRUE(loaded->FetchEdgeBitmap(e) == with_sidecar.FetchEdgeBitmap(e));
   }
 }
 
@@ -230,6 +189,9 @@ TEST_F(PersistenceTest, StaleTmpFromCrashedWriteIsSweptOnNextRead) {
       << "orphaned .tmp must be swept on open";
 }
 
+// The relation codec reads v5 only: every other version number on an
+// otherwise valid image is Corruption, through the eager reader and the
+// mapped per-column reader alike.
 TEST_F(PersistenceTest, FutureVersionRejected) {
   MasterRelation rel;
   ASSERT_TRUE(rel.AddRecord({{0, 1.0}}).ok());
@@ -237,18 +199,28 @@ TEST_F(PersistenceTest, FutureVersionRejected) {
   ASSERT_TRUE(WriteRelation(rel, path_).ok());
 
   std::ifstream in(path_, std::ios::binary);
-  std::string bytes((std::istreambuf_iterator<char>(in)),
-                    std::istreambuf_iterator<char>());
+  const std::string valid((std::istreambuf_iterator<char>(in)),
+                          std::istreambuf_iterator<char>());
   in.close();
-  const uint32_t future = 7;
-  std::memcpy(bytes.data() + 4, &future, sizeof(future));
-  std::ofstream out(path_, std::ios::binary | std::ios::trunc);
-  out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
-  out.close();
+  uint32_t written = 0;
+  std::memcpy(&written, valid.data() + 4, sizeof(written));
+  ASSERT_EQ(written, 5u);
 
-  const Status st = ReadRelation(path_).status();
-  ASSERT_TRUE(st.IsCorruption()) << st.ToString();
-  EXPECT_NE(st.message().find("version"), std::string::npos);
+  for (const uint32_t version : {0u, 1u, 2u, 3u, 4u, 6u, 7u, 0xFFFFFFFFu}) {
+    std::string bytes = valid;
+    std::memcpy(bytes.data() + 4, &version, sizeof(version));
+    std::ofstream out(path_, std::ios::binary | std::ios::trunc);
+    out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+    out.close();
+
+    const Status eager = ReadRelation(path_).status();
+    ASSERT_TRUE(eager.IsCorruption()) << "v" << version << ": "
+                                      << eager.ToString();
+    EXPECT_NE(eager.message().find("version"), std::string::npos);
+    const Status mapped = MappedRelationFile::Open(path_).status();
+    EXPECT_TRUE(mapped.IsCorruption()) << "v" << version << ": "
+                                       << mapped.ToString();
+  }
 }
 
 TEST_F(PersistenceTest, EngineSnapshotRejectedByRelationCodec) {
@@ -264,32 +236,24 @@ TEST_F(PersistenceTest, EngineSnapshotRejectedByRelationCodec) {
 // attempt the allocation they claim.
 
 TEST_F(PersistenceTest, HugeRecordCountIsCorruptionNotBadAlloc) {
-  // Hand-crafted v1 header claiming 2^60 records in 16 bytes of file.
-  std::ofstream out(path_, std::ios::binary);
-  const uint32_t magic = 0x4347524C, version = 1;
-  const uint64_t records = uint64_t{1} << 60, columns = 1;
-  out.write(reinterpret_cast<const char*>(&magic), 4);
-  out.write(reinterpret_cast<const char*>(&version), 4);
-  out.write(reinterpret_cast<const char*>(&records), 8);
-  out.write(reinterpret_cast<const char*>(&columns), 8);
-  out.close();
+  // A well-formed v5 image whose header claims 2^60 records.
+  io::Writer out(path_, internal::kRelationMagic, internal::kRelationVersion);
+  out.BeginSection();
+  out.WritePod(uint64_t{1} << 60);  // num_records
+  out.WritePod(uint64_t{1});        // num_columns
+  out.EndSection();
+  ASSERT_TRUE(out.Commit().ok());
   EXPECT_TRUE(ReadRelation(path_).status().IsCorruption());
 }
 
 TEST_F(PersistenceTest, HugeVectorLengthIsCorruptionNotBadAlloc) {
-  // Valid-looking v1 header, then an EWAH buffer whose length prefix
-  // claims 2^60 words.
-  std::ofstream out(path_, std::ios::binary);
-  const uint32_t magic = 0x4347524C, version = 1;
-  const uint64_t records = 2, columns = 1, num_bits = 2;
-  const uint64_t huge_len = uint64_t{1} << 60;
-  out.write(reinterpret_cast<const char*>(&magic), 4);
-  out.write(reinterpret_cast<const char*>(&version), 4);
-  out.write(reinterpret_cast<const char*>(&records), 8);
-  out.write(reinterpret_cast<const char*>(&columns), 8);
-  out.write(reinterpret_cast<const char*>(&num_bits), 8);
-  out.write(reinterpret_cast<const char*>(&huge_len), 8);
-  out.close();
+  // Valid header and extent directory, then a column extent whose bitmap
+  // word buffer claims 2^60 words.
+  io::Writer payload;
+  payload.WritePod(uint64_t{2});        // num_bits
+  payload.WritePod(uint64_t{1} << 60);  // container word count
+  ASSERT_TRUE(
+      internal::WriteRelationPayloads(2, {payload.TakePayload()}, path_).ok());
   EXPECT_TRUE(ReadRelation(path_).status().IsCorruption());
 }
 

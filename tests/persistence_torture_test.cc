@@ -15,7 +15,6 @@
 #include "columnstore/mem_map.h"
 #include "columnstore/persistence.h"
 #include "core/engine_io.h"
-#include "legacy_v1_format.h"
 #include "util/random.h"
 
 namespace colgraph {
@@ -50,11 +49,11 @@ MasterRelation MakeRelation() {
 }
 
 // Sparse enough that every presence column falls under the 1/256 hybrid
-// threshold (each edge set in exactly one of 300 records), so the
-// snapshot carries tag-1 (hybrid container) bitmap payloads instead of
-// EWAH. Torture cost is quadratic in file size, so the relation stays
-// tiny: this covers the array-container codec path; bitset/run payloads
-// are exercised by the fuzzer and the differential harness.
+// threshold (each edge set in exactly one of 300 records), so the writer
+// encodes from the hybrid sidecar rather than on the fly. Torture cost is
+// quadratic in file size, so the relation stays tiny: this covers the
+// array-container codec path; bitset/run payloads are exercised by the
+// fuzzer and the differential harness.
 MasterRelation MakeSparseHybridRelation() {
   Rng rng(929);
   MasterRelation rel;
@@ -175,9 +174,8 @@ TEST_F(PersistenceTortureTest, EngineSnapshotNeverLoadsCorrupt) {
   TortureFile(path_, LoadEngine);
 }
 
-// ISSUE 8: the hybrid container codec behind its CRC-32C section must be
-// as torture-proof as EWAH — every truncation and seeded bit-flip of a
-// snapshot carrying tag-1 hybrid payloads loads as a clean failure.
+// Every truncation and seeded bit-flip of a snapshot whose columns carry
+// hybrid sidecars loads as a clean failure.
 TEST_F(PersistenceTortureTest, HybridEncodedSnapshotNeverLoadsCorrupt) {
   const MasterRelation rel = MakeSparseHybridRelation();
   size_t hybrid_columns = 0;
@@ -196,12 +194,13 @@ TEST_F(PersistenceTortureTest, HybridEncodedSnapshotNeverLoadsCorrupt) {
   TortureFile(path_, LoadRelation);
 }
 
-// ISSUE 9: the mmap'd per-column path must fail exactly as cleanly as the
-// eager reader. WriteRelation emits v4 (page-aligned column extents), so
-// the fixture is genuinely multi-page: truncations and bit flips land
-// inside mid-file extents, not just in headers — and every one must load
-// as Corruption/IOError through MappedRelationFile, never a SIGBUS (the
-// whole-file CRC at open faults in every page before any column decode).
+// The mmap'd per-column path must fail exactly as cleanly as the eager
+// reader. WriteRelation emits page-aligned column extents (the layout
+// introduced in v4, now v5), so the fixture is genuinely multi-page:
+// truncations and bit flips land inside mid-file extents, not just in
+// headers — and every one must load as Corruption/IOError through
+// MappedRelationFile, never a SIGBUS (the whole-file CRC at open faults in
+// every page before any column decode).
 TEST_F(PersistenceTortureTest, MappedV4RelationNeverLoadsCorrupt) {
   const MasterRelation rel = MakeRelation();
   ASSERT_TRUE(WriteRelation(rel, path_).ok());
@@ -210,7 +209,7 @@ TEST_F(PersistenceTortureTest, MappedV4RelationNeverLoadsCorrupt) {
   ASSERT_GE(bytes.size(), 8u);
   uint32_t version = 0;
   std::memcpy(&version, bytes.data() + 4, sizeof(version));
-  ASSERT_EQ(version, 4u) << "WriteRelation must emit the v4 extent layout";
+  ASSERT_EQ(version, 5u) << "WriteRelation must emit the v5 extent layout";
   ASSERT_GT(bytes.size(), 2 * io::PageSize())
       << "fixture must span multiple pages so flips hit mid-extent bytes";
 
@@ -242,37 +241,6 @@ TEST_F(PersistenceTortureTest, MappedV4RelationNeverLoadsCorrupt) {
     WriteFileBytes(mutant_path, mutant);
     ExpectCleanFailure(LoadMapped, mutant_path,
                        "mid-extent flip at offset " + std::to_string(offset));
-  }
-  std::remove(mutant_path.c_str());
-}
-
-// The legacy v1 format has no checksums, so bit flips there can at best be
-// caught semantically — but truncations must always fail cleanly through
-// the bounds-checked reader.
-TEST_F(PersistenceTortureTest, LegacyV1RelationTruncationsFailCleanly) {
-  const MasterRelation rel = MakeRelation();
-  legacy_v1::WriteRelationV1(rel, path_);
-  ASSERT_TRUE(ReadRelation(path_).ok()) << "v1 baseline must load";
-  const std::string bytes = ReadFileBytes(path_);
-  const std::string mutant_path = path_ + ".mutant";
-  for (size_t len = 0; len < bytes.size(); ++len) {
-    WriteFileBytes(mutant_path, bytes.substr(0, len));
-    ExpectCleanFailure(LoadRelation, mutant_path,
-                       "v1 truncated to " + std::to_string(len) + " bytes");
-  }
-  std::remove(mutant_path.c_str());
-}
-
-TEST_F(PersistenceTortureTest, LegacyV1EngineTruncationsFailCleanly) {
-  const ColGraphEngine engine = MakeEngine();
-  legacy_v1::WriteEngineV1(engine, path_);
-  ASSERT_TRUE(ReadEngine(path_).ok()) << "v1 baseline must load";
-  const std::string bytes = ReadFileBytes(path_);
-  const std::string mutant_path = path_ + ".mutant";
-  for (size_t len = 0; len < bytes.size(); ++len) {
-    WriteFileBytes(mutant_path, bytes.substr(0, len));
-    ExpectCleanFailure(LoadEngine, mutant_path,
-                       "v1 truncated to " + std::to_string(len) + " bytes");
   }
   std::remove(mutant_path.c_str());
 }

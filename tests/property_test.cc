@@ -1,10 +1,9 @@
 // Cross-cutting properties on randomized data: answers must be invariant
 // to physical layout choices (partition width), view budgets must never
-// increase fetch counts, compression must respect clustering, and the
-// paper's running SCM scenarios must behave end to end.
+// increase fetch counts, and the paper's running SCM scenarios must behave
+// end to end.
 #include <gtest/gtest.h>
 
-#include "bitmap/ewah_bitmap.h"
 #include "core/engine.h"
 #include "query/parser.h"
 #include "workload/base_graphs.h"
@@ -103,19 +102,6 @@ TEST(BudgetMonotonicityTest, FetchesNeverIncreaseWithBudget) {
         << "budget " << budget;
     previous = engine.stats().bitmap_columns_fetched;
   }
-}
-
-TEST(EwahClusteringTest, ClusteredBitmapsCompressBetterThanRandom) {
-  const size_t bits = 1 << 16;
-  Bitmap clustered(bits), random(bits);
-  // Same cardinality, different layout: one solid run vs scattered bits.
-  for (size_t i = 0; i < bits / 8; ++i) clustered.Set(i);
-  for (size_t i = 0; i < bits; i += 8) random.Set(i);
-  ASSERT_EQ(clustered.Count(), random.Count());
-  const size_t clustered_bytes =
-      EwahBitmap::FromBitmap(clustered).CompressedBytes();
-  const size_t random_bytes = EwahBitmap::FromBitmap(random).CompressedBytes();
-  EXPECT_LT(clustered_bytes * 4, random_bytes);
 }
 
 TEST(ParserEngineIntegrationTest, TextQueriesMatchProgrammaticOnes) {

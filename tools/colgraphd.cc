@@ -111,8 +111,9 @@ int Usage(const char* argv0) {
 }
 
 /// Builds the daemon's initial (epoch 0) engine: the trace file when given,
-/// an empty sealed engine otherwise (everything arrives via ingest).
-StatusOr<std::shared_ptr<const ColGraphEngine>> BuildInitialEngine(
+/// an empty engine otherwise (everything arrives via ingest). The caller
+/// may add records before sealing it.
+StatusOr<std::shared_ptr<ColGraphEngine>> BuildInitialEngine(
     const Args& args) {
   EngineOptions options;
   options.num_threads = args.threads;
@@ -122,16 +123,16 @@ StatusOr<std::shared_ptr<const ColGraphEngine>> BuildInitialEngine(
     COLGRAPH_RETURN_NOT_OK(
         IngestTraceFile(engine.get(), args.traces_path).status());
   }
-  COLGRAPH_RETURN_NOT_OK(engine->Seal());
-  return std::shared_ptr<const ColGraphEngine>(std::move(engine));
+  return engine;
 }
 
 int Serve(const Args& args) {
-  StatusOr<std::shared_ptr<const ColGraphEngine>> initial =
-      BuildInitialEngine(args);
-  if (!initial.ok()) {
+  StatusOr<std::shared_ptr<ColGraphEngine>> initial = BuildInitialEngine(args);
+  Status setup = initial.status();
+  if (setup.ok()) setup = (*initial)->Seal();
+  if (!setup.ok()) {
     std::fprintf(stderr, "colgraphd: engine setup failed: %s\n",
-                 initial.status().ToString().c_str());
+                 setup.ToString().c_str());
     return 2;
   }
 
@@ -197,18 +198,14 @@ int Smoke(const std::string& dir) {
   args.query_log_path = log_path;
   args.threads = 2;
 
-  StatusOr<std::shared_ptr<const ColGraphEngine>> initial_or =
+  StatusOr<std::shared_ptr<ColGraphEngine>> initial_or =
       BuildInitialEngine(args);
   SMOKE_CHECK(initial_or.ok(), "initial engine setup");
   // Seed epoch 0 with a few walks so queries have something to match.
-  {
-    auto seeded = std::make_shared<ColGraphEngine>(**initial_or);
-    SMOKE_CHECK(seeded->BeginAppend().ok(), "BeginAppend");
-    SMOKE_CHECK(seeded->AddWalk({1, 2, 3}, {10, 20}).ok(), "AddWalk 1");
-    SMOKE_CHECK(seeded->AddWalk({1, 2, 4}, {5, 7}).ok(), "AddWalk 2");
-    SMOKE_CHECK(seeded->FinishAppend().ok(), "FinishAppend");
-    *initial_or = std::move(seeded);
-  }
+  ColGraphEngine& seeded = **initial_or;
+  SMOKE_CHECK(seeded.AddWalk({1, 2, 3}, {10, 20}).ok(), "AddWalk 1");
+  SMOKE_CHECK(seeded.AddWalk({1, 2, 4}, {5, 7}).ok(), "AddWalk 2");
+  SMOKE_CHECK(seeded.Seal().ok(), "Seal");
 
   DaemonOptions options;
   options.socket_path = socket_path;

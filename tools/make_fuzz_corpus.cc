@@ -1,6 +1,6 @@
 // Regenerates the committed fuzz seed corpus (fuzz/corpus/) from real
 // artifacts: every binary seed is produced by the production writers
-// (WriteRelation, AppendRecordFrame, EwahBitmap::FromBitmap) and then
+// (WriteRelation, AppendRecordFrame, HybridBitmap::FromBitmap) and then
 // deterministically damaged the way the torture tests damage snapshots —
 // truncation, bit flips, bad magic, implausible counts. Run it when a
 // format changes:
@@ -9,7 +9,7 @@
 //
 // Seeds are deliberately small: the fuzzers mutate them further; what
 // matters is that each one parks the fuzzer next to a different validation
-// branch (valid file, each rejection path, each legacy version).
+// branch (valid file, each rejection path, an old version number).
 
 #include <cstdint>
 #include <cstdio>
@@ -19,7 +19,6 @@
 #include <string>
 #include <vector>
 
-#include "bitmap/ewah_bitmap.h"
 #include "bitmap/hybrid_bitmap.h"
 #include "columnstore/persistence.h"
 #include "obs/query_log.h"
@@ -93,16 +92,12 @@ void MakeSnapshotSeeds(const std::filesystem::path& dir) {
   COLGRAPH_CHECK_OK(WriteRelation(rel, tmp));
   const std::vector<char> valid = SlurpAndRemove(tmp);
 
-  // Current-version snapshot (v4 since the mmap extent layout). Genuine
-  // older images are produced below via WriteRelationAtVersion — except
-  // v2's legacy_v2, committed static since the writer can no longer emit
-  // untagged bitmaps.
   {
     uint32_t version = 0;
     std::memcpy(&version, valid.data() + 4, sizeof(version));
-    COLGRAPH_CHECK(version == 4)
+    COLGRAPH_CHECK(version == internal::kRelationVersion)
         << "WriteRelation emits v" << version
-        << "; update the v4 seed geometry below";
+        << "; update the seed geometry below";
   }
   WriteSeed(dir, "valid_snapshot", valid);
   WriteSeed(dir, "truncated_half", Truncated(valid, valid.size() / 2));
@@ -113,8 +108,8 @@ void MakeSnapshotSeeds(const std::filesystem::path& dir) {
   WriteSeed(dir, "empty", {});
   WriteSeed(dir, "preamble_only", Truncated(valid, 8));
 
-  // Section length larger than the file: the first rejection the v2
-  // reader's section walk can hit.
+  // Section length larger than the file: the first rejection the reader's
+  // section walk can hit.
   {
     std::vector<char> huge_section = valid;
     const uint64_t bogus = uint64_t{1} << 40;
@@ -124,7 +119,7 @@ void MakeSnapshotSeeds(const std::filesystem::path& dir) {
     WriteSeed(dir, "huge_section_len", huge_section);
   }
 
-  // v4 extent-directory damage. Fixed geometry of the valid image above
+  // Extent-directory damage. Fixed geometry of the valid image above
   // (io_util.h layout): preamble 8B; header section [12B frame][u64
   // num_records][u64 num_columns] ends at 36; extent-directory section
   // frame at 36 with payload [u64 count @48][{u64 offset, u64 len} @56,
@@ -142,32 +137,36 @@ void MakeSnapshotSeeds(const std::filesystem::path& dir) {
         << "extent directory not at the expected offset (count "
         << dir_count << ")";
     // Count disagrees with the header's column count.
-    WriteSeed(dir, "v4_extent_count_mismatch",
+    WriteSeed(dir, "extent_count_mismatch",
               Patched(valid, kDirCountPos, uint64_t{1000}));
     // First extent points far past the checksummed body.
-    WriteSeed(dir, "v4_extent_offset_past_body",
+    WriteSeed(dir, "extent_offset_past_body",
               Patched(valid, kExt0OffsetPos, uint64_t{1} << 40));
     // Length so large that offset + len overflows / escapes the body.
-    WriteSeed(dir, "v4_extent_len_overflow",
+    WriteSeed(dir, "extent_len_overflow",
               Patched(valid, kExt0LenPos, ~uint64_t{0} - 8));
     // Second extent rewound on top of the first: non-ascending overlap.
     uint64_t ext0_offset = 0;
     std::memcpy(&ext0_offset, valid.data() + kExt0OffsetPos,
                 sizeof(ext0_offset));
-    WriteSeed(dir, "v4_extent_overlap",
+    WriteSeed(dir, "extent_overlap",
               Patched(valid, kExt1OffsetPos, ext0_offset));
     // Single bit flipped inside the first raw column extent: no section
     // CRC shields it, only the whole-file footer (and the column decoder,
     // once the harness rebuilds the footer).
-    WriteSeed(dir, "v4_extent_payload_flip",
+    WriteSeed(dir, "extent_payload_flip",
               BitFlipped(valid, static_cast<size_t>(ext0_offset) + 10, 5));
   }
 
-  // Sparse relation: columns fall under the hybrid density threshold, so
-  // the writer emits tag-1 (hybrid) bitmap payloads — parks the fuzzer
-  // on the FromRawChecked branch of the snapshot reader. Pinned to v3
-  // (the last sequential-layout version) now that WriteRelation emits the
-  // v4 extent layout.
+  // An old version number on an otherwise valid image (the harness's fixup
+  // pass keeps the CRCs consistent): the reader accepts its own version
+  // only, so this must fail as Corruption before any parsing.
+  WriteSeed(dir, "old_version_v4",
+            Patched(valid, 4, internal::kRelationVersion - 1));
+
+  // Sparse relation: every presence column falls under the hybrid density
+  // threshold, so the writer encodes from the hybrid sidecar instead of on
+  // the fly (the bytes are the same either way).
   {
     MasterRelation sparse_rel;
     for (int i = 0; i < 300; ++i) {
@@ -180,68 +179,10 @@ void MakeSnapshotSeeds(const std::filesystem::path& dir) {
     COLGRAPH_CHECK_OK(sparse_rel.Seal());
     const std::string sparse_tmp =
         (std::filesystem::temp_directory_path() /
-         "colgraph_corpus_snap_hybrid.bin")
+         "colgraph_corpus_snap_sparse.bin")
             .string();
-    COLGRAPH_CHECK_OK(
-        internal::WriteRelationAtVersion(sparse_rel, sparse_tmp, 3));
-    const std::vector<char> hybrid_snap = SlurpAndRemove(sparse_tmp);
-    WriteSeed(dir, "valid_v3_hybrid", hybrid_snap);
-    WriteSeed(dir, "v3_hybrid_flipped_bit",
-              BitFlipped(hybrid_snap, hybrid_snap.size() / 2, 4));
-  }
-
-  // Legacy v1 preamble claiming an 8-EiB relation: must reject on the
-  // record-count sanity cap, not attempt the allocation.
-  {
-    std::vector<char> v1;
-    AppendPod(&v1, uint32_t{0x4347524C});
-    AppendPod(&v1, uint32_t{1});
-    AppendPod(&v1, uint64_t{1} << 60);  // num_records
-    AppendPod(&v1, uint64_t{4});        // num_columns
-    WriteSeed(dir, "v1_huge_record_count", v1);
-  }
-}
-
-// --- fuzz_ewah -----------------------------------------------------------
-
-std::vector<char> EwahSeed(const EwahBitmap& ewah) {
-  std::vector<char> out;
-  AppendPod(&out, static_cast<uint64_t>(ewah.size_bits()));
-  for (const uint64_t word : ewah.buffer()) AppendPod(&out, word);
-  return out;
-}
-
-void MakeEwahSeeds(const std::filesystem::path& dir) {
-  Bitmap sparse(1000);
-  sparse.Set(3);
-  sparse.Set(500);
-  sparse.Set(999);
-  WriteSeed(dir, "valid_sparse", EwahSeed(EwahBitmap::FromBitmap(sparse)));
-
-  Bitmap dense(640);
-  for (size_t i = 0; i < dense.size(); i += 3) dense.Set(i);
-  WriteSeed(dir, "valid_dense", EwahSeed(EwahBitmap::FromBitmap(dense)));
-
-  Bitmap ones(256);
-  for (size_t i = 0; i < ones.size(); ++i) ones.Set(i);
-  WriteSeed(dir, "valid_all_ones", EwahSeed(EwahBitmap::FromBitmap(ones)));
-
-  WriteSeed(dir, "empty_bitmap", EwahSeed(EwahBitmap::FromBitmap(Bitmap(0))));
-
-  // Marker claiming a million literal words that aren't there: the
-  // overrun FromRawChecked exists to reject.
-  {
-    std::vector<char> bad;
-    AppendPod(&bad, uint64_t{64});
-    AppendPod(&bad, uint64_t{1000000} << 33);  // 1M literal words, 0 runs
-    WriteSeed(dir, "literal_overrun", bad);
-  }
-  // Run length wildly larger than the claimed bit count.
-  {
-    std::vector<char> bad;
-    AppendPod(&bad, uint64_t{64});
-    AppendPod(&bad, (uint64_t{0xFFFFFFFF} << 1) | 1u);  // 4G-word one-run
-    WriteSeed(dir, "huge_run", bad);
+    COLGRAPH_CHECK_OK(WriteRelation(sparse_rel, sparse_tmp));
+    WriteSeed(dir, "valid_sparse", SlurpAndRemove(sparse_tmp));
   }
 }
 
@@ -362,14 +303,13 @@ int main(int argc, char** argv) {
     return 2;
   }
   const std::filesystem::path root(argv[1]);
-  const char* kDirs[] = {"fuzz_snapshot", "fuzz_ewah", "fuzz_hybrid_bitmap",
+  const char* kDirs[] = {"fuzz_snapshot", "fuzz_hybrid_bitmap",
                          "fuzz_query_log", "fuzz_parser"};
   for (const char* d : kDirs) {
     std::filesystem::create_directories(root / d);
   }
 
   colgraph::MakeSnapshotSeeds(root / "fuzz_snapshot");
-  colgraph::MakeEwahSeeds(root / "fuzz_ewah");
   colgraph::MakeHybridBitmapSeeds(root / "fuzz_hybrid_bitmap");
   colgraph::MakeQueryLogSeeds(root / "fuzz_query_log");
   // fuzz_parser seeds are plain text, committed directly in the repo —
