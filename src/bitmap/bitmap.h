@@ -59,13 +59,19 @@ class Bitmap {
   /// global base offset. Word-shifted, not bit-at-a-time.
   void OrAt(const Bitmap& src, size_t offset);
 
+  /// The inverse of OrAt: bits [offset, offset + num_bits) as a bitmap of
+  /// `num_bits` bits, bit i of the result being bit offset+i here. Requires
+  /// offset + num_bits <= size(). Word-shifted, not bit-at-a-time; the
+  /// multi-dataset fetch hands each dataset its slice of a global match.
+  Bitmap Extract(size_t offset, size_t num_bits) const;
+
   /// Appends the positions of all set bits to `out`.
   void AppendSetBits(std::vector<uint64_t>* out) const;
   /// Convenience: returns the positions of all set bits.
   std::vector<uint64_t> ToVector() const;
 
   /// Calls fn(pos) for every set bit in ascending order. `fn` returning is
-  /// the only control flow; this is the hot loop for measure fetches.
+  /// the only control flow.
   template <typename Fn>
   void ForEachSetBit(Fn&& fn) const {
     for (size_t w = 0; w < words_.size(); ++w) {

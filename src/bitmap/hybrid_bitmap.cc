@@ -17,14 +17,6 @@ uint32_t RunFirst(uint32_t run) { return run & 0xFFFFu; }
 uint32_t RunLast(uint32_t run) { return run >> 16; }
 uint32_t MakeRun(uint32_t first, uint32_t last) { return first | (last << 16); }
 
-uint32_t PopcountWords(const uint64_t* words, size_t n) {
-  uint64_t total = 0;
-  for (size_t i = 0; i < n; ++i) {
-    total += static_cast<uint64_t>(__builtin_popcountll(words[i]));
-  }
-  return static_cast<uint32_t>(total);
-}
-
 /// Sorted-uint16 intersection; gallops (exponential probe + binary search)
 /// when one side is much smaller, linear merge otherwise.
 std::vector<uint16_t> IntersectArrays(const std::vector<uint16_t>& a,
@@ -297,7 +289,8 @@ bool HybridBitmap::Test(size_t pos) const {
 }
 
 HybridBitmap::Container HybridBitmap::FinishBitset(std::vector<uint64_t> words) {
-  const uint32_t card = PopcountWords(words.data(), words.size());
+  const auto card =
+      static_cast<uint32_t>(simd::PopcountWords(words.data(), words.size()));
   if (card <= kArrayMaxCardinality) {
     Container c;
     c.type = ContainerType::kArray;
@@ -724,7 +717,7 @@ StatusOr<HybridBitmap> HybridBitmap::FromRawChecked(
         c.bitset.assign(buffer.begin() + static_cast<std::ptrdiff_t>(pos),
                         buffer.begin() +
                             static_cast<std::ptrdiff_t>(pos + kChunkWords));
-        if (PopcountWords(c.bitset.data(), c.bitset.size()) != card) {
+        if (simd::PopcountWords(c.bitset.data(), c.bitset.size()) != card) {
           return corrupt("bitset popcount does not match cardinality");
         }
         if (chunk_bits < kChunkBits) {

@@ -2,9 +2,10 @@
 
 #include <atomic>
 #include <cstdlib>
+#include <limits>
 
 #if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
-#define COLGRAPH_HAVE_AVX2_TARGET 1
+#define COLGRAPH_HAVE_X86_TARGETS 1
 #include <immintrin.h>
 #endif
 
@@ -14,6 +15,8 @@ namespace {
 
 std::atomic<bool> g_force_scalar{false};
 
+bool ForcedScalar() { return g_force_scalar.load(std::memory_order_relaxed); }
+
 void AndWordsScalar(uint64_t* dst, const uint64_t* src, size_t n) {
   for (size_t i = 0; i < n; ++i) dst[i] &= src[i];
 }
@@ -22,11 +25,46 @@ void OrWordsScalar(uint64_t* dst, const uint64_t* src, size_t n) {
   for (size_t i = 0; i < n; ++i) dst[i] |= src[i];
 }
 
-#if defined(COLGRAPH_HAVE_AVX2_TARGET)
+// The popcount kernels are written once and inlined twice: into the
+// dispatchers' scalar fallback, where __builtin_popcountll is libgcc's
+// portable routine (the library is built without -mpopcnt), and into a
+// target("popcnt") function, where it is the single POPCNT instruction.
+__attribute__((always_inline)) inline size_t PopcountWordsBody(
+    const uint64_t* words, size_t n) {
+  size_t count = 0;
+  for (size_t i = 0; i < n; ++i) {
+    count += static_cast<size_t>(__builtin_popcountll(words[i]));
+  }
+  return count;
+}
 
-// Per-function target attribute instead of a separate -mavx2 TU: the
-// compiler may only emit AVX2 instructions inside these bodies, so the
-// binary stays runnable on non-AVX2 hardware as long as dispatch guards
+__attribute__((always_inline)) inline size_t GatherByRankBody(
+    const uint64_t* match, const uint64_t* presence, const uint32_t* rank,
+    const double* values, size_t num_words, double* out) {
+  constexpr double kNull = std::numeric_limits<double>::quiet_NaN();
+  size_t k = 0;
+  for (size_t w = 0; w < num_words; ++w) {
+    uint64_t m = match[w];
+    if (m == 0) continue;
+    // One presence word and one rank entry serve every match in the word.
+    const uint64_t p = presence[w];
+    const double* packed = values + rank[w];
+    do {
+      const uint64_t bit = m & (~m + 1);  // lowest set bit
+      out[k++] = (p & bit) != 0 ? packed[static_cast<size_t>(
+                                      __builtin_popcountll(p & (bit - 1)))]
+                                : kNull;
+      m ^= bit;
+    } while (m != 0);
+  }
+  return k;
+}
+
+#if defined(COLGRAPH_HAVE_X86_TARGETS)
+
+// Per-function target attributes instead of separate -mavx2/-mpopcnt TUs:
+// the compiler may only emit those instructions inside these bodies, so
+// the binary stays runnable on older hardware as long as dispatch guards
 // every call.
 __attribute__((target("avx2"))) void AndWordsAvx2(uint64_t* dst,
                                                   const uint64_t* src,
@@ -58,35 +96,55 @@ __attribute__((target("avx2"))) void OrWordsAvx2(uint64_t* dst,
   for (; i < n; ++i) dst[i] |= src[i];
 }
 
-bool CpuAllowsAvx2() {
-  // One probe per process: CPU capability plus the COLGRAPH_NO_SIMD kill
-  // switch, which the sanitizer CI legs set to sanitize the scalar kernels
-  // on hardware that would otherwise always take the AVX2 path.
-  static const bool allowed = [] {
-    if (std::getenv("COLGRAPH_NO_SIMD") != nullptr) return false;
-    return __builtin_cpu_supports("avx2") != 0;
-  }();
+__attribute__((target("popcnt"))) size_t PopcountWordsPopcnt(
+    const uint64_t* words, size_t n) {
+  return PopcountWordsBody(words, n);
+}
+
+__attribute__((target("popcnt"))) size_t GatherByRankPopcnt(
+    const uint64_t* match, const uint64_t* presence, const uint32_t* rank,
+    const double* values, size_t num_words, double* out) {
+  return GatherByRankBody(match, presence, rank, values, num_words, out);
+}
+
+// One probe per process of the COLGRAPH_NO_SIMD kill switch, which the
+// sanitizer CI legs set to sanitize the scalar kernels on hardware that
+// would otherwise always take the vector paths.
+bool EnvAllowsSimd() {
+  static const bool allowed = std::getenv("COLGRAPH_NO_SIMD") == nullptr;
   return allowed;
+}
+
+bool CpuAllowsAvx2() {
+  static const bool allowed =
+      EnvAllowsSimd() && __builtin_cpu_supports("avx2") != 0;
+  return allowed;
+}
+
+// PopcountWords and GatherByRank use the hardware popcount instruction
+// under the same conditions as the AVX2 kernels, with the POPCNT flag.
+bool UsingPopcnt() {
+  static const bool allowed =
+      EnvAllowsSimd() && __builtin_cpu_supports("popcnt") != 0;
+  return allowed && !ForcedScalar();
 }
 
 #else
 
 bool CpuAllowsAvx2() { return false; }
 
-#endif  // COLGRAPH_HAVE_AVX2_TARGET
+#endif  // COLGRAPH_HAVE_X86_TARGETS
 
 }  // namespace
 
-bool UsingAvx2() {
-  return CpuAllowsAvx2() && !g_force_scalar.load(std::memory_order_relaxed);
-}
+bool UsingAvx2() { return CpuAllowsAvx2() && !ForcedScalar(); }
 
 void SetForceScalarForTest(bool force) {
   g_force_scalar.store(force, std::memory_order_relaxed);
 }
 
 void AndWords(uint64_t* dst, const uint64_t* src, size_t n) {
-#if defined(COLGRAPH_HAVE_AVX2_TARGET)
+#if defined(COLGRAPH_HAVE_X86_TARGETS)
   if (UsingAvx2()) {
     AndWordsAvx2(dst, src, n);
     return;
@@ -96,13 +154,31 @@ void AndWords(uint64_t* dst, const uint64_t* src, size_t n) {
 }
 
 void OrWords(uint64_t* dst, const uint64_t* src, size_t n) {
-#if defined(COLGRAPH_HAVE_AVX2_TARGET)
+#if defined(COLGRAPH_HAVE_X86_TARGETS)
   if (UsingAvx2()) {
     OrWordsAvx2(dst, src, n);
     return;
   }
 #endif
   OrWordsScalar(dst, src, n);
+}
+
+size_t PopcountWords(const uint64_t* words, size_t n) {
+#if defined(COLGRAPH_HAVE_X86_TARGETS)
+  if (UsingPopcnt()) return PopcountWordsPopcnt(words, n);
+#endif
+  return PopcountWordsBody(words, n);
+}
+
+size_t GatherByRank(const uint64_t* match, const uint64_t* presence,
+                    const uint32_t* rank, const double* values,
+                    size_t num_words, double* out) {
+#if defined(COLGRAPH_HAVE_X86_TARGETS)
+  if (UsingPopcnt()) {
+    return GatherByRankPopcnt(match, presence, rank, values, num_words, out);
+  }
+#endif
+  return GatherByRankBody(match, presence, rank, values, num_words, out);
 }
 
 }  // namespace colgraph::simd

@@ -1,10 +1,12 @@
-// Runtime-dispatched dense word kernels shared by the bitmap containers:
-// AND/OR over arrays of 64-bit words, with an AVX2 path selected at first
-// use when the CPU supports it and a portable scalar fallback otherwise.
-// Two knobs force the scalar path: the COLGRAPH_NO_SIMD environment
-// variable (read once per process, for whole-run jobs like the sanitizer
-// CI legs) and SetForceScalarForTest (an in-process switch the differential
-// tests flip so one binary exercises both kernels).
+// Runtime-dispatched word kernels shared by the bitmap containers and the
+// measure fetch: AND/OR over arrays of 64-bit words (AVX2 when the CPU has
+// it), popcount over arrays of words, and the rank gather behind
+// MeasureColumn::Gather (hardware popcount when the CPU has it). Each
+// falls back to a portable scalar kernel otherwise. Two knobs force the
+// scalar kernels: the COLGRAPH_NO_SIMD environment variable (read once per
+// process, for whole-run jobs like the sanitizer CI legs) and
+// SetForceScalarForTest (an in-process switch the differential tests flip
+// so one binary exercises both kernels).
 #pragma once
 
 #include <cstddef>
@@ -17,6 +19,20 @@ void AndWords(uint64_t* dst, const uint64_t* src, size_t n);
 
 /// dst[i] |= src[i] for i in [0, n).
 void OrWords(uint64_t* dst, const uint64_t* src, size_t n);
+
+/// Number of set bits in words[0, n).
+size_t PopcountWords(const uint64_t* words, size_t n);
+
+/// Gathers packed values by rank, one match word at a time. For every set
+/// bit b of match[w], in ascending order, writes the next slot of `out`:
+/// values[rank[w] + popcount(presence[w] & (2^b - 1))] when bit b of
+/// presence[w] is set, and a quiet NaN otherwise. `rank[w]` is the number
+/// of set bits in presence[0, w) (BitmapColumn's rank directory). All
+/// three word arrays have `num_words` entries; `out` has room for the
+/// popcount of `match`, which is returned. Values are copied bit for bit.
+size_t GatherByRank(const uint64_t* match, const uint64_t* presence,
+                    const uint32_t* rank, const double* values,
+                    size_t num_words, double* out);
 
 /// True when calls dispatch to the AVX2 kernels (CPU support present,
 /// COLGRAPH_NO_SIMD unset, no test override active).

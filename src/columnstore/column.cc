@@ -1,5 +1,6 @@
 #include "columnstore/column.h"
 
+#include "bitmap/simd.h"
 #include "util/check.h"
 
 namespace colgraph {
@@ -81,6 +82,14 @@ void MeasureColumn::Seal(size_t num_records) {
 std::optional<double> MeasureColumn::Get(size_t record) const {
   if (!presence_.Test(record)) return std::nullopt;
   return values_[presence_.Rank(record)];
+}
+
+void MeasureColumn::Gather(const Bitmap& matches, double* out) const {
+  COLGRAPH_DCHECK(sealed());
+  COLGRAPH_CHECK_EQ(matches.size(), presence_.size());
+  simd::GatherByRank(matches.words().data(), presence_.bits().words().data(),
+                     presence_.rank_directory().data(), values_.data(),
+                     matches.words().size(), out);
 }
 
 StatusOr<MeasureColumn> MergeColumn(const std::vector<ColumnPart>& parts) {

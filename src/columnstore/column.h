@@ -69,6 +69,10 @@ class BitmapColumn {
   /// Number of set bits strictly before `pos`. Requires sealed().
   size_t Rank(size_t pos) const;
 
+  /// The rank directory: entry w is the number of set bits in words
+  /// [0, w). One entry per word of bits(). Requires sealed().
+  const std::vector<uint32_t>& rank_directory() const { return rank_; }
+
   /// Set-bit count; O(1) after Seal() (cached), O(words) before.
   size_t Count() const { return sealed_ ? count_ : bits_.Count(); }
   size_t size() const { return bits_.size(); }
@@ -115,8 +119,16 @@ class MeasureColumn {
     presence_.ChooseEncoding(hybrid_enabled);
   }
 
-  /// Value of `record`, or nullopt when NULL. Requires sealed().
+  /// Value of `record`, or nullopt when NULL. Requires sealed(). For point
+  /// lookups; a fetch over a match bitmap uses Gather.
   std::optional<double> Get(size_t record) const;
+
+  /// Writes the value of every record set in `matches` (a bitmap over this
+  /// column's records) to out[0, matches.Count()), in record order: the
+  /// stored value bit for bit, or a quiet NaN where the record is NULL.
+  /// One pass over the match words: each non-zero word reads its presence
+  /// word and rank entry once (simd::GatherByRank). Requires sealed().
+  void Gather(const Bitmap& matches, double* out) const;
 
   /// Packed value by rank (for scans that already know the rank).
   double ValueAtRank(size_t rank) const { return values_[rank]; }

@@ -55,7 +55,8 @@ struct ExplainResult {
   std::vector<EdgeId> residual_edges;
   /// Relation view indexes of the graph views the rewriter chose.
   std::vector<size_t> graph_view_indexes;
-  /// Cardinality of the final conjunction: the number of matching records.
+  /// Cardinality of the final conjunction: the number of matching records,
+  /// tail datasets' matches included (the cardinality Match returns).
   size_t matched_records = 0;
 
   /// True for ExplainAggregate output: the plan also offered aggregate-view

@@ -235,49 +235,38 @@ MeasureTable QueryEngine::FetchMeasures(const Bitmap& matches,
   // Zero matching rows: no measure column needs to be read at all — the
   // other face of "larger queries are cheaper" (Figure 3b).
   if (table.records.empty()) return table;
+  const size_t rows = table.records.size();
+  FetchStats& stats = relation_->stats();
 
+  // Every path below fills columns with MeasureColumn::Gather, the one
+  // word-at-a-time rank gather (DESIGN.md §13, "Measure fetch").
   if (HasTails()) {
-    // Multi-dataset fetch (DESIGN.md §14): each row is filled from the
-    // segment that owns its global record id. The match list is sorted and
-    // segments are contiguous id ranges, so the routing is one monotone
-    // sweep. The partition merge-join modeling below applies to a single
-    // store; tails are small unpartitioned appendices, so each touched
-    // segment counts as one partition visit.
+    // Multi-dataset fetch (DESIGN.md §14): each segment gathers its own
+    // slice of the global match bitmap (the inverse of the OrAt blit that
+    // built it) into the rows it owns; segments are contiguous id ranges
+    // in ascending order, so their rows are too. The partition merge-join
+    // modeling below applies to a single store; tails are small
+    // unpartitioned appendices, so each touched segment counts as one
+    // partition visit.
     constexpr double kTailNull = std::numeric_limits<double>::quiet_NaN();
-    struct Segment {
-      const MasterRelation* rel;
-      size_t base;
-      size_t num;
-    };
-    std::vector<Segment> segments;
-    segments.push_back({relation_, 0, relation_->num_records()});
-    for (const RelationSegment& t : *tails_) {
-      segments.push_back({t.relation, t.base, t.relation->num_records()});
-    }
-    for (auto& column : table.columns) {
-      column.assign(table.records.size(), kTailNull);
-    }
-    FetchStats& stats = relation_->stats();
+    for (auto& column : table.columns) column.assign(rows, kTailNull);
     size_t row = 0;
-    for (const Segment& seg : segments) {
-      const size_t first = row;
-      while (row < table.records.size() &&
-             table.records[row] < seg.base + seg.num) {
-        ++row;
-      }
-      if (row == first) continue;
+    auto fetch_segment = [&](const MasterRelation& rel, size_t base) {
+      const Bitmap slice = matches.Extract(base, rel.num_records());
+      const size_t n = slice.Count();
+      if (n == 0) return;
       ++stats.partitions_touched;
       for (size_t i = 0; i < edges.size(); ++i) {
         // A column the segment never grew stays NULL for its records.
-        if (edges[i] >= seg.rel->num_edge_columns()) continue;
-        const MeasureColumn& col = seg.rel->FetchMeasureColumn(edges[i]);
-        for (size_t r = first; r < row; ++r) {
-          const auto v = col.Get(table.records[r] - seg.base);
-          if (v.has_value()) table.columns[i][r] = *v;
-        }
-        stats.values_fetched += row - first;
+        if (edges[i] >= rel.num_edge_columns()) continue;
+        rel.FetchMeasureColumn(edges[i]).Gather(slice,
+                                                table.columns[i].data() + row);
+        stats.values_fetched += n;
       }
-    }
+      row += n;
+    };
+    fetch_segment(*relation_, 0);
+    for (const RelationSegment& t : *tails_) fetch_segment(*t.relation, t.base);
     return table;
   }
 
@@ -286,22 +275,15 @@ MeasureTable QueryEngine::FetchMeasures(const Bitmap& matches,
   for (size_t i = 0; i < edges.size(); ++i) {
     by_partition[relation_->PartitionOf(edges[i])].push_back(i);
   }
-  FetchStats& stats = relation_->stats();
   stats.partitions_touched += by_partition.size();
-
-  constexpr double kNull = std::numeric_limits<double>::quiet_NaN();
 
   if (by_partition.size() <= 1) {
     // Single sub-relation: gather straight into the result columns.
     for (size_t i = 0; i < edges.size(); ++i) {
-      const MeasureColumn& col = relation_->FetchMeasureColumn(edges[i]);
-      auto& out = table.columns[i];
-      out.reserve(table.records.size());
-      for (RecordId r : table.records) {
-        const auto v = col.Get(r);
-        out.push_back(v.has_value() ? *v : kNull);
-      }
-      stats.values_fetched += table.records.size();
+      table.columns[i].resize(rows);
+      relation_->FetchMeasureColumn(edges[i]).Gather(matches,
+                                                     table.columns[i].data());
+      stats.values_fetched += rows;
     }
     return table;
   }
@@ -325,15 +307,10 @@ MeasureTable QueryEngine::FetchMeasures(const Bitmap& matches,
     part.column_slots = slots;
     part.columns.resize(slots.size());
     for (size_t s = 0; s < slots.size(); ++s) {
-      const MeasureColumn& col =
-          relation_->FetchMeasureColumn(edges[slots[s]]);
-      auto& out = part.columns[s];
-      out.reserve(part.records.size());
-      for (RecordId r : part.records) {
-        const auto v = col.Get(r);
-        out.push_back(v.has_value() ? *v : kNull);
-      }
-      stats.values_fetched += part.records.size();
+      part.columns[s].resize(rows);
+      relation_->FetchMeasureColumn(edges[slots[s]])
+          .Gather(matches, part.columns[s].data());
+      stats.values_fetched += rows;
     }
     partials.push_back(std::move(part));
   }
@@ -533,14 +510,22 @@ void QueryEngine::ExplainMatchInto(const std::vector<EdgeId>& ids,
     result->matched_records = TotalRecords();
     return;
   }
-  // EXPLAIN annotates the primary store's plan. An edge only tail
-  // datasets know makes that plan an empty conjunct — report it as such
-  // instead of indexing columns the primary does not have.
+  // EXPLAIN annotates the primary store's plan; tail datasets add their
+  // own matches to the count, as they do to MatchIds' answer.
+  size_t tail_matches = 0;
+  if (HasTails()) {
+    for (const RelationSegment& seg : *tails_) {
+      tail_matches += MatchIdsInTail(*seg.relation, ids).Count();
+    }
+  }
+  // An edge only tail datasets know makes the primary's plan an empty
+  // conjunct — report it as such instead of indexing columns the primary
+  // does not have.
   if (HasTails() &&
       std::any_of(ids.begin(), ids.end(), [&](EdgeId id) {
         return id >= relation_->num_edge_columns();
       })) {
-    result->matched_records = 0;
+    result->matched_records = tail_matches;
     return;
   }
 
@@ -584,7 +569,7 @@ void QueryEngine::ExplainMatchInto(const std::vector<EdgeId>& ids,
     result->sources.push_back(std::move(out));
   }
   std::sort(result->residual_edges.begin(), result->residual_edges.end());
-  result->matched_records = running.Count();
+  result->matched_records = running.Count() + tail_matches;
 }
 
 }  // namespace colgraph

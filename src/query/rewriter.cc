@@ -11,11 +11,12 @@ namespace {
 
 // Shared between PlanMatch and PlanMatchAnnotated so both resolve the
 // identical cover problem: a sorted/deduplicated query edge set plus the
-// usable view bitmaps (graph views, optionally the bp bitmaps of aggregate
-// views — both are just bitmap columns over the same records).
+// view bitmaps that may cover it (graph views, optionally the bp bitmaps
+// of aggregate views — both are just bitmap columns over the same
+// records). Cover sets point into the catalog; nothing is copied.
 struct CoverProblem {
   std::vector<EdgeId> sorted_edges;
-  std::vector<GraphViewDef> cover_sets;
+  std::vector<const GraphViewDef*> cover_sets;
   std::vector<BitmapSource> cover_sources;
   bool has_views = false;
 };
@@ -37,17 +38,31 @@ CoverProblem CollectCoverProblem(const std::vector<EdgeId>& query_edge_ids,
     return problem;
   }
   problem.has_views = true;
-  for (const auto& [def, column] : views->graph_views()) {
-    problem.cover_sets.push_back(def);
-    problem.cover_sources.push_back(
-        BitmapSource{BitmapSource::Kind::kGraphView, column});
-  }
-  if (consider_agg_bitmaps) {
-    for (const auto& [def, column] : views->agg_views()) {
-      problem.cover_sets.push_back(GraphViewDef::Make(def.elements));
-      problem.cover_sources.push_back(
-          BitmapSource{BitmapSource::Kind::kAggViewBitmap, column});
+  // A view lies inside the query only if its smallest edge is a query
+  // edge, so the catalog's cover index yields every candidate from the
+  // query's own edges. CoverQueryWithViews drops the ones that reach
+  // outside the query.
+  std::vector<ViewCatalog::ViewRef> offered;
+  for (const EdgeId e : problem.sorted_edges) {
+    const std::vector<ViewCatalog::ViewRef>* starting =
+        views->ViewsStartingAt(e);
+    if (starting == nullptr) continue;
+    for (const ViewCatalog::ViewRef ref : *starting) {
+      if (!ref.is_agg || consider_agg_bitmaps) offered.push_back(ref);
     }
+  }
+  // Offer them in catalog order (graph views, then aggregate bp bitmaps):
+  // the greedy breaks gain ties by offer position, so an order-preserving
+  // subset of the catalog picks exactly what the whole catalog would.
+  std::sort(offered.begin(), offered.end());
+  problem.cover_sets.reserve(offered.size());
+  problem.cover_sources.reserve(offered.size());
+  for (const ViewCatalog::ViewRef ref : offered) {
+    problem.cover_sets.push_back(&views->CoverSet(ref));
+    problem.cover_sources.push_back(BitmapSource{
+        ref.is_agg ? BitmapSource::Kind::kAggViewBitmap
+                   : BitmapSource::Kind::kGraphView,
+        views->ColumnOf(ref)});
   }
   return problem;
 }
@@ -95,7 +110,7 @@ AnnotatedMatchPlan PlanMatchAnnotated(const std::vector<EdgeId>& query_edge_ids,
       CoverQueryWithViews(problem.sorted_edges, problem.cover_sets);
   for (size_t v : cover.view_indexes) {
     plan.sources.push_back(AnnotatedSource{problem.cover_sources[v],
-                                           problem.cover_sets[v].edges});
+                                           problem.cover_sets[v]->edges});
   }
   for (EdgeId e : cover.residual_edges) {
     plan.sources.push_back(

@@ -97,7 +97,10 @@ std::string RenderAggResult(const PathAggResult& result, AggFn fn) {
                     std::to_string(result.paths.size()) + " path(s)\n";
   for (size_t p = 0; p < result.paths.size(); ++p) {
     out += "path " + result.paths[p].ToString() + ":";
-    for (const double v : result.values[p]) out += " " + FormatValue(v);
+    for (const double v : result.values[p]) {
+      out += ' ';
+      out += FormatValue(v);
+    }
     out += "\n";
   }
   return out;

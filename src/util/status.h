@@ -164,12 +164,17 @@ class [[nodiscard]] StatusOr {
   std::optional<T> value_;
 };
 
-// Propagate a non-OK Status to the caller.
-#define COLGRAPH_RETURN_NOT_OK(expr)        \
-  do {                                      \
-    ::colgraph::Status _st = (expr);        \
-    if (!_st.ok()) return _st;              \
+#define COLGRAPH_RETURN_NOT_OK_IMPL(tmp, expr) \
+  do {                                         \
+    ::colgraph::Status tmp = (expr);           \
+    if (!tmp.ok()) return tmp;                 \
   } while (0)
+
+// Propagate a non-OK Status to the caller. The temporary is named per line
+// so that nested uses (a lambda body inside the argument of another) do
+// not shadow each other.
+#define COLGRAPH_RETURN_NOT_OK(expr) \
+  COLGRAPH_RETURN_NOT_OK_IMPL(COLGRAPH_CONCAT_(_status_, __LINE__), expr)
 
 // Evaluate a StatusOr expression, propagate the error or bind the value.
 #define COLGRAPH_ASSIGN_OR_RETURN_IMPL(tmp, lhs, rexpr) \

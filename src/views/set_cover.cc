@@ -1,6 +1,7 @@
 #include "views/set_cover.h"
 
 #include <algorithm>
+#include <cstdint>
 #include <queue>
 #include <unordered_set>
 
@@ -14,6 +15,37 @@ using Uncovered = std::unordered_set<EdgeId>;
 size_t GainIn(const GraphViewDef& candidate, const Uncovered& uncovered) {
   size_t gain = 0;
   for (EdgeId e : candidate.edges) gain += uncovered.count(e);
+  return gain;
+}
+
+// Edge sets as bitmasks over the query's positions: bit i stands for
+// query_edges[i], so a gain is the popcount of (view mask & uncovered),
+// a few words instead of one hash probe per edge. Masks are sized to the
+// query, ceil(|query| / 64) words each.
+size_t MaskWords(size_t num_edges) { return (num_edges + 63) / 64; }
+
+// Sets the query positions of `edges` in `mask`; false (mask left
+// partial) when some edge is not a query edge, i.e. the view would
+// over-constrain the match. Both lists are sorted.
+bool MaskInQuery(const std::vector<EdgeId>& query_edges,
+                 const std::vector<EdgeId>& edges, uint64_t* mask) {
+  auto from = query_edges.begin();
+  for (const EdgeId e : edges) {
+    from = std::lower_bound(from, query_edges.end(), e);
+    if (from == query_edges.end() || *from != e) return false;
+    const auto pos = static_cast<size_t>(from - query_edges.begin());
+    mask[pos / 64] |= uint64_t{1} << (pos % 64);
+    ++from;
+  }
+  return true;
+}
+
+size_t MaskGain(const uint64_t* mask, const uint64_t* uncovered,
+                size_t words) {
+  size_t gain = 0;
+  for (size_t w = 0; w < words; ++w) {
+    gain += static_cast<size_t>(__builtin_popcountll(mask[w] & uncovered[w]));
+  }
   return gain;
 }
 
@@ -72,8 +104,13 @@ SetCoverSelection GreedyExtendedSetCover(
 }
 
 QueryCover CoverQueryWithViews(const std::vector<EdgeId>& query_edges,
-                               const std::vector<GraphViewDef>& views) {
-  Uncovered uncovered(query_edges.begin(), query_edges.end());
+                               const std::vector<const GraphViewDef*>& views) {
+  const size_t words = MaskWords(query_edges.size());
+  std::vector<uint64_t> uncovered(words, ~uint64_t{0});
+  if (query_edges.size() % 64 != 0) {
+    uncovered.back() = (uint64_t{1} << (query_edges.size() % 64)) - 1;
+  }
+  std::vector<uint64_t> masks(views.size() * words, 0);
 
   // Lazy greedy: gains only shrink as edges get covered (submodularity),
   // so a max-heap of possibly-stale gains is correct — pop, refresh, and
@@ -82,8 +119,10 @@ QueryCover CoverQueryWithViews(const std::vector<EdgeId>& query_edges,
   // matters when many views are materialized and queries are cheap.
   std::priority_queue<std::pair<size_t, size_t>> heap;  // (gain, view)
   for (size_t v = 0; v < views.size(); ++v) {
-    if (!views[v].IsSubsetOf(query_edges)) continue;
-    const size_t gain = views[v].edges.size();  // upper bound: all uncovered
+    if (!MaskInQuery(query_edges, views[v]->edges, &masks[v * words])) {
+      continue;
+    }
+    const size_t gain = views[v]->edges.size();  // upper bound: all uncovered
     if (gain >= 2) heap.emplace(gain, v);
   }
 
@@ -92,19 +131,31 @@ QueryCover CoverQueryWithViews(const std::vector<EdgeId>& query_edges,
     const auto [stale_gain, v] = heap.top();
     heap.pop();
     if (stale_gain < 2) break;
-    const size_t gain = GainIn(views[v], uncovered);
+    const uint64_t* mask = &masks[v * words];
+    const size_t gain = MaskGain(mask, uncovered.data(), words);
     if (gain < 2) continue;  // atomic bitmaps are at least as good
     if (!heap.empty() && gain < heap.top().first) {
       heap.emplace(gain, v);  // stale: reinsert with the refreshed gain
       continue;
     }
     cover.view_indexes.push_back(v);
-    for (EdgeId e : views[v].edges) uncovered.erase(e);
+    for (size_t w = 0; w < words; ++w) uncovered[w] &= ~mask[w];
   }
 
-  cover.residual_edges.assign(uncovered.begin(), uncovered.end());
-  std::sort(cover.residual_edges.begin(), cover.residual_edges.end());
+  for (size_t i = 0; i < query_edges.size(); ++i) {
+    if (((uncovered[i / 64] >> (i % 64)) & 1) != 0) {
+      cover.residual_edges.push_back(query_edges[i]);
+    }
+  }
   return cover;
+}
+
+QueryCover CoverQueryWithViews(const std::vector<EdgeId>& query_edges,
+                               const std::vector<GraphViewDef>& views) {
+  std::vector<const GraphViewDef*> refs;
+  refs.reserve(views.size());
+  for (const GraphViewDef& view : views) refs.push_back(&view);
+  return CoverQueryWithViews(query_edges, refs);
 }
 
 }  // namespace colgraph

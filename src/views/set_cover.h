@@ -49,6 +49,13 @@ struct QueryCover {
 
 /// Greedy single-universe cover: picks views (those ⊆ the query) while they
 /// cover ≥ 2 uncovered edges, then falls back to atomic bitmaps.
+/// `query_edges` must be sorted and deduplicated. Gain ties go to the view
+/// offered later, so dropping views that cannot be used (and keeping the
+/// order of the rest) never changes the picks.
+QueryCover CoverQueryWithViews(const std::vector<EdgeId>& query_edges,
+                               const std::vector<const GraphViewDef*>& views);
+
+/// The same cover over views held by value (view_indexes index `views`).
 QueryCover CoverQueryWithViews(const std::vector<EdgeId>& query_edges,
                                const std::vector<GraphViewDef>& views);
 

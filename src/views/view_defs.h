@@ -6,6 +6,7 @@
 #include <cstdint>
 #include <map>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "graph/graph.h"
@@ -61,17 +62,39 @@ struct AggViewDef {
 /// \brief Registry of materialized views: maps each view definition to the
 /// index of its column(s) inside the master relation. The query rewriter
 /// consults this to reformulate queries (Section 5.3).
+///
+/// Alongside the definitions it keeps the rewriter's cover index: every
+/// view's edge set (sorted, deduplicated) filed under its smallest edge.
+/// A view can cover a query only when all its edges are query edges, so
+/// the rewriter looks up just the query's own edges instead of scanning
+/// the whole catalog. The index is built as views are added, never lazily,
+/// so concurrent readers share no mutable state.
 class ViewCatalog {
  public:
+  /// A view's place in the catalog: graph_views()[index], or for
+  /// `is_agg`, agg_views()[index].
+  struct ViewRef {
+    bool is_agg = false;
+    size_t index = 0;
+
+    bool operator<(const ViewRef& o) const {
+      return is_agg != o.is_agg ? !is_agg : index < o.index;
+    }
+  };
+
   /// Registers a materialized graph view stored at `column_index`
   /// (MasterRelation graph-view index).
   void AddGraphView(GraphViewDef def, size_t column_index) {
+    IndexCoverSet(def.edges, ViewRef{false, graph_views_.size()});
     graph_views_.emplace_back(std::move(def), column_index);
   }
 
   /// Registers a materialized aggregate view at `column_index`
   /// (MasterRelation aggregate-view index).
   void AddAggView(AggViewDef def, size_t column_index) {
+    GraphViewDef cover_set = GraphViewDef::Make(def.elements);
+    IndexCoverSet(cover_set.edges, ViewRef{true, agg_views_.size()});
+    agg_cover_sets_.push_back(std::move(cover_set));
     agg_views_.emplace_back(std::move(def), column_index);
   }
 
@@ -85,9 +108,37 @@ class ViewCatalog {
   size_t num_graph_views() const { return graph_views_.size(); }
   size_t num_agg_views() const { return agg_views_.size(); }
 
+  /// The edges a view's bitmap constrains: a graph view's definition, or
+  /// an aggregate view's elements sorted and deduplicated (its bp bitmap).
+  const GraphViewDef& CoverSet(ViewRef ref) const {
+    return ref.is_agg ? agg_cover_sets_[ref.index]
+                      : graph_views_[ref.index].first;
+  }
+
+  /// The relation column of a view: its graph-view or aggregate-view index.
+  size_t ColumnOf(ViewRef ref) const {
+    return ref.is_agg ? agg_views_[ref.index].second
+                      : graph_views_[ref.index].second;
+  }
+
+  /// Views whose smallest edge is `edge`, in the order they were added;
+  /// nullptr when there are none. Views with no edges are not indexed.
+  const std::vector<ViewRef>* ViewsStartingAt(EdgeId edge) const {
+    const auto it = by_first_edge_.find(edge);
+    return it == by_first_edge_.end() ? nullptr : &it->second;
+  }
+
  private:
+  void IndexCoverSet(const std::vector<EdgeId>& sorted_edges, ViewRef ref) {
+    if (sorted_edges.empty()) return;
+    by_first_edge_[sorted_edges.front()].push_back(ref);
+  }
+
   std::vector<std::pair<GraphViewDef, size_t>> graph_views_;
   std::vector<std::pair<AggViewDef, size_t>> agg_views_;
+  /// CoverSet of agg_views_[i], computed once when the view is added.
+  std::vector<GraphViewDef> agg_cover_sets_;
+  std::unordered_map<EdgeId, std::vector<ViewRef>> by_first_edge_;
 };
 
 }  // namespace colgraph

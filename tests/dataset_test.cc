@@ -313,7 +313,9 @@ TEST_F(DatasetStoreTest, CompactAllMergesInManifestOrderAndRetiresInputs) {
         const auto vb = got.Get(base + r);
         ASSERT_EQ(va.has_value(), vb.has_value())
             << "input " << i << " record " << r << " edge " << e;
-        if (va.has_value()) ASSERT_TRUE(BitEqual(*va, *vb));
+        if (va.has_value()) {
+          ASSERT_TRUE(BitEqual(*va, *vb));
+        }
       }
     }
     base += in.num_records();
@@ -367,7 +369,9 @@ TEST_F(DatasetStoreTest, MappedRelationFileReadsColumnsLazily) {
       const auto va = want.Get(r);
       const auto vb = col.value().Get(r);
       ASSERT_EQ(va.has_value(), vb.has_value()) << "column " << c;
-      if (va.has_value()) ASSERT_TRUE(BitEqual(*va, *vb));
+      if (va.has_value()) {
+        ASSERT_TRUE(BitEqual(*va, *vb));
+      }
     }
   }
 }

@@ -7,9 +7,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <memory>
 #include <string>
 #include <vector>
 
+#include "graph/flatten.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "views/set_cover.h"
@@ -207,6 +209,42 @@ TEST_F(ExplainTest, UnsatisfiableAndUnconstrainedQueries) {
   EXPECT_TRUE(open.satisfiable);
   EXPECT_TRUE(open.sources.empty());
   EXPECT_EQ(open.matched_records, engine_.relation().num_records());
+}
+
+// With tail datasets attached, EXPLAIN counts their matches as Match does:
+// 3 primary records on 1→2→3 plus a tail holding 2 more, and an edge only
+// the tail knows.
+TEST(ExplainTailTest, MatchedRecordsIncludeTailMatches) {
+  ColGraphEngine engine;
+  for (int i = 0; i < 3; ++i) {
+    ASSERT_TRUE(engine.AddWalk({1, 2, 3}, {1, 2}).ok());
+  }
+  ASSERT_TRUE(engine.Seal().ok());
+  std::vector<GraphRecord> records;
+  for (const std::vector<NodeId>& walk :
+       {std::vector<NodeId>{1, 2, 3}, std::vector<NodeId>{1, 2, 3},
+        std::vector<NodeId>{7, 8}}) {
+    GraphRecord record;
+    record.elements = WalkToEdges(walk);
+    record.measures.assign(record.elements.size(), 1.0);
+    records.push_back(std::move(record));
+  }
+  auto tail = engine.BuildTailRelation(records);
+  ASSERT_TRUE(tail.ok()) << tail.status().ToString();
+  ASSERT_TRUE(engine
+                  .AttachDataset(std::make_shared<const MasterRelation>(
+                      std::move(tail).value()))
+                  .ok());
+
+  const GraphQuery path = GraphQuery::FromPath({N(1), N(2), N(3)});
+  EXPECT_EQ(engine.Match(path).Count(), 5u);
+  EXPECT_EQ(engine.Explain(path).matched_records, 5u);
+
+  const GraphQuery tail_only = GraphQuery::FromPath({N(7), N(8)});
+  EXPECT_EQ(engine.Match(tail_only).Count(), 1u);
+  const obs::ExplainResult explain = engine.Explain(tail_only);
+  EXPECT_TRUE(explain.satisfiable);
+  EXPECT_EQ(explain.matched_records, 1u);
 }
 
 TEST_F(ExplainTest, UseViewsOffFallsBackToAtomicBitmaps) {

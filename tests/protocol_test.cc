@@ -133,7 +133,8 @@ TEST(ProtocolTest, TrailingBytesRejected) {
 TEST(ProtocolTest, BadMagicRejected) {
   std::vector<char> frame;
   AppendRequestFrame(MakeRequest(), &frame);
-  frame[kFrameHeaderBytes] ^= 0xff;
+  frame[kFrameHeaderBytes] =
+      static_cast<char>(frame[kFrameHeaderBytes] ^ 0xff);
   const auto decoded =
       DecodeRequestPayload(frame.data() + kFrameHeaderBytes,
                            frame.size() - kFrameHeaderBytes);
