@@ -1,12 +1,14 @@
-// Runtime-dispatched word kernels shared by the bitmap containers and the
-// measure fetch: AND/OR over arrays of 64-bit words (AVX2 when the CPU has
-// it), popcount over arrays of words, and the rank gather behind
-// MeasureColumn::Gather (hardware popcount when the CPU has it). Each
-// falls back to a portable scalar kernel otherwise. Two knobs force the
-// scalar kernels: the COLGRAPH_NO_SIMD environment variable (read once per
-// process, for whole-run jobs like the sanitizer CI legs) and
-// SetForceScalarForTest (an in-process switch the differential tests flip
-// so one binary exercises both kernels).
+// Runtime-dispatched word kernels shared by the bitmap containers, the
+// measure fetch and the checksums: AND/OR over arrays of 64-bit words
+// (AVX2 when the CPU has it), popcount over arrays of words, the rank
+// gather behind MeasureColumn::Gather (hardware popcount when the CPU has
+// it) and the CRC-32C update behind util/crc32.h (the SSE4.2 crc32
+// instruction when the CPU has it). Each falls back to a portable scalar
+// kernel otherwise. Two knobs force the scalar kernels: the
+// COLGRAPH_NO_SIMD environment variable (read once per process, for
+// whole-run jobs like the sanitizer CI legs) and SetForceScalarForTest (an
+// in-process switch the differential tests flip so one binary exercises
+// both kernels).
 #pragma once
 
 #include <cstddef>
@@ -33,6 +35,14 @@ size_t PopcountWords(const uint64_t* words, size_t n);
 size_t GatherByRank(const uint64_t* match, const uint64_t* presence,
                     const uint32_t* rank, const double* values,
                     size_t num_words, double* out);
+
+/// Extends a CRC-32C (Castagnoli) register over data[0, n) and returns it.
+/// `crc` is the raw register, the complement of a running checksum:
+/// Crc32c(data, n, seed) is ~Crc32cUpdate(~seed, data, n). The SSE4.2
+/// kernel folds eight bytes per crc32 instruction and the tail byte by
+/// byte; the scalar kernel is a byte-at-a-time table loop. Both give the
+/// same register for every input.
+uint32_t Crc32cUpdate(uint32_t crc, const uint8_t* data, size_t n);
 
 /// True when calls dispatch to the AVX2 kernels (CPU support present,
 /// COLGRAPH_NO_SIMD unset, no test override active).

@@ -85,11 +85,19 @@ std::optional<double> MeasureColumn::Get(size_t record) const {
 }
 
 void MeasureColumn::Gather(const Bitmap& matches, double* out) const {
+  Gather(matches, 0, matches.words().size(), out);
+}
+
+void MeasureColumn::Gather(const Bitmap& matches, size_t first_word,
+                           size_t num_words, double* out) const {
   COLGRAPH_DCHECK(sealed());
   COLGRAPH_CHECK_EQ(matches.size(), presence_.size());
-  simd::GatherByRank(matches.words().data(), presence_.bits().words().data(),
-                     presence_.rank_directory().data(), values_.data(),
-                     matches.words().size(), out);
+  COLGRAPH_CHECK_LE(first_word + num_words, matches.words().size());
+  // Rank entries count from record 0, so a word range needs no rebasing.
+  simd::GatherByRank(matches.words().data() + first_word,
+                     presence_.bits().words().data() + first_word,
+                     presence_.rank_directory().data() + first_word,
+                     values_.data(), num_words, out);
 }
 
 StatusOr<MeasureColumn> MergeColumn(const std::vector<ColumnPart>& parts) {

@@ -130,6 +130,13 @@ class MeasureColumn {
   /// word and rank entry once (simd::GatherByRank). Requires sealed().
   void Gather(const Bitmap& matches, double* out) const;
 
+  /// Gather over match words [first_word, first_word + num_words) only:
+  /// writes the values of the records set in those words, from record
+  /// 64 * first_word on, to out[0, their count). Lets a caller work
+  /// through a large match a block at a time.
+  void Gather(const Bitmap& matches, size_t first_word, size_t num_words,
+              double* out) const;
+
   /// Packed value by rank (for scans that already know the rank).
   double ValueAtRank(size_t rank) const { return values_[rank]; }
 

@@ -7,6 +7,7 @@
 
 #include <algorithm>
 
+#include "bitmap/simd.h"
 #include "obs/metrics.h"
 #include "obs/query_log.h"
 #include "obs/trace.h"
@@ -15,51 +16,135 @@ namespace colgraph {
 
 namespace {
 
-// The aggregate fold visits every (path, record) pair; the token is polled
-// every kCancelCheckStride records so a fired deadline abandons the fold
-// within a bounded number of accumulator steps while keeping the poll off
-// the per-record hot path.
-constexpr size_t kCancelCheckStride = 4096;
+// Match words per fold block: a fold gathers, folds and polls for
+// cancellation up to 2,048 records at a time, so a block's gathered
+// values stay cache-resident however many records match.
+constexpr size_t kFoldBlockWords = 32;
+
+// One column a store folds: a plan segment's or a path element's column,
+// or nullptr where the store never grew the element (NULL for every
+// record in it). `view_elements` > 0 marks an aggregate view's segment
+// value covering that many elements (folded with Merge), 0 a raw measure
+// (folded with Add).
+struct FoldInput {
+  const MeasureColumn* column = nullptr;
+  size_t view_elements = 0;
+};
+
+// Folds F over `inputs` for each of the `num_matches` records set in
+// `match` (a bitmap over one store's records) and writes the results to
+// out[0, num_matches), in record order. Per block of match words, every
+// input column is gathered (MeasureColumn::Gather); then each record
+// folds its values into one AggAccumulator in input order, the order of
+// the per-record loop this replaced. A record whose bit of
+// presence & match is clear is NULL for that input and skipped, so a
+// stored NaN still folds.
+Status FoldStore(const std::vector<FoldInput>& inputs, const Bitmap& match,
+                 size_t num_matches, AggFn fn, const CancellationToken* cancel,
+                 double* out) {
+  const std::vector<uint64_t>& words = match.words();
+  const size_t stride =
+      std::min(num_matches, kFoldBlockWords * Bitmap::kWordBits);
+  // Input c's values for the block's records start at gathered[c * stride];
+  // present[c * stride + i] says whether record i has one, filled only
+  // where has_null[c] (most blocks of most inputs have no NULL).
+  std::vector<double> gathered(inputs.size() * stride);
+  std::vector<uint8_t> present(inputs.size() * stride);
+  std::vector<uint8_t> has_null(inputs.size());
+  for (size_t first = 0; first < words.size(); first += kFoldBlockWords) {
+    COLGRAPH_RETURN_NOT_OK(CheckCancellation(cancel));
+    const size_t num_words = std::min(kFoldBlockWords, words.size() - first);
+    const size_t rows = simd::PopcountWords(&words[first], num_words);
+    if (rows == 0) continue;
+    for (size_t c = 0; c < inputs.size(); ++c) {
+      const MeasureColumn* column = inputs[c].column;
+      if (column == nullptr) continue;
+      column->Gather(match, first, num_words, &gathered[c * stride]);
+      const uint64_t* presence = &column->presence().bits().words()[first];
+      uint64_t absent = 0;
+      for (size_t w = 0; w < num_words; ++w) {
+        absent |= words[first + w] & ~presence[w];
+      }
+      has_null[c] = absent != 0;
+      if (absent == 0) continue;
+      uint8_t* row_present = &present[c * stride];
+      for (size_t w = 0; w < num_words; ++w) {
+        for (uint64_t m = words[first + w]; m != 0; m &= m - 1) {
+          *row_present++ = (presence[w] & m & (~m + 1)) != 0;
+        }
+      }
+    }
+    for (size_t i = 0; i < rows; ++i) {
+      AggAccumulator acc(fn);
+      for (size_t c = 0; c < inputs.size(); ++c) {
+        if (inputs[c].column == nullptr) continue;
+        if (has_null[c] && present[c * stride + i] == 0) continue;
+        const double v = gathered[c * stride + i];
+        if (inputs[c].view_elements > 0) {
+          acc.Merge(v, inputs[c].view_elements);
+        } else {
+          acc.Add(v);
+        }
+      }
+      *out++ = acc.Result();
+    }
+  }
+  return Status::OK();
+}
 
 }  // namespace
 
-std::vector<QueryEngine::TailFold> QueryEngine::TailFoldColumns(
-    const std::vector<EdgeId>& elements) const {
-  std::vector<TailFold> out;
-  if (!HasTails()) return out;
-  out.reserve(tails_->size());
-  for (const RelationSegment& seg : *tails_) {
-    TailFold fold;
-    fold.base = seg.base;
-    fold.num = seg.relation->num_records();
-    fold.columns.reserve(elements.size());
-    for (const EdgeId e : elements) {
-      fold.columns.push_back(e < seg.relation->num_edge_columns()
-                                 ? &seg.relation->FetchMeasureColumn(e)
-                                 : nullptr);
-    }
-    out.push_back(std::move(fold));
+std::vector<Bitmap> QueryEngine::SplitByStore(Bitmap matches) const {
+  std::vector<Bitmap> slices;
+  if (!HasTails()) {
+    slices.push_back(std::move(matches));
+    return slices;
   }
-  return out;
+  slices.reserve(1 + tails_->size());
+  slices.push_back(matches.Extract(0, relation_->num_records()));
+  for (const RelationSegment& seg : *tails_) {
+    slices.push_back(matches.Extract(seg.base, seg.relation->num_records()));
+  }
+  return slices;
 }
 
-bool QueryEngine::FoldTail(const std::vector<TailFold>& tails, AggFn fn,
-                           RecordId r, double* out) const {
-  for (const TailFold& t : tails) {
-    if (r < t.base || r >= t.base + t.num) continue;
-    // Tail records fold atomically, element by element in path order —
-    // views cover the primary store only (DESIGN.md §14).
-    AggAccumulator acc(fn);
-    for (const MeasureColumn* col : t.columns) {
-      if (col == nullptr) continue;
-      const auto v = col->Get(r - t.base);
-      if (v.has_value()) acc.Add(*v);
+StatusOr<std::vector<double>> QueryEngine::FoldPath(
+    const std::vector<Bitmap>& slices, size_t num_records,
+    const std::vector<EdgeId>& elements, const PathPlan& plan, AggFn fn,
+    const CancellationToken* cancel, uint64_t* values_fetched) const {
+  std::vector<double> values(num_records);
+  std::vector<FoldInput> inputs;
+  size_t row = 0;  // index in `values` of the store's first matched record
+  for (size_t s = 0; s < slices.size(); ++s) {
+    const MasterRelation& store =
+        s == 0 ? *relation_ : *(*tails_)[s - 1].relation;
+    const auto atom = [&](EdgeId e) {
+      return e < store.num_edge_columns()
+                 ? FoldInput{&store.FetchMeasureColumn(e), 0}
+                 : FoldInput{};
+    };
+    // The primary folds the plan's segments; a tail folds its own columns
+    // for the path's elements, atomically (views cover the primary only).
+    inputs.clear();
+    if (s == 0) {
+      for (const PathSegment& seg : plan.segments) {
+        inputs.push_back(
+            seg.is_view
+                ? FoldInput{&store.FetchAggregateView(seg.agg_view_column),
+                            seg.num_elements}
+                : atom(seg.atom));
+      }
+    } else {
+      for (const EdgeId e : elements) inputs.push_back(atom(e));
     }
-    relation_->stats().values_fetched += t.columns.size();
-    *out = acc.Result();
-    return true;
+    const size_t n = slices[s].Count();
+    if (n == 0) continue;
+    COLGRAPH_RETURN_NOT_OK(
+        FoldStore(inputs, slices[s], n, fn, cancel, values.data() + row));
+    *values_fetched += n * inputs.size();
+    row += n;
   }
-  return false;
+  return values;
 }
 
 StatusOr<PathAggResult> QueryEngine::AggregateAlongPath(
@@ -84,59 +169,20 @@ StatusOr<PathAggResult> QueryEngine::AggregateAlongPath(
     elements.push_back(*id);
   }
 
-  const Bitmap matches =
-      MatchIds(elements, options, /*consider_agg_bitmaps=*/true);
+  Bitmap matches = MatchIds(elements, options, /*consider_agg_bitmaps=*/true);
   matches.AppendSetBits(&result.records);
+  const std::vector<Bitmap> slices = SplitByStore(std::move(matches));
 
   const ViewCatalog* views = options.use_views ? views_ : nullptr;
   const PathPlan plan = PlanPathAggregation(elements, fn, views);
 
-  // An element only tail datasets know means no primary record matches the
-  // path (the primary has no column for it), so the primary's segment
-  // columns are never consulted — and must not be fetched out of range.
-  const bool primary_covers_path =
-      !HasTails() ||
-      std::all_of(elements.begin(), elements.end(), [&](EdgeId e) {
-        return e < relation_->num_edge_columns();
-      });
-  std::vector<std::pair<const MeasureColumn*, size_t>> segment_columns;
-  if (primary_covers_path) {
-    segment_columns.reserve(plan.segments.size());
-    for (const PathSegment& seg : plan.segments) {
-      const MeasureColumn& col =
-          seg.is_view ? relation_->FetchAggregateView(seg.agg_view_column)
-                      : relation_->FetchMeasureColumn(seg.atom);
-      segment_columns.emplace_back(&col, seg.is_view ? seg.num_elements : 0);
-    }
-  }
-  const std::vector<TailFold> tail_folds = TailFoldColumns(elements);
-
   const obs::Span agg_span(obs::QueryPhase::kAggregate, options.trace);
-  std::vector<double> values;
-  values.reserve(result.records.size());
-  size_t folded = 0;
-  for (RecordId r : result.records) {
-    if (++folded % kCancelCheckStride == 0) {
-      COLGRAPH_RETURN_NOT_OK(CheckCancellation(options.cancel));
-    }
-    double tail_value = 0;
-    if (FoldTail(tail_folds, fn, r, &tail_value)) {
-      values.push_back(tail_value);
-      continue;
-    }
-    AggAccumulator acc(fn);
-    for (const auto& [col, view_elements] : segment_columns) {
-      const auto v = col->Get(r);
-      if (!v.has_value()) continue;
-      if (view_elements > 0) {
-        acc.Merge(*v, view_elements);
-      } else {
-        acc.Add(*v);
-      }
-    }
-    relation_->stats().values_fetched += segment_columns.size();
-    values.push_back(acc.Result());
-  }
+  uint64_t values_fetched = 0;
+  COLGRAPH_ASSIGN_OR_RETURN(
+      std::vector<double> values,
+      FoldPath(slices, result.records.size(), elements, plan, fn,
+               options.cancel, &values_fetched));
+  relation_->stats().values_fetched += values_fetched;
   result.values.push_back(std::move(values));
   return result;
 }
@@ -196,19 +242,20 @@ StatusOr<PathAggResult> QueryEngine::RunAggregateQueryImpl(
   // Structural match. Aggregate-view bitmaps are offered as covering
   // bitmaps too: for an aggregate query whose paths are materialized, bp
   // both filters and pays for itself.
-  const Bitmap matches =
+  Bitmap matches =
       MatchIds(resolved.ids, options, /*consider_agg_bitmaps=*/true, plan_out);
   matches.AppendSetBits(&result.records);
+  const std::vector<Bitmap> slices = SplitByStore(std::move(matches));
 
   COLGRAPH_ASSIGN_OR_RETURN(result.paths, MaximalPaths(query.graph()));
 
   const ViewCatalog* views = options.use_views ? views_ : nullptr;
-  const AggFn stored_fn = fn;  // plans match on the query's function
 
   const obs::Span agg_span(obs::QueryPhase::kAggregate, options.trace);
-  size_t folded = 0;
+  // Counted locally and published once: every daemon worker writes the
+  // shared counter.
+  uint64_t values_fetched = 0;
   for (const Path& path : result.paths) {
-    COLGRAPH_RETURN_NOT_OK(CheckCancellation(options.cancel));
     // Catalog-resolvable elements of the path, in path order. Elements
     // without a column (e.g. nodes with no recorded measure) contribute
     // nothing to the aggregate.
@@ -218,66 +265,24 @@ StatusOr<PathAggResult> QueryEngine::RunAggregateQueryImpl(
       if (id.has_value()) elements.push_back(*id);
     }
 
-    const PathPlan plan = PlanPathAggregation(elements, stored_fn, views);
-
-    // Resolve the plan's columns once; accounting counts one measure-column
-    // fetch per segment — the cost reduction the views exist to provide.
-    // Skipped when an element exists only in tail datasets: no primary
-    // record can match the query then, so the primary columns (which do
-    // not extend that far) are never consulted.
-    struct SegmentColumn {
-      const MeasureColumn* column;
-      bool is_view;
-      size_t num_elements;
-    };
-    const bool primary_covers_path =
-        !HasTails() ||
-        std::all_of(elements.begin(), elements.end(), [&](EdgeId e) {
-          return e < relation_->num_edge_columns();
-        });
-    std::vector<SegmentColumn> segment_columns;
-    if (primary_covers_path) {
-      segment_columns.reserve(plan.segments.size());
-      for (const PathSegment& seg : plan.segments) {
-        const MeasureColumn& col =
-            seg.is_view ? relation_->FetchAggregateView(seg.agg_view_column)
-                        : relation_->FetchMeasureColumn(seg.atom);
-        segment_columns.push_back({&col, seg.is_view, seg.num_elements});
-        if (seg.is_view && path_views_out != nullptr) {
-          path_views_out->push_back(
-              static_cast<uint32_t>(seg.agg_view_column));
-        }
+    // Plans match on the query's function. Accounting counts one
+    // measure-column fetch per segment — the cost reduction the views
+    // exist to provide — and one partition visit per planned path.
+    const PathPlan plan = PlanPathAggregation(elements, fn, views);
+    for (const PathSegment& seg : plan.segments) {
+      if (seg.is_view && path_views_out != nullptr) {
+        path_views_out->push_back(static_cast<uint32_t>(seg.agg_view_column));
       }
-      if (!plan.segments.empty()) ++relation_->stats().partitions_touched;
     }
-    const std::vector<TailFold> tail_folds = TailFoldColumns(elements);
+    if (!plan.segments.empty()) ++relation_->stats().partitions_touched;
 
-    std::vector<double> values;
-    values.reserve(result.records.size());
-    for (RecordId r : result.records) {
-      if (++folded % kCancelCheckStride == 0) {
-        COLGRAPH_RETURN_NOT_OK(CheckCancellation(options.cancel));
-      }
-      double tail_value = 0;
-      if (FoldTail(tail_folds, fn, r, &tail_value)) {
-        values.push_back(tail_value);
-        continue;
-      }
-      AggAccumulator acc(fn);
-      for (const SegmentColumn& seg : segment_columns) {
-        const auto v = seg.column->Get(r);
-        if (!v.has_value()) continue;  // record lacks this optional element
-        if (seg.is_view) {
-          acc.Merge(*v, seg.num_elements);
-        } else {
-          acc.Add(*v);
-        }
-      }
-      relation_->stats().values_fetched += segment_columns.size();
-      values.push_back(acc.Result());
-    }
+    COLGRAPH_ASSIGN_OR_RETURN(
+        std::vector<double> values,
+        FoldPath(slices, result.records.size(), elements, plan, fn,
+                 options.cancel, &values_fetched));
     result.values.push_back(std::move(values));
   }
+  relation_->stats().values_fetched += values_fetched;
   return result;
 }
 

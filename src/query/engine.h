@@ -61,7 +61,7 @@ struct QueryOptions {
   obs::Trace* trace = nullptr;
   /// Cooperative cancellation (DESIGN.md §12): when set, the evaluation
   /// loops poll the token at phase boundaries, per batch query, and every
-  /// few thousand records of an aggregate fold, abandoning the query with
+  /// 2,048 records of an aggregate fold, abandoning the query with
   /// Status::DeadlineExceeded / Status::Cancelled once it fires. The token
   /// must outlive the call; null means "never cancelled" (zero overhead).
   const CancellationToken* cancel = nullptr;
@@ -213,21 +213,23 @@ class QueryEngine {
   Bitmap MatchIdsInTail(const MasterRelation& tail,
                         const std::vector<EdgeId>& ids) const;
 
-  /// One tail's fold inputs for a path: `columns[i]` is the tail's column
-  /// for the path's i-th measurable element (nullptr when the tail never
-  /// saw that element).
-  struct TailFold {
-    size_t base = 0;
-    size_t num = 0;
-    std::vector<const MeasureColumn*> columns;
-  };
-  std::vector<TailFold> TailFoldColumns(
-      const std::vector<EdgeId>& elements) const;
-  /// If global record `r` lives in a tail, folds `fn` over the tail's
-  /// atomic element columns into *out and returns true; false means `r`
-  /// belongs to the primary relation.
-  bool FoldTail(const std::vector<TailFold>& tails, AggFn fn, RecordId r,
-                double* out) const;
+  /// A global match bitmap split into one bitmap per store: the primary's
+  /// records, then each tail's (the inverse of the OrAt blits that built
+  /// it). In single-relation mode `matches` is passed through.
+  std::vector<Bitmap> SplitByStore(Bitmap matches) const;
+
+  /// The aggregate fold behind RunAggregateQuery and AggregateAlongPath:
+  /// F along one path for each of the `num_records` records set in
+  /// `slices` (SplitByStore's), in record order. The primary folds
+  /// `plan`'s segments; each tail folds its own columns for `elements`,
+  /// the path's measurable elements, atomically.
+  /// A column a store never grew is NULL for its records. Adds the number
+  /// of values read to *values_fetched; polls `cancel` once per block of
+  /// records folded.
+  [[nodiscard]] StatusOr<std::vector<double>> FoldPath(
+      const std::vector<Bitmap>& slices, size_t num_records,
+      const std::vector<EdgeId>& elements, const PathPlan& plan, AggFn fn,
+      const CancellationToken* cancel, uint64_t* values_fetched) const;
 
   const Bitmap& FetchSource(const BitmapSource& source) const;
   /// A fetched source under both encodings: `plain` is always valid;

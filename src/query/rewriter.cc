@@ -1,7 +1,6 @@
 #include "query/rewriter.h"
 
 #include <algorithm>
-#include <map>
 
 #include "views/set_cover.h"
 
@@ -121,55 +120,32 @@ AnnotatedMatchPlan PlanMatchAnnotated(const std::vector<EdgeId>& query_edge_ids,
 
 PathPlan PlanPathAggregation(const std::vector<EdgeId>& path_elements,
                              AggFn fn, const ViewCatalog* views) {
-  // Index compatible views by their first element, longest first, so the
-  // left-to-right scan can take the longest match at each position.
-  std::map<EdgeId, std::vector<std::pair<const AggViewDef*, size_t>>> by_first;
-  if (views != nullptr) {
-    for (const auto& [def, column] : views->agg_views()) {
-      if (def.fn != fn) continue;
-      if (def.elements.empty()) continue;
-      by_first[def.elements.front()].emplace_back(&def, column);
-    }
-    for (auto& [first, list] : by_first) {
-      (void)first;
-      std::sort(list.begin(), list.end(),
-                [](const auto& a, const auto& b) {
-                  return a.first->elements.size() > b.first->elements.size();
-                });
-    }
-  }
-
   PathPlan plan;
   size_t i = 0;
   while (i < path_elements.size()) {
-    const PathSegment* matched = nullptr;
-    PathSegment candidate;
-    auto it = by_first.find(path_elements[i]);
-    if (it != by_first.end()) {
-      for (const auto& [def, column] : it->second) {
-        const size_t len = def->elements.size();
-        if (i + len > path_elements.size()) continue;
-        if (std::equal(def->elements.begin(), def->elements.end(),
+    PathSegment segment;  // one atomic element unless a view starts here
+    // The catalog's path index lists the candidates longest first, so the
+    // first one that matches here is the longest.
+    const std::vector<size_t>* starting =
+        views == nullptr ? nullptr
+                         : views->AggViewsStartingWith(fn, path_elements[i]);
+    if (starting != nullptr) {
+      for (const size_t v : *starting) {
+        const auto& [def, column] = views->agg_views()[v];
+        const size_t len = def.elements.size();
+        if (len > path_elements.size() - i) continue;
+        if (std::equal(def.elements.begin(), def.elements.end(),
                        path_elements.begin() + static_cast<long>(i))) {
-          candidate.is_view = true;
-          candidate.agg_view_column = column;
-          candidate.num_elements = len;
-          matched = &candidate;
-          break;  // longest-first order: first hit is the longest
+          segment.is_view = true;
+          segment.agg_view_column = column;
+          segment.num_elements = len;
+          break;
         }
       }
     }
-    if (matched != nullptr) {
-      plan.segments.push_back(candidate);
-      i += candidate.num_elements;
-    } else {
-      PathSegment atom;
-      atom.is_view = false;
-      atom.atom = path_elements[i];
-      atom.num_elements = 1;
-      plan.segments.push_back(atom);
-      ++i;
-    }
+    if (!segment.is_view) segment.atom = path_elements[i];
+    plan.segments.push_back(segment);
+    i += segment.num_elements;
   }
   return plan;
 }

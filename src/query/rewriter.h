@@ -77,7 +77,8 @@ struct PathPlan {
 };
 
 /// \brief Greedy left-to-right longest-match segmentation of a path's
-/// element sequence by the aggregate views compatible with `fn`.
+/// element sequence by the aggregate views compatible with `fn`, found
+/// through the catalog's path index (ViewCatalog::AggViewsStartingWith).
 ///
 /// Views never overlap in the plan, so distributive folding of segment
 /// aggregates equals the aggregate over the raw elements.

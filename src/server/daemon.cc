@@ -1,5 +1,6 @@
 #include "server/daemon.h"
 
+#include <charconv>
 #include <cstdio>
 #include <sstream>
 #include <utility>
@@ -73,35 +74,68 @@ class GaugeScope {
   obs::Gauge* gauge_;
 };
 
-std::string FormatValue(double v) {
-  char buffer[64];
-  // %.17g round-trips every double bit-exactly, so serial re-evaluation
-  // renders byte-identical bodies (the stress test's oracle).
-  std::snprintf(buffer, sizeof(buffer), "%.17g", v);
-  return buffer;
+// Longest rendering of a value: sign, 17 significant digits, the point
+// and a 5-character exponent ("-1.2345678901234567e-308" is 24 bytes).
+constexpr size_t kMaxValueChars = 24;
+
+// The Append* helpers write a number's decimal form straight into the
+// response body, with no temporary string per number.
+void AppendCount(std::string* out, size_t n) {
+  char buffer[24];
+  out->append(buffer, std::to_chars(buffer, buffer + sizeof(buffer), n).ptr);
+}
+
+// to_chars in general format at precision 17 writes the bytes of printf's
+// "%.17g", which round-trips every double bit-exactly, so serial
+// re-evaluation renders byte-identical bodies (the stress test's oracle).
+void AppendValue(std::string* out, double v) {
+  char buffer[kMaxValueChars + 8];
+  out->append(buffer, std::to_chars(buffer, buffer + sizeof(buffer), v,
+                                    std::chars_format::general, 17)
+                          .ptr);
 }
 
 }  // namespace
 
 std::string RenderMatchResult(const Bitmap& matches) {
-  std::string out = "match " + std::to_string(matches.Count()) + ":";
-  matches.ForEachSetBit(
-      [&](size_t r) { out += " r" + std::to_string(r); });
-  out += "\n";
+  const size_t count = matches.Count();
+  // " r" and at most as many digits as the record count, per match.
+  const size_t per_match = 2 + std::to_string(matches.size()).size();
+  std::string out;
+  out.reserve(32 + count * per_match);
+  out += "match ";
+  AppendCount(&out, count);
+  out += ':';
+  matches.ForEachSetBit([&](size_t r) {
+    out += " r";
+    AppendCount(&out, r);
+  });
+  out += '\n';
   return out;
 }
 
 std::string RenderAggResult(const PathAggResult& result, AggFn fn) {
-  std::string out = std::string(AggFnName(fn)) + " over " +
-                    std::to_string(result.records.size()) + " record(s), " +
-                    std::to_string(result.paths.size()) + " path(s)\n";
+  size_t values = 0;
+  for (const std::vector<double>& path_values : result.values) {
+    values += path_values.size();
+  }
+  std::string out;
+  out.reserve(64 + result.paths.size() * 64 + values * (1 + kMaxValueChars));
+  out += AggFnName(fn);
+  out += " over ";
+  AppendCount(&out, result.records.size());
+  out += " record(s), ";
+  AppendCount(&out, result.paths.size());
+  out += " path(s)\n";
   for (size_t p = 0; p < result.paths.size(); ++p) {
-    out += "path " + result.paths[p].ToString() + ":";
+    out += "path ";
+    out += result.paths[p].ToString();
+    out += ':';
     for (const double v : result.values[p]) {
       out += ' ';
-      out += FormatValue(v);
+      AppendValue(&out, v);
     }
-    out += "\n";
+    out += '\n';
   }
   return out;
 }

@@ -1,37 +1,13 @@
 #include "util/crc32.h"
 
-#include <array>
+#include "bitmap/simd.h"
 
 namespace colgraph {
 
-namespace {
-
-// Reflected form of the Castagnoli polynomial 0x1EDC6F41.
-constexpr uint32_t kPoly = 0x82F63B78u;
-
-constexpr std::array<uint32_t, 256> MakeTable() {
-  std::array<uint32_t, 256> table{};
-  for (uint32_t i = 0; i < 256; ++i) {
-    uint32_t crc = i;
-    for (int bit = 0; bit < 8; ++bit) {
-      crc = (crc & 1u) ? (kPoly ^ (crc >> 1)) : (crc >> 1);
-    }
-    table[i] = crc;
-  }
-  return table;
-}
-
-constexpr std::array<uint32_t, 256> kTable = MakeTable();
-
-}  // namespace
-
+// The register runs complemented (initial value ~seed, final complement),
+// so a previous result passed as `seed` continues the checksum.
 uint32_t Crc32c(const void* data, size_t len, uint32_t seed) {
-  const auto* p = static_cast<const uint8_t*>(data);
-  uint32_t crc = ~seed;
-  for (size_t i = 0; i < len; ++i) {
-    crc = kTable[(crc ^ p[i]) & 0xFFu] ^ (crc >> 8);
-  }
-  return ~crc;
+  return ~simd::Crc32cUpdate(~seed, static_cast<const uint8_t*>(data), len);
 }
 
 }  // namespace colgraph

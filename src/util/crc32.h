@@ -14,6 +14,10 @@ namespace colgraph {
 ///
 ///   uint32_t c = Crc32c(a, na);
 ///   c = Crc32c(b, nb, c);   // == Crc32c(concat(a, b))
+///
+/// Runs on the SSE4.2 crc32 instruction when the CPU has it and on a
+/// table loop otherwise (simd::Crc32cUpdate; COLGRAPH_NO_SIMD pins the
+/// table loop). Both give the same checksum.
 uint32_t Crc32c(const void* data, size_t len, uint32_t seed = 0);
 
 }  // namespace colgraph

@@ -63,12 +63,15 @@ struct AggViewDef {
 /// index of its column(s) inside the master relation. The query rewriter
 /// consults this to reformulate queries (Section 5.3).
 ///
-/// Alongside the definitions it keeps the rewriter's cover index: every
-/// view's edge set (sorted, deduplicated) filed under its smallest edge.
-/// A view can cover a query only when all its edges are query edges, so
-/// the rewriter looks up just the query's own edges instead of scanning
-/// the whole catalog. The index is built as views are added, never lazily,
-/// so concurrent readers share no mutable state.
+/// Alongside the definitions it keeps two rewriter indexes, built as views
+/// are added, never lazily, so concurrent readers share no mutable state:
+/// - the cover index: every view's edge set (sorted, deduplicated) filed
+///   under its smallest edge. A view can cover a query only when all its
+///   edges are query edges, so the rewriter looks up just the query's own
+///   edges instead of scanning the whole catalog;
+/// - the path index: every aggregate view filed under its function and
+///   first element, longest first, which is the order the path planner
+///   tries them in.
 class ViewCatalog {
  public:
   /// A view's place in the catalog: graph_views()[index], or for
@@ -95,6 +98,7 @@ class ViewCatalog {
     GraphViewDef cover_set = GraphViewDef::Make(def.elements);
     IndexCoverSet(cover_set.edges, ViewRef{true, agg_views_.size()});
     agg_cover_sets_.push_back(std::move(cover_set));
+    IndexPath(def);
     agg_views_.emplace_back(std::move(def), column_index);
   }
 
@@ -128,10 +132,36 @@ class ViewCatalog {
     return it == by_first_edge_.end() ? nullptr : &it->second;
   }
 
+  /// Indexes into agg_views() of the `fn` views whose path starts with
+  /// `element`, longest first (equal lengths in the order they were
+  /// added); nullptr when there are none. Views with no elements are not
+  /// indexed.
+  const std::vector<size_t>* AggViewsStartingWith(AggFn fn,
+                                                  EdgeId element) const {
+    const auto it = agg_by_start_.find(PathKey(fn, element));
+    return it == agg_by_start_.end() ? nullptr : &it->second;
+  }
+
  private:
   void IndexCoverSet(const std::vector<EdgeId>& sorted_edges, ViewRef ref) {
     if (sorted_edges.empty()) return;
     by_first_edge_[sorted_edges.front()].push_back(ref);
+  }
+
+  static uint64_t PathKey(AggFn fn, EdgeId element) {
+    return (uint64_t{static_cast<uint8_t>(fn)} << 32) | element;
+  }
+
+  // Files the view being added (index agg_views_.size()) behind every
+  // view with the same function and start that is at least as long.
+  void IndexPath(const AggViewDef& def) {
+    if (def.elements.empty()) return;
+    std::vector<size_t>& list =
+        agg_by_start_[PathKey(def.fn, def.elements.front())];
+    const auto after = std::find_if(list.begin(), list.end(), [&](size_t v) {
+      return agg_views_[v].first.elements.size() < def.elements.size();
+    });
+    list.insert(after, agg_views_.size());
   }
 
   std::vector<std::pair<GraphViewDef, size_t>> graph_views_;
@@ -139,6 +169,7 @@ class ViewCatalog {
   /// CoverSet of agg_views_[i], computed once when the view is added.
   std::vector<GraphViewDef> agg_cover_sets_;
   std::unordered_map<EdgeId, std::vector<ViewRef>> by_first_edge_;
+  std::unordered_map<uint64_t, std::vector<size_t>> agg_by_start_;
 };
 
 }  // namespace colgraph

@@ -298,15 +298,16 @@ TEST_F(PersistenceTest, CrashBeforeRenameLeavesPreviousSnapshotReadable) {
   EXPECT_TRUE(WriteRelation(new_rel, path_).IsIOError());
   failpoint::DisarmAll();
 
-  // The previous snapshot is untouched; the orphaned .tmp is left behind
-  // exactly as a real crash would leave it.
+  // The crash leaves the orphaned .tmp behind, exactly as a real crash
+  // would leave it.
+  EXPECT_TRUE(std::ifstream(path_ + ".tmp", std::ios::binary).good());
+
+  // The previous snapshot is untouched, and reading it sweeps the orphan.
   auto survivor = ReadRelation(path_);
   ASSERT_TRUE(survivor.ok()) << survivor.status().ToString();
   EXPECT_EQ(survivor->num_records(), 1u);
   EXPECT_EQ(survivor->PeekMeasureColumn(0).Get(0), 1.0);
-  std::ifstream tmp(path_ + ".tmp", std::ios::binary);
-  EXPECT_TRUE(tmp.good());
-  tmp.close();
+  EXPECT_FALSE(std::ifstream(path_ + ".tmp", std::ios::binary).good());
   std::remove((path_ + ".tmp").c_str());
 }
 

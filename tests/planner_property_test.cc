@@ -9,9 +9,15 @@
 // Catalogs are random, with duplicate views, single-edge views, views
 // reaching outside the query and aggregate views with repeated elements;
 // queries have up to 100 distinct edges, so masks span several words.
+//
+// The path planner is checked the same way: PlanPathAggregation, which
+// looks views up in the catalog's path index, must segment every path as
+// the planner it replaced, which built a map of every aggregate view of
+// the function per call (kept here as the reference).
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
 #include <queue>
 #include <string>
 #include <unordered_set>
@@ -170,6 +176,134 @@ TEST(PlannerPropertyTest, IndexedBitmaskPlannerMatchesCopyAllGreedy) {
         EXPECT_EQ(want[i].covers, annotated.sources[i].covers) << "source " << i;
       }
       if (::testing::Test::HasFailure()) return;
+    }
+  }
+}
+
+// The map-building path planner: compatible views filed by first element,
+// sorted longest first, scanned left to right for the longest match.
+PathPlan ReferencePathPlan(const std::vector<EdgeId>& path_elements, AggFn fn,
+                           const ViewCatalog* views) {
+  std::map<EdgeId, std::vector<std::pair<const AggViewDef*, size_t>>> by_first;
+  if (views != nullptr) {
+    for (const auto& [def, column] : views->agg_views()) {
+      if (def.fn != fn) continue;
+      if (def.elements.empty()) continue;
+      by_first[def.elements.front()].emplace_back(&def, column);
+    }
+    for (auto& [first, list] : by_first) {
+      (void)first;
+      std::sort(list.begin(), list.end(), [](const auto& a, const auto& b) {
+        return a.first->elements.size() > b.first->elements.size();
+      });
+    }
+  }
+  PathPlan plan;
+  size_t i = 0;
+  while (i < path_elements.size()) {
+    PathSegment segment;
+    segment.atom = path_elements[i];
+    const auto it = by_first.find(path_elements[i]);
+    if (it != by_first.end()) {
+      for (const auto& [def, column] : it->second) {
+        const size_t len = def->elements.size();
+        if (i + len > path_elements.size()) continue;
+        if (std::equal(def->elements.begin(), def->elements.end(),
+                       path_elements.begin() + static_cast<long>(i))) {
+          segment = PathSegment{true, column, 0, len};
+          break;
+        }
+      }
+    }
+    plan.segments.push_back(segment);
+    i += segment.num_elements;
+  }
+  return plan;
+}
+
+// Aggregate views over elements drawn from a small domain, so paths meet
+// many of them: some duplicated (same definition, another column), some
+// overlapping another view's elements, some of another function, some a
+// prefix or extension of another. Columns are distinct, so a plan's
+// column names its view.
+ViewCatalog RandomPathCatalog(Rng& rng, size_t domain,
+                              std::vector<const AggViewDef*>* by_column) {
+  ViewCatalog catalog;
+  std::vector<AggViewDef> added;
+  const size_t num_views = rng.Uniform(0, 60);
+  for (size_t v = 0; v < num_views; ++v) {
+    AggViewDef def;
+    if (!added.empty() && rng.Bernoulli(0.3)) {
+      def = added[rng.Uniform(0, added.size() - 1)];
+      if (rng.Bernoulli(0.3)) {
+        def.fn = def.fn == AggFn::kSum ? AggFn::kMax : AggFn::kSum;
+      } else if (rng.Bernoulli(0.5) && def.elements.size() > 2) {
+        def.elements.pop_back();  // a prefix
+      } else if (rng.Bernoulli(0.5)) {
+        def.elements.push_back(
+            static_cast<EdgeId>(rng.Uniform(0, domain - 1)));  // an extension
+      } else if (def.elements.size() > 2) {
+        def.elements.erase(def.elements.begin());  // overlaps the original
+      }
+    } else {
+      const size_t n = rng.Uniform(rng.Bernoulli(0.05) ? 0 : 2, 6);
+      for (size_t k = 0; k < n; ++k) {
+        def.elements.push_back(static_cast<EdgeId>(rng.Uniform(0, domain - 1)));
+      }
+      def.fn = rng.Bernoulli(0.6) ? AggFn::kSum : AggFn::kMax;
+    }
+    added.push_back(def);
+    catalog.AddAggView(def, v);
+  }
+  by_column->clear();
+  for (const auto& [def, column] : catalog.agg_views()) {
+    by_column->push_back(&def);
+    EXPECT_EQ(column, by_column->size() - 1);
+  }
+  return catalog;
+}
+
+TEST(PlannerPropertyTest, IndexedPathPlannerMatchesMapBuildingPlanner) {
+  Rng rng(20261018);
+  std::vector<const AggViewDef*> by_column;
+  for (size_t trial = 0; trial < 3000; ++trial) {
+    SCOPED_TRACE("trial " + std::to_string(trial));
+    const size_t domain = rng.Uniform(1, 12);
+    const ViewCatalog catalog = RandomPathCatalog(rng, domain, &by_column);
+    // Paths that often run through whole views: stretches copied from a
+    // view's elements, glued with random elements.
+    std::vector<EdgeId> path;
+    const size_t pieces = rng.Uniform(0, 6);
+    for (size_t k = 0; k < pieces; ++k) {
+      if (!by_column.empty() && rng.Bernoulli(0.6)) {
+        const AggViewDef& def = *by_column[rng.Uniform(0, by_column.size() - 1)];
+        path.insert(path.end(), def.elements.begin(), def.elements.end());
+      } else {
+        path.push_back(static_cast<EdgeId>(rng.Uniform(0, domain - 1)));
+      }
+    }
+    for (const AggFn fn : {AggFn::kSum, AggFn::kMax, AggFn::kAvg}) {
+      for (const ViewCatalog* views :
+           {&catalog, static_cast<const ViewCatalog*>(nullptr)}) {
+        const PathPlan want = ReferencePathPlan(path, fn, views);
+        const PathPlan got = PlanPathAggregation(path, fn, views);
+        ASSERT_EQ(got.segments.size(), want.segments.size());
+        for (size_t i = 0; i < want.segments.size(); ++i) {
+          const PathSegment& w = want.segments[i];
+          const PathSegment& g = got.segments[i];
+          EXPECT_EQ(g.is_view, w.is_view) << "segment " << i;
+          EXPECT_EQ(g.num_elements, w.num_elements) << "segment " << i;
+          EXPECT_EQ(g.atom, w.atom) << "segment " << i;
+          if (g.is_view && w.is_view) {
+            // Duplicates may resolve to either column; the definitions
+            // must agree.
+            EXPECT_EQ(*by_column[g.agg_view_column],
+                      *by_column[w.agg_view_column])
+                << "segment " << i;
+          }
+        }
+        if (::testing::Test::HasFailure()) return;
+      }
     }
   }
 }
