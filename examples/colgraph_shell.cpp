@@ -4,8 +4,8 @@
 //   load <trace-file>     ingest walk records (see workload/trace_loader.h)
 //   seal                  freeze the relation; enables queries
 //   append <trace-file>   incremental ingest into a sealed engine: the walks
-//                         become a tail dataset that is attached and then
-//                         compacted in (views are re-materialized)
+//                         become a tail dataset (with its own view columns)
+//                         that is attached and then compacted in
 //   query <text>          run a query in the text language, e.g.
 //                           query [1,2,3] AND NOT [3,4]
 //                           query SUM [1,2,3,4]
@@ -65,8 +65,9 @@ void PrintAggregate(const PathAggResult& result, AggFn fn) {
 }
 
 // `append`: the one way a sealed engine grows. The walks are sealed into a
-// tail dataset, attached, and compacted into the primary so materialized
-// views cover them. A failure leaves `engine` unchanged.
+// tail dataset carrying the engine's views, attached, and compacted into
+// the primary so that `save` can persist them. A failure leaves `engine`
+// unchanged.
 StatusOr<size_t> AppendTraceFile(ColGraphEngine* engine,
                                  const std::string& path) {
   if (!engine->relation().sealed()) {

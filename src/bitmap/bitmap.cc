@@ -115,12 +115,12 @@ Bitmap Bitmap::AndAll(const std::vector<const Bitmap*>& operands) {
 }
 
 void Bitmap::AppendSetBits(std::vector<uint64_t>* out) const {
+  out->reserve(out->size() + Count());
   ForEachSetBit([out](size_t pos) { out->push_back(pos); });
 }
 
 std::vector<uint64_t> Bitmap::ToVector() const {
   std::vector<uint64_t> out;
-  out.reserve(Count());
   AppendSetBits(&out);
   return out;
 }

@@ -65,7 +65,7 @@ class Bitmap {
   /// multi-dataset fetch hands each dataset its slice of a global match.
   Bitmap Extract(size_t offset, size_t num_bits) const;
 
-  /// Appends the positions of all set bits to `out`.
+  /// Appends the positions of all set bits to `out` (one allocation).
   void AppendSetBits(std::vector<uint64_t>* out) const;
   /// Convenience: returns the positions of all set bits.
   std::vector<uint64_t> ToVector() const;

@@ -1,14 +1,15 @@
 // Immutable dataset storage for incremental ingest (DESIGN.md §14).
 //
 // The store models the collection as an ordered list of sealed, immutable
-// datasets: the primary relation (dataset 0, the only one carrying
-// materialized views) plus small tail datasets, one per ingest. Record
-// ids are global — each dataset owns the dense id range starting at the
-// cumulative record count of its predecessors — so a collection split
-// across datasets is indistinguishable, record for record, from the same
-// collection ingested into a single relation. Background compaction
-// merges the datasets back into one (seal → merge → retire); queries keep
-// running against the published snapshot throughout.
+// datasets: the primary relation (dataset 0) plus small tail datasets, one
+// per ingest. In memory every dataset carries its own columns for the
+// catalog's views; files hold records only. Record ids are global — each
+// dataset owns the dense id range starting at the cumulative record count
+// of its predecessors — so a collection split across datasets is
+// indistinguishable, record for record, from the same collection ingested
+// into a single relation. Background compaction merges the datasets back
+// into one (seal → merge → retire); queries keep running against the
+// published snapshot throughout.
 //
 // On disk a DatasetStore is a directory:
 //

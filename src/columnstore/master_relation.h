@@ -12,6 +12,7 @@
 #include "columnstore/column.h"
 #include "graph/graph.h"
 #include "util/atomic_counter.h"
+#include "util/check.h"
 #include "util/status.h"
 
 namespace colgraph {
@@ -90,6 +91,12 @@ class MasterRelation {
   /// Structure-only access that bypasses fetch accounting (used by
   /// materialization, which the paper performs offline "in a single pass").
   const MeasureColumn& PeekMeasureColumn(EdgeId id) const;
+  /// The column of an edge (m_i, whose presence bits are b_i), or nullptr
+  /// when this relation never grew it: an empty column, which no record
+  /// contains and for which every record is NULL. No fetch accounting.
+  const MeasureColumn* FindEdgeColumn(EdgeId id) const {
+    return id < columns_.size() ? &columns_[id] : nullptr;
+  }
 
   // --- Views (Section 5). ---
 
@@ -115,12 +122,14 @@ class MasterRelation {
 
   /// Accounting-free view access (persistence / maintenance paths).
   const Bitmap& PeekGraphView(size_t view_index) const {
-    return graph_views_[view_index].bits();
+    return PeekGraphViewColumn(view_index).bits();
   }
   const BitmapColumn& PeekGraphViewColumn(size_t view_index) const {
+    COLGRAPH_CHECK_LT(view_index, graph_views_.size());
     return graph_views_[view_index];
   }
   const MeasureColumn& PeekAggregateView(size_t view_index) const {
+    COLGRAPH_CHECK_LT(view_index, agg_views_.size());
     return agg_views_[view_index];
   }
 
@@ -143,13 +152,14 @@ class MasterRelation {
   /// O(1) cardinality statistics (cached at seal time) — the planner's
   /// selectivity estimates.
   size_t EdgeBitmapCardinality(EdgeId id) const {
+    COLGRAPH_CHECK_LT(id, columns_.size());
     return columns_[id].presence().Count();
   }
   size_t GraphViewCardinality(size_t view_index) const {
-    return graph_views_[view_index].Count();
+    return PeekGraphViewColumn(view_index).Count();
   }
   size_t AggViewCardinality(size_t view_index) const {
-    return agg_views_[view_index].presence().Count();
+    return PeekAggregateView(view_index).presence().Count();
   }
 
   // --- Partitioning (Section 6.1). ---

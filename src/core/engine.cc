@@ -34,16 +34,9 @@ ColGraphEngine::ColGraphEngine(EngineOptions options)
 }
 
 ColGraphEngine::ColGraphEngine(const ColGraphEngine& other)
-    : options_(other.options_),
-      catalog_(other.catalog_),
-      relation_(std::make_shared<MasterRelation>(*other.relation_)),
-      tails_(other.tails_),  // tails are immutable: sharing IS copying
-      views_(other.views_),
-      query_log_(other.query_log_) {
-  if (options_.num_threads > 1) {
-    pool_ = std::make_unique<ThreadPool>(options_.num_threads);
-  }
-  RebuildSegments();
+    : ColGraphEngine(other, ShareTag{}) {
+  // Tails are immutable, so sharing them is copying them.
+  relation_ = std::make_shared<MasterRelation>(*other.relation_);
 }
 
 ColGraphEngine::ColGraphEngine(const ColGraphEngine& other, ShareTag)
@@ -64,18 +57,7 @@ ColGraphEngine ColGraphEngine::SharedCopy() const {
 }
 
 ColGraphEngine& ColGraphEngine::operator=(const ColGraphEngine& other) {
-  if (this == &other) return *this;
-  options_ = other.options_;
-  catalog_ = other.catalog_;
-  relation_ = std::make_shared<MasterRelation>(*other.relation_);
-  tails_ = other.tails_;
-  views_ = other.views_;
-  query_log_ = other.query_log_;
-  pool_.reset();
-  if (options_.num_threads > 1) {
-    pool_ = std::make_unique<ThreadPool>(options_.num_threads);
-  }
-  RebuildSegments();
+  if (this != &other) *this = ColGraphEngine(other);
   return *this;
 }
 
@@ -158,84 +140,135 @@ StatusOr<MasterRelation> ColGraphEngine::BuildTailRelation(
     COLGRAPH_RETURN_NOT_OK(ShredInto(record, &tail).status());
   }
   COLGRAPH_RETURN_NOT_OK(tail.Seal());
-  return tail;
+  return BuildTailRelation(std::move(tail));
+}
+
+StatusOr<MasterRelation> ColGraphEngine::BuildTailRelation(
+    MasterRelation relation) const {
+  COLGRAPH_RETURN_NOT_OK(
+      MaterializeCatalogViews(views_, &relation, pool_.get()));
+  return relation;
+}
+
+Status ColGraphEngine::CheckTail(const MasterRelation* tail) const {
+  if (tail == nullptr || !tail->sealed() || !relation_->sealed()) {
+    return Status::InvalidArgument(
+        "tail datasets are sealed relations and attach to sealed ones only");
+  }
+  if (tail->num_graph_views() != views_.num_graph_views() ||
+      tail->num_aggregate_views() != views_.num_agg_views()) {
+    return Status::InvalidArgument(
+        "a tail dataset must carry a column for every catalog view; build "
+        "it with BuildTailRelation");
+  }
+  return Status::OK();
 }
 
 Status ColGraphEngine::AttachDataset(
     std::shared_ptr<const MasterRelation> tail) {
-  if (tail == nullptr) {
-    return Status::InvalidArgument("cannot attach a null tail dataset");
-  }
-  if (!tail->sealed() || !relation_->sealed()) {
-    return Status::InvalidArgument(
-        "tail datasets attach to sealed relations only");
-  }
+  COLGRAPH_RETURN_NOT_OK(CheckTail(tail.get()));
   tails_.push_back(std::move(tail));
+  RebuildSegments();
+  return Status::OK();
+}
+
+Status ColGraphEngine::ReplaceTails(
+    std::vector<std::shared_ptr<const MasterRelation>> tails) {
+  // Records, then values per edge column, summed over a tail list: the
+  // same for two lists that hold the same records.
+  const auto shape = [](const auto& list) {
+    std::vector<size_t> counts(1, 0);
+    for (const auto& tail : list) {
+      counts[0] += tail->num_records();
+      counts.resize(std::max(counts.size(), 1 + tail->num_edge_columns()));
+      for (EdgeId c = 0; c < tail->num_edge_columns(); ++c) {
+        counts[1 + c] += tail->PeekMeasureColumn(c).num_values();
+      }
+    }
+    return counts;
+  };
+  if (shape(tails) != shape(tails_)) {
+    return Status::Internal(
+        "replacement tails do not hold the records of the tails they replace");
+  }
+  for (const auto& tail : tails) COLGRAPH_RETURN_NOT_OK(CheckTail(tail.get()));
+  tails_ = std::move(tails);
   RebuildSegments();
   return Status::OK();
 }
 
 Status ColGraphEngine::Compact() {
   if (tails_.empty()) return Status::OK();
-  const size_t total = total_records();
-
-  // The merged schema is the widest any dataset grew (columns a dataset
-  // never had contribute empty presence ranges).
-  size_t num_columns = relation_->num_edge_columns();
-  for (const auto& tail : tails_) {
-    num_columns = std::max(num_columns, tail->num_edge_columns());
+  std::vector<const MasterRelation*> segments = {relation_.get()};
+  for (const auto& tail : tails_) segments.push_back(tail.get());
+  size_t num_columns = 0;
+  for (const MasterRelation* rel : segments) {
+    num_columns = std::max(num_columns, rel->num_edge_columns());
   }
 
   // Column-at-a-time merge, the same MergeColumn DatasetStore::CompactAll
-  // runs: each dataset's presence bits land at its global base, values
-  // concatenate in dataset order.
-  std::vector<const MasterRelation*> datasets = {relation_.get()};
-  for (const auto& tail : tails_) datasets.push_back(tail.get());
+  // runs: each segment's presence bits land at its global base, values
+  // concatenate in segment order. The merged schema is the widest any
+  // segment grew; a segment that never grew a column adds an empty range.
+  const auto merge = [&](const auto& column_of) {
+    std::vector<ColumnPart> parts;
+    parts.reserve(segments.size());
+    for (const MasterRelation* rel : segments) {
+      parts.push_back(ColumnPart{column_of(*rel), rel->num_records()});
+    }
+    return MergeColumn(parts);
+  };
   std::vector<MeasureColumn> cols;
   cols.reserve(num_columns);
   for (size_t c = 0; c < num_columns; ++c) {
-    std::vector<ColumnPart> parts;
-    parts.reserve(datasets.size());
-    for (const MasterRelation* rel : datasets) {
-      const bool has_column = c < rel->num_edge_columns();
-      parts.push_back(ColumnPart{
-          has_column ? &rel->PeekMeasureColumn(static_cast<EdgeId>(c))
-                     : nullptr,
-          rel->num_records()});
-    }
-    COLGRAPH_ASSIGN_OR_RETURN(MeasureColumn merged, MergeColumn(parts));
+    COLGRAPH_ASSIGN_OR_RETURN(
+        MeasureColumn merged, merge([c](const MasterRelation& rel) {
+          return rel.FindEdgeColumn(static_cast<EdgeId>(c));
+        }));
     cols.push_back(std::move(merged));
   }
   COLGRAPH_ASSIGN_OR_RETURN(
       MasterRelation merged,
-      MasterRelation::FromColumns(total, std::move(cols), options_.relation));
+      MasterRelation::FromColumns(total_records(), std::move(cols),
+                                  options_.relation));
+
+  // Every segment carries a column per catalog view over its own records,
+  // so the view over the merged records is those columns laid end to end:
+  // each merges like an edge column, and no view is materialized again.
+  for (size_t v = 0; v < views_.num_graph_views(); ++v) {
+    Bitmap bits(merged.num_records());
+    size_t base = 0;
+    for (const MasterRelation* rel : segments) {
+      bits.OrAt(rel->PeekGraphView(v), base);
+      base += rel->num_records();
+    }
+    merged.AddGraphView(std::move(bits));
+  }
+  for (size_t v = 0; v < views_.num_agg_views(); ++v) {
+    COLGRAPH_ASSIGN_OR_RETURN(
+        MeasureColumn column, merge([v](const MasterRelation& rel) {
+          return &rel.PeekAggregateView(v);
+        }));
+    merged.AddAggregateView(std::move(column));
+  }
   relation_ = std::make_shared<MasterRelation>(std::move(merged));
   tails_.clear();
   RebuildSegments();
+  return Status::OK();
+}
 
-  // Re-materialize every registered view over the merged record set: the
-  // old view columns lived in the retired primary, and their bitmaps were
-  // sized to it. The definitions survive; the columns are rebuilt.
-  std::vector<GraphViewDef> graph_defs;
-  graph_defs.reserve(views_.num_graph_views());
-  for (const auto& [def, index] : views_.graph_views()) {
-    (void)index;
-    graph_defs.push_back(def);
+Status ColGraphEngine::AddCatalogViewsToTails() {
+  // Tails are shared with published snapshots, so each grows the new
+  // views on a copy.
+  std::vector<std::shared_ptr<const MasterRelation>> tails;
+  tails.reserve(tails_.size());
+  for (const auto& tail : tails_) {
+    COLGRAPH_ASSIGN_OR_RETURN(MasterRelation grown,
+                              BuildTailRelation(MasterRelation(*tail)));
+    tails.push_back(std::make_shared<const MasterRelation>(std::move(grown)));
   }
-  std::vector<AggViewDef> agg_defs;
-  agg_defs.reserve(views_.num_agg_views());
-  for (const auto& [def, index] : views_.agg_views()) {
-    (void)index;
-    agg_defs.push_back(def);
-  }
-  ViewCatalog fresh;
-  COLGRAPH_RETURN_NOT_OK(
-      MaterializeGraphViews(graph_defs, relation_.get(), &fresh, pool_.get())
-          .status());
-  COLGRAPH_RETURN_NOT_OK(
-      MaterializeAggViews(agg_defs, relation_.get(), &fresh, pool_.get())
-          .status());
-  views_ = std::move(fresh);
+  tails_ = std::move(tails);
+  RebuildSegments();
   return Status::OK();
 }
 
@@ -279,6 +312,7 @@ StatusOr<size_t> ColGraphEngine::SelectAndMaterializeGraphViews(
       MaterializeGraphViews(selected_defs, &OwnedRelation(), &views_,
                             pool_.get())
           .status());
+  COLGRAPH_RETURN_NOT_OK(AddCatalogViewsToTails());
   return selected_defs.size();
 }
 
@@ -290,15 +324,23 @@ StatusOr<size_t> ColGraphEngine::SelectAndMaterializeAggViews(
   COLGRAPH_RETURN_NOT_OK(
       MaterializeAggViews(selected, &OwnedRelation(), &views_, pool_.get())
           .status());
+  COLGRAPH_RETURN_NOT_OK(AddCatalogViewsToTails());
   return selected.size();
 }
 
 StatusOr<size_t> ColGraphEngine::MaterializeView(const GraphViewDef& def) {
-  return MaterializeGraphView(def, &OwnedRelation(), &views_);
+  COLGRAPH_ASSIGN_OR_RETURN(const size_t index,
+                            MaterializeGraphView(def, &OwnedRelation(),
+                                                 &views_));
+  COLGRAPH_RETURN_NOT_OK(AddCatalogViewsToTails());
+  return index;
 }
 
 StatusOr<size_t> ColGraphEngine::MaterializeView(const AggViewDef& def) {
-  return MaterializeAggView(def, &OwnedRelation(), &views_);
+  COLGRAPH_ASSIGN_OR_RETURN(const size_t index,
+                            MaterializeAggView(def, &OwnedRelation(), &views_));
+  COLGRAPH_RETURN_NOT_OK(AddCatalogViewsToTails());
+  return index;
 }
 
 Bitmap ColGraphEngine::Match(const GraphQuery& query,

@@ -108,26 +108,38 @@ class ColGraphEngine {
   // --- Incremental ingest: tail datasets (DESIGN.md §14). The applications
   // --- generate records continuously, and Section 6.1's schema likewise
   // --- "expands on demand". A sealed engine grows only here:
-  // --- BuildTailRelation, AttachDataset, then Compact() when materialized
-  // --- views must cover the new records.
+  // --- BuildTailRelation, then AttachDataset. Every tail carries the
+  // --- catalog's views, as the primary does; Compact() merges them back.
 
   /// Shreds `records` through this engine's catalog (growing it) into a
-  /// fresh *sealed* relation — a tail dataset — leaving the primary
-  /// relation untouched. Pair with AttachDataset().
+  /// fresh *sealed* relation — a tail dataset with its own column for every
+  /// catalog view — leaving the primary relation untouched. Pair with
+  /// AttachDataset().
   [[nodiscard]] StatusOr<MasterRelation> BuildTailRelation(
       const std::vector<GraphRecord>& records);
 
+  /// Makes a sealed relation over this engine's edge ids (say, one loaded
+  /// from a DatasetStore) a tail: adds every catalog view it lacks.
+  [[nodiscard]] StatusOr<MasterRelation> BuildTailRelation(
+      MasterRelation relation) const;
+
   /// Appends a sealed, immutable dataset behind the primary relation. Its
-  /// records take the next total_records() global ids; queries OR its
-  /// matches in and route fetches/folds to it. Both the primary and the
-  /// tail must be sealed.
+  /// records take the next total_records() global ids; every query runs on
+  /// it as on the primary. Both must be sealed, and the tail must carry
+  /// exactly the catalog's view columns (BuildTailRelation's output).
   [[nodiscard]] Status AttachDataset(
       std::shared_ptr<const MasterRelation> tail);
 
+  /// Swaps the attached tails for `tails` (the store's compaction of them)
+  /// behind the unchanged primary. `tails` must hold the same records (same
+  /// count, same values per edge column) and meet AttachDataset's rules.
+  /// On error nothing changes.
+  [[nodiscard]] Status ReplaceTails(
+      std::vector<std::shared_ptr<const MasterRelation>> tails);
+
   /// Merges the primary and every attached tail into one relation (records
-  /// keep their global ids; one MergeColumn per column) and re-materializes
-  /// every registered view over the merged record set. No-op without
-  /// tails.
+  /// keep their global ids), laying every edge and view column end to end;
+  /// no view is materialized again. No-op without tails.
   [[nodiscard]] Status Compact();
 
   const std::vector<std::shared_ptr<const MasterRelation>>& tails() const {
@@ -150,7 +162,8 @@ class ColGraphEngine {
   [[nodiscard]] StatusOr<size_t> SelectAndMaterializeAggViews(
       const std::vector<GraphQuery>& workload, AggFn fn, size_t budget);
 
-  /// Materializes one explicit graph view / aggregate view.
+  /// Materializes one explicit graph view / aggregate view. Like the calls
+  /// above, it adds views to the primary and every tail.
   [[nodiscard]] StatusOr<size_t> MaterializeView(const GraphViewDef& def);
   [[nodiscard]] StatusOr<size_t> MaterializeView(const AggViewDef& def);
 
@@ -265,6 +278,9 @@ class ColGraphEngine {
   /// Recomputes segments_ (tail base offsets) after relation_/tails_
   /// change.
   void RebuildSegments();
+  [[nodiscard]] Status CheckTail(const MasterRelation* tail) const;
+  /// Replaces each tail with a copy carrying the catalog views it lacks.
+  [[nodiscard]] Status AddCatalogViewsToTails();
 
   EngineOptions options_;
   EdgeCatalog catalog_;

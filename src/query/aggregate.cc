@@ -21,9 +21,9 @@ namespace {
 // values stay cache-resident however many records match.
 constexpr size_t kFoldBlockWords = 32;
 
-// One column a store folds: a plan segment's or a path element's column,
-// or nullptr where the store never grew the element (NULL for every
-// record in it). `view_elements` > 0 marks an aggregate view's segment
+// One column a segment folds: a plan segment's column in that segment, or
+// nullptr where the segment never grew the element (NULL for every record
+// in it). `view_elements` > 0 marks an aggregate view's segment
 // value covering that many elements (folded with Merge), 0 a raw measure
 // (folded with Add).
 struct FoldInput {
@@ -32,14 +32,14 @@ struct FoldInput {
 };
 
 // Folds F over `inputs` for each of the `num_matches` records set in
-// `match` (a bitmap over one store's records) and writes the results to
+// `match` (a bitmap over one segment's records) and writes the results to
 // out[0, num_matches), in record order. Per block of match words, every
 // input column is gathered (MeasureColumn::Gather); then each record
 // folds its values into one AggAccumulator in input order, the order of
 // the per-record loop this replaced. A record whose bit of
 // presence & match is clear is NULL for that input and skipped, so a
 // stored NaN still folds.
-Status FoldStore(const std::vector<FoldInput>& inputs, const Bitmap& match,
+Status FoldSegment(const std::vector<FoldInput>& inputs, const Bitmap& match,
                  size_t num_matches, AggFn fn, const CancellationToken* cancel,
                  double* out) {
   const std::vector<uint64_t>& words = match.words();
@@ -94,53 +94,31 @@ Status FoldStore(const std::vector<FoldInput>& inputs, const Bitmap& match,
 
 }  // namespace
 
-std::vector<Bitmap> QueryEngine::SplitByStore(Bitmap matches) const {
-  std::vector<Bitmap> slices;
-  if (!HasTails()) {
-    slices.push_back(std::move(matches));
-    return slices;
-  }
-  slices.reserve(1 + tails_->size());
-  slices.push_back(matches.Extract(0, relation_->num_records()));
-  for (const RelationSegment& seg : *tails_) {
-    slices.push_back(matches.Extract(seg.base, seg.relation->num_records()));
-  }
-  return slices;
-}
-
 StatusOr<std::vector<double>> QueryEngine::FoldPath(
-    const std::vector<Bitmap>& slices, size_t num_records,
-    const std::vector<EdgeId>& elements, const PathPlan& plan, AggFn fn,
-    const CancellationToken* cancel, uint64_t* values_fetched) const {
+    const Bitmap& matches, size_t num_records, const PathPlan& plan,
+    AggFn fn, const CancellationToken* cancel,
+    uint64_t* values_fetched) const {
   std::vector<double> values(num_records);
-  std::vector<FoldInput> inputs;
-  size_t row = 0;  // index in `values` of the store's first matched record
-  for (size_t s = 0; s < slices.size(); ++s) {
-    const MasterRelation& store =
-        s == 0 ? *relation_ : *(*tails_)[s - 1].relation;
-    const auto atom = [&](EdgeId e) {
-      return e < store.num_edge_columns()
-                 ? FoldInput{&store.FetchMeasureColumn(e), 0}
-                 : FoldInput{};
-    };
-    // The primary folds the plan's segments; a tail folds its own columns
-    // for the path's elements, atomically (views cover the primary only).
-    inputs.clear();
-    if (s == 0) {
-      for (const PathSegment& seg : plan.segments) {
-        inputs.push_back(
-            seg.is_view
-                ? FoldInput{&store.FetchAggregateView(seg.agg_view_column),
-                            seg.num_elements}
-                : atom(seg.atom));
+  std::vector<FoldInput> inputs(plan.segments.size());
+  size_t row = 0;  // index in `values` of the segment's first matched record
+  for (size_t s = 0; s < NumSegments(); ++s) {
+    const MasterRelation& rel = *Segment(s).relation;
+    for (size_t i = 0; i < plan.segments.size(); ++i) {
+      const PathSegment& seg = plan.segments[i];
+      inputs[i] = seg.is_view
+                      ? FoldInput{&rel.FetchAggregateView(seg.agg_view_column),
+                                  seg.num_elements}
+                      : FoldInput{rel.FindEdgeColumn(seg.atom), 0};
+      if (!seg.is_view && inputs[i].column != nullptr) {
+        ++rel.stats().measure_columns_fetched;
       }
-    } else {
-      for (const EdgeId e : elements) inputs.push_back(atom(e));
     }
-    const size_t n = slices[s].Count();
+    Bitmap scratch;
+    const Bitmap& slice = SliceOf(matches, s, &scratch);
+    const size_t n = HasTails() ? slice.Count() : num_records;
     if (n == 0) continue;
     COLGRAPH_RETURN_NOT_OK(
-        FoldStore(inputs, slices[s], n, fn, cancel, values.data() + row));
+        FoldSegment(inputs, slice, n, fn, cancel, values.data() + row));
     *values_fetched += n * inputs.size();
     row += n;
   }
@@ -169,9 +147,9 @@ StatusOr<PathAggResult> QueryEngine::AggregateAlongPath(
     elements.push_back(*id);
   }
 
-  Bitmap matches = MatchIds(elements, options, /*consider_agg_bitmaps=*/true);
+  const Bitmap matches =
+      MatchIds(elements, options, /*consider_agg_bitmaps=*/true);
   matches.AppendSetBits(&result.records);
-  const std::vector<Bitmap> slices = SplitByStore(std::move(matches));
 
   const ViewCatalog* views = options.use_views ? views_ : nullptr;
   const PathPlan plan = PlanPathAggregation(elements, fn, views);
@@ -180,8 +158,8 @@ StatusOr<PathAggResult> QueryEngine::AggregateAlongPath(
   uint64_t values_fetched = 0;
   COLGRAPH_ASSIGN_OR_RETURN(
       std::vector<double> values,
-      FoldPath(slices, result.records.size(), elements, plan, fn,
-               options.cancel, &values_fetched));
+      FoldPath(matches, result.records.size(), plan, fn, options.cancel,
+               &values_fetched));
   relation_->stats().values_fetched += values_fetched;
   result.values.push_back(std::move(values));
   return result;
@@ -242,10 +220,9 @@ StatusOr<PathAggResult> QueryEngine::RunAggregateQueryImpl(
   // Structural match. Aggregate-view bitmaps are offered as covering
   // bitmaps too: for an aggregate query whose paths are materialized, bp
   // both filters and pays for itself.
-  Bitmap matches =
+  const Bitmap matches =
       MatchIds(resolved.ids, options, /*consider_agg_bitmaps=*/true, plan_out);
   matches.AppendSetBits(&result.records);
-  const std::vector<Bitmap> slices = SplitByStore(std::move(matches));
 
   COLGRAPH_ASSIGN_OR_RETURN(result.paths, MaximalPaths(query.graph()));
 
@@ -278,8 +255,8 @@ StatusOr<PathAggResult> QueryEngine::RunAggregateQueryImpl(
 
     COLGRAPH_ASSIGN_OR_RETURN(
         std::vector<double> values,
-        FoldPath(slices, result.records.size(), elements, plan, fn,
-                 options.cancel, &values_fetched));
+        FoldPath(matches, result.records.size(), plan, fn, options.cancel,
+                 &values_fetched));
     result.values.push_back(std::move(values));
   }
   relation_->stats().values_fetched += values_fetched;

@@ -2,10 +2,12 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstddef>
 #include <cstring>
 #include <limits>
 #include <map>
 #include <optional>
+#include <utility>
 
 #include "obs/metrics.h"
 #include "obs/query_log.h"
@@ -38,166 +40,146 @@ QueryEngine::ResolvedQuery QueryEngine::Resolve(const GraphQuery& query) const {
   return resolved;
 }
 
-size_t QueryEngine::SourceCardinality(const BitmapSource& source) const {
-  switch (source.kind) {
-    case BitmapSource::Kind::kEdge:
-      return relation_->EdgeBitmapCardinality(
-          static_cast<EdgeId>(source.index));
-    case BitmapSource::Kind::kGraphView:
-      return relation_->GraphViewCardinality(source.index);
-    case BitmapSource::Kind::kAggViewBitmap:
-      return relation_->AggViewCardinality(source.index);
-  }
-  return 0;
-}
+namespace {
 
-const Bitmap& QueryEngine::FetchSource(const BitmapSource& source) const {
+// The bitmap column a plan source reads in `segment`: an edge's presence
+// (nullptr where the segment never grew it), bv or bp. A view column the
+// segment lacks fails a CHECK. No fetch accounting.
+const BitmapColumn* SourceColumn(const MasterRelation& segment,
+                                 const BitmapSource& source) {
   switch (source.kind) {
-    case BitmapSource::Kind::kEdge:
-      return relation_->FetchEdgeBitmap(static_cast<EdgeId>(source.index));
+    case BitmapSource::Kind::kEdge: {
+      const MeasureColumn* column =
+          segment.FindEdgeColumn(static_cast<EdgeId>(source.index));
+      return column == nullptr ? nullptr : &column->presence();
+    }
     case BitmapSource::Kind::kGraphView:
-      return relation_->FetchGraphView(source.index);
+      return &segment.PeekGraphViewColumn(source.index);
     case BitmapSource::Kind::kAggViewBitmap:
-      return relation_->FetchAggregateViewBitmap(source.index);
-  }
-  // Unreachable; keeps -Wreturn-type happy.
-  return relation_->FetchEdgeBitmap(0);
-}
-
-const HybridBitmap* QueryEngine::PeekSourceHybrid(
-    const BitmapSource& source) const {
-  switch (source.kind) {
-    case BitmapSource::Kind::kEdge:
-      return relation_->PeekEdgeBitmapHybrid(
-          static_cast<EdgeId>(source.index));
-    case BitmapSource::Kind::kGraphView:
-      return relation_->PeekGraphViewHybrid(source.index);
-    case BitmapSource::Kind::kAggViewBitmap:
-      return relation_->PeekAggViewBitmapHybrid(source.index);
+      return &segment.PeekAggregateView(source.index).presence();
   }
   return nullptr;
 }
 
-QueryEngine::SourceRef QueryEngine::FetchSourceRef(
-    const BitmapSource& source) const {
-  SourceRef ref;
-  ref.plain = &FetchSource(source);
-  ref.hybrid = PeekSourceHybrid(source);
-  return ref;
+// The conjunction of `sources`, in order, over one segment, counting each
+// bitmap it reads; `step_counts` as in QueryEngine::AndSegments.
+Bitmap AndSegment(const MasterRelation& segment,
+                  const std::vector<BitmapSource>& sources,
+                  std::vector<size_t>* step_counts) {
+  // The running conjunction stays in the hybrid (compressed) domain as long
+  // as every operand so far has a hybrid sidecar — container-level ANDs
+  // touch only the compressed payloads. The first plain operand (or the
+  // final result) materializes it into words once; from there hybrid
+  // operands apply in place via AndInto's word kernels.
+  std::optional<HybridBitmap> running;
+  Bitmap result;
+  for (size_t i = 0; i < sources.size(); ++i) {
+    // Short-circuit: once the conjunction is empty no further bitmap can
+    // add records, so stop fetching. This is why column-store query time
+    // *drops* as query graphs grow (Figure 3b): bigger queries are more
+    // selective and the AND pipeline exits early.
+    if (i > 0 && (running ? running->None() : result.None())) break;
+    const BitmapColumn* column = SourceColumn(segment, sources[i]);
+    if (column == nullptr) return Bitmap(segment.num_records());
+    ++segment.stats().bitmap_columns_fetched;
+    const HybridBitmap* hybrid = column->hybrid();
+    if (i == 0 && hybrid != nullptr) {
+      running = *hybrid;
+    } else if (i == 0) {
+      result = column->bits();
+    } else if (running.has_value() && hybrid != nullptr) {
+      running = HybridBitmap::And(*running, *hybrid);
+    } else {
+      if (running.has_value()) {
+        result = running->ToBitmap();
+        running.reset();
+      }
+      if (hybrid != nullptr) {
+        hybrid->AndInto(&result);
+      } else {
+        result.And(column->bits());
+      }
+    }
+    if (step_counts != nullptr) {
+      (*step_counts)[i] += running ? running->Count() : result.Count();
+    }
+  }
+  if (running.has_value()) result = running->ToBitmap();
+  return result;
 }
 
-size_t QueryEngine::TotalRecords() const {
-  size_t total = relation_->num_records();
-  if (tails_ != nullptr) {
-    for (const RelationSegment& seg : *tails_) {
-      total += seg.relation->num_records();
-    }
+}  // namespace
+
+size_t QueryEngine::SourceCardinality(const BitmapSource& source) const {
+  size_t total = 0;
+  for (size_t s = 0; s < NumSegments(); ++s) {
+    const BitmapColumn* column = SourceColumn(*Segment(s).relation, source);
+    if (column != nullptr) total += column->Count();
   }
   return total;
 }
 
-Bitmap QueryEngine::MatchIdsInTail(const MasterRelation& tail,
-                                   const std::vector<EdgeId>& ids) const {
-  // An edge the tail has no column for was never recorded in it, so the
-  // conjunction is empty. (The unconstrained ids.empty() case is handled
-  // by MatchIds before segments come into play.)
-  for (const EdgeId id : ids) {
-    if (id >= tail.num_edge_columns()) return Bitmap(tail.num_records());
+size_t QueryEngine::TotalRecords() const {
+  const RelationSegment last = Segment(NumSegments() - 1);
+  return last.base + last.relation->num_records();
+}
+
+Bitmap QueryEngine::AndSegments(const std::vector<BitmapSource>& sources,
+                                std::vector<size_t>* step_counts) const {
+  if (!HasTails()) return AndSegment(*relation_, sources, step_counts);
+  // The global answer is the union of the per-segment answers, each
+  // blitted at its segment's base (DESIGN.md §14).
+  Bitmap matches(TotalRecords());
+  for (size_t s = 0; s < NumSegments(); ++s) {
+    const RelationSegment seg = Segment(s);
+    matches.OrAt(AndSegment(*seg.relation, sources, step_counts), seg.base);
   }
-  Bitmap result = tail.FetchEdgeBitmap(ids.front());
-  for (size_t i = 1; i < ids.size() && !result.None(); ++i) {
-    result.And(tail.FetchEdgeBitmap(ids[i]));
-  }
-  return result;
+  return matches;
 }
 
 Bitmap QueryEngine::MatchIds(const std::vector<EdgeId>& ids,
                              const QueryOptions& options,
                              bool consider_agg_bitmaps,
                              MatchPlan* plan_out) const {
+  return MatchIds(ids, options, consider_agg_bitmaps, plan_out, nullptr);
+}
+
+Bitmap QueryEngine::MatchIds(const std::vector<EdgeId>& ids,
+                             const QueryOptions& options,
+                             bool consider_agg_bitmaps, MatchPlan* plan_out,
+                             std::vector<size_t>* step_counts) const {
   if (plan_out != nullptr) plan_out->sources.clear();
   if (ids.empty()) {
-    // An unconstrained query matches everything — tail records included.
+    // An unconstrained query matches every record of every segment.
     Bitmap all(TotalRecords());
     all.Fill();
     return all;
   }
-  // Incremental ingest can grow the catalog past the primary's columns
-  // (a tail introduced the edge); the primary then cannot contain the
-  // query and contributes an empty conjunct. Only reachable with tails:
-  // in single-relation mode the catalog and relation grow in lockstep.
-  if (HasTails() &&
-      std::any_of(ids.begin(), ids.end(), [&](EdgeId id) {
-        return id >= relation_->num_edge_columns();
-      })) {
-    Bitmap full(TotalRecords());
-    for (const RelationSegment& seg : *tails_) {
-      full.OrAt(MatchIdsInTail(*seg.relation, ids), seg.base);
-    }
-    return full;
-  }
   MatchPlan plan;
   {
     const obs::Span span(obs::QueryPhase::kRewrite, options.trace);
+    // One plan for every segment: it depends only on the catalog.
     plan = PlanMatch(ids, options.use_views ? views_ : nullptr,
                      consider_agg_bitmaps);
     if (options.order_by_selectivity) {
       // AND the most selective bitmaps first so the running conjunction
       // empties (and short-circuits) as early as possible. Cardinalities
-      // come from the sealed columns' rank directories — free statistics.
-      std::sort(plan.sources.begin(), plan.sources.end(),
-                [&](const BitmapSource& a, const BitmapSource& b) {
-                  return SourceCardinality(a) < SourceCardinality(b);
-                });
+      // come from the sealed columns' rank directories — free statistics,
+      // summed over the segments once per source.
+      std::vector<std::pair<size_t, BitmapSource>> keyed;
+      for (const BitmapSource& s : plan.sources) {
+        keyed.emplace_back(SourceCardinality(s), s);
+      }
+      std::sort(keyed.begin(), keyed.end(),
+                [](const auto& a, const auto& b) { return a.first < b.first; });
+      plan.sources.clear();
+      for (const auto& entry : keyed) plan.sources.push_back(entry.second);
     }
     if (plan_out != nullptr) *plan_out = plan;
   }
   const obs::Span span(obs::QueryPhase::kBitmapAnd, options.trace);
-  // The running conjunction stays in the hybrid (compressed) domain as long
-  // as every operand so far has a hybrid sidecar — container-level ANDs
-  // touch only the compressed payloads. The first plain operand (or the
-  // final result) materializes it into words once; from there hybrid
-  // operands apply in place via AndInto's word kernels.
-  const SourceRef front = FetchSourceRef(plan.sources.front());
-  std::optional<HybridBitmap> running;
-  Bitmap result;
-  if (front.hybrid != nullptr) {
-    running = *front.hybrid;
-  } else {
-    result = *front.plain;
-  }
-  for (size_t i = 1; i < plan.sources.size(); ++i) {
-    // Short-circuit: once the conjunction is empty no further bitmap can
-    // add records, so stop fetching. This is why column-store query time
-    // *drops* as query graphs grow (Figure 3b): bigger queries are more
-    // selective and the AND pipeline exits early.
-    if (running.has_value() ? running->None() : result.None()) break;
-    const SourceRef ref = FetchSourceRef(plan.sources[i]);
-    if (running.has_value()) {
-      if (ref.hybrid != nullptr) {
-        running = HybridBitmap::And(*running, *ref.hybrid);
-      } else {
-        result = running->ToBitmap();
-        running.reset();
-        result.And(*ref.plain);
-      }
-    } else if (ref.hybrid != nullptr) {
-      ref.hybrid->AndInto(&result);
-    } else {
-      result.And(*ref.plain);
-    }
-  }
-  if (running.has_value()) result = running->ToBitmap();
-  if (!HasTails()) return result;
-
-  // Multi-dataset OR (DESIGN.md §14): the global answer is the union of
-  // the per-dataset answers, each blitted at its segment's base offset.
-  Bitmap full(TotalRecords());
-  full.OrAt(result, 0);
-  for (const RelationSegment& seg : *tails_) {
-    full.OrAt(MatchIdsInTail(*seg.relation, ids), seg.base);
-  }
-  return full;
+  if (step_counts != nullptr) step_counts->assign(plan.sources.size(), 0);
+  return AndSegments(plan.sources, step_counts);
 }
 
 Bitmap QueryEngine::Match(const GraphQuery& query,
@@ -235,94 +217,62 @@ MeasureTable QueryEngine::FetchMeasures(const Bitmap& matches,
   // Zero matching rows: no measure column needs to be read at all — the
   // other face of "larger queries are cheaper" (Figure 3b).
   if (table.records.empty()) return table;
-  const size_t rows = table.records.size();
+  constexpr double kNull = std::numeric_limits<double>::quiet_NaN();
   FetchStats& stats = relation_->stats();
 
-  // Every path below fills columns with MeasureColumn::Gather, the one
-  // word-at-a-time rank gather (DESIGN.md §13, "Measure fetch").
-  if (HasTails()) {
-    // Multi-dataset fetch (DESIGN.md §14): each segment gathers its own
-    // slice of the global match bitmap (the inverse of the OrAt blit that
-    // built it) into the rows it owns; segments are contiguous id ranges
-    // in ascending order, so their rows are too. The partition merge-join
-    // modeling below applies to a single store; tails are small
-    // unpartitioned appendices, so each touched segment counts as one
-    // partition visit.
-    constexpr double kTailNull = std::numeric_limits<double>::quiet_NaN();
-    for (auto& column : table.columns) column.assign(rows, kTailNull);
-    size_t row = 0;
-    auto fetch_segment = [&](const MasterRelation& rel, size_t base) {
-      const Bitmap slice = matches.Extract(base, rel.num_records());
-      const size_t n = slice.Count();
-      if (n == 0) return;
-      ++stats.partitions_touched;
-      for (size_t i = 0; i < edges.size(); ++i) {
-        // A column the segment never grew stays NULL for its records.
-        if (edges[i] >= rel.num_edge_columns()) continue;
-        rel.FetchMeasureColumn(edges[i]).Gather(slice,
-                                                table.columns[i].data() + row);
-        stats.values_fetched += n;
+  // Each segment gathers its slice of the match into the rows it owns
+  // (segments are ascending id ranges) with MeasureColumn::Gather, the one
+  // rank gather (DESIGN.md §13); a column it never grew is NULL there.
+  size_t row = 0;
+  for (size_t s = 0; s < NumSegments(); ++s) {
+    const MasterRelation& segment = *Segment(s).relation;
+    Bitmap scratch;
+    const Bitmap& slice = SliceOf(matches, s, &scratch);
+    const size_t n = HasTails() ? slice.Count() : table.records.size();
+    if (n == 0) continue;
+    const auto gather = [&](size_t i, double* out) {
+      const MeasureColumn* column = segment.FindEdgeColumn(edges[i]);
+      if (column == nullptr) {
+        std::fill(out, out + n, kNull);
+        return;
       }
-      row += n;
+      ++segment.stats().measure_columns_fetched;
+      column->Gather(slice, out);
+      stats.values_fetched += n;
     };
-    fetch_segment(*relation_, 0);
-    for (const RelationSegment& t : *tails_) fetch_segment(*t.relation, t.base);
-    return table;
-  }
-
-  // Group requested columns by vertical partition (Section 6.1).
-  std::map<size_t, std::vector<size_t>> by_partition;  // partition -> idx
-  for (size_t i = 0; i < edges.size(); ++i) {
-    by_partition[relation_->PartitionOf(edges[i])].push_back(i);
-  }
-  stats.partitions_touched += by_partition.size();
-
-  if (by_partition.size() <= 1) {
-    // Single sub-relation: gather straight into the result columns.
+    // Group requested columns by vertical partition (Section 6.1). A slice
+    // of a match over several segments is one partition visit even when no
+    // column is requested: the segment's share of the match is read.
+    std::map<size_t, std::vector<size_t>> by_partition;  // partition -> idx
     for (size_t i = 0; i < edges.size(); ++i) {
-      table.columns[i].resize(rows);
-      relation_->FetchMeasureColumn(edges[i]).Gather(matches,
-                                                     table.columns[i].data());
-      stats.values_fetched += rows;
+      by_partition[segment.PartitionOf(edges[i])].push_back(i);
     }
-    return table;
-  }
-
-  // Multiple sub-relations: each partition assembles its own
-  // (recid, values...) rows; the partials are then merge-joined on recid.
-  // Both sides are sorted by recid, so each join is a linear merge — but
-  // the extra materialization and merging is real work that grows with the
-  // partition count, reproducing the degradation of Figure 5.
-  struct Partial {
-    std::vector<RecordId> records;
-    std::vector<size_t> column_slots;            // indexes into table.columns
-    std::vector<std::vector<double>> columns;    // aligned with column_slots
-  };
-  std::vector<Partial> partials;
-  partials.reserve(by_partition.size());
-  for (const auto& [partition, slots] : by_partition) {
-    (void)partition;
-    Partial part;
-    part.records = table.records;
-    part.column_slots = slots;
-    part.columns.resize(slots.size());
-    for (size_t s = 0; s < slots.size(); ++s) {
-      part.columns[s].resize(rows);
-      relation_->FetchMeasureColumn(edges[slots[s]])
-          .Gather(matches, part.columns[s].data());
-      stats.values_fetched += rows;
+    stats.partitions_touched +=
+        std::max<size_t>(by_partition.size(), HasTails() ? 1 : 0);
+    const bool joined = by_partition.size() > 1;
+    if (joined) stats.partition_joins += by_partition.size() - 1;
+    const auto first = table.records.begin() + static_cast<ptrdiff_t>(row);
+    for (const auto& [partition, slots] : by_partition) {
+      (void)partition;
+      // A single sub-relation gathers straight into the result columns.
+      // With several, each partition assembles its own (recid, values...)
+      // rows, merge-joined on recid into the table: extra materialization
+      // and merging that grows with the partition count, reproducing the
+      // degradation of Figure 5.
+      const std::vector<RecordId> keys(
+          first, joined ? first + static_cast<ptrdiff_t>(n) : first);
+      for (const size_t i : slots) {
+        // A column is allocated just before its first gather, while it is
+        // still in cache.
+        std::vector<double>& column = table.columns[i];
+        if (column.empty()) column.resize(table.records.size());
+        std::vector<double> partial(keys.size());
+        double* out = column.data() + row;
+        gather(i, joined ? partial.data() : out);
+        std::copy(partial.begin(), partial.end(), out);
+      }
     }
-    partials.push_back(std::move(part));
-  }
-  // Merge join: all partials share the match list, so the join key
-  // sequences are identical; copy each partial's columns into place.
-  for (size_t p = 1; p < partials.size(); ++p) {
-    ++stats.partition_joins;
-  }
-  for (Partial& part : partials) {
-    for (size_t s = 0; s < part.column_slots.size(); ++s) {
-      table.columns[part.column_slots[s]] = std::move(part.columns[s]);
-    }
+    row += n;
   }
   return table;
 }
@@ -505,71 +455,37 @@ void QueryEngine::ExplainMatchInto(const std::vector<EdgeId>& ids,
   result->used_views =
       views != nullptr &&
       (views->num_graph_views() > 0 || views->num_agg_views() > 0);
-  if (ids.empty()) {
-    // Unconstrained query: matches everything, no bitmaps to AND.
-    result->matched_records = TotalRecords();
-    return;
-  }
-  // EXPLAIN annotates the primary store's plan; tail datasets add their
-  // own matches to the count, as they do to MatchIds' answer.
-  size_t tail_matches = 0;
-  if (HasTails()) {
-    for (const RelationSegment& seg : *tails_) {
-      tail_matches += MatchIdsInTail(*seg.relation, ids).Count();
-    }
-  }
-  // An edge only tail datasets know makes the primary's plan an empty
-  // conjunct — report it as such instead of indexing columns the primary
-  // does not have.
-  if (HasTails() &&
-      std::any_of(ids.begin(), ids.end(), [&](EdgeId id) {
-        return id >= relation_->num_edge_columns();
-      })) {
-    result->matched_records = tail_matches;
-    return;
-  }
-
-  AnnotatedMatchPlan plan = PlanMatchAnnotated(ids, views,
-                                               consider_agg_bitmaps);
-  if (options.order_by_selectivity) {
-    // Mirror MatchIds' execution order exactly (stable sort is not needed
-    // there either: SourceCardinality is a strict weak order over the same
-    // values, and equal-cardinality ties keep plan order via std::sort's
-    // determinism on identical input).
-    std::sort(plan.sources.begin(), plan.sources.end(),
-              [&](const AnnotatedSource& a, const AnnotatedSource& b) {
-                return SourceCardinality(a.source) <
-                       SourceCardinality(b.source);
-              });
-  }
-
-  Bitmap running;
-  bool first = true;
-  for (const AnnotatedSource& annotated : plan.sources) {
+  // MatchIds reports the plan it ran and the cardinality after each step.
+  MatchPlan plan;
+  std::vector<size_t> cumulative;
+  result->matched_records =
+      MatchIds(ids, options, consider_agg_bitmaps, &plan, &cumulative).Count();
+  // The same cover, annotated with the query edges each source constrains.
+  const AnnotatedMatchPlan annotated =
+      PlanMatchAnnotated(ids, views, consider_agg_bitmaps);
+  for (size_t i = 0; i < plan.sources.size(); ++i) {
+    const BitmapSource& source = plan.sources[i];
     obs::ExplainSource out;
-    out.source = annotated.source;
-    out.covers = annotated.covers;
-    out.estimated_cardinality = SourceCardinality(annotated.source);
-    out.hybrid = PeekSourceHybrid(annotated.source) != nullptr;
-    if (first) {
-      running = FetchSource(annotated.source);
-      first = false;
-    } else if (!running.None()) {
-      running.And(FetchSource(annotated.source));
+    out.source = source;
+    for (const AnnotatedSource& a : annotated.sources) {
+      if (a.source.kind == source.kind && a.source.index == source.index) {
+        out.covers = a.covers;
+      }
     }
-    out.cumulative_cardinality = running.Count();
-    if (annotated.source.kind == BitmapSource::Kind::kEdge) {
-      result->residual_edges.push_back(static_cast<EdgeId>(
-          annotated.source.index));
-    } else if (annotated.source.kind == BitmapSource::Kind::kGraphView) {
-      result->graph_view_indexes.push_back(annotated.source.index);
-    } else if (annotated.source.kind == BitmapSource::Kind::kAggViewBitmap) {
-      result->agg_view_indexes.push_back(annotated.source.index);
+    out.estimated_cardinality = SourceCardinality(source);
+    out.cumulative_cardinality = cumulative[i];
+    const BitmapColumn* primary = SourceColumn(*relation_, source);
+    out.hybrid = primary != nullptr && primary->hybrid() != nullptr;
+    if (source.kind == BitmapSource::Kind::kEdge) {
+      result->residual_edges.push_back(static_cast<EdgeId>(source.index));
+    } else if (source.kind == BitmapSource::Kind::kGraphView) {
+      result->graph_view_indexes.push_back(source.index);
+    } else if (source.kind == BitmapSource::Kind::kAggViewBitmap) {
+      result->agg_view_indexes.push_back(source.index);
     }
     result->sources.push_back(std::move(out));
   }
   std::sort(result->residual_edges.begin(), result->residual_edges.end());
-  result->matched_records = running.Count() + tail_matches;
 }
 
 }  // namespace colgraph

@@ -69,17 +69,16 @@ struct QueryOptions {
 
 class ThreadPool;
 
-/// \brief One extra store of records behind a query: an immutable tail
-/// dataset (DESIGN.md §14) whose record 0 sits at global record id `base`.
-/// The primary relation always occupies [0, primary.num_records()); tails
-/// stack behind it in ingest order.
+/// \brief One sealed segment of the collection (DESIGN.md §14): a relation
+/// whose record 0 sits at global record id `base`. The primary relation is
+/// the segment at base 0; tail datasets stack behind it in ingest order.
 struct RelationSegment {
   const MasterRelation* relation = nullptr;
   size_t base = 0;
 };
 
-/// \brief Evaluator bound to one relation + catalogs, plus optional tail
-/// datasets (incremental ingest, DESIGN.md §14).
+/// \brief Evaluator bound to the segments of one collection (the primary
+/// relation plus optional tail datasets, DESIGN.md §14) and its catalogs.
 ///
 /// Thread-safe: all query entry points are const reads over the sealed
 /// relation(s) and catalogs, and the shared FetchStats counters are relaxed
@@ -95,11 +94,10 @@ class QueryEngine {
   /// evaluator; hooks are skipped when obs::QueryLogEnabled() is off.
   ///
   /// `tails` (optional) appends immutable tail datasets behind the primary
-  /// relation: matches become the OR of the per-dataset matches (each
-  /// blitted at its segment base), fetches and aggregate folds route every
-  /// global record id to the segment that owns it. Views cover the primary
-  /// only — tail records are always evaluated from their atomic columns.
-  /// nullptr or empty reproduces single-relation behavior bit for bit.
+  /// relation. A query is planned once against the catalog; every segment
+  /// runs that plan over its own columns (so each tail must carry every
+  /// catalog view's column) and its result lands at its base. nullptr or
+  /// empty is a single segment, whose results are returned as they are.
   QueryEngine(const MasterRelation* relation, const EdgeCatalog* catalog,
               const ViewCatalog* views, obs::QueryLog* query_log = nullptr,
               const std::vector<RelationSegment>* tails = nullptr)
@@ -205,52 +203,50 @@ class QueryEngine {
 
  private:
   bool HasTails() const { return tails_ != nullptr && !tails_->empty(); }
-  /// Global record-id domain: primary records plus every tail's records.
+  /// Segment 0 is the primary; segment s > 0 is tail s - 1.
+  size_t NumSegments() const { return 1 + (HasTails() ? tails_->size() : 0); }
+  RelationSegment Segment(size_t s) const {
+    return s == 0 ? RelationSegment{relation_, 0} : (*tails_)[s - 1];
+  }
+  /// Global record-id domain: the records of every segment.
   size_t TotalRecords() const;
-  /// Tail-local match: plain per-edge bitmap AND over one tail dataset
-  /// (no views, no hybrid pipeline — tails are small appendices). An edge
-  /// id the tail has no column for matches nothing in it.
-  Bitmap MatchIdsInTail(const MasterRelation& tail,
-                        const std::vector<EdgeId>& ids) const;
+  /// MatchIds that also fills *step_counts as AndSegments does (EXPLAIN).
+  Bitmap MatchIds(const std::vector<EdgeId>& ids, const QueryOptions& options,
+                  bool consider_agg_bitmaps, MatchPlan* plan_out,
+                  std::vector<size_t>* step_counts) const;
 
-  /// A global match bitmap split into one bitmap per store: the primary's
-  /// records, then each tail's (the inverse of the OrAt blits that built
-  /// it). In single-relation mode `matches` is passed through.
-  std::vector<Bitmap> SplitByStore(Bitmap matches) const;
+  /// Set-bit count of a plan source summed over every segment (no fetch
+  /// counted): the selectivity estimate plans are ordered by.
+  size_t SourceCardinality(const BitmapSource& source) const;
+  /// The conjunction of `sources`, in order, run on every segment, each
+  /// result placed at its base (one segment's is returned as is).
+  /// `step_counts` (optional, one slot per source) sums the running
+  /// conjunction's cardinality after each source over the segments.
+  Bitmap AndSegments(const std::vector<BitmapSource>& sources,
+                     std::vector<size_t>* step_counts) const;
+
+  /// Segment s's share of a global match: `matches` itself with one
+  /// segment, else its slice, extracted into *scratch.
+  const Bitmap& SliceOf(const Bitmap& matches, size_t s,
+                        Bitmap* scratch) const {
+    if (!HasTails()) return matches;
+    const RelationSegment seg = Segment(s);
+    return *scratch = matches.Extract(seg.base, seg.relation->num_records());
+  }
 
   /// The aggregate fold behind RunAggregateQuery and AggregateAlongPath:
   /// F along one path for each of the `num_records` records set in
-  /// `slices` (SplitByStore's), in record order. The primary folds
-  /// `plan`'s segments; each tail folds its own columns for `elements`,
-  /// the path's measurable elements, atomically.
-  /// A column a store never grew is NULL for its records. Adds the number
-  /// of values read to *values_fetched; polls `cancel` once per block of
-  /// records folded.
+  /// `matches`, in record order. Every segment folds `plan` over its own
+  /// columns (one it never grew is NULL). Adds the number of values read
+  /// to *values_fetched; polls `cancel` once per block of records folded.
   [[nodiscard]] StatusOr<std::vector<double>> FoldPath(
-      const std::vector<Bitmap>& slices, size_t num_records,
-      const std::vector<EdgeId>& elements, const PathPlan& plan, AggFn fn,
-      const CancellationToken* cancel, uint64_t* values_fetched) const;
+      const Bitmap& matches, size_t num_records, const PathPlan& plan,
+      AggFn fn, const CancellationToken* cancel,
+      uint64_t* values_fetched) const;
 
-  const Bitmap& FetchSource(const BitmapSource& source) const;
-  /// A fetched source under both encodings: `plain` is always valid;
-  /// `hybrid` is the column's seal-time hybrid sidecar or nullptr. One
-  /// FetchSourceRef counts exactly one bitmap fetch (the hybrid peek is
-  /// accounting-free), so FetchStats are identical whichever encoding the
-  /// AND loop consumes.
-  struct SourceRef {
-    const Bitmap* plain = nullptr;
-    const HybridBitmap* hybrid = nullptr;
-  };
-  SourceRef FetchSourceRef(const BitmapSource& source) const;
-  /// The source's hybrid sidecar (nullptr when plain-encoded); no
-  /// accounting.
-  const HybridBitmap* PeekSourceHybrid(const BitmapSource& source) const;
-  /// Set-bit count of a plan source, without counting as a fetch.
-  size_t SourceCardinality(const BitmapSource& source) const;
-
-  /// Shared EXPLAIN core: fills `result` with the annotated match plan for
-  /// resolved edge ids (sources in AND order, per-step estimated vs.
-  /// actual cardinalities, residual edges, chosen view indexes).
+  /// Shared EXPLAIN core: runs MatchIds on resolved edge ids and fills
+  /// `result` with its plan (sources in AND order, estimated vs. actual
+  /// cardinalities summed over segments, residual edges, view indexes).
   void ExplainMatchInto(const std::vector<EdgeId>& ids,
                         const QueryOptions& options,
                         bool consider_agg_bitmaps,
@@ -275,7 +271,7 @@ class QueryEngine {
   const EdgeCatalog* catalog_;
   const ViewCatalog* views_;  // may be null (no views materialized)
   obs::QueryLog* log_;        // may be null (no capture configured)
-  /// Tail datasets behind the primary; null/empty = single-relation mode.
+  /// Tail datasets behind the primary; null/empty = one segment.
   const std::vector<RelationSegment>* tails_;
 };
 

@@ -95,6 +95,22 @@ void AppendValue(std::string* out, double v) {
                           .ptr);
 }
 
+// The store's live datasets as tails of `engine` (BuildTailRelation): the
+// segments a start attaches and a compaction swaps in.
+StatusOr<std::vector<std::shared_ptr<const MasterRelation>>> LoadTails(
+    const DatasetStore& store, const ColGraphEngine& engine) {
+  COLGRAPH_ASSIGN_OR_RETURN(std::vector<MasterRelation> datasets,
+                            store.LoadAll());
+  std::vector<std::shared_ptr<const MasterRelation>> tails;
+  tails.reserve(datasets.size());
+  for (MasterRelation& dataset : datasets) {
+    COLGRAPH_ASSIGN_OR_RETURN(MasterRelation tail,
+                              engine.BuildTailRelation(std::move(dataset)));
+    tails.push_back(std::make_shared<const MasterRelation>(std::move(tail)));
+  }
+  return tails;
+}
+
 }  // namespace
 
 std::string RenderMatchResult(const Bitmap& matches) {
@@ -164,13 +180,11 @@ StatusOr<std::unique_ptr<Daemon>> Daemon::Start(
         DatasetStore opened,
         DatasetStore::Open(options.data_dir, store_options));
     store = std::make_unique<DatasetStore>(std::move(opened));
-    COLGRAPH_ASSIGN_OR_RETURN(std::vector<MasterRelation> datasets,
-                              store->LoadAll());
-    if (!datasets.empty()) {
+    COLGRAPH_ASSIGN_OR_RETURN(auto tails, LoadTails(*store, *initial));
+    if (!tails.empty()) {
       ColGraphEngine restored = initial->SharedCopy();
-      for (MasterRelation& dataset : datasets) {
-        COLGRAPH_RETURN_NOT_OK(restored.AttachDataset(
-            std::make_shared<const MasterRelation>(std::move(dataset))));
+      for (auto& tail : tails) {
+        COLGRAPH_RETURN_NOT_OK(restored.AttachDataset(std::move(tail)));
       }
       initial = std::make_shared<const ColGraphEngine>(std::move(restored));
     }
@@ -665,7 +679,7 @@ StatusOr<Response> Daemon::Ingest(const std::string& trace_text) {
   // off the writer path. The flag collapses triggers so at most one task
   // is queued at a time.
   if (options_.compact_after_datasets > 0 &&
-      num_tails >= options_.compact_after_datasets &&
+      num_tails - merged_tails_ >= options_.compact_after_datasets &&
       !compaction_queued_.exchange(true, std::memory_order_acq_rel)) {
     conn_pool_->Schedule([this] {
       const Status status = CompactNow();
@@ -692,21 +706,26 @@ Status Daemon::CompactNow() {
   const MutexLock writer_lock(writer_mu_);
   if (draining()) return Status::Unavailable("server draining");
 
-  // Durable merge first: if it fails (injected crash, lock contention),
-  // the manifest still references every sealed dataset and the served
-  // snapshot keeps answering from them — zero records lost.
-  if (store_ != nullptr) {
-    COLGRAPH_RETURN_NOT_OK(store_->CompactAll());
-  }
-
   const std::shared_ptr<const ColGraphEngine> base = snapshots_.Acquire();
   if (base->tails().empty()) return Status::OK();
   ColGraphEngine next = base->SharedCopy();
-  COLGRAPH_RETURN_NOT_OK(next.Compact());
+  if (store_ == nullptr) {
+    COLGRAPH_RETURN_NOT_OK(next.Compact());
+  } else {
+    // One merge, on disk. If it fails (injected crash, lock contention),
+    // the manifest still references every sealed dataset and the served
+    // snapshot keeps answering from them — zero records lost.
+    const std::vector<std::string> live = store_->dataset_names();
+    COLGRAPH_RETURN_NOT_OK(store_->CompactAll());
+    if (store_->dataset_names() == live) return Status::OK();
+    COLGRAPH_ASSIGN_OR_RETURN(auto tails, LoadTails(*store_, next));
+    COLGRAPH_RETURN_NOT_OK(next.ReplaceTails(std::move(tails)));
+  }
   const size_t total = next.total_records();
   const size_t num_tails = next.tails().size();
   COLGRAPH_RETURN_NOT_OK(snapshots_.Publish(
       std::make_shared<const ColGraphEngine>(std::move(next))));
+  merged_tails_ = num_tails;
   TailDatasetsGauge().Set(static_cast<int64_t>(num_tails));
   TotalRecordsGauge().Set(static_cast<int64_t>(total));
   return Status::OK();

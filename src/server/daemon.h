@@ -68,9 +68,9 @@ struct DaemonOptions {
   /// the initial snapshot. Empty = RAM-only tails (nothing survives a
   /// restart beyond what the initial engine carries).
   std::string data_dir;
-  /// Tail-dataset count that triggers a background compaction after an
-  /// ingest publish (merge datasets, re-materialize views, republish).
-  /// 0 disables background compaction.
+  /// Number of tail datasets ingested since the last compaction that
+  /// triggers a background compaction after an ingest publish (merge the
+  /// datasets, republish). 0 disables background compaction.
   size_t compact_after_datasets = 4;
   /// Slow-query capture (DESIGN.md §15): requests at or above the
   /// threshold — plus an optional deterministic 1-in-N sample — are
@@ -122,12 +122,11 @@ class Daemon {
   /// Serialized internally; concurrent callers queue on the writer lock.
   [[nodiscard]] StatusOr<Response> Ingest(const std::string& trace_text);
 
-  /// Runs one compaction cycle inline: merges the durable datasets (when
-  /// data_dir is configured), collapses the snapshot's tails into its
-  /// primary relation, and republishes. Exposed for tests; the background
-  /// trigger (compact_after_datasets) calls the same body. A failed or
-  /// contended durable merge leaves the served snapshot — and every sealed
-  /// dataset — untouched.
+  /// Runs one compaction cycle inline and republishes: with data_dir, one
+  /// merge on disk, whose dataset then serves as the tail behind the
+  /// unchanged primary (what a restart loads); without, the tails merge
+  /// into the primary in memory. The background trigger calls the same
+  /// body. A failed durable merge leaves everything untouched.
   [[nodiscard]] Status CompactNow();
 
   const std::string& socket_path() const { return options_.socket_path; }
@@ -183,6 +182,8 @@ class Daemon {
   Mutex writer_mu_;
   /// Durable dataset directory; null when options_.data_dir is empty.
   std::unique_ptr<DatasetStore> store_ COLGRAPH_GUARDED_BY(writer_mu_);
+  /// Served tails the last compaction produced; the trigger counts the rest.
+  size_t merged_tails_ COLGRAPH_GUARDED_BY(writer_mu_) = 0;
   /// Collapses scheduling so at most one background compaction is queued.
   std::atomic<bool> compaction_queued_{false};
 

@@ -1,5 +1,7 @@
 #include "views/materializer.h"
 
+#include <type_traits>
+
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "query/agg_fn.h"
@@ -9,17 +11,12 @@ namespace colgraph {
 
 namespace {
 
-// Materialization accounting: view counts and per-view build latency (the
-// Section 5.2 "views are cheap to build" claim, observable).
+// Per-view build latency (the Section 5.2 "views are cheap to build"
+// claim, observable).
 obs::LatencyHistogram& MaterializeHistogram() {
   static obs::LatencyHistogram& hist =
       obs::MetricsRegistry::Global().GetHistogram("views.materialize_us");
   return hist;
-}
-
-void CountMaterialized(const char* counter_name) {
-  if (!obs::MetricsEnabled()) return;
-  obs::MetricsRegistry::Global().GetCounter(counter_name).Increment();
 }
 
 Status ValidateIds(const std::vector<EdgeId>& ids,
@@ -33,16 +30,137 @@ Status ValidateIds(const std::vector<EdgeId>& ids,
   return Status::OK();
 }
 
+Status Validate(const GraphViewDef& def, const MasterRelation& relation) {
+  if (def.edges.empty()) {
+    return Status::InvalidArgument("cannot materialize an empty graph view");
+  }
+  return ValidateIds(def.edges, relation);
+}
+
+Status Validate(const AggViewDef& def, const MasterRelation& relation) {
+  if (def.elements.size() < 2) {
+    return Status::InvalidArgument(
+        "aggregate views must cover at least two elements; single-element "
+        "measures are already stored in the base schema");
+  }
+  return ValidateIds(def.elements, relation);
+}
+
 // AND of the presence bitmaps of `ids` (offline: bypasses fetch stats).
+// An edge the relation never grew is an empty column, so the conjunction
+// is empty.
 Bitmap ConjunctionBitmap(const std::vector<EdgeId>& ids,
                          const MasterRelation& relation) {
   Bitmap result(relation.num_records());
-  if (ids.empty()) return result;
-  result = relation.PeekMeasureColumn(ids[0]).presence().bits();
-  for (size_t i = 1; i < ids.size(); ++i) {
-    result.And(relation.PeekMeasureColumn(ids[i]).presence().bits());
+  for (size_t i = 0; i < ids.size(); ++i) {
+    const MeasureColumn* column = relation.FindEdgeColumn(ids[i]);
+    if (column == nullptr) return Bitmap(relation.num_records());
+    if (i == 0) {
+      result = column->presence().bits();
+    } else {
+      result.And(column->presence().bits());
+    }
   }
   return result;
+}
+
+// A graph view's column bv: the AND of its edges' bitmaps.
+Bitmap ComputeView(const GraphViewDef& def, const MasterRelation& relation) {
+  return ConjunctionBitmap(def.edges, relation);
+}
+
+// An aggregate view's column mp, whose presence bits are bp.
+MeasureColumn ComputeView(const AggViewDef& def,
+                          const MasterRelation& relation) {
+  const Bitmap bp = ConjunctionBitmap(def.elements, relation);
+  // The stored per-record value: for AVG the SUM sub-aggregate (count is
+  // def.elements.size(), known statically); otherwise F itself.
+  const AggFn stored_fn = def.fn == AggFn::kAvg ? AggFn::kSum : def.fn;
+
+  // A missing column empties bp, so no record below reads one.
+  std::vector<const MeasureColumn*> columns;
+  columns.reserve(def.elements.size());
+  for (EdgeId id : def.elements) {
+    columns.push_back(relation.FindEdgeColumn(id));
+  }
+
+  MeasureColumn mp;
+  bp.ForEachSetBit([&](size_t record) {
+    AggAccumulator acc(stored_fn);
+    for (const MeasureColumn* col : columns) {
+      // bp is the AND of the presences, so every element is non-NULL here.
+      acc.Add(*col->Get(record));
+    }
+    // Records arrive in ascending order, which is all Append requires.
+    COLGRAPH_CHECK_OK(mp.Append(record, acc.Result()));
+  });
+  mp.Seal(relation.num_records());
+  return mp;
+}
+
+// Computes every definition's column across `pool` (independent read-only
+// passes), then appends them in definition order — the same columns for
+// every thread count — and registers each in `catalog` unless it is null.
+template <typename Def>
+StatusOr<std::vector<size_t>> AddViews(const std::vector<Def>& defs,
+                                       MasterRelation* relation,
+                                       ViewCatalog* catalog,
+                                       ThreadPool* pool) {
+  std::vector<decltype(ComputeView(Def{}, *relation))> columns(defs.size());
+  COLGRAPH_RETURN_NOT_OK(ParallelFor(
+      pool, 0, defs.size(), /*grain=*/1,
+      [&](size_t begin, size_t end) -> Status {
+        for (size_t i = begin; i < end; ++i) {
+          const obs::Span span(&MaterializeHistogram(), nullptr, "materialize");
+          columns[i] = ComputeView(defs[i], *relation);
+        }
+        return Status::OK();
+      }));
+  std::vector<size_t> indices;
+  indices.reserve(defs.size());
+  for (size_t i = 0; i < defs.size(); ++i) {
+    if constexpr (std::is_same_v<Def, GraphViewDef>) {
+      indices.push_back(relation->AddGraphView(std::move(columns[i])));
+      if (catalog != nullptr) catalog->AddGraphView(defs[i], indices.back());
+    } else {
+      indices.push_back(relation->AddAggregateView(std::move(columns[i])));
+      if (catalog != nullptr) catalog->AddAggView(defs[i], indices.back());
+    }
+  }
+  return indices;
+}
+
+// Validates everything up front (serially, so the first bad definition in
+// order is reported): on error the relation and catalog are untouched.
+template <typename Def>
+StatusOr<std::vector<size_t>> Materialize(const std::vector<Def>& defs,
+                                          MasterRelation* relation,
+                                          ViewCatalog* catalog,
+                                          ThreadPool* pool) {
+  if (!relation->sealed()) {
+    return Status::InvalidArgument("materialize requires a sealed relation");
+  }
+  for (const Def& def : defs) {
+    COLGRAPH_RETURN_NOT_OK(Validate(def, *relation));
+  }
+  return AddViews(defs, relation, catalog, pool);
+}
+
+// The `views` entries at column `have` and up, each of which must sit at
+// the next column so that appending them in order matches the catalog.
+template <typename Def>
+StatusOr<std::vector<Def>> DefsFrom(
+    const std::vector<std::pair<Def, size_t>>& views, size_t have) {
+  std::vector<Def> defs;
+  for (const auto& [def, column] : views) {
+    if (column < have) continue;
+    if (column != have + defs.size()) {
+      return Status::InvalidArgument(
+          "catalog view columns are not in materialization order");
+    }
+    defs.push_back(def);
+  }
+  return defs;
 }
 
 }  // namespace
@@ -50,151 +168,45 @@ Bitmap ConjunctionBitmap(const std::vector<EdgeId>& ids,
 StatusOr<size_t> MaterializeGraphView(const GraphViewDef& def,
                                       MasterRelation* relation,
                                       ViewCatalog* catalog) {
-  if (!relation->sealed()) {
-    return Status::InvalidArgument("materialize requires a sealed relation");
-  }
-  if (def.edges.empty()) {
-    return Status::InvalidArgument("cannot materialize an empty graph view");
-  }
-  COLGRAPH_RETURN_NOT_OK(ValidateIds(def.edges, *relation));
-  const obs::Span span(&MaterializeHistogram(), nullptr, "materialize");
-  const size_t index =
-      relation->AddGraphView(ConjunctionBitmap(def.edges, *relation));
-  catalog->AddGraphView(def, index);
-  CountMaterialized("views.graph.materialized");
-  return index;
+  COLGRAPH_ASSIGN_OR_RETURN(const std::vector<size_t> indices,
+                            MaterializeGraphViews({def}, relation, catalog));
+  return indices.front();
 }
-
-namespace {
-
-// Computes the (mp) column of an aggregate view from the base columns.
-StatusOr<MeasureColumn> ComputeAggColumn(const AggViewDef& def,
-                                         const MasterRelation& relation) {
-  const Bitmap bp = ConjunctionBitmap(def.elements, relation);
-  // The stored per-record value: for AVG the SUM sub-aggregate (count is
-  // def.elements.size(), known statically); otherwise F itself.
-  const AggFn stored_fn = def.fn == AggFn::kAvg ? AggFn::kSum : def.fn;
-
-  std::vector<const MeasureColumn*> columns;
-  columns.reserve(def.elements.size());
-  for (EdgeId id : def.elements) {
-    columns.push_back(&relation.PeekMeasureColumn(id));
-  }
-
-  MeasureColumn mp;
-  Status status = Status::OK();
-  bp.ForEachSetBit([&](size_t record) {
-    if (!status.ok()) return;
-    AggAccumulator acc(stored_fn);
-    for (const MeasureColumn* col : columns) {
-      const auto value = col->Get(record);
-      // bp is the AND of the presences, so every element is non-NULL here.
-      acc.Add(*value);
-    }
-    status = mp.Append(record, acc.Result());
-  });
-  COLGRAPH_RETURN_NOT_OK(status);
-  mp.Seal(relation.num_records());
-  return mp;
-}
-
-}  // namespace
 
 StatusOr<size_t> MaterializeAggView(const AggViewDef& def,
                                     MasterRelation* relation,
                                     ViewCatalog* catalog) {
-  if (!relation->sealed()) {
-    return Status::InvalidArgument("materialize requires a sealed relation");
-  }
-  if (def.elements.size() < 2) {
-    return Status::InvalidArgument(
-        "aggregate views must cover at least two elements; single-element "
-        "measures are already stored in the base schema");
-  }
-  COLGRAPH_RETURN_NOT_OK(ValidateIds(def.elements, *relation));
-  const obs::Span span(&MaterializeHistogram(), nullptr, "materialize");
-  COLGRAPH_ASSIGN_OR_RETURN(MeasureColumn mp, ComputeAggColumn(def, *relation));
-  const size_t index = relation->AddAggregateView(std::move(mp));
-  catalog->AddAggView(def, index);
-  CountMaterialized("views.agg.materialized");
-  return index;
+  COLGRAPH_ASSIGN_OR_RETURN(const std::vector<size_t> indices,
+                            MaterializeAggViews({def}, relation, catalog));
+  return indices.front();
 }
 
 StatusOr<std::vector<size_t>> MaterializeGraphViews(
     const std::vector<GraphViewDef>& defs, MasterRelation* relation,
     ViewCatalog* catalog, ThreadPool* pool) {
-  if (!relation->sealed()) {
-    return Status::InvalidArgument("materialize requires a sealed relation");
-  }
-  // Validate everything up front (serially, so the first bad definition in
-  // order is reported) — the parallel phase then cannot fail, and on error
-  // the relation and catalog are untouched.
-  for (const GraphViewDef& def : defs) {
-    if (def.edges.empty()) {
-      return Status::InvalidArgument("cannot materialize an empty graph view");
-    }
-    COLGRAPH_RETURN_NOT_OK(ValidateIds(def.edges, *relation));
-  }
-
-  // Phase 1 (parallel): each view's conjunction bitmap is an independent
-  // read-only pass over the sealed base columns, computed into its own
-  // pre-sized slot.
-  std::vector<Bitmap> bitmaps(defs.size());
-  COLGRAPH_RETURN_NOT_OK(
-      ParallelFor(pool, 0, defs.size(), /*grain=*/1,
-                  [&](size_t begin, size_t end) -> Status {
-                    for (size_t i = begin; i < end; ++i) {
-                      bitmaps[i] = ConjunctionBitmap(defs[i].edges, *relation);
-                    }
-                    return Status::OK();
-                  }));
-
-  // Phase 2 (serial): register in definition order so view indices are
-  // identical to one-by-one materialization regardless of thread count.
-  std::vector<size_t> indices;
-  indices.reserve(defs.size());
-  for (size_t i = 0; i < defs.size(); ++i) {
-    const size_t index = relation->AddGraphView(std::move(bitmaps[i]));
-    catalog->AddGraphView(defs[i], index);
-    indices.push_back(index);
-  }
-  return indices;
+  return Materialize(defs, relation, catalog, pool);
 }
 
 StatusOr<std::vector<size_t>> MaterializeAggViews(
     const std::vector<AggViewDef>& defs, MasterRelation* relation,
     ViewCatalog* catalog, ThreadPool* pool) {
-  if (!relation->sealed()) {
+  return Materialize(defs, relation, catalog, pool);
+}
+
+Status MaterializeCatalogViews(const ViewCatalog& catalog,
+                               MasterRelation* segment, ThreadPool* pool) {
+  if (!segment->sealed()) {
     return Status::InvalidArgument("materialize requires a sealed relation");
   }
-  for (const AggViewDef& def : defs) {
-    if (def.elements.size() < 2) {
-      return Status::InvalidArgument(
-          "aggregate views must cover at least two elements; single-element "
-          "measures are already stored in the base schema");
-    }
-    COLGRAPH_RETURN_NOT_OK(ValidateIds(def.elements, *relation));
-  }
-
-  std::vector<MeasureColumn> columns(defs.size());
-  COLGRAPH_RETURN_NOT_OK(ParallelFor(
-      pool, 0, defs.size(), /*grain=*/1,
-      [&](size_t begin, size_t end) -> Status {
-        for (size_t i = begin; i < end; ++i) {
-          COLGRAPH_ASSIGN_OR_RETURN(columns[i],
-                                    ComputeAggColumn(defs[i], *relation));
-        }
-        return Status::OK();
-      }));
-
-  std::vector<size_t> indices;
-  indices.reserve(defs.size());
-  for (size_t i = 0; i < defs.size(); ++i) {
-    const size_t index = relation->AddAggregateView(std::move(columns[i]));
-    catalog->AddAggView(defs[i], index);
-    indices.push_back(index);
-  }
-  return indices;
+  COLGRAPH_ASSIGN_OR_RETURN(
+      const std::vector<GraphViewDef> graph_defs,
+      DefsFrom(catalog.graph_views(), segment->num_graph_views()));
+  COLGRAPH_ASSIGN_OR_RETURN(
+      const std::vector<AggViewDef> agg_defs,
+      DefsFrom(catalog.agg_views(), segment->num_aggregate_views()));
+  COLGRAPH_RETURN_NOT_OK(
+      AddViews(graph_defs, segment, nullptr, pool).status());
+  return AddViews(agg_defs, segment, nullptr, pool).status();
 }
 
 }  // namespace colgraph

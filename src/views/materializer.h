@@ -50,4 +50,13 @@ StatusOr<std::vector<size_t>> MaterializeAggViews(
     const std::vector<AggViewDef>& defs, MasterRelation* relation,
     ViewCatalog* catalog, ThreadPool* pool = nullptr);
 
+/// \brief Gives `segment`, a sealed slice of the collection `catalog`
+/// describes (DESIGN.md §14), every catalog view it lacks, over its own
+/// records, at the column the catalog records. A view naming an edge the
+/// segment never grew holds none of its records. InvalidArgument, with
+/// `segment` untouched, when the catalog's columns do not continue its.
+[[nodiscard]] Status MaterializeCatalogViews(const ViewCatalog& catalog,
+                                             MasterRelation* segment,
+                                             ThreadPool* pool = nullptr);
+
 }  // namespace colgraph

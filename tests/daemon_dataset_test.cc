@@ -61,13 +61,16 @@ class DaemonDatasetTest : public ::testing::Test {
     return engine;
   }
 
-  void StartDaemon(size_t compact_after_datasets) {
+  // Starts over `initial`, or over MakeInitial() when it is null.
+  void StartDaemon(size_t compact_after_datasets,
+                   std::shared_ptr<const ColGraphEngine> initial = nullptr) {
     DaemonOptions options;
     options.socket_path = socket_path_;
     options.num_workers = 2;
     options.data_dir = data_dir_;
     options.compact_after_datasets = compact_after_datasets;
-    auto daemon = Daemon::Start(MakeInitial(), options);
+    auto daemon = Daemon::Start(
+        initial != nullptr ? std::move(initial) : MakeInitial(), options);
     ASSERT_TRUE(daemon.ok()) << daemon.status().ToString();
     daemon_ = std::move(daemon).value();
   }
@@ -76,10 +79,12 @@ class DaemonDatasetTest : public ::testing::Test {
   // record contain the path 2→3→4, so the body enumerates every live
   // record id — the zero-lost-records check is byte equality of this
   // rendering.
-  std::string QueryAll() {
+  std::string QueryAll() { return Query("[2,3,4]"); }
+
+  std::string Query(const std::string& body) {
     Request request;
     request.op = RequestOp::kQuery;
-    request.body = "[2,3,4]";
+    request.body = body;
     const Response response = daemon_->Execute(request);
     EXPECT_TRUE(response.ok()) << response.body;
     return response.body;
@@ -159,16 +164,55 @@ TEST_F(DaemonDatasetTest, CompactNowMergesWithIdenticalResults) {
             retired_before + 3);
   EXPECT_EQ(registry.GetHistogram("store.compaction_us").count(),
             compaction_us_count_before + 1);
-  // The daemon's serving gauge tracks the post-compaction tail count —
-  // the merge folded every tail into the base relation, and that is
-  // visible in the STATS document too.
-  EXPECT_EQ(registry.GetGauge("server.tail_datasets").value(), 0);
+  // The daemon's serving gauge tracks the post-compaction tail count: the
+  // store's merged dataset, now served as the one tail behind the
+  // unchanged primary — the segments a restart loads.
+  EXPECT_EQ(registry.GetGauge("server.tail_datasets").value(), 1);
 
   // And the merged state survives a restart.
   ASSERT_TRUE(daemon_->Drain().ok());
   daemon_.reset();
   StartDaemon(/*compact_after_datasets=*/0);
   EXPECT_EQ(QueryAll(), before);
+}
+
+// A served answer must not depend on how the records are segmented. An
+// aggregate SUM view over the last two edges of 1→2→3→4 makes record 0
+// fold 0.1 + (0.2 + 0.3) = 0.59999999999999998, where the atomic fold
+// (0.1 + 0.2) + 0.3 gives 0.60000000000000009. Two ingested copies of the
+// record must fold through the view too: in their tails, in the store's
+// merged dataset after CompactNow, and after a restart that loads it.
+TEST_F(DaemonDatasetTest, AggregateViewFoldIsTheSameInEverySegment) {
+  const auto make_initial = [] {
+    auto engine = std::make_shared<ColGraphEngine>();
+    EXPECT_TRUE(engine->AddWalk({1, 2, 3, 4}, {0.1, 0.2, 0.3}).ok());
+    EXPECT_TRUE(engine->Seal().ok());
+    const auto id_of = [&](NodeId from, NodeId to) {
+      return *engine->catalog().Lookup(Edge{NodeRef{from, 0}, NodeRef{to, 0}});
+    };
+    AggViewDef def;
+    def.elements = {id_of(2, 3), id_of(3, 4)};
+    def.fn = AggFn::kSum;
+    EXPECT_TRUE(engine->MaterializeView(def).ok());
+    return engine;
+  };
+  StartDaemon(/*compact_after_datasets=*/0, make_initial());
+  ASSERT_TRUE(daemon_->Ingest("1 2 3 4 | 0.1 0.2 0.3\n").ok());
+  ASSERT_TRUE(daemon_->Ingest("1 2 3 4 | 0.1 0.2 0.3\n").ok());
+  const std::string before = Query("SUM [1,2,3,4]");
+  EXPECT_NE(before.find(": 0.59999999999999998 0.59999999999999998 "
+                        "0.59999999999999998\n"),
+            std::string::npos)
+      << before;
+
+  ASSERT_TRUE(daemon_->CompactNow().ok());
+  EXPECT_EQ(CountDatasetFiles(), 1u);
+  EXPECT_EQ(Query("SUM [1,2,3,4]"), before) << "after CompactNow";
+
+  ASSERT_TRUE(daemon_->Drain().ok());
+  daemon_.reset();
+  StartDaemon(/*compact_after_datasets=*/0, make_initial());
+  EXPECT_EQ(Query("SUM [1,2,3,4]"), before) << "after a restart";
 }
 
 // The chaos case of ISSUE 9: a compaction that dies mid-merge must lose

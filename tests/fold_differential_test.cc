@@ -3,14 +3,16 @@
 // segment's column a block at a time and folds record by record) against
 // the per-record MeasureColumn::Get fold they replaced, kept here as the
 // reference. The reference folds each matched record on its own, in plan
-// order on the primary and in path-element order on a tail, skipping
-// NULLs; a column a store never grew is NULL for all of its records.
+// order on whichever store holds it (every tail carries the catalog's
+// views, as the primary does), skipping NULLs; a column a store never grew
+// is NULL for all of its records.
 //
 // Relations hold records that lack elements (NULL), stored NaN payloads,
 // -0.0 and infinities. Queries cover every AggFn, views on and off,
 // multi-path DAG queries, open paths through AggregateAlongPath, and a
 // primary plus two tails at bases that are not multiples of 64, one tail
-// with a node measure the primary never had. Results must match bit for
+// lacking columns the primary's views name and one with a node measure the
+// primary never had. Results must match bit for
 // bit (a NaN result only has to be a NaN, see ExpectSameResults), and
 // FetchStats.values_fetched and partitions_touched must move exactly as
 // the per-record fold counted them. Everything runs in both dispatch
@@ -178,7 +180,6 @@ FoldCounts CountsOf(const MasterRelation& rel) {
 std::vector<double> ReferenceFold(const MasterRelation& primary,
                                   const std::vector<RelationSegment>& tails,
                                   const std::vector<RecordId>& records,
-                                  const std::vector<EdgeId>& elements,
                                   const PathPlan& plan, AggFn fn,
                                   FoldCounts* counts) {
   const auto column_of = [](const MasterRelation& store, EdgeId e) {
@@ -187,35 +188,26 @@ std::vector<double> ReferenceFold(const MasterRelation& primary,
   };
   std::vector<double> values;
   for (const RecordId r : records) {
-    AggAccumulator acc(fn);
-    if (r < primary.num_records()) {
-      for (const PathSegment& seg : plan.segments) {
-        const MeasureColumn* col =
-            seg.is_view ? &primary.PeekAggregateView(seg.agg_view_column)
-                        : column_of(primary, seg.atom);
-        const auto v = col == nullptr ? std::nullopt : col->Get(r);
-        if (!v.has_value()) continue;
-        if (seg.is_view) {
-          acc.Merge(*v, seg.num_elements);
-        } else {
-          acc.Add(*v);
-        }
-      }
-      counts->values_fetched += plan.segments.size();
-    } else {
-      const RelationSegment* owner = nullptr;
-      for (const RelationSegment& t : tails) {
-        if (r >= t.base && r < t.base + t.relation->num_records()) owner = &t;
-      }
-      EXPECT_NE(owner, nullptr) << "record " << r;
-      if (owner == nullptr) return values;
-      for (const EdgeId e : elements) {
-        const MeasureColumn* col = column_of(*owner->relation, e);
-        const auto v = col == nullptr ? std::nullopt : col->Get(r - owner->base);
-        if (v.has_value()) acc.Add(*v);
-      }
-      counts->values_fetched += elements.size();
+    RelationSegment owner{&primary, 0};
+    for (const RelationSegment& t : tails) {
+      if (r >= t.base && r < t.base + t.relation->num_records()) owner = t;
     }
+    EXPECT_LT(r - owner.base, owner.relation->num_records()) << "record " << r;
+    if (r - owner.base >= owner.relation->num_records()) return values;
+    AggAccumulator acc(fn);
+    for (const PathSegment& seg : plan.segments) {
+      const MeasureColumn* col =
+          seg.is_view ? &owner.relation->PeekAggregateView(seg.agg_view_column)
+                      : column_of(*owner.relation, seg.atom);
+      const auto v = col == nullptr ? std::nullopt : col->Get(r - owner.base);
+      if (!v.has_value()) continue;
+      if (seg.is_view) {
+        acc.Merge(*v, seg.num_elements);
+      } else {
+        acc.Add(*v);
+      }
+    }
+    counts->values_fetched += plan.segments.size();
     values.push_back(acc.Result());
   }
   return values;
@@ -261,6 +253,8 @@ struct Fixture {
           static_cast<int>(universe.primary_columns) + extra_columns);
       tail_relations.push_back(
           RandomRelation(rng, universe, records, columns));
+      // Every segment carries the catalog's views over its own records.
+      EXPECT_TRUE(MaterializeCatalogViews(views, &tail_relations.back()).ok());
       tails.push_back(RelationSegment{&tail_relations.back(), base});
       base += records;
     }
@@ -315,8 +309,7 @@ void ExpectAggregateQueriesMatch(Rng& rng, const Fixture& f, size_t queries) {
               elements, fn, use_views ? &f.views : nullptr);
           if (!plan.segments.empty()) ++want.partitions_touched;
           ExpectSameResults(ReferenceFold(f.primary, f.tails,
-                                           result->records, elements, plan,
-                                           fn, &want),
+                                           result->records, plan, fn, &want),
                              result->values[p]);
         }
         EXPECT_EQ(after.values_fetched - before.values_fetched,
@@ -351,7 +344,7 @@ void ExpectOpenPathsMatch(Rng& rng, const Fixture& f, size_t queries) {
             elements, fn, use_views ? &f.views : nullptr);
         FoldCounts want;  // an open path counts no partition visit
         ExpectSameResults(ReferenceFold(f.primary, f.tails, result->records,
-                                         elements, plan, fn, &want),
+                                         plan, fn, &want),
                            result->values[0]);
         EXPECT_EQ(after.values_fetched - before.values_fetched,
                   want.values_fetched);
@@ -383,8 +376,9 @@ TEST_P(FoldDifferentialTest, PrimaryOnlyMatchesPerRecordFold) {
 }
 
 // Tails at bases 301 and 398. The first lacks the primary's last three
-// columns; the second has every element, including the node measures of
-// nodes 6 and 7, which the primary never had (NULL for its records).
+// columns (views naming them hold none of its records); the second has
+// every element, including the node measures of nodes 6 and 7, which the
+// primary never had (NULL for its records).
 TEST_P(FoldDifferentialTest, TailsAtUnalignedBasesMatchPerRecordFold) {
   Rng rng(1702);
   const Fixture f(rng, 301, {{97, -3}, {150, 2}});

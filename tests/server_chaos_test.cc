@@ -9,6 +9,7 @@
 
 #include <cstdio>
 #include <cstring>
+#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -75,6 +76,15 @@ class ServerChaosTest : public ::testing::Test {
 };
 
 int ServerChaosTest::instance_ = 0;
+
+// Polls `done` every millisecond for up to ten seconds; true once it
+// holds. A connection worker captures a request's slow-query record after
+// it has written the response, so a client holding its answer can be
+// ahead of the capture.
+bool Eventually(const std::function<bool()>& done) {
+  for (int i = 0; i < 10000 && !done(); ++i) SleepMs(1);
+  return done();
+}
 
 TEST_F(ServerChaosTest, ConnectFailureRetriesEndToEnd) {
   failpoint::Arm("net:connect",
@@ -294,8 +304,12 @@ TEST_F(ServerChaosTest, SlowQueryLogDiskFullDegradesCaptureNotServing) {
   ASSERT_TRUE(daemon.ok()) << daemon.status().ToString();
   daemon_ = std::move(daemon).value();
 
+  const obs::SlowQueryLog* slow_log = daemon_->slow_query_log();
+  ASSERT_NE(slow_log, nullptr);
   Client client = MakeClient();
   ASSERT_TRUE(client.Query("[1,2,3]").ok());  // capture path healthy
+  // The healthy capture is on disk before the fault is armed.
+  ASSERT_TRUE(Eventually([&] { return slow_log->records_appended() >= 1; }));
 
   // Disk full at the next slow-log flush. The capture is lost and the log
   // poisons itself — but the request that carried it is served normally,
@@ -305,6 +319,8 @@ TEST_F(ServerChaosTest, SlowQueryLogDiskFullDegradesCaptureNotServing) {
   const auto during = client.Query("[1,2,3]");
   ASSERT_TRUE(during.ok()) << during.status().ToString();
   EXPECT_TRUE(during->ok());
+  // The fault stays armed until the poisoning flush has happened.
+  ASSERT_TRUE(Eventually([&] { return slow_log->records_dropped() >= 1; }));
   failpoint::DisarmAll();
 
   for (int i = 0; i < 5; ++i) {
@@ -312,8 +328,10 @@ TEST_F(ServerChaosTest, SlowQueryLogDiskFullDegradesCaptureNotServing) {
     ASSERT_TRUE(after.ok()) << after.status().ToString();
     EXPECT_TRUE(after->ok());
   }
-  ASSERT_NE(daemon_->slow_query_log(), nullptr);
-  EXPECT_GE(daemon_->slow_query_log()->records_dropped(), 5u);
+  // Draining joins the workers, so every capture has been offered; the
+  // drain reports the poisoned log's write error.
+  EXPECT_FALSE(daemon_->Drain().ok());
+  EXPECT_EQ(slow_log->records_dropped(), 6u);
   (void)std::remove((query_log_path_ + ".sq").c_str());
 }
 
