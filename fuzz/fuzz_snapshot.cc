@@ -51,10 +51,11 @@ std::vector<char> FixupChecksums(std::vector<char> data) {
 
   const size_t footer_pos = data.size() - kFooterBytes;
   // The body has exactly two sections (header, extent directory) followed
-  // by raw page-aligned column extents with no section framing — walking
-  // past the second section would misread extent bytes as section headers
-  // and stamp bogus "CRCs" into the very payloads under test, so the walk
-  // stops there. Extents carry no per-extent checksum; the footer rebuild
+  // by raw column extents with no section framing (packed on 8-byte
+  // boundaries; page-aligned in older images such as the
+  // valid_page_aligned seed) — walking past the second section would
+  // misread extent bytes as section headers and stamp bogus "CRCs" into
+  // the very payloads under test, so the walk stops there. Extents carry no per-extent checksum; the footer rebuild
   // below is all the fixing they need.
   size_t pos = 2 * sizeof(uint32_t);
   for (int section = 0;

@@ -102,16 +102,20 @@ void MeasureColumn::Gather(const Bitmap& matches, size_t first_word,
 
 StatusOr<MeasureColumn> MergeColumn(const std::vector<ColumnPart>& parts) {
   size_t total = 0;
-  for (const ColumnPart& part : parts) total += part.num_records;
+  size_t num_values = 0;
+  for (const ColumnPart& part : parts) {
+    total += part.num_records;
+    if (part.column != nullptr) num_values += part.column->num_values();
+  }
   Bitmap presence(total);
   std::vector<double> values;
+  values.reserve(num_values);
   size_t base = 0;
   for (const ColumnPart& part : parts) {
     if (part.column != nullptr) {
       presence.OrAt(part.column->presence().bits(), base);
-      for (size_t rank = 0; rank < part.column->num_values(); ++rank) {
-        values.push_back(part.column->ValueAtRank(rank));
-      }
+      const std::vector<double>& part_values = part.column->values();
+      values.insert(values.end(), part_values.begin(), part_values.end());
     }
     base += part.num_records;
   }

@@ -142,6 +142,8 @@ class MeasureColumn {
 
   const BitmapColumn& presence() const { return presence_; }
   size_t num_values() const { return values_.size(); }
+  /// The packed values, one per presence bit, in rank (= record) order.
+  const std::vector<double>& values() const { return values_; }
 
   size_t MemoryBytes() const {
     return presence_.MemoryBytes() + values_.size() * sizeof(double);

@@ -80,12 +80,7 @@ void Writer::WriteBitmap(const BitmapColumn& col) {
 
 void Writer::WriteMeasureColumn(const MeasureColumn& col) {
   WriteBitmap(col.presence());
-  std::vector<double> values;
-  values.reserve(col.num_values());
-  col.presence().bits().ForEachSetBit([&](size_t r) {
-    values.push_back(col.ValueAtRank(col.presence().Rank(r)));
-  });
-  WriteVec(values);
+  WriteVec(col.values());
 }
 
 Status Writer::Commit() {

@@ -7,20 +7,23 @@
 //
 //   [u32 codec magic][u32 version]
 //   section*:  [u64 payload_len][u32 crc32c(payload)][payload]
-//   extent*:   page-aligned raw column payloads (relation/engine images)
+//   extent*:   raw column payloads on 8-byte boundaries (relation/engine
+//              images)
 //   footer:    [u32 crc32c(file[0, len))][u64 len][u32 footer magic]
 //
 // Each codec owns one version and the Reader rejects any other as
 // Status::Corruption. Relation and engine images (v5, DESIGN.md §14) keep
 // their headers and definitions in sections and place column payloads in
-// page-aligned raw extents between the last section and the footer,
-// located by an extent directory section, so sealed dataset files can be
-// read through an mmap without deserializing columns that a query never
-// touches. The extents sit inside the footer-checksummed body, so the
-// open-time whole-file CRC still validates every byte (and, on the mapped
-// path, faults in every page once — which is why post-open reads cannot
-// SIGBUS). Every bitmap on disk is in the container codec
-// (HybridBitmap::ToRaw).
+// packed raw extents between the last section and the footer, located by
+// an extent directory section, so sealed dataset files can be read
+// through an mmap without deserializing columns that a query never
+// touches. Extents start on 8-byte boundaries, not pages: readers copy
+// out of them with memcpy and accept any ascending, in-bounds directory,
+// so images written with page-aligned extents load unchanged. The extents
+// sit inside the footer-checksummed body, so the open-time whole-file CRC
+// still validates every byte (and, on the mapped path, faults in every
+// page once — which is why post-open reads cannot SIGBUS). Every bitmap
+// on disk is in the container codec (HybridBitmap::ToRaw).
 //
 // Writer buffers the whole snapshot, then commits it atomically: the bytes
 // go to `<path>.tmp`, are fsync'd, and the tmp is rename(2)'d over the
@@ -108,7 +111,8 @@ class Writer {
   /// [u64 num_bits][u64 word count][BitmapColumn::EncodeContainers words].
   void WriteBitmap(const BitmapColumn& col);
 
-  /// Writes a sealed measure column: compressed presence + packed values.
+  /// Writes a sealed measure column: compressed presence + packed values
+  /// (the column's value array as stored, already in rank order).
   void WriteMeasureColumn(const MeasureColumn& col);
 
   /// Bytes buffered so far (preamble + sections written). The extent
@@ -117,8 +121,8 @@ class Writer {
   size_t bytes_buffered() const { return body_.size(); }
 
   /// Zero-pads the buffer up to absolute offset `target` (>= current
-  /// size). Must not be called inside a section — padding is part of the
-  /// whole-file CRC but no section's.
+  /// size), the gap before an aligned extent. Must not be called inside a
+  /// section — padding is part of the whole-file CRC but no section's.
   void PadTo(size_t target);
 
   /// Appends `n` raw bytes outside any section (a column extent).

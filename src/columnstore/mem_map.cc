@@ -88,14 +88,4 @@ MemMap::~MemMap() {
   }
 }
 
-size_t PageSize() {
-  const long page = ::sysconf(_SC_PAGESIZE);
-  return page > 0 ? static_cast<size_t>(page) : 4096;
-}
-
-size_t RoundUpToPage(size_t n) {
-  const size_t page = PageSize();
-  return (n + page - 1) / page * page;
-}
-
 }  // namespace colgraph::io

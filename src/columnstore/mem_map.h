@@ -1,5 +1,5 @@
 // Read-only memory-mapped file access for the out-of-core snapshot path
-// (DESIGN.md §14). A sealed v4 dataset file is mapped once at open; the
+// (DESIGN.md §14). A sealed v5 dataset file is mapped once at open; the
 // whole-file CRC check then touches every page sequentially, so a file
 // that passes validation can be read through the mapping without further
 // I/O error handling — immutable files cannot SIGBUS after that pass (the
@@ -45,11 +45,5 @@ class MemMap {
   const char* data_ = nullptr;
   size_t size_ = 0;
 };
-
-/// The VM page size, as required for the v4 column-extent alignment.
-size_t PageSize();
-
-/// Rounds `n` up to the next multiple of PageSize().
-size_t RoundUpToPage(size_t n);
 
 }  // namespace colgraph::io

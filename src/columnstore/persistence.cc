@@ -4,7 +4,6 @@
 #include <vector>
 
 #include "columnstore/io_util.h"
-#include "columnstore/mem_map.h"
 #include "util/failpoint.h"
 
 namespace colgraph {
@@ -14,6 +13,10 @@ namespace {
 // inside a standard section frame.
 constexpr size_t kExtentEntryBytes = 16;
 constexpr size_t kSectionFrameBytes = 12;  // u64 len + u32 crc
+// Extents start on 8-byte boundaries. Every payload is a whole number of
+// u64 words and a relation image's sections end on one, so relation
+// images carry no padding at all; engine images pad at most 7 bytes once.
+constexpr uint64_t kExtentAlign = 8;
 
 // Shared tail of ReadRelation/DecodeRelation: parses a validated Reader.
 StatusOr<MasterRelation> ReadRelationFrom(io::Reader in,
@@ -42,8 +45,8 @@ Status WriteRelation(const MasterRelation& relation, const std::string& path) {
   if (!relation.sealed()) {
     return Status::InvalidArgument("can only persist a sealed relation");
   }
-  // Pre-encode each column, then lay the payloads out as page-aligned
-  // extents behind a directory so readers can decode columns lazily.
+  // Pre-encode each column, then lay the payloads out as packed extents
+  // behind a directory so readers can decode columns lazily.
   std::vector<std::vector<char>> payloads;
   payloads.reserve(relation.num_edge_columns());
   for (EdgeId id = 0; id < relation.num_edge_columns(); ++id) {
@@ -84,7 +87,8 @@ void WriteExtents(io::Writer* out,
   uint64_t cursor = out->bytes_buffered() + dir_bytes;
   std::vector<Extent> extents(payloads.size());
   for (size_t i = 0; i < payloads.size(); ++i) {
-    extents[i].offset = io::RoundUpToPage(cursor);
+    extents[i].offset =
+        (cursor + kExtentAlign - 1) / kExtentAlign * kExtentAlign;
     extents[i].len = payloads[i].size();
     cursor = extents[i].offset + extents[i].len;
   }

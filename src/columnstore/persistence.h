@@ -3,14 +3,15 @@
 // by the packed (NULL-suppressed) values, so file size tracks the
 // DiskBytes() accounting used by the space experiments (Figure 4).
 //
-// Snapshot format v5 (checksummed sections + footer + one page-aligned raw
+// Snapshot format v5 (checksummed sections + footer + one packed raw
 // extent per column, written to `<path>.tmp` and atomically renamed — see
 // io_util.h and DESIGN.md §14). Reads accept v5 only; any other version,
 // and any corrupt or truncated file, loads as Status::Corruption, never as
 // a crash. The extent layout is what lets sealed dataset files be read
-// through an mmap with per-column lazy decoding (dataset.h) — alignment
-// costs up to one page of zero padding per column, a deliberate trade the
-// ≤1000-column partitioning rule keeps bounded.
+// through an mmap with per-column lazy decoding (dataset.h). Extents start
+// on 8-byte boundaries, so a file is as small as its payloads; images
+// written with page-aligned extents (any ascending, in-bounds directory)
+// read back unchanged.
 #pragma once
 
 #include <string>
@@ -53,8 +54,9 @@ struct Extent {
   uint64_t len = 0;
 };
 
-/// Emits the extent-directory section followed by the page-aligned raw
-/// extents for `payloads`. Offsets are computed against the writer's
+/// Emits the extent-directory section followed by the raw extents for
+/// `payloads`, each at the next 8-byte boundary (relation images need no
+/// padding at all). Offsets are computed against the writer's
 /// current buffer position, so this must be the last content before
 /// Commit(). Shared by the relation and engine snapshot writers.
 void WriteExtents(io::Writer* out,

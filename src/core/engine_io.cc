@@ -11,8 +11,8 @@ namespace colgraph {
 namespace {
 
 constexpr uint32_t kMagic = 0x4347454E;  // "CGEN"
-// Base-column and view payloads sit in page-aligned extents behind an
-// extent directory (the mmap layout, DESIGN.md §14).
+// Base-column and view payloads sit in packed extents behind an extent
+// directory (the mmap layout, DESIGN.md §14).
 constexpr uint32_t kVersion = 5;
 
 void WriteNodeRef(io::Writer& out, const NodeRef& n) {
@@ -89,7 +89,7 @@ Status WriteEngine(const ColGraphEngine& engine, const std::string& path) {
   const auto& agg_views = engine.views().agg_views();
 
   // Definitions stay in checksummed sections; the bulky column and
-  // view payloads move to page-aligned extents. Extent order: base
+  // view payloads move to packed extents. Extent order: base
   // columns, then graph-view bitmaps, then agg-view columns — the same
   // order the defs are written in.
   out.BeginSection();

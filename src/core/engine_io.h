@@ -4,10 +4,10 @@
 // restart without re-ingesting or re-materializing.
 //
 // Snapshot format v5 (checksummed sections + footer, column and view
-// payloads in page-aligned extents, written to `<path>.tmp` and atomically
-// renamed — see io_util.h and DESIGN.md §14). Reads accept v5 only; any
-// other version, and any corrupt or truncated file, loads as
-// Status::Corruption, never as a crash.
+// payloads in packed extents on 8-byte boundaries, written to
+// `<path>.tmp` and atomically renamed — see io_util.h and DESIGN.md §14).
+// Reads accept v5 only; any other version, and any corrupt or truncated
+// file, loads as Status::Corruption, never as a crash.
 #pragma once
 
 #include <string>

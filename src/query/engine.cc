@@ -240,15 +240,14 @@ MeasureTable QueryEngine::FetchMeasures(const Bitmap& matches,
       column->Gather(slice, out);
       stats.values_fetched += n;
     };
-    // Group requested columns by vertical partition (Section 6.1). A slice
-    // of a match over several segments is one partition visit even when no
-    // column is requested: the segment's share of the match is read.
+    // Group requested columns by vertical partition (Section 6.1); each
+    // segment counts the partitions it reads, none when no column is
+    // requested, however the collection is split.
     std::map<size_t, std::vector<size_t>> by_partition;  // partition -> idx
     for (size_t i = 0; i < edges.size(); ++i) {
       by_partition[segment.PartitionOf(edges[i])].push_back(i);
     }
-    stats.partitions_touched +=
-        std::max<size_t>(by_partition.size(), HasTails() ? 1 : 0);
+    stats.partitions_touched += by_partition.size();
     const bool joined = by_partition.size() > 1;
     if (joined) stats.partition_joins += by_partition.size() - 1;
     const auto first = table.records.begin() + static_cast<ptrdiff_t>(row);

@@ -2,7 +2,6 @@
 
 #include <charconv>
 #include <cstdio>
-#include <sstream>
 #include <utility>
 #include <vector>
 
@@ -634,23 +633,13 @@ Response Daemon::ExecuteQuery(const Request& request,
 }
 
 StatusOr<Response> Daemon::Ingest(const std::string& trace_text) {
-  // Single writer: ingests serialize here. Readers never wait — they keep
-  // evaluating against the previous snapshot until the publish below.
-  const MutexLock writer_lock(writer_mu_);
-
-  std::istringstream in(trace_text);
+  // Parsing and flattening depend on the body alone, so they run before
+  // the writer lock and concurrent ingests parse in parallel.
   COLGRAPH_ASSIGN_OR_RETURN(const std::vector<WalkTrace> traces,
-                            ParseTraces(in));
+                            ParseTraces(trace_text));
   if (traces.empty()) {
     return Status::InvalidArgument("ingest body contains no trace records");
   }
-
-  const std::shared_ptr<const ColGraphEngine> base = snapshots_.Acquire();
-  // Append-a-dataset ingest (DESIGN.md §14): the batch becomes a small
-  // sealed tail relation; the primary relation is *shared* with the served
-  // snapshot, not copied. A failure anywhere below leaves the served
-  // snapshot untouched.
-  ColGraphEngine next = base->SharedCopy();
   std::vector<GraphRecord> records;
   records.reserve(traces.size());
   for (const WalkTrace& trace : traces) {
@@ -658,6 +647,16 @@ StatusOr<Response> Daemon::Ingest(const std::string& trace_text) {
                               WalkToRecord(trace.walk, trace.measures));
     records.push_back(std::move(record));
   }
+
+  // Single writer: ingests serialize here. Readers never wait — they keep
+  // evaluating against the previous snapshot until the publish below.
+  const MutexLock writer_lock(writer_mu_);
+  const std::shared_ptr<const ColGraphEngine> base = snapshots_.Acquire();
+  // Append-a-dataset ingest (DESIGN.md §14): the batch becomes a small
+  // sealed tail relation; the primary relation is *shared* with the served
+  // snapshot, not copied. A failure anywhere below leaves the served
+  // snapshot untouched.
+  ColGraphEngine next = base->SharedCopy();
   COLGRAPH_ASSIGN_OR_RETURN(MasterRelation tail,
                             next.BuildTailRelation(records));
   if (store_ != nullptr) {

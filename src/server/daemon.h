@@ -119,7 +119,8 @@ class Daemon {
   /// small sealed tail dataset, durably seals it into data_dir when
   /// configured, attaches it behind the shared primary relation, and
   /// publishes the next epoch — O(batch), never a copy of the world.
-  /// Serialized internally; concurrent callers queue on the writer lock.
+  /// The body is parsed and flattened before the writer lock; the rest is
+  /// serialized internally, and concurrent callers queue on that lock.
   [[nodiscard]] StatusOr<Response> Ingest(const std::string& trace_text);
 
   /// Runs one compaction cycle inline and republishes: with data_dir, one

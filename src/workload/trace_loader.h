@@ -10,6 +10,7 @@
 
 #include <istream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/engine.h"
@@ -28,10 +29,18 @@ struct WalkTrace {
 inline constexpr size_t kMaxTraceLineBytes = size_t{1} << 20;  // 1 MiB
 inline constexpr size_t kMaxTraceWalkNodes = size_t{1} << 16;  // 65536 hops
 
-/// Parses every record in the stream. Fails with a line-annotated
-/// InvalidArgument on malformed input: garbage tokens, measure-count
-/// mismatches, non-finite measures (NaN / ±inf), over-long lines, and
-/// walks above kMaxTraceWalkNodes are all rejected.
+/// Parses every record in `text`, scanning numbers with std::from_chars.
+/// Fails with a line-annotated InvalidArgument on malformed input: garbage
+/// tokens (also one that runs to the end of its section), node ids that
+/// do not fit NodeId (negative or above 2^32 - 1; never wrapped),
+/// measure-count mismatches, non-finite measures (NaN / ±inf), over-long
+/// lines, and walks above kMaxTraceWalkNodes are all rejected. Numbers
+/// read as operator>> reads them otherwise: a leading '+' is accepted and
+/// a measure that underflows reads as a signed zero.
+StatusOr<std::vector<WalkTrace>> ParseTraces(std::string_view text);
+
+/// Reads the rest of `in` into memory and parses it with
+/// ParseTraces(std::string_view).
 StatusOr<std::vector<WalkTrace>> ParseTraces(std::istream& in);
 
 /// Loads a trace file from disk.

@@ -95,7 +95,10 @@ MeasureTable ReferenceFetch(const MasterRelation& primary,
       const size_t end = seg.base + seg.relation->num_records();
       while (row < table.records.size() && table.records[row] < end) ++row;
       if (row == first) continue;
-      ++stats.partitions_touched;
+      std::map<size_t, size_t> partitions;  // partition -> requested columns
+      for (const EdgeId e : edges) ++partitions[seg.relation->PartitionOf(e)];
+      stats.partitions_touched += partitions.size();
+      if (partitions.size() > 1) stats.partition_joins += partitions.size() - 1;
       for (size_t i = 0; i < edges.size(); ++i) {
         if (edges[i] >= seg.relation->num_edge_columns()) continue;
         const MeasureColumn& col = seg.relation->FetchMeasureColumn(edges[i]);

@@ -269,7 +269,8 @@ TEST_F(IoUtilTest, MappedOpenMatchesCopyingOpen) {
 }
 
 // Extent plumbing: a payload-mode writer encodes extent bytes with no
-// framing, PadTo aligns them, and AtExtent gives bounds-checked access.
+// framing, PadTo places them at any later offset (here a 4 KiB boundary,
+// the layout older images used), and AtExtent gives bounds-checked access.
 TEST_F(IoUtilTest, PayloadWriterAndAtExtentRoundtrip) {
   io::Writer payload;
   payload.WritePod(uint64_t{0xfeedbeef});
@@ -281,7 +282,8 @@ TEST_F(IoUtilTest, PayloadWriterAndAtExtentRoundtrip) {
   out.BeginSection();
   out.WritePod(uint64_t{1});
   out.EndSection();
-  const size_t aligned = io::RoundUpToPage(out.bytes_buffered());
+  constexpr size_t kAlign = 4096;
+  const size_t aligned = (out.bytes_buffered() + kAlign - 1) / kAlign * kAlign;
   out.PadTo(aligned);
   ASSERT_EQ(out.bytes_buffered(), aligned);
   out.AppendRaw(bytes.data(), bytes.size());

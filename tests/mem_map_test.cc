@@ -68,16 +68,6 @@ TEST_F(MemMapTest, MoveTransfersOwnership) {
   EXPECT_EQ(std::string(assigned.data(), assigned.size()), "payload");
 }
 
-TEST_F(MemMapTest, PageGeometryHelpers) {
-  const size_t page = PageSize();
-  ASSERT_GT(page, 0u);
-  EXPECT_EQ(page & (page - 1), 0u) << "page size must be a power of two";
-  EXPECT_EQ(RoundUpToPage(0), 0u);
-  EXPECT_EQ(RoundUpToPage(1), page);
-  EXPECT_EQ(RoundUpToPage(page), page);
-  EXPECT_EQ(RoundUpToPage(page + 1), 2 * page);
-}
-
 // The mapped open path must be an implementation detail: when the mapping
 // itself fails (injected here), OpenMapped falls back to the copying
 // reader and the caller sees an identical, fully validated snapshot.

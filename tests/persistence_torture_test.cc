@@ -4,6 +4,7 @@
 // clean Status::Corruption / IOError — never a crash, a hang, or silently
 // wrong data. Runs under the ASan+UBSan preset in CI (ctest -L torture).
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <cstdio>
 #include <cstring>
@@ -12,7 +13,6 @@
 #include <vector>
 
 #include "columnstore/dataset.h"
-#include "columnstore/mem_map.h"
 #include "columnstore/persistence.h"
 #include "core/engine_io.h"
 #include "util/random.h"
@@ -60,6 +60,25 @@ MasterRelation MakeSparseHybridRelation() {
   for (size_t r = 0; r < 300; ++r) {
     std::vector<std::pair<EdgeId, double>> record;
     if (r < 6) record.emplace_back(static_cast<EdgeId>(r), rng.UniformReal(-9, 9));
+    EXPECT_TRUE(rel.AddRecord(record).ok());
+  }
+  EXPECT_TRUE(rel.Seal().ok());
+  return rel;
+}
+
+size_t PageBytes() { return static_cast<size_t>(::sysconf(_SC_PAGESIZE)); }
+
+// Packed extents carry no padding, so a multi-page image needs multi-page
+// payloads: 40 columns at 30% density over 24 records per KiB of page
+// (96 records, about 3.5 pages, on 4 KiB pages).
+MasterRelation MakeMultiPageRelation() {
+  Rng rng(4243);
+  MasterRelation rel;
+  for (size_t r = 0; r < 24 * PageBytes() / 1024; ++r) {
+    std::vector<std::pair<EdgeId, double>> record;
+    for (EdgeId e = 0; e < 40; ++e) {
+      if (rng.Bernoulli(0.3)) record.emplace_back(e, rng.UniformReal(-9, 9));
+    }
     EXPECT_TRUE(rel.AddRecord(record).ok());
   }
   EXPECT_TRUE(rel.Seal().ok());
@@ -195,14 +214,13 @@ TEST_F(PersistenceTortureTest, HybridEncodedSnapshotNeverLoadsCorrupt) {
 }
 
 // The mmap'd per-column path must fail exactly as cleanly as the eager
-// reader. WriteRelation emits page-aligned column extents (the layout
-// introduced in v4, now v5), so the fixture is genuinely multi-page:
-// truncations and bit flips land inside mid-file extents, not just in
-// headers — and every one must load as Corruption/IOError through
-// MappedRelationFile, never a SIGBUS (the whole-file CRC at open faults in
-// every page before any column decode).
+// reader. The fixture's column payloads span several pages of packed
+// extents (the v5 extent layout), so truncations and bit flips land
+// inside mid-file extents, not just in headers — and every one must load
+// as Corruption/IOError through MappedRelationFile, never a SIGBUS (the
+// whole-file CRC at open faults in every page before any column decode).
 TEST_F(PersistenceTortureTest, MappedV4RelationNeverLoadsCorrupt) {
-  const MasterRelation rel = MakeRelation();
+  const MasterRelation rel = MakeMultiPageRelation();
   ASSERT_TRUE(WriteRelation(rel, path_).ok());
 
   const std::string bytes = ReadFileBytes(path_);
@@ -210,7 +228,7 @@ TEST_F(PersistenceTortureTest, MappedV4RelationNeverLoadsCorrupt) {
   uint32_t version = 0;
   std::memcpy(&version, bytes.data() + 4, sizeof(version));
   ASSERT_EQ(version, 5u) << "WriteRelation must emit the v5 extent layout";
-  ASSERT_GT(bytes.size(), 2 * io::PageSize())
+  ASSERT_GT(bytes.size(), 2 * PageBytes())
       << "fixture must span multiple pages so flips hit mid-extent bytes";
 
   // Baseline: the untouched file loads through the mapped path with
@@ -232,7 +250,7 @@ TEST_F(PersistenceTortureTest, MappedV4RelationNeverLoadsCorrupt) {
   // page, squarely inside column extents (the seeded storm above hits
   // these regions probabilistically; this pins them deterministically).
   const std::string mutant_path = path_ + ".mutant";
-  const size_t page = io::PageSize();
+  const size_t page = PageBytes();
   for (const size_t offset :
        {page + 16, page + page / 2, 2 * page + 5, bytes.size() - 32}) {
     ASSERT_LT(offset, bytes.size());
