@@ -72,6 +72,15 @@ bool HasSuffix(const std::string& s, const std::string& suffix) {
 
 }  // namespace
 
+size_t NewestRunToCompact(const std::vector<uint64_t>& records,
+                          size_t compacted) {
+  size_t first = std::min(compacted, records.size());
+  uint64_t run = 0;
+  for (size_t i = first; i < records.size(); ++i) run += records[i];
+  while (first > 0 && records[first - 1] <= run) run += records[--first];
+  return records.size() - first;
+}
+
 StatusOr<MappedRelationFile> MappedRelationFile::Open(const std::string& path) {
   // Same codec as ReadRelation: a dataset file IS a relation snapshot.
   COLGRAPH_ASSIGN_OR_RETURN(
@@ -120,9 +129,12 @@ StatusOr<DatasetStore> DatasetStore::Open(const std::string& dir,
     COLGRAPH_RETURN_NOT_OK(in.ReadVec(&store.ids_));
     COLGRAPH_RETURN_NOT_OK(in.EndSection("manifest"));
     COLGRAPH_RETURN_NOT_OK(in.ExpectEnd());
-    std::unordered_set<uint64_t> seen;
-    for (const uint64_t id : store.ids_) {
-      if (id >= store.next_id_ || !seen.insert(id).second) {
+    // Ids ascend in ingest order, and the merged dataset takes the largest:
+    // a permuted manifest would attach datasets out of order, renumbering
+    // records.
+    for (size_t i = 0; i < store.ids_.size(); ++i) {
+      if (store.ids_[i] >= store.next_id_ ||
+          (i > 0 && store.ids_[i] <= store.ids_[i - 1])) {
         return Status::Corruption("manifest ids are not unique ascending: " +
                                   store.ManifestPath());
       }
@@ -187,19 +199,25 @@ StatusOr<std::string> DatasetStore::Seal(const MasterRelation& relation) {
   return name;
 }
 
+StatusOr<MasterRelation> DatasetStore::Load(size_t i) const {
+  return ReadRelation(PathFor(names_[i]), options_.relation);
+}
+
 StatusOr<std::vector<MasterRelation>> DatasetStore::LoadAll() const {
   std::vector<MasterRelation> out;
   out.reserve(names_.size());
-  for (const std::string& name : names_) {
-    COLGRAPH_ASSIGN_OR_RETURN(MasterRelation rel,
-                              ReadRelation(PathFor(name), options_.relation));
+  for (size_t i = 0; i < names_.size(); ++i) {
+    COLGRAPH_ASSIGN_OR_RETURN(MasterRelation rel, Load(i));
     out.push_back(std::move(rel));
   }
   return out;
 }
 
-Status DatasetStore::CompactAll() {
-  if (names_.size() < options_.min_datasets_to_compact) return Status::OK();
+Status DatasetStore::CompactNewest(size_t k) {
+  if (k > names_.size()) {
+    return Status::InvalidArgument("cannot merge more datasets than are live");
+  }
+  if (k < options_.min_datasets_to_compact) return Status::OK();
   COLGRAPH_ASSIGN_OR_RETURN(io::ExclusiveFile lock,
                             io::ExclusiveFile::Acquire(LockPath()));
   (void)lock;  // held for scope; released (unlinked) on every exit path
@@ -207,22 +225,26 @@ Status DatasetStore::CompactAll() {
   // single compaction slot for the duration.
   const obs::Span span(&CompactionHistogram(), nullptr, "store_compaction");
 
+  const size_t first = names_.size() - k;
   std::vector<MappedRelationFile> inputs;
-  inputs.reserve(names_.size());
+  inputs.reserve(k);
   uint64_t total_records = 0;
   size_t num_columns = 0;
-  for (const std::string& name : names_) {
+  for (size_t i = first; i < names_.size(); ++i) {
     COLGRAPH_ASSIGN_OR_RETURN(MappedRelationFile file,
-                              MappedRelationFile::Open(PathFor(name)));
+                              MappedRelationFile::Open(PathFor(names_[i])));
     total_records += file.num_records();
     num_columns = std::max(num_columns, file.num_columns());
     inputs.push_back(std::move(file));
   }
   COLGRAPH_RETURN_NOT_OK(io::ValidateRecordCount(total_records, dir_));
 
-  // Column-streaming merge: decode column c of every input, merge, encode,
-  // drop. Peak memory is one column per input plus the merged column and
-  // its encoded payload — the inputs stay on disk behind their mappings.
+  // Column-at-a-time merge: decode column c of every input, merge, encode,
+  // and drop the decoded and merged columns; the inputs stay on disk behind
+  // their mappings. Every encoded payload is kept until
+  // WriteRelationPayloads, whose io::Writer then copies them all into one
+  // buffered body: at the write, memory holds the merged dataset's bytes
+  // twice.
   std::vector<std::vector<char>> payloads;
   payloads.reserve(num_columns);
   for (size_t c = 0; c < num_columns; ++c) {
@@ -244,27 +266,33 @@ Status DatasetStore::CompactAll() {
     payloads.push_back(enc.TakePayload());
   }
 
+  // The merged dataset takes the next id, the largest: it replaces the
+  // newest k at the end of the manifest, which stays ascending.
   const uint64_t id = next_id_;
   const std::string name = DatasetName(id);
   COLGRAPH_RETURN_NOT_OK(
       internal::WriteRelationPayloads(total_records, payloads, PathFor(name)));
-  const Status st = WriteManifest({id}, id + 1);
+  std::vector<uint64_t> ids = ids_;
+  ids.resize(first);
+  ids.push_back(id);
+  const Status st = WriteManifest(ids, id + 1);
   if (!st.ok()) {
     std::remove(PathFor(name).c_str());
     return st;
   }
   // Retire the merged inputs. Readers holding mappings of these files are
   // unaffected: unlink does not invalidate an existing mmap.
-  for (const std::string& old : names_) {
-    std::remove(PathFor(old).c_str());
+  for (size_t i = first; i < names_.size(); ++i) {
+    std::remove(PathFor(names_[i]).c_str());
   }
   CompactionsCounter().Increment();
-  RetiredCounter().Add(names_.size());
+  RetiredCounter().Add(k);
   uint64_t merged_bytes = 0;
   for (const std::vector<char>& p : payloads) merged_bytes += p.size();
   CompactionBytesCounter().Add(merged_bytes);
-  ids_ = {id};
-  names_ = {name};
+  ids_ = std::move(ids);
+  names_.resize(first);
+  names_.push_back(name);
   next_id_ = id + 1;
   DatasetsGauge().Set(static_cast<int64_t>(names_.size()));
   return Status::OK();

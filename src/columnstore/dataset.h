@@ -7,13 +7,14 @@
 // dataset owns the dense id range starting at the cumulative record count
 // of its predecessors — so a collection split across datasets is
 // indistinguishable, record for record, from the same collection ingested
-// into a single relation. Background compaction merges the datasets back
-// into one (seal → merge → retire); queries keep running against the
-// published snapshot throughout.
+// into a single relation. Background compaction merges the newest run of
+// datasets into one, size-tiered (seal → merge the newest run → retire);
+// queries keep running against the published snapshot throughout.
 //
 // On disk a DatasetStore is a directory:
 //
-//   MANIFEST            io::Writer image (magic "CGMF"): next id + live ids
+//   MANIFEST            io::Writer image (magic "CGMF"): next id + live ids,
+//                       strictly ascending (ingest order)
 //   ds-000042.cgds      v5 relation image per live dataset
 //   compact.lock        ExclusiveFile held only while a compaction runs
 //
@@ -71,9 +72,20 @@ class MappedRelationFile {
 /// invalidate.
 struct DatasetStoreOptions {
   MasterRelationOptions relation;
-  /// CompactAll() is a no-op until at least this many datasets exist.
+  /// CompactNewest(k) is a no-op for k below this; CompactAll() until at
+  /// least this many datasets exist.
   size_t min_datasets_to_compact = 2;
 };
+
+/// The size-tiered compaction pick (DESIGN.md §14): how many of the newest
+/// datasets one cycle merges. `records` holds every live dataset's record
+/// count in manifest order; its first `compacted` entries are the tiers
+/// earlier cycles left (or a restart restored). The run starts with every
+/// dataset after them and extends over each older one that holds no more
+/// records than the run so far, so equal batches merge like a binary
+/// counter and each record is rewritten O(log N) times.
+size_t NewestRunToCompact(const std::vector<uint64_t>& records,
+                          size_t compacted);
 
 class DatasetStore {
  public:
@@ -98,18 +110,26 @@ class DatasetStore {
   /// file for the next Open() to sweep — never a torn manifest.
   StatusOr<std::string> Seal(const MasterRelation& relation);
 
-  /// Loads every live dataset (mapped read), in manifest order.
+  /// Loads live dataset `i` (mapped read). Requires i < num_datasets().
+  StatusOr<MasterRelation> Load(size_t i) const;
+  /// Loads every live dataset, in manifest order.
   StatusOr<std::vector<MasterRelation>> LoadAll() const;
 
-  /// Merges all live datasets into one new dataset file under the
-  /// compact.lock ExclusiveFile, then publishes it via a manifest rewrite
-  /// and unlinks the retired inputs. Column-streaming: decodes column c of
-  /// every input, merges them with MergeColumn, encodes, and drops them
-  /// before column c + 1. No-op below min_datasets_to_compact. Returns
-  /// Unavailable while another compaction holds the lock. A crash mid-
-  /// merge (failpoint "compact:crash") leaves the manifest — and thus
+  /// Merges the newest `k` live datasets into one new dataset file under
+  /// the compact.lock ExclusiveFile, then publishes it via a manifest
+  /// rewrite and unlinks the retired inputs. The merged dataset takes the
+  /// next id, the largest, so it stays last and the manifest ascending.
+  /// Decodes column c of every input and merges it with MergeColumn before
+  /// column c + 1, so the inputs stay on disk behind their mappings; the
+  /// merged columns' encoded payloads are all held until the write, which
+  /// copies them once more into its buffered body. No-op for k below
+  /// min_datasets_to_compact; InvalidArgument for k > num_datasets().
+  /// Returns Unavailable while another compaction holds the lock. A crash
+  /// mid-merge (failpoint "compact:crash") leaves the manifest — and thus
   /// every published dataset — untouched.
-  Status CompactAll();
+  Status CompactNewest(size_t k);
+  /// Merges every live dataset: CompactNewest(num_datasets()).
+  Status CompactAll() { return CompactNewest(names_.size()); }
 
  private:
   DatasetStore() = default;

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <iterator>
+#include <span>
 
 #include "obs/json_writer.h"
 #include "obs/metrics.h"
@@ -17,7 +19,7 @@ ColGraphEngine::ColGraphEngine(EngineOptions options)
     : options_(std::move(options)),
       relation_(std::make_shared<MasterRelation>(options_.relation)) {
   if (options_.num_threads > 1) {
-    pool_ = std::make_unique<ThreadPool>(options_.num_threads);
+    pool_ = std::make_shared<ThreadPool>(options_.num_threads);
   }
   if (!options_.query_log.path.empty()) {
     auto log = obs::QueryLog::Open(options_.query_log);
@@ -45,10 +47,8 @@ ColGraphEngine::ColGraphEngine(const ColGraphEngine& other, ShareTag)
       relation_(other.relation_),  // shared; OwnedRelation() clones on write
       tails_(other.tails_),
       views_(other.views_),
+      pool_(other.pool_),
       query_log_(other.query_log_) {
-  if (options_.num_threads > 1) {
-    pool_ = std::make_unique<ThreadPool>(options_.num_threads);
-  }
   RebuildSegments();
 }
 
@@ -173,7 +173,10 @@ Status ColGraphEngine::AttachDataset(
 }
 
 Status ColGraphEngine::ReplaceTails(
-    std::vector<std::shared_ptr<const MasterRelation>> tails) {
+    size_t k, std::vector<std::shared_ptr<const MasterRelation>> tails) {
+  if (k > tails_.size()) {
+    return Status::InvalidArgument("cannot replace more tails than attached");
+  }
   // Records, then values per edge column, summed over a tail list: the
   // same for two lists that hold the same records.
   const auto shape = [](const auto& list) {
@@ -187,12 +190,13 @@ Status ColGraphEngine::ReplaceTails(
     }
     return counts;
   };
-  if (shape(tails) != shape(tails_)) {
+  if (shape(tails) != shape(std::span(tails_).last(k))) {
     return Status::Internal(
         "replacement tails do not hold the records of the tails they replace");
   }
   for (const auto& tail : tails) COLGRAPH_RETURN_NOT_OK(CheckTail(tail.get()));
-  tails_ = std::move(tails);
+  tails_.resize(tails_.size() - k);
+  std::move(tails.begin(), tails.end(), std::back_inserter(tails_));
   RebuildSegments();
   return Status::OK();
 }

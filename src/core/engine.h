@@ -64,10 +64,10 @@ class ColGraphEngine {
  public:
   explicit ColGraphEngine(EngineOptions options = {});
 
-  // Copying duplicates all engine state and spawns a *fresh* worker pool of
-  // the same size (pools hold threads, not data, so they are never shared
-  // between engine instances) — this keeps the trace loader's staged-copy
-  // commit working for threaded engines. Moves transfer the pool.
+  // Copying duplicates all engine state but shares the worker pool: a pool
+  // holds threads, not data, and its ParallelFor is safe to call from any
+  // number of threads, so copies run their parallel sections on the same
+  // workers instead of starting their own. Moves transfer the pool.
   // (SharedCopy() is the cheap alternative when the copy will not mutate
   // the relation in place — snapshot publishing, DESIGN.md §14.)
   ColGraphEngine(const ColGraphEngine& other);
@@ -130,12 +130,12 @@ class ColGraphEngine {
   [[nodiscard]] Status AttachDataset(
       std::shared_ptr<const MasterRelation> tail);
 
-  /// Swaps the attached tails for `tails` (the store's compaction of them)
-  /// behind the unchanged primary. `tails` must hold the same records (same
-  /// count, same values per edge column) and meet AttachDataset's rules.
-  /// On error nothing changes.
+  /// Swaps the newest `k` attached tails for `tails` (the store's merge of
+  /// them) behind the unchanged primary and older tails. `tails` must hold
+  /// the same records (same count, same values per edge column) and meet
+  /// AttachDataset's rules. On error nothing changes.
   [[nodiscard]] Status ReplaceTails(
-      std::vector<std::shared_ptr<const MasterRelation>> tails);
+      size_t k, std::vector<std::shared_ptr<const MasterRelation>> tails);
 
   /// Merges the primary and every attached tail into one relation (records
   /// keep their global ids), laying every edge and view column end to end;
@@ -295,9 +295,9 @@ class ColGraphEngine {
   std::vector<RelationSegment> segments_;
   ViewCatalog views_;
   /// Workers shared by every parallel section of this engine (batch
-  /// queries, materialization, candidate counting). unique_ptr keeps the
-  /// engine movable; created once at construction, never rebuilt.
-  std::unique_ptr<ThreadPool> pool_;
+  /// queries, materialization, candidate counting) and by every copy of
+  /// it; created once at construction, never rebuilt.
+  std::shared_ptr<ThreadPool> pool_;
   /// Query-log capture; null unless options_.query_log.path is set. Shared
   /// (not duplicated) by engine copies: the log is an append-only,
   /// thread-safe sink, and the trace loader's staged-copy commit must keep

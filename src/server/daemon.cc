@@ -1,5 +1,6 @@
 #include "server/daemon.h"
 
+#include <algorithm>
 #include <charconv>
 #include <cstdio>
 #include <utility>
@@ -60,6 +61,14 @@ obs::Gauge& TotalRecordsGauge() {
       obs::MetricsRegistry::Global().GetGauge("server.total_records");
   return g;
 }
+// A compaction cycle's whole hold of the writer lock (merge, load, views,
+// publish): what it costs the ingests queued behind it. store.compaction_us
+// times the file merge alone.
+obs::LatencyHistogram& CompactionHistogram() {
+  static obs::LatencyHistogram& h =
+      obs::MetricsRegistry::Global().GetHistogram("server.compaction_us");
+  return h;
+}
 
 /// RAII +1/-1 on a gauge.
 class GaugeScope {
@@ -94,15 +103,14 @@ void AppendValue(std::string* out, double v) {
                           .ptr);
 }
 
-// The store's live datasets as tails of `engine` (BuildTailRelation): the
-// segments a start attaches and a compaction swaps in.
+// The store's live datasets from the `first`-th on, as tails of `engine`
+// (BuildTailRelation): the segments a start attaches (all of them) and a
+// compaction swaps in (the merged one, last).
 StatusOr<std::vector<std::shared_ptr<const MasterRelation>>> LoadTails(
-    const DatasetStore& store, const ColGraphEngine& engine) {
-  COLGRAPH_ASSIGN_OR_RETURN(std::vector<MasterRelation> datasets,
-                            store.LoadAll());
+    const DatasetStore& store, const ColGraphEngine& engine, size_t first) {
   std::vector<std::shared_ptr<const MasterRelation>> tails;
-  tails.reserve(datasets.size());
-  for (MasterRelation& dataset : datasets) {
+  for (size_t i = first; i < store.num_datasets(); ++i) {
+    COLGRAPH_ASSIGN_OR_RETURN(MasterRelation dataset, store.Load(i));
     COLGRAPH_ASSIGN_OR_RETURN(MasterRelation tail,
                               engine.BuildTailRelation(std::move(dataset)));
     tails.push_back(std::make_shared<const MasterRelation>(std::move(tail)));
@@ -179,7 +187,7 @@ StatusOr<std::unique_ptr<Daemon>> Daemon::Start(
         DatasetStore opened,
         DatasetStore::Open(options.data_dir, store_options));
     store = std::make_unique<DatasetStore>(std::move(opened));
-    COLGRAPH_ASSIGN_OR_RETURN(auto tails, LoadTails(*store, *initial));
+    COLGRAPH_ASSIGN_OR_RETURN(auto tails, LoadTails(*store, *initial, 0));
     if (!tails.empty()) {
       ColGraphEngine restored = initial->SharedCopy();
       for (auto& tail : tails) {
@@ -198,6 +206,9 @@ StatusOr<std::unique_ptr<Daemon>> Daemon::Start(
   if (store != nullptr) {
     const MutexLock writer_lock(daemon->writer_mu_);
     daemon->store_ = std::move(store);
+    // Restored tails count as compacted: the first cycle's run starts with
+    // the tails this run ingests.
+    daemon->compacted_tails_ = daemon->snapshots_.Acquire()->tails().size();
   }
 
   // Telemetry sinks (DESIGN.md §15). The slow-query log must open or the
@@ -678,7 +689,7 @@ StatusOr<Response> Daemon::Ingest(const std::string& trace_text) {
   // off the writer path. The flag collapses triggers so at most one task
   // is queued at a time.
   if (options_.compact_after_datasets > 0 &&
-      num_tails - merged_tails_ >= options_.compact_after_datasets &&
+      num_tails - compacted_tails_ >= options_.compact_after_datasets &&
       !compaction_queued_.exchange(true, std::memory_order_acq_rel)) {
     conn_pool_->Schedule([this] {
       const Status status = CompactNow();
@@ -704,6 +715,7 @@ StatusOr<Response> Daemon::Ingest(const std::string& trace_text) {
 Status Daemon::CompactNow() {
   const MutexLock writer_lock(writer_mu_);
   if (draining()) return Status::Unavailable("server draining");
+  const obs::Span span(&CompactionHistogram(), nullptr, "server_compaction");
 
   const std::shared_ptr<const ColGraphEngine> base = snapshots_.Acquire();
   if (base->tails().empty()) return Status::OK();
@@ -711,20 +723,30 @@ Status Daemon::CompactNow() {
   if (store_ == nullptr) {
     COLGRAPH_RETURN_NOT_OK(next.Compact());
   } else {
-    // One merge, on disk. If it fails (injected crash, lock contention),
-    // the manifest still references every sealed dataset and the served
-    // snapshot keeps answering from them — zero records lost.
+    // One merge, on disk, of the newest run of tails, size-tiered: the
+    // tails ingested since the last cycle plus each older tier they have
+    // outgrown. The store's datasets are the newest tails. If the merge
+    // fails (injected crash, lock contention), the manifest still
+    // references every sealed dataset and the served snapshot keeps
+    // answering from them — zero records lost.
+    std::vector<uint64_t> records;
+    for (const auto& tail : base->tails()) {
+      records.push_back(tail->num_records());
+    }
+    const size_t k = std::min(NewestRunToCompact(records, compacted_tails_),
+                              store_->num_datasets());
     const std::vector<std::string> live = store_->dataset_names();
-    COLGRAPH_RETURN_NOT_OK(store_->CompactAll());
+    COLGRAPH_RETURN_NOT_OK(store_->CompactNewest(k));
     if (store_->dataset_names() == live) return Status::OK();
-    COLGRAPH_ASSIGN_OR_RETURN(auto tails, LoadTails(*store_, next));
-    COLGRAPH_RETURN_NOT_OK(next.ReplaceTails(std::move(tails)));
+    COLGRAPH_ASSIGN_OR_RETURN(
+        auto merged, LoadTails(*store_, next, store_->num_datasets() - 1));
+    COLGRAPH_RETURN_NOT_OK(next.ReplaceTails(k, std::move(merged)));
   }
   const size_t total = next.total_records();
   const size_t num_tails = next.tails().size();
   COLGRAPH_RETURN_NOT_OK(snapshots_.Publish(
       std::make_shared<const ColGraphEngine>(std::move(next))));
-  merged_tails_ = num_tails;
+  compacted_tails_ = num_tails;
   TailDatasetsGauge().Set(static_cast<int64_t>(num_tails));
   TotalRecordsGauge().Set(static_cast<int64_t>(total));
   return Status::OK();

@@ -68,9 +68,9 @@ struct DaemonOptions {
   /// the initial snapshot. Empty = RAM-only tails (nothing survives a
   /// restart beyond what the initial engine carries).
   std::string data_dir;
-  /// Number of tail datasets ingested since the last compaction that
-  /// triggers a background compaction after an ingest publish (merge the
-  /// datasets, republish). 0 disables background compaction.
+  /// Number of tail datasets ingested since the last compaction (or the
+  /// start) that triggers a background compaction after an ingest publish
+  /// (one CompactNow cycle). 0 disables background compaction.
   size_t compact_after_datasets = 4;
   /// Slow-query capture (DESIGN.md §15): requests at or above the
   /// threshold — plus an optional deterministic 1-in-N sample — are
@@ -123,11 +123,15 @@ class Daemon {
   /// serialized internally, and concurrent callers queue on that lock.
   [[nodiscard]] StatusOr<Response> Ingest(const std::string& trace_text);
 
-  /// Runs one compaction cycle inline and republishes: with data_dir, one
-  /// merge on disk, whose dataset then serves as the tail behind the
-  /// unchanged primary (what a restart loads); without, the tails merge
-  /// into the primary in memory. The background trigger calls the same
-  /// body. A failed durable merge leaves everything untouched.
+  /// Runs one compaction cycle inline and republishes. With data_dir it is
+  /// one merge on disk of the newest run of tails, size-tiered
+  /// (NewestRunToCompact): the tails ingested since the last cycle, plus
+  /// each older tier holding no more records than the run so far. The
+  /// merged dataset then replaces the run's tails behind the unchanged
+  /// primary and older tiers (what a restart loads); a cycle with nothing
+  /// to merge publishes nothing. Without data_dir, the tails merge into the
+  /// primary in memory. The background trigger calls the same body. A
+  /// failed durable merge leaves everything untouched.
   [[nodiscard]] Status CompactNow();
 
   const std::string& socket_path() const { return options_.socket_path; }
@@ -183,8 +187,10 @@ class Daemon {
   Mutex writer_mu_;
   /// Durable dataset directory; null when options_.data_dir is empty.
   std::unique_ptr<DatasetStore> store_ COLGRAPH_GUARDED_BY(writer_mu_);
-  /// Served tails the last compaction produced; the trigger counts the rest.
-  size_t merged_tails_ COLGRAPH_GUARDED_BY(writer_mu_) = 0;
+  /// Served tails counted as compacted: the tiers the last cycle left, or
+  /// the tails Start() restored. The trigger and the next cycle's run
+  /// count the tails after them.
+  size_t compacted_tails_ COLGRAPH_GUARDED_BY(writer_mu_) = 0;
   /// Collapses scheduling so at most one background compaction is queued.
   std::atomic<bool> compaction_queued_{false};
 

@@ -139,6 +139,47 @@ TEST(ConcurrencyTest, ManyThreadsHammerEvaluateBatch) {
   EXPECT_EQ(mismatches.load(), 0);
 }
 
+// Copies of an engine share its worker pool: a SharedCopy (the daemon's
+// publish path) and a full copy start no threads of their own, and two
+// copies' ParallelFor sections run on the one pool at the same time.
+TEST(ConcurrencyTest, EngineCopiesShareOnePool) {
+  const Workbench wb = MakeWorkbench(5151);
+  const ColGraphEngine engine = BuildEngine(wb, /*num_threads=*/2);
+  ASSERT_NE(engine.pool(), nullptr);
+  const ColGraphEngine shared = engine.SharedCopy();
+  const ColGraphEngine copied(engine);  // a full copy, relation included
+  EXPECT_EQ(shared.pool(), engine.pool());
+  EXPECT_EQ(copied.pool(), engine.pool());
+
+  std::vector<MeasureTable> expected;
+  for (const GraphQuery& q : wb.workload) {
+    auto result = engine.RunGraphQuery(q);
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+    expected.push_back(std::move(result).value());
+  }
+  std::atomic<int> mismatches{0};
+  std::vector<std::thread> callers;
+  for (const ColGraphEngine* copy : {&shared, &copied}) {
+    callers.emplace_back([&, copy] {
+      for (int it = 0; it < 3; ++it) {
+        auto batch = copy->EvaluateBatch(wb.workload);
+        if (!batch.ok() || batch->size() != expected.size()) {
+          mismatches.fetch_add(1);
+          return;
+        }
+        for (size_t i = 0; i < expected.size(); ++i) {
+          if (!TablesIdentical((*batch)[i], expected[i])) {
+            mismatches.fetch_add(1);
+            return;
+          }
+        }
+      }
+    });
+  }
+  for (std::thread& t : callers) t.join();
+  EXPECT_EQ(mismatches.load(), 0);
+}
+
 TEST(ConcurrencyTest, ManyThreadsHammerEvaluatePathAggBatch) {
   const Workbench wb = MakeWorkbench(1717);
   const ColGraphEngine engine = BuildEngine(wb, /*num_threads=*/4);

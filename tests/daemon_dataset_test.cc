@@ -1,18 +1,22 @@
 // Durable incremental ingest through the daemon (ISSUE 9 / DESIGN.md §14,
 // ctest label: server): every Ingest seals a dataset file before the
 // publish, a restart re-attaches the sealed datasets with zero lost
-// records, and a compaction crashed mid-merge (failpoint "compact:crash")
-// leaves the served snapshot and every sealed dataset untouched — the
-// retry then merges everything down to one file with identical results.
+// records, each compaction cycle merges only the newest run of tails,
+// size-tiered, and a compaction crashed mid-merge (failpoint
+// "compact:crash") leaves the served snapshot and every sealed dataset
+// untouched — the retry then merges the same run with identical results.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <map>
 #include <memory>
 #include <string>
 #include <thread>
+#include <vector>
 
 #include <unistd.h>
 
@@ -99,6 +103,45 @@ class DaemonDatasetTest : public ::testing::Test {
     return n;
   }
 
+  // Every file of the data dir, name to bytes (the manifest included).
+  std::map<std::string, std::string> ReadDataDir() const {
+    std::map<std::string, std::string> files;
+    for (const auto& entry : std::filesystem::directory_iterator(data_dir_)) {
+      std::ifstream in(entry.path(), std::ios::binary);
+      files[entry.path().filename().string()].assign(
+          std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>());
+    }
+    return files;
+  }
+
+  // The dataset files, in id (= manifest) order.
+  std::vector<std::filesystem::path> DatasetPaths() const {
+    std::vector<std::filesystem::path> paths;
+    for (const auto& entry : std::filesystem::directory_iterator(data_dir_)) {
+      if (entry.path().extension() == ".cgds") paths.push_back(entry.path());
+    }
+    std::sort(paths.begin(), paths.end());
+    return paths;
+  }
+
+  std::vector<uint64_t> DatasetRecords() const {
+    std::vector<uint64_t> records;
+    for (const auto& path : DatasetPaths()) {
+      auto file = MappedRelationFile::Open(path.string());
+      EXPECT_TRUE(file.ok()) << file.status().ToString();
+      records.push_back(file.ok() ? file->num_records() : 0);
+    }
+    return records;
+  }
+
+  uint64_t DatasetBytes() const {
+    uint64_t bytes = 0;
+    for (const auto& path : DatasetPaths()) {
+      bytes += std::filesystem::file_size(path);
+    }
+    return bytes;
+  }
+
   static int instance_;
   std::string socket_path_;
   std::string data_dir_;
@@ -152,6 +195,8 @@ TEST_F(DaemonDatasetTest, CompactNowMergesWithIdenticalResults) {
       registry.GetCounter("store.datasets_retired").value();
   const uint64_t compaction_us_count_before =
       registry.GetHistogram("store.compaction_us").count();
+  const uint64_t cycle_us_count_before =
+      registry.GetHistogram("server.compaction_us").count();
 
   ASSERT_TRUE(daemon_->CompactNow().ok());
   EXPECT_EQ(CountDatasetFiles(), 1u) << "inputs must be retired";
@@ -164,6 +209,9 @@ TEST_F(DaemonDatasetTest, CompactNowMergesWithIdenticalResults) {
             retired_before + 3);
   EXPECT_EQ(registry.GetHistogram("store.compaction_us").count(),
             compaction_us_count_before + 1);
+  // The daemon's own number: the cycle's whole hold of the writer lock.
+  EXPECT_EQ(registry.GetHistogram("server.compaction_us").count(),
+            cycle_us_count_before + 1);
   // The daemon's serving gauge tracks the post-compaction tail count: the
   // store's merged dataset, now served as the one tail behind the
   // unchanged primary — the segments a restart loads.
@@ -251,6 +299,98 @@ TEST_F(DaemonDatasetTest, CompactionCrashMidMergeLosesNoRecords) {
   daemon_.reset();
   StartDaemon(/*compact_after_datasets=*/0);
   EXPECT_EQ(QueryAll(), before);
+
+  // A crash while merging the newest run: two new batches (6 records)
+  // have not outgrown the restored 9-record tier, so the run is the two of
+  // them. The crash leaves the older tier, the manifest and the served
+  // epoch as they were.
+  ASSERT_TRUE(daemon_->Ingest(TraceBatch(4)).ok());
+  ASSERT_TRUE(daemon_->Ingest(TraceBatch(5)).ok());
+  const std::string grown = QueryAll();
+  const uint64_t grown_epoch = daemon_->snapshot_epoch();
+  const std::map<std::string, std::string> files = ReadDataDir();
+  failpoint::Arm("compact:crash",
+                 failpoint::Spec{failpoint::Action::kCrash, 0, 0});
+  ASSERT_FALSE(daemon_->CompactNow().ok());
+  failpoint::DisarmAll();
+  EXPECT_EQ(daemon_->snapshot_epoch(), grown_epoch);
+  EXPECT_EQ(ReadDataDir(), files) << "the crash touched the data dir";
+  EXPECT_EQ(QueryAll(), grown);
+
+  // The retry merges the run alone, beside the untouched older tier.
+  ASSERT_TRUE(daemon_->CompactNow().ok());
+  EXPECT_EQ(DatasetRecords(), (std::vector<uint64_t>{9, 6}));
+  EXPECT_EQ(QueryAll(), grown);
+  ASSERT_TRUE(daemon_->Drain().ok());
+  daemon_.reset();
+  StartDaemon(/*compact_after_datasets=*/0);
+  EXPECT_EQ(QueryAll(), grown);
+}
+
+// The size-tiered pick over record counts (DESIGN.md §14).
+TEST(TieredPickTest, MergesTheNewRunAndEachTierItOutgrows) {
+  // Tails ingested since the last cycle always merge, whatever their size.
+  EXPECT_EQ(NewestRunToCompact({100, 3, 5}, 1), 2u);
+  EXPECT_EQ(NewestRunToCompact({9, 1, 2}, 0), 3u);
+  // An older tier joins once the run holds at least its records, and the
+  // run keeps extending with what it absorbed.
+  EXPECT_EQ(NewestRunToCompact({12, 6, 3, 2}, 2), 2u);   // 5 < 6
+  EXPECT_EQ(NewestRunToCompact({12, 6, 3, 3}, 2), 4u);   // 6 -> 12 -> 24
+  EXPECT_EQ(NewestRunToCompact({13, 6, 3, 3}, 2), 3u);   // 12 < 13
+  EXPECT_EQ(NewestRunToCompact({4, 3}, 1), 1u);          // a run of one
+  EXPECT_EQ(NewestRunToCompact({4, 4}, 1), 2u);
+  // Restored (or already compacted) tails merge nothing on their own.
+  EXPECT_EQ(NewestRunToCompact({96, 48, 24, 12}, 4), 0u);
+  EXPECT_EQ(NewestRunToCompact({}, 0), 0u);
+}
+
+// Sixty equal batches with a cycle after every fourth merge like a binary
+// counter in units of four batches: after fifteen cycles the datasets hold
+// 32, 16, 8 and 4 batches, and every answer is unchanged by every cycle
+// and by a restart. The merges rewrite about 2.1x the final datasets'
+// bytes; merging the whole dir each cycle would rewrite 8x.
+TEST_F(DaemonDatasetTest, EqualBatchesMergeLikeABinaryCounter) {
+  StartDaemon(/*compact_after_datasets=*/0);
+  auto& registry = obs::MetricsRegistry::Global();
+  const uint64_t bytes_before =
+      registry.GetCounter("store.compaction_bytes").value();
+  for (int round = 1; round <= 60; ++round) {
+    ASSERT_TRUE(daemon_->Ingest(TraceBatch(round)).ok());
+    if (round % 4 != 0) continue;
+    const std::string all = QueryAll();
+    const std::string sum = Query("SUM [1,2,3,4]");
+    ASSERT_TRUE(daemon_->CompactNow().ok());
+    ASSERT_EQ(QueryAll(), all) << "cycle " << round / 4;
+    ASSERT_EQ(Query("SUM [1,2,3,4]"), sum) << "cycle " << round / 4;
+  }
+  EXPECT_EQ(DatasetRecords(), (std::vector<uint64_t>{96, 48, 24, 12}));
+  EXPECT_EQ(registry.GetGauge("server.tail_datasets").value(), 4);
+  const uint64_t merged =
+      registry.GetCounter("store.compaction_bytes").value() - bytes_before;
+  EXPECT_LE(merged, 3 * DatasetBytes());
+
+  const std::string all = QueryAll();
+  const std::string sum = Query("SUM [1,2,3,4]");
+  ASSERT_TRUE(daemon_->Drain().ok());
+  daemon_.reset();
+  StartDaemon(/*compact_after_datasets=*/0);
+  EXPECT_EQ(QueryAll(), all) << "after a restart";
+  EXPECT_EQ(Query("SUM [1,2,3,4]"), sum) << "after a restart";
+
+  // Restored tails count as compacted: the first cycle after the restart
+  // has nothing to merge and publishes nothing.
+  const uint64_t epoch = daemon_->snapshot_epoch();
+  ASSERT_TRUE(daemon_->CompactNow().ok());
+  EXPECT_EQ(daemon_->snapshot_epoch(), epoch);
+  EXPECT_EQ(DatasetRecords().size(), 4u);
+  // Four more batches carry through every tier.
+  for (int round = 61; round <= 64; ++round) {
+    ASSERT_TRUE(daemon_->Ingest(TraceBatch(round)).ok());
+  }
+  const std::string grown = QueryAll();
+  ASSERT_TRUE(daemon_->CompactNow().ok());
+  EXPECT_EQ(DatasetRecords(), (std::vector<uint64_t>{192}));
+  EXPECT_EQ(QueryAll(), grown);
 }
 
 TEST_F(DaemonDatasetTest, BackgroundCompactionTriggersAtThreshold) {

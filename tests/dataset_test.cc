@@ -323,6 +323,54 @@ TEST_F(DatasetStoreTest, CompactAllMergesInManifestOrderAndRetiresInputs) {
   EXPECT_EQ(merged.num_records(), base);
 }
 
+// A cycle merges only the newest run: the older datasets keep their files
+// and ids, and the merged one takes the next id, so the manifest stays
+// ascending and a reopen attaches the datasets in the same order.
+TEST_F(DatasetStoreTest, CompactNewestMergesOnlyTheNewestRun) {
+  const std::vector<MasterRelation> inputs = {
+      MakeRelation(1, 17), MakeRelation(2, 9), MakeRelation(3, 26)};
+  auto store = DatasetStore::Open(dir_);
+  ASSERT_TRUE(store.ok()) << store.status().ToString();
+  for (const MasterRelation& rel : inputs) {
+    ASSERT_TRUE(store.value().Seal(rel).ok());
+  }
+  const std::string oldest = store.value().dataset_names().front();
+  EXPECT_TRUE(store.value().CompactNewest(4).IsInvalidArgument());
+  ASSERT_TRUE(store.value().CompactNewest(2).ok());
+  EXPECT_EQ(store.value().dataset_names(),
+            (std::vector<std::string>{oldest, "ds-000003.cgds"}));
+
+  auto reopened = DatasetStore::Open(dir_);
+  ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
+  const auto loaded = reopened.value().LoadAll();
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  ASSERT_EQ(loaded.value().size(), 2u);
+  ExpectRelationsEqual(inputs[0], loaded.value()[0], "older dataset");
+  EXPECT_EQ(loaded.value()[1].num_records(), 9u + 26u);
+}
+
+// The manifest's ids must ascend: a permuted list would attach the
+// datasets out of order and silently renumber their records.
+TEST_F(DatasetStoreTest, OpenRejectsPermutedManifest) {
+  {
+    auto store = DatasetStore::Open(dir_);
+    ASSERT_TRUE(store.ok()) << store.status().ToString();
+    ASSERT_TRUE(store.value().Seal(MakeRelation(1, 5)).ok());
+    ASSERT_TRUE(store.value().Seal(MakeRelation(2, 7)).ok());
+  }
+  io::Writer out(dir_ + "/MANIFEST", /*"CGMF"*/ 0x43474D46, /*version=*/2);
+  out.BeginSection();
+  out.WritePod(uint64_t{2});                       // next id
+  out.WriteVec(std::vector<uint64_t>{1, 0});       // live ids, permuted
+  out.EndSection();
+  ASSERT_TRUE(out.Commit().ok());
+
+  const auto reopened = DatasetStore::Open(dir_);
+  ASSERT_FALSE(reopened.ok()) << "a permuted manifest opened";
+  EXPECT_TRUE(reopened.status().IsCorruption())
+      << reopened.status().ToString();
+}
+
 TEST_F(DatasetStoreTest, CompactAllIsNoOpBelowThreshold) {
   DatasetStoreOptions options;
   options.min_datasets_to_compact = 3;
@@ -438,6 +486,43 @@ TEST(DatasetEngineTest, TailsReloadedFromStoreAreByteIdentical) {
                     .ok());
   }
   ExpectQueryEquivalence(single, from_disk, "tails reloaded from store");
+  std::filesystem::remove_all(dir);
+}
+
+// A compaction cycle swaps only its run: the store's merge of the newest
+// two tails replaces exactly those two, the oldest tail stays shared, and
+// answers do not change. A replacement that does not hold the replaced
+// tails' records is refused and changes nothing.
+TEST(DatasetEngineTest, ReplaceTailsSwapsOnlyTheNewestRun) {
+  const std::string dir = ::testing::TempDir() + "colgraph_ds_newest_run";
+  std::filesystem::remove_all(dir);
+  const auto walks = MakeWalks(96, 6060);
+  const ColGraphEngine single = BuildSingle(walks);
+  ColGraphEngine split = BuildSplit(walks, /*num_tails=*/3);
+  const auto oldest = split.tails().front();
+
+  auto store = DatasetStore::Open(dir);
+  ASSERT_TRUE(store.ok()) << store.status().ToString();
+  for (const auto& tail : split.tails()) {
+    ASSERT_TRUE(store.value().Seal(*tail).ok());
+  }
+  ASSERT_TRUE(store.value().CompactNewest(2).ok());
+  auto merged = store.value().Load(1);
+  ASSERT_TRUE(merged.ok()) << merged.status().ToString();
+  auto tail = split.BuildTailRelation(std::move(merged).value());
+  ASSERT_TRUE(tail.ok()) << tail.status().ToString();
+  const auto shared = std::make_shared<const MasterRelation>(std::move(*tail));
+
+  const Status too_few = split.ReplaceTails(1, {shared});
+  EXPECT_TRUE(too_few.IsInternal()) << too_few.ToString();
+  EXPECT_TRUE(split.ReplaceTails(4, {shared}).IsInvalidArgument());
+  ASSERT_EQ(split.tails().size(), 3u);
+
+  ASSERT_TRUE(split.ReplaceTails(2, {shared}).ok());
+  ASSERT_EQ(split.tails().size(), 2u);
+  EXPECT_EQ(split.tails()[0], oldest);
+  EXPECT_EQ(split.tails()[1], shared);
+  ExpectQueryEquivalence(single, split, "newest run swapped in");
   std::filesystem::remove_all(dir);
 }
 

@@ -279,7 +279,8 @@ ColGraphEngine ReloadTails(const ColGraphEngine& segmented,
     tails.push_back(std::make_shared<const MasterRelation>(std::move(*tail)));
   }
   EXPECT_EQ(tails.size(), segmented.tails().empty() ? 0u : 1u);
-  EXPECT_TRUE(reloaded.ReplaceTails(std::move(tails)).ok());
+  EXPECT_TRUE(
+      reloaded.ReplaceTails(reloaded.tails().size(), std::move(tails)).ok());
   std::filesystem::remove_all(dir);
   return reloaded;
 }

@@ -18,8 +18,10 @@
 // --data-dir makes ingest durable (DESIGN.md §14): every batch is sealed
 // as an immutable dataset file in DIR before it is served, and a restart
 // re-attaches DIR's datasets to the initial snapshot. --compact-after=N
-// triggers a background compaction once N tail datasets have
-// accumulated (0 disables; default 4).
+// triggers a background compaction cycle once N tail datasets have been
+// ingested since the last cycle (0 disables; default 4). A cycle merges
+// the newest run of datasets, size-tiered: the new ones plus each older
+// one holding no more records than the run so far.
 //
 // Telemetry (DESIGN.md §15): --slow-query-log captures requests over
 // --slow-query-threshold-us (default 20000) plus an optional 1-in-N
