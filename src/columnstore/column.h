@@ -164,13 +164,14 @@ struct ColumnPart {
   size_t num_records = 0;
 };
 
-/// \brief The column merge behind both compactions (DatasetStore::CompactAll
-/// on disk, ColGraphEngine::Compact in memory). Lays `parts` end to end:
-/// for each dataset in order, its presence bits are ORed in at its base
-/// (the record count of the parts before it) and its values are appended.
-/// Bases ascend, so every value keeps its presence rank. The result is
-/// sealed and carries no hybrid sidecar; MasterRelation::FromColumns makes
-/// that choice.
+/// \brief The column merge behind MergeRelations (master_relation.h), the
+/// one relation merge every compaction runs, for edge columns and
+/// aggregate views alike. Lays `parts` end to end: for each dataset in
+/// order, its presence bits are ORed in at its base (the record count of
+/// the parts before it) and its values are appended. Bases ascend, so
+/// every value keeps its presence rank. The result is sealed and carries
+/// no hybrid sidecar; MasterRelation::FromColumns (or AddAggregateView)
+/// makes that choice.
 StatusOr<MeasureColumn> MergeColumn(const std::vector<ColumnPart>& parts);
 
 }  // namespace colgraph

@@ -81,28 +81,6 @@ size_t NewestRunToCompact(const std::vector<uint64_t>& records,
   return records.size() - first;
 }
 
-StatusOr<MappedRelationFile> MappedRelationFile::Open(const std::string& path) {
-  // Same codec as ReadRelation: a dataset file IS a relation snapshot.
-  COLGRAPH_ASSIGN_OR_RETURN(
-      io::Reader in,
-      io::Reader::OpenMapped(path, internal::kRelationMagic,
-                             internal::kRelationVersion));
-  internal::RelationLayout layout;
-  COLGRAPH_ASSIGN_OR_RETURN(layout, internal::ReadRelationLayout(&in, path));
-  return MappedRelationFile(std::move(in), std::move(layout));
-}
-
-StatusOr<MeasureColumn> MappedRelationFile::ReadColumn(size_t i) const {
-  const internal::Extent& e = layout_.extents[i];
-  COLGRAPH_ASSIGN_OR_RETURN(io::Reader sub, reader_.AtExtent(e.offset, e.len));
-  COLGRAPH_ASSIGN_OR_RETURN(MeasureColumn col,
-                            sub.ReadMeasureColumn(layout_.num_records));
-  if (sub.remaining() != 0) {
-    return Status::Corruption("trailing bytes in column extent");
-  }
-  return col;
-}
-
 StatusOr<DatasetStore> DatasetStore::Open(const std::string& dir,
                                           Options options) {
   std::error_code ec;
@@ -173,30 +151,47 @@ Status DatasetStore::WriteManifest(const std::vector<uint64_t>& ids,
   return out.Commit();
 }
 
-StatusOr<std::string> DatasetStore::Seal(const MasterRelation& relation) {
-  if (!relation.sealed()) {
-    return Status::InvalidArgument("can only seal a sealed relation");
-  }
-  const obs::Span span(&SealHistogram(), nullptr, "store_seal");
+StatusOr<uint64_t> DatasetStore::PublishInPlaceOf(
+    size_t first, const MasterRelation& relation) {
+  // The new dataset takes the next id, the largest, so it stays last and
+  // the manifest ascending.
   const uint64_t id = next_id_;
   const std::string name = DatasetName(id);
-  COLGRAPH_RETURN_NOT_OK(WriteRelation(relation, PathFor(name)));
+  COLGRAPH_ASSIGN_OR_RETURN(
+      const uint64_t extent_bytes,
+      internal::WriteRelationImage(relation, PathFor(name)));
   // Publish: the manifest rewrite is the commit point. If it fails, the
   // already-durable dataset file is simply unreferenced — the next Open()
   // sweeps it — and the store's published state is unchanged.
-  std::vector<uint64_t> ids = ids_;
+  std::vector<uint64_t> ids(ids_.begin(),
+                            ids_.begin() + static_cast<std::ptrdiff_t>(first));
   ids.push_back(id);
   const Status st = WriteManifest(ids, id + 1);
   if (!st.ok()) {
     std::remove(PathFor(name).c_str());
     return st;
   }
+  // Retire what it replaces. Readers holding mappings of these files are
+  // unaffected: unlink does not invalidate an existing mmap.
+  for (size_t i = first; i < names_.size(); ++i) {
+    std::remove(PathFor(names_[i]).c_str());
+  }
   ids_ = std::move(ids);
+  names_.resize(first);
   names_.push_back(name);
   next_id_ = id + 1;
-  SealedCounter().Increment();
   DatasetsGauge().Set(static_cast<int64_t>(names_.size()));
-  return name;
+  return extent_bytes;
+}
+
+StatusOr<std::string> DatasetStore::Seal(const MasterRelation& relation) {
+  if (!relation.sealed()) {
+    return Status::InvalidArgument("can only seal a sealed relation");
+  }
+  const obs::Span span(&SealHistogram(), nullptr, "store_seal");
+  COLGRAPH_RETURN_NOT_OK(PublishInPlaceOf(names_.size(), relation).status());
+  SealedCounter().Increment();
+  return names_.back();
 }
 
 StatusOr<MasterRelation> DatasetStore::Load(size_t i) const {
@@ -213,89 +208,44 @@ StatusOr<std::vector<MasterRelation>> DatasetStore::LoadAll() const {
   return out;
 }
 
+Status DatasetStore::ReplaceNewest(size_t k, const MasterRelation& merged) {
+  if (k == 0 || k > names_.size()) {
+    return Status::InvalidArgument(
+        "a merge replaces between one and every live dataset");
+  }
+  COLGRAPH_ASSIGN_OR_RETURN(io::ExclusiveFile lock,
+                            io::ExclusiveFile::Acquire(LockPath()));
+  (void)lock;  // held for scope; released (unlinked) on every exit path
+  // Times failed attempts too: an aborted write still occupied the store's
+  // single compaction slot for the duration.
+  const obs::Span span(&CompactionHistogram(), nullptr, "store_compaction");
+  // Simulated crash before the write: published datasets and the manifest
+  // are untouched; the next Open() sweeps the lock (and any stray file).
+  COLGRAPH_FAILPOINT("compact:crash");
+  COLGRAPH_ASSIGN_OR_RETURN(const uint64_t merged_bytes,
+                            PublishInPlaceOf(names_.size() - k, merged));
+  CompactionsCounter().Increment();
+  RetiredCounter().Add(k);
+  CompactionBytesCounter().Add(merged_bytes);
+  return Status::OK();
+}
+
 Status DatasetStore::CompactNewest(size_t k) {
   if (k > names_.size()) {
     return Status::InvalidArgument("cannot merge more datasets than are live");
   }
-  if (k < options_.min_datasets_to_compact) return Status::OK();
-  COLGRAPH_ASSIGN_OR_RETURN(io::ExclusiveFile lock,
-                            io::ExclusiveFile::Acquire(LockPath()));
-  (void)lock;  // held for scope; released (unlinked) on every exit path
-  // Times failed attempts too: an aborted merge still occupied the store's
-  // single compaction slot for the duration.
-  const obs::Span span(&CompactionHistogram(), nullptr, "store_compaction");
-
-  const size_t first = names_.size() - k;
-  std::vector<MappedRelationFile> inputs;
+  if (k == 0 || k < options_.min_datasets_to_compact) return Status::OK();
+  std::vector<MasterRelation> inputs;
   inputs.reserve(k);
-  uint64_t total_records = 0;
-  size_t num_columns = 0;
-  for (size_t i = first; i < names_.size(); ++i) {
-    COLGRAPH_ASSIGN_OR_RETURN(MappedRelationFile file,
-                              MappedRelationFile::Open(PathFor(names_[i])));
-    total_records += file.num_records();
-    num_columns = std::max(num_columns, file.num_columns());
-    inputs.push_back(std::move(file));
+  for (size_t i = names_.size() - k; i < names_.size(); ++i) {
+    COLGRAPH_ASSIGN_OR_RETURN(MasterRelation input, Load(i));
+    inputs.push_back(std::move(input));
   }
-  COLGRAPH_RETURN_NOT_OK(io::ValidateRecordCount(total_records, dir_));
-
-  // Column-at-a-time merge: decode column c of every input, merge, encode,
-  // and drop the decoded and merged columns; the inputs stay on disk behind
-  // their mappings. Every encoded payload is kept until
-  // WriteRelationPayloads, whose io::Writer then copies them all into one
-  // buffered body: at the write, memory holds the merged dataset's bytes
-  // twice.
-  std::vector<std::vector<char>> payloads;
-  payloads.reserve(num_columns);
-  for (size_t c = 0; c < num_columns; ++c) {
-    // Simulated crash mid-merge: published datasets and the manifest are
-    // untouched; the next Open() sweeps the lock (and any stray file).
-    COLGRAPH_FAILPOINT("compact:crash");
-    std::vector<MeasureColumn> decoded(inputs.size());
-    std::vector<ColumnPart> parts(inputs.size());
-    for (size_t i = 0; i < inputs.size(); ++i) {
-      parts[i].num_records = static_cast<size_t>(inputs[i].num_records());
-      if (c < inputs[i].num_columns()) {
-        COLGRAPH_ASSIGN_OR_RETURN(decoded[i], inputs[i].ReadColumn(c));
-        parts[i].column = &decoded[i];
-      }
-    }
-    COLGRAPH_ASSIGN_OR_RETURN(const MeasureColumn merged, MergeColumn(parts));
-    io::Writer enc;
-    enc.WriteMeasureColumn(merged);
-    payloads.push_back(enc.TakePayload());
-  }
-
-  // The merged dataset takes the next id, the largest: it replaces the
-  // newest k at the end of the manifest, which stays ascending.
-  const uint64_t id = next_id_;
-  const std::string name = DatasetName(id);
-  COLGRAPH_RETURN_NOT_OK(
-      internal::WriteRelationPayloads(total_records, payloads, PathFor(name)));
-  std::vector<uint64_t> ids = ids_;
-  ids.resize(first);
-  ids.push_back(id);
-  const Status st = WriteManifest(ids, id + 1);
-  if (!st.ok()) {
-    std::remove(PathFor(name).c_str());
-    return st;
-  }
-  // Retire the merged inputs. Readers holding mappings of these files are
-  // unaffected: unlink does not invalidate an existing mmap.
-  for (size_t i = first; i < names_.size(); ++i) {
-    std::remove(PathFor(names_[i]).c_str());
-  }
-  CompactionsCounter().Increment();
-  RetiredCounter().Add(k);
-  uint64_t merged_bytes = 0;
-  for (const std::vector<char>& p : payloads) merged_bytes += p.size();
-  CompactionBytesCounter().Add(merged_bytes);
-  ids_ = std::move(ids);
-  names_.resize(first);
-  names_.push_back(name);
-  next_id_ = id + 1;
-  DatasetsGauge().Set(static_cast<int64_t>(names_.size()));
-  return Status::OK();
+  std::vector<const MasterRelation*> run;
+  for (const MasterRelation& input : inputs) run.push_back(&input);
+  COLGRAPH_ASSIGN_OR_RETURN(const MasterRelation merged,
+                            MergeRelations(run, options_.relation));
+  return ReplaceNewest(k, merged);
 }
 
 }  // namespace colgraph

@@ -9,7 +9,9 @@
 // indistinguishable, record for record, from the same collection ingested
 // into a single relation. Background compaction merges the newest run of
 // datasets into one, size-tiered (seal → merge the newest run → retire);
-// queries keep running against the published snapshot throughout.
+// queries keep running against the published snapshot throughout. The
+// daemon merges the run from the tails it already serves and hands the
+// result to ReplaceNewest; CompactNewest loads the run from its files.
 //
 // On disk a DatasetStore is a directory:
 //
@@ -35,32 +37,6 @@
 #include "util/status.h"
 
 namespace colgraph {
-
-/// \brief Lazy per-column access to a relation image through an mmap.
-///
-/// Open() maps and validates the file (whole-file CRC + extent
-/// directory); ReadColumn() then decodes a single column extent on
-/// demand. Compaction streams its inputs through this, so merging N
-/// datasets holds one column per input in memory, not N whole relations.
-class MappedRelationFile {
- public:
-  /// Maps and validates `path`, which must be a v5 relation image; any
-  /// other version is Corruption.
-  static StatusOr<MappedRelationFile> Open(const std::string& path);
-
-  uint64_t num_records() const { return layout_.num_records; }
-  size_t num_columns() const { return layout_.extents.size(); }
-
-  /// Decodes column `i` from its extent. Requires i < num_columns().
-  StatusOr<MeasureColumn> ReadColumn(size_t i) const;
-
- private:
-  MappedRelationFile(io::Reader in, internal::RelationLayout layout)
-      : reader_(std::move(in)), layout_(std::move(layout)) {}
-
-  io::Reader reader_;
-  internal::RelationLayout layout_;
-};
 
 /// \brief A directory of immutable sealed dataset files plus the MANIFEST
 /// that names the live ones, in ingest order.
@@ -115,18 +91,22 @@ class DatasetStore {
   /// Loads every live dataset, in manifest order.
   StatusOr<std::vector<MasterRelation>> LoadAll() const;
 
-  /// Merges the newest `k` live datasets into one new dataset file under
-  /// the compact.lock ExclusiveFile, then publishes it via a manifest
-  /// rewrite and unlinks the retired inputs. The merged dataset takes the
-  /// next id, the largest, so it stays last and the manifest ascending.
-  /// Decodes column c of every input and merges it with MergeColumn before
-  /// column c + 1, so the inputs stay on disk behind their mappings; the
-  /// merged columns' encoded payloads are all held until the write, which
-  /// copies them once more into its buffered body. No-op for k below
-  /// min_datasets_to_compact; InvalidArgument for k > num_datasets().
-  /// Returns Unavailable while another compaction holds the lock. A crash
-  /// mid-merge (failpoint "compact:crash") leaves the manifest — and thus
-  /// every published dataset — untouched.
+  /// Writes `merged`, the merge of the newest `k` live datasets
+  /// (MergeRelations), in their place under the compact.lock
+  /// ExclusiveFile: the merged dataset's file, then the manifest rewrite
+  /// that publishes it, then the unlinking of the k inputs. The merged
+  /// dataset takes the next id, the largest, so it stays last and the
+  /// manifest ascending. Its image encodes each column straight into the
+  /// write buffer, so the write holds one encoded image beside `merged`.
+  /// InvalidArgument unless 1 <= k <= num_datasets(); Unavailable while
+  /// another compaction holds the lock. A crash before the write (failpoint
+  /// "compact:crash") leaves the manifest — and thus every published
+  /// dataset — untouched.
+  Status ReplaceNewest(size_t k, const MasterRelation& merged);
+  /// Merges the newest `k` live datasets: loads them, merges them with
+  /// MergeRelations and writes the result with ReplaceNewest. No-op for k
+  /// below min_datasets_to_compact (or 0); InvalidArgument for
+  /// k > num_datasets().
   Status CompactNewest(size_t k);
   /// Merges every live dataset: CompactNewest(num_datasets()).
   Status CompactAll() { return CompactNewest(names_.size()); }
@@ -138,6 +118,12 @@ class DatasetStore {
   std::string LockPath() const { return dir_ + "/compact.lock"; }
   Status WriteManifest(const std::vector<uint64_t>& ids,
                        uint64_t next_id) const;
+  /// Writes `relation` as the next dataset and publishes it in place of
+  /// the live datasets from the `first`-th on (none when `first` is
+  /// num_datasets(), a seal), then unlinks those. Returns the length of
+  /// the column extents written.
+  StatusOr<uint64_t> PublishInPlaceOf(size_t first,
+                                      const MasterRelation& relation);
 
   std::string dir_;
   Options options_;

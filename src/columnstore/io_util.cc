@@ -56,6 +56,18 @@ void Writer::EndSection() {
               sizeof(crc));
 }
 
+void Writer::RewriteSection(size_t section_pos, const void* data, size_t n) {
+  COLGRAPH_CHECK(section_pos + kSectionHeaderBytes + n <= body_.size())
+      << "RewriteSection past the buffered bytes";
+  uint64_t len = 0;
+  std::memcpy(&len, body_.data() + section_pos, sizeof(len));
+  COLGRAPH_CHECK(len == n) << "RewriteSection must keep the section's length";
+  char* payload = body_.data() + section_pos + kSectionHeaderBytes;
+  std::memcpy(payload, data, n);
+  const uint32_t crc = Crc32c(payload, n);
+  std::memcpy(body_.data() + section_pos + sizeof(len), &crc, sizeof(crc));
+}
+
 void Writer::PadTo(size_t target) {
   COLGRAPH_CHECK(!in_section_) << "PadTo inside an open section";
   COLGRAPH_CHECK(target >= body_.size()) << "PadTo cannot move backwards";

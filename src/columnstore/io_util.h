@@ -87,14 +87,20 @@ class Writer {
   Writer(std::string path, uint32_t magic, uint32_t version);
 
   /// Payload-mode writer: encodes values into an in-memory buffer with no
-  /// preamble, sections, or footer. Used to pre-encode column extents
-  /// (the payload is later appended verbatim with AppendRaw). Commit() is
-  /// forbidden; fetch the bytes with TakePayload().
+  /// preamble, sections, or footer (a column's encoding on its own).
+  /// Commit() is forbidden; fetch the bytes with TakePayload().
   Writer() : payload_only_(true) {}
 
   /// Opens / closes a checksummed section. Sections must not nest.
   void BeginSection();
   void EndSection();
+
+  /// Overwrites the payload of the section whose header starts at
+  /// `section_pos` (bytes_buffered() just before its BeginSection) with
+  /// `n` bytes, exactly its length, and recomputes its CRC. For a
+  /// directory whose entries are known only once the extents it locates
+  /// are written.
+  void RewriteSection(size_t section_pos, const void* data, size_t n);
 
   template <typename T>
   void WritePod(const T& value) {
@@ -115,9 +121,8 @@ class Writer {
   /// (the column's value array as stored, already in rank order).
   void WriteMeasureColumn(const MeasureColumn& col);
 
-  /// Bytes buffered so far (preamble + sections written). The extent
-  /// writers use this to compute extent offsets before emitting the
-  /// directory.
+  /// Bytes buffered so far: the absolute offset the next write lands at
+  /// (extent offsets and lengths are taken from it).
   size_t bytes_buffered() const { return body_.size(); }
 
   /// Zero-pads the buffer up to absolute offset `target` (>= current

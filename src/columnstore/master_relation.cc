@@ -1,5 +1,6 @@
 #include "columnstore/master_relation.h"
 
+#include <algorithm>
 #include <unordered_set>
 
 #include "util/check.h"
@@ -12,15 +13,17 @@ StatusOr<RecordId> MasterRelation::AddRecord(
     return Status::InvalidArgument("cannot add records to a sealed relation");
   }
   const RecordId rid = num_records_;
-  // Validate before mutating any column so a failed insert has no effect.
-  std::unordered_set<EdgeId> seen;
-  for (const auto& [edge_id, value] : elements) {
-    (void)value;
-    if (!seen.insert(edge_id).second) {
-      return Status::InvalidArgument("duplicate edge id " +
-                                     std::to_string(edge_id) +
-                                     " in record; flatten cycles first");
-    }
+  // Validate before mutating any column so a failed insert has no effect:
+  // equal ids sit side by side in a sorted copy.
+  std::vector<EdgeId> ids;
+  ids.reserve(elements.size());
+  for (const auto& element : elements) ids.push_back(element.first);
+  std::sort(ids.begin(), ids.end());
+  const auto duplicate = std::adjacent_find(ids.begin(), ids.end());
+  if (duplicate != ids.end()) {
+    return Status::InvalidArgument("duplicate edge id " +
+                                   std::to_string(*duplicate) +
+                                   " in record; flatten cycles first");
   }
   for (const auto& [edge_id, value] : elements) {
     if (edge_id >= columns_.size()) EnsureColumns(edge_id + 1);
@@ -119,6 +122,66 @@ const Bitmap& MasterRelation::FetchAggregateViewBitmap(
   COLGRAPH_CHECK_LT(view_index, agg_views_.size());
   ++stats_.bitmap_columns_fetched;
   return agg_views_[view_index].presence().bits();
+}
+
+StatusOr<MasterRelation> MergeRelations(
+    const std::vector<const MasterRelation*>& segments,
+    MasterRelationOptions options) {
+  const size_t num_graph_views =
+      segments.empty() ? 0 : segments.front()->num_graph_views();
+  const size_t num_agg_views =
+      segments.empty() ? 0 : segments.front()->num_aggregate_views();
+  size_t num_records = 0;
+  size_t num_columns = 0;
+  for (const MasterRelation* rel : segments) {
+    if (!rel->sealed() || rel->num_graph_views() != num_graph_views ||
+        rel->num_aggregate_views() != num_agg_views) {
+      return Status::InvalidArgument(
+          "merged segments must be sealed and carry the same views");
+    }
+    num_records += rel->num_records();
+    num_columns = std::max(num_columns, rel->num_edge_columns());
+  }
+
+  // Column at a time: each segment's presence bits land at its base,
+  // values concatenate in segment order.
+  const auto merge = [&](const auto& column_of) {
+    std::vector<ColumnPart> parts;
+    parts.reserve(segments.size());
+    for (const MasterRelation* rel : segments) {
+      parts.push_back(ColumnPart{column_of(*rel), rel->num_records()});
+    }
+    return MergeColumn(parts);
+  };
+  std::vector<MeasureColumn> columns;
+  columns.reserve(num_columns);
+  for (size_t c = 0; c < num_columns; ++c) {
+    COLGRAPH_ASSIGN_OR_RETURN(
+        MeasureColumn column, merge([c](const MasterRelation& rel) {
+          return rel.FindEdgeColumn(static_cast<EdgeId>(c));
+        }));
+    columns.push_back(std::move(column));
+  }
+  COLGRAPH_ASSIGN_OR_RETURN(
+      MasterRelation merged,
+      MasterRelation::FromColumns(num_records, std::move(columns), options));
+  for (size_t v = 0; v < num_graph_views; ++v) {
+    Bitmap bits(num_records);
+    size_t base = 0;
+    for (const MasterRelation* rel : segments) {
+      bits.OrAt(rel->PeekGraphView(v), base);
+      base += rel->num_records();
+    }
+    merged.AddGraphView(std::move(bits));
+  }
+  for (size_t v = 0; v < num_agg_views; ++v) {
+    COLGRAPH_ASSIGN_OR_RETURN(
+        MeasureColumn column, merge([v](const MasterRelation& rel) {
+          return &rel.PeekAggregateView(v);
+        }));
+    merged.AddAggregateView(std::move(column));
+  }
+  return merged;
 }
 
 size_t MasterRelation::CountPartitions(const std::vector<EdgeId>& ids) const {

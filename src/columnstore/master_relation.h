@@ -198,4 +198,17 @@ class MasterRelation {
   mutable FetchStats stats_;
 };
 
+/// \brief The relation merge behind every compaction (ColGraphEngine::
+/// Compact, DatasetStore::CompactNewest and the daemon's cycle). Lays the
+/// sealed `segments` end to end, so record r of segment s becomes record
+/// base(s) + r: edge column c is MergeColumn over each segment's column c
+/// (a segment that never grew it adds an empty range, and the merged
+/// schema is the widest any segment grew); each graph view ORs every
+/// segment's view bits in at the segment's base, and each aggregate view
+/// merges like an edge column, so no view is materialized again. Every
+/// segment must carry the same number of graph and aggregate views.
+StatusOr<MasterRelation> MergeRelations(
+    const std::vector<const MasterRelation*>& segments,
+    MasterRelationOptions options);
+
 }  // namespace colgraph

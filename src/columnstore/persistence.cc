@@ -12,7 +12,6 @@ namespace {
 // Extent directory section: u64 count + {u64 offset, u64 len} per column,
 // inside a standard section frame.
 constexpr size_t kExtentEntryBytes = 16;
-constexpr size_t kSectionFrameBytes = 12;  // u64 len + u32 crc
 // Extents start on 8-byte boundaries. Every payload is a whole number of
 // u64 words and a relation image's sections end on one, so relation
 // images carry no padding at all; engine images pad at most 7 bytes once.
@@ -42,20 +41,7 @@ StatusOr<MasterRelation> ReadRelationFrom(io::Reader in,
 }  // namespace
 
 Status WriteRelation(const MasterRelation& relation, const std::string& path) {
-  if (!relation.sealed()) {
-    return Status::InvalidArgument("can only persist a sealed relation");
-  }
-  // Pre-encode each column, then lay the payloads out as packed extents
-  // behind a directory so readers can decode columns lazily.
-  std::vector<std::vector<char>> payloads;
-  payloads.reserve(relation.num_edge_columns());
-  for (EdgeId id = 0; id < relation.num_edge_columns(); ++id) {
-    io::Writer enc;
-    enc.WriteMeasureColumn(relation.PeekMeasureColumn(id));
-    payloads.push_back(enc.TakePayload());
-  }
-  return internal::WriteRelationPayloads(relation.num_records(), payloads,
-                                         path);
+  return internal::WriteRelationImage(relation, path).status();
 }
 
 StatusOr<MasterRelation> ReadRelation(const std::string& path,
@@ -80,29 +66,30 @@ StatusOr<MasterRelation> DecodeRelation(std::vector<char> data,
 
 namespace internal {
 
-void WriteExtents(io::Writer* out,
-                  const std::vector<std::vector<char>>& payloads) {
-  const size_t dir_bytes = kSectionFrameBytes + sizeof(uint64_t) +
-                           payloads.size() * kExtentEntryBytes;
-  uint64_t cursor = out->bytes_buffered() + dir_bytes;
-  std::vector<Extent> extents(payloads.size());
-  for (size_t i = 0; i < payloads.size(); ++i) {
-    extents[i].offset =
-        (cursor + kExtentAlign - 1) / kExtentAlign * kExtentAlign;
-    extents[i].len = payloads[i].size();
-    cursor = extents[i].offset + extents[i].len;
-  }
+uint64_t WriteExtents(io::Writer* out, size_t count,
+                      const std::function<void(size_t)>& encode) {
+  // The directory is reserved at its final size, entries zero, and
+  // rewritten once the extents behind it are in place.
+  std::vector<uint64_t> directory(1 + 2 * count, 0);
+  directory[0] = count;
+  const size_t directory_pos = out->bytes_buffered();
   out->BeginSection();
-  out->WritePod(static_cast<uint64_t>(payloads.size()));
-  for (const Extent& e : extents) {
-    out->WritePod(e.offset);
-    out->WritePod(e.len);
-  }
+  for (const uint64_t word : directory) out->WritePod(word);
   out->EndSection();
-  for (size_t i = 0; i < payloads.size(); ++i) {
-    out->PadTo(static_cast<size_t>(extents[i].offset));
-    out->AppendRaw(payloads[i].data(), payloads[i].size());
+  uint64_t total = 0;
+  for (size_t i = 0; i < count; ++i) {
+    const size_t offset = (out->bytes_buffered() + kExtentAlign - 1) /
+                          kExtentAlign * kExtentAlign;
+    out->PadTo(offset);
+    encode(i);
+    const size_t len = out->bytes_buffered() - offset;
+    directory[1 + 2 * i] = offset;
+    directory[2 + 2 * i] = len;
+    total += len;
   }
+  out->RewriteSection(directory_pos, directory.data(),
+                      directory.size() * sizeof(uint64_t));
+  return total;
 }
 
 StatusOr<std::vector<Extent>> ReadExtentDirectory(io::Reader* in,
@@ -139,18 +126,25 @@ StatusOr<std::vector<Extent>> ReadExtentDirectory(io::Reader* in,
   return extents;
 }
 
-Status WriteRelationPayloads(uint64_t num_records,
-                             const std::vector<std::vector<char>>& payloads,
-                             const std::string& path) {
+StatusOr<uint64_t> WriteRelationImage(const MasterRelation& relation,
+                                      const std::string& path) {
+  if (!relation.sealed()) {
+    return Status::InvalidArgument("can only persist a sealed relation");
+  }
+  const uint64_t num_records = relation.num_records();
+  const size_t num_columns = relation.num_edge_columns();
   COLGRAPH_RETURN_NOT_OK(io::ValidateRecordCount(num_records, path));
   io::Writer out(path, kRelationMagic, kRelationVersion);
   out.BeginSection();
   out.WritePod(num_records);
-  out.WritePod(static_cast<uint64_t>(payloads.size()));
+  out.WritePod(static_cast<uint64_t>(num_columns));
   out.EndSection();
   COLGRAPH_FAILPOINT("persist:after_header");
-  WriteExtents(&out, payloads);
-  return out.Commit();
+  const uint64_t extent_bytes = WriteExtents(&out, num_columns, [&](size_t c) {
+    out.WriteMeasureColumn(relation.PeekMeasureColumn(static_cast<EdgeId>(c)));
+  });
+  COLGRAPH_RETURN_NOT_OK(out.Commit());
+  return extent_bytes;
 }
 
 StatusOr<RelationLayout> ReadRelationLayout(io::Reader* in,

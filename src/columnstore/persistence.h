@@ -7,13 +7,15 @@
 // extent per column, written to `<path>.tmp` and atomically renamed — see
 // io_util.h and DESIGN.md §14). Reads accept v5 only; any other version,
 // and any corrupt or truncated file, loads as Status::Corruption, never as
-// a crash. The extent layout is what lets sealed dataset files be read
-// through an mmap with per-column lazy decoding (dataset.h). Extents start
-// on 8-byte boundaries, so a file is as small as its payloads; images
-// written with page-aligned extents (any ascending, in-bounds directory)
-// read back unchanged.
+// a crash. The extent directory locates every column without parsing the
+// others, and the writer encodes each column straight into its extent.
+// Extents start on 8-byte boundaries, so a file is as small as its
+// payloads; images written with page-aligned extents (any ascending,
+// in-bounds directory) read back unchanged.
 #pragma once
 
+#include <cstdint>
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -54,13 +56,14 @@ struct Extent {
   uint64_t len = 0;
 };
 
-/// Emits the extent-directory section followed by the raw extents for
-/// `payloads`, each at the next 8-byte boundary (relation images need no
-/// padding at all). Offsets are computed against the writer's
-/// current buffer position, so this must be the last content before
-/// Commit(). Shared by the relation and engine snapshot writers.
-void WriteExtents(io::Writer* out,
-                  const std::vector<std::vector<char>>& payloads);
+/// Lays out `count` column extents behind their directory section, each
+/// at the next 8-byte boundary: `encode(i)` writes extent i straight into
+/// `out`'s body, and the directory and its CRC are filled in once every
+/// extent's offset and length are known. Must be the last content before
+/// Commit(). Returns the extents' total length. Shared by the relation and
+/// engine snapshot writers.
+uint64_t WriteExtents(io::Writer* out, size_t count,
+                      const std::function<void(size_t)>& encode);
 
 /// Parses the extent-directory section (whose count must equal
 /// `expected_count`) and validates every entry: after the directory,
@@ -69,14 +72,10 @@ StatusOr<std::vector<Extent>> ReadExtentDirectory(io::Reader* in,
                                                   uint64_t expected_count,
                                                   const std::string& path);
 
-/// Writes a relation image from pre-encoded column payloads (one per
-/// column, WriteMeasureColumn encoding). WriteRelation encodes through
-/// this, and the column-streaming compaction path uses it so merged
-/// columns can be encoded and dropped one at a time instead of
-/// materializing a whole merged MasterRelation.
-Status WriteRelationPayloads(uint64_t num_records,
-                             const std::vector<std::vector<char>>& payloads,
-                             const std::string& path);
+/// WriteRelation, returning the total length of the column extents it
+/// wrote (the bytes a store's compaction counts as merged).
+StatusOr<uint64_t> WriteRelationImage(const MasterRelation& relation,
+                                      const std::string& path);
 
 /// The parsed relation header + extent directory. Produced by
 /// ReadRelationLayout once the Reader's open-time validation passed.
@@ -88,7 +87,7 @@ struct RelationLayout {
 /// Parses the two header sections from `in` (which must be positioned at
 /// the first section of a relation image) and validates the extent
 /// directory: entries must be in-bounds, non-overlapping, and ascending.
-/// Shared by the eager reader and the lazy per-column path in dataset.cc.
+/// Shared by the relation reader and the layout tests.
 StatusOr<RelationLayout> ReadRelationLayout(io::Reader* in,
                                             const std::string& path);
 

@@ -1,6 +1,7 @@
 #include "core/engine.h"
 
 #include <algorithm>
+#include <array>
 #include <cstdio>
 #include <iterator>
 #include <span>
@@ -177,24 +178,34 @@ Status ColGraphEngine::ReplaceTails(
   if (k > tails_.size()) {
     return Status::InvalidArgument("cannot replace more tails than attached");
   }
-  // Records, then values per edge column, summed over a tail list: the
-  // same for two lists that hold the same records.
-  const auto shape = [](const auto& list) {
-    std::vector<size_t> counts(1, 0);
+  for (const auto& tail : tails) COLGRAPH_RETURN_NOT_OK(CheckTail(tail.get()));
+  // Totals over a tail list that two lists holding the same records share:
+  // records; values per edge column; set bits per graph view; values per
+  // aggregate view.
+  const auto totals = [](const auto& list) {
+    std::array<std::vector<size_t>, 4> sums;
+    const auto add = [&sums](size_t kind, size_t i, size_t n) {
+      if (sums[kind].size() <= i) sums[kind].resize(i + 1, 0);
+      sums[kind][i] += n;
+    };
     for (const auto& tail : list) {
-      counts[0] += tail->num_records();
-      counts.resize(std::max(counts.size(), 1 + tail->num_edge_columns()));
+      add(0, 0, tail->num_records());
       for (EdgeId c = 0; c < tail->num_edge_columns(); ++c) {
-        counts[1 + c] += tail->PeekMeasureColumn(c).num_values();
+        add(1, c, tail->PeekMeasureColumn(c).num_values());
+      }
+      for (size_t v = 0; v < tail->num_graph_views(); ++v) {
+        add(2, v, tail->GraphViewCardinality(v));
+      }
+      for (size_t v = 0; v < tail->num_aggregate_views(); ++v) {
+        add(3, v, tail->PeekAggregateView(v).num_values());
       }
     }
-    return counts;
+    return sums;
   };
-  if (shape(tails) != shape(std::span(tails_).last(k))) {
+  if (totals(tails) != totals(std::span(tails_).last(k))) {
     return Status::Internal(
         "replacement tails do not hold the records of the tails they replace");
   }
-  for (const auto& tail : tails) COLGRAPH_RETURN_NOT_OK(CheckTail(tail.get()));
   tails_.resize(tails_.size() - k);
   std::move(tails.begin(), tails.end(), std::back_inserter(tails_));
   RebuildSegments();
@@ -205,56 +216,8 @@ Status ColGraphEngine::Compact() {
   if (tails_.empty()) return Status::OK();
   std::vector<const MasterRelation*> segments = {relation_.get()};
   for (const auto& tail : tails_) segments.push_back(tail.get());
-  size_t num_columns = 0;
-  for (const MasterRelation* rel : segments) {
-    num_columns = std::max(num_columns, rel->num_edge_columns());
-  }
-
-  // Column-at-a-time merge, the same MergeColumn DatasetStore::CompactAll
-  // runs: each segment's presence bits land at its global base, values
-  // concatenate in segment order. The merged schema is the widest any
-  // segment grew; a segment that never grew a column adds an empty range.
-  const auto merge = [&](const auto& column_of) {
-    std::vector<ColumnPart> parts;
-    parts.reserve(segments.size());
-    for (const MasterRelation* rel : segments) {
-      parts.push_back(ColumnPart{column_of(*rel), rel->num_records()});
-    }
-    return MergeColumn(parts);
-  };
-  std::vector<MeasureColumn> cols;
-  cols.reserve(num_columns);
-  for (size_t c = 0; c < num_columns; ++c) {
-    COLGRAPH_ASSIGN_OR_RETURN(
-        MeasureColumn merged, merge([c](const MasterRelation& rel) {
-          return rel.FindEdgeColumn(static_cast<EdgeId>(c));
-        }));
-    cols.push_back(std::move(merged));
-  }
-  COLGRAPH_ASSIGN_OR_RETURN(
-      MasterRelation merged,
-      MasterRelation::FromColumns(total_records(), std::move(cols),
-                                  options_.relation));
-
-  // Every segment carries a column per catalog view over its own records,
-  // so the view over the merged records is those columns laid end to end:
-  // each merges like an edge column, and no view is materialized again.
-  for (size_t v = 0; v < views_.num_graph_views(); ++v) {
-    Bitmap bits(merged.num_records());
-    size_t base = 0;
-    for (const MasterRelation* rel : segments) {
-      bits.OrAt(rel->PeekGraphView(v), base);
-      base += rel->num_records();
-    }
-    merged.AddGraphView(std::move(bits));
-  }
-  for (size_t v = 0; v < views_.num_agg_views(); ++v) {
-    COLGRAPH_ASSIGN_OR_RETURN(
-        MeasureColumn column, merge([v](const MasterRelation& rel) {
-          return &rel.PeekAggregateView(v);
-        }));
-    merged.AddAggregateView(std::move(column));
-  }
+  COLGRAPH_ASSIGN_OR_RETURN(MasterRelation merged,
+                            MergeRelations(segments, options_.relation));
   relation_ = std::make_shared<MasterRelation>(std::move(merged));
   tails_.clear();
   RebuildSegments();

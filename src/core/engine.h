@@ -130,10 +130,12 @@ class ColGraphEngine {
   [[nodiscard]] Status AttachDataset(
       std::shared_ptr<const MasterRelation> tail);
 
-  /// Swaps the newest `k` attached tails for `tails` (the store's merge of
-  /// them) behind the unchanged primary and older tails. `tails` must hold
-  /// the same records (same count, same values per edge column) and meet
-  /// AttachDataset's rules. On error nothing changes.
+  /// Swaps the newest `k` attached tails for `tails` (a compaction's merge
+  /// of them) behind the unchanged primary and older tails. `tails` must
+  /// meet AttachDataset's rules (InvalidArgument otherwise) and hold the
+  /// same records: the same record count, values per edge column, set bits
+  /// per graph view and values per aggregate view (Internal otherwise).
+  /// On error nothing changes.
   [[nodiscard]] Status ReplaceTails(
       size_t k, std::vector<std::shared_ptr<const MasterRelation>> tails);
 

@@ -114,25 +114,21 @@ Status WriteEngine(const ColGraphEngine& engine, const std::string& path) {
   }
   out.EndSection();
 
-  std::vector<std::vector<char>> payloads;
-  payloads.reserve(relation.num_edge_columns() + graph_views.size() +
-                   agg_views.size());
-  for (EdgeId id = 0; id < relation.num_edge_columns(); ++id) {
-    io::Writer enc;
-    enc.WriteMeasureColumn(relation.PeekMeasureColumn(id));
-    payloads.push_back(enc.TakePayload());
-  }
-  for (const auto& [def, index] : graph_views) {
-    io::Writer enc;
-    enc.WriteBitmap(relation.PeekGraphViewColumn(index));
-    payloads.push_back(enc.TakePayload());
-  }
-  for (const auto& [def, index] : agg_views) {
-    io::Writer enc;
-    enc.WriteMeasureColumn(relation.PeekAggregateView(index));
-    payloads.push_back(enc.TakePayload());
-  }
-  internal::WriteExtents(&out, payloads);
+  const size_t num_columns = relation.num_edge_columns();
+  internal::WriteExtents(
+      &out, num_columns + graph_views.size() + agg_views.size(),
+      [&](size_t i) {
+        if (i < num_columns) {
+          out.WriteMeasureColumn(
+              relation.PeekMeasureColumn(static_cast<EdgeId>(i)));
+        } else if (i - num_columns < graph_views.size()) {
+          out.WriteBitmap(relation.PeekGraphViewColumn(
+              graph_views[i - num_columns].second));
+        } else {
+          out.WriteMeasureColumn(relation.PeekAggregateView(
+              agg_views[i - num_columns - graph_views.size()].second));
+        }
+      });
   return out.Commit();
 }
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <charconv>
 #include <cstdio>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -61,9 +62,9 @@ obs::Gauge& TotalRecordsGauge() {
       obs::MetricsRegistry::Global().GetGauge("server.total_records");
   return g;
 }
-// A compaction cycle's whole hold of the writer lock (merge, load, views,
-// publish): what it costs the ingests queued behind it. store.compaction_us
-// times the file merge alone.
+// A compaction cycle's whole hold of the writer lock (the in-memory merge,
+// the store's write and the publish): what it costs the ingests queued
+// behind it. store.compaction_us times the store's write alone.
 obs::LatencyHistogram& CompactionHistogram() {
   static obs::LatencyHistogram& h =
       obs::MetricsRegistry::Global().GetHistogram("server.compaction_us");
@@ -101,21 +102,6 @@ void AppendValue(std::string* out, double v) {
   out->append(buffer, std::to_chars(buffer, buffer + sizeof(buffer), v,
                                     std::chars_format::general, 17)
                           .ptr);
-}
-
-// The store's live datasets from the `first`-th on, as tails of `engine`
-// (BuildTailRelation): the segments a start attaches (all of them) and a
-// compaction swaps in (the merged one, last).
-StatusOr<std::vector<std::shared_ptr<const MasterRelation>>> LoadTails(
-    const DatasetStore& store, const ColGraphEngine& engine, size_t first) {
-  std::vector<std::shared_ptr<const MasterRelation>> tails;
-  for (size_t i = first; i < store.num_datasets(); ++i) {
-    COLGRAPH_ASSIGN_OR_RETURN(MasterRelation dataset, store.Load(i));
-    COLGRAPH_ASSIGN_OR_RETURN(MasterRelation tail,
-                              engine.BuildTailRelation(std::move(dataset)));
-    tails.push_back(std::make_shared<const MasterRelation>(std::move(tail)));
-  }
-  return tails;
 }
 
 }  // namespace
@@ -187,11 +173,15 @@ StatusOr<std::unique_ptr<Daemon>> Daemon::Start(
         DatasetStore opened,
         DatasetStore::Open(options.data_dir, store_options));
     store = std::make_unique<DatasetStore>(std::move(opened));
-    COLGRAPH_ASSIGN_OR_RETURN(auto tails, LoadTails(*store, *initial, 0));
-    if (!tails.empty()) {
+    if (store->num_datasets() > 0) {
       ColGraphEngine restored = initial->SharedCopy();
-      for (auto& tail : tails) {
-        COLGRAPH_RETURN_NOT_OK(restored.AttachDataset(std::move(tail)));
+      for (size_t i = 0; i < store->num_datasets(); ++i) {
+        COLGRAPH_ASSIGN_OR_RETURN(MasterRelation dataset, store->Load(i));
+        COLGRAPH_ASSIGN_OR_RETURN(
+            MasterRelation tail,
+            restored.BuildTailRelation(std::move(dataset)));
+        COLGRAPH_RETURN_NOT_OK(restored.AttachDataset(
+            std::make_shared<const MasterRelation>(std::move(tail))));
       }
       initial = std::make_shared<const ColGraphEngine>(std::move(restored));
     }
@@ -723,24 +713,30 @@ Status Daemon::CompactNow() {
   if (store_ == nullptr) {
     COLGRAPH_RETURN_NOT_OK(next.Compact());
   } else {
-    // One merge, on disk, of the newest run of tails, size-tiered: the
-    // tails ingested since the last cycle plus each older tier they have
-    // outgrown. The store's datasets are the newest tails. If the merge
-    // fails (injected crash, lock contention), the manifest still
-    // references every sealed dataset and the served snapshot keeps
-    // answering from them — zero records lost.
+    // The newest run of tails, size-tiered: the tails ingested since the
+    // last cycle plus each older tier they have outgrown; a run of one is
+    // already merged. The store's datasets are the newest tails, and the
+    // served tails hold their records decoded and viewed, so the run
+    // merges in memory, views included, and the store writes the merge in
+    // place of the run's files. If the write fails (injected crash, lock
+    // contention), the manifest still references every sealed dataset and
+    // the served snapshot keeps answering from them — zero records lost.
     std::vector<uint64_t> records;
     for (const auto& tail : base->tails()) {
       records.push_back(tail->num_records());
     }
     const size_t k = std::min(NewestRunToCompact(records, compacted_tails_),
                               store_->num_datasets());
-    const std::vector<std::string> live = store_->dataset_names();
-    COLGRAPH_RETURN_NOT_OK(store_->CompactNewest(k));
-    if (store_->dataset_names() == live) return Status::OK();
-    COLGRAPH_ASSIGN_OR_RETURN(
-        auto merged, LoadTails(*store_, next, store_->num_datasets() - 1));
-    COLGRAPH_RETURN_NOT_OK(next.ReplaceTails(k, std::move(merged)));
+    if (k < 2) return Status::OK();
+    std::vector<const MasterRelation*> run;
+    for (const auto& tail : std::span(base->tails()).last(k)) {
+      run.push_back(tail.get());
+    }
+    COLGRAPH_ASSIGN_OR_RETURN(MasterRelation merged,
+                              MergeRelations(run, base->options().relation));
+    const auto tail = std::make_shared<const MasterRelation>(std::move(merged));
+    COLGRAPH_RETURN_NOT_OK(next.ReplaceTails(k, {tail}));
+    COLGRAPH_RETURN_NOT_OK(store_->ReplaceNewest(k, *tail));
   }
   const size_t total = next.total_records();
   const size_t num_tails = next.tails().size();

@@ -123,15 +123,17 @@ class Daemon {
   /// serialized internally, and concurrent callers queue on that lock.
   [[nodiscard]] StatusOr<Response> Ingest(const std::string& trace_text);
 
-  /// Runs one compaction cycle inline and republishes. With data_dir it is
-  /// one merge on disk of the newest run of tails, size-tiered
-  /// (NewestRunToCompact): the tails ingested since the last cycle, plus
-  /// each older tier holding no more records than the run so far. The
-  /// merged dataset then replaces the run's tails behind the unchanged
-  /// primary and older tiers (what a restart loads); a cycle with nothing
-  /// to merge publishes nothing. Without data_dir, the tails merge into the
-  /// primary in memory. The background trigger calls the same body. A
-  /// failed durable merge leaves everything untouched.
+  /// Runs one compaction cycle inline and republishes. With data_dir it
+  /// merges the newest run of tails, size-tiered (NewestRunToCompact): the
+  /// tails ingested since the last cycle, plus each older tier holding no
+  /// more records than the run so far. The run merges in memory from the
+  /// served tails (MergeRelations, views included); the store writes the
+  /// merge in place of the run's files (DatasetStore::ReplaceNewest), and
+  /// it replaces the run's tails behind the unchanged primary and older
+  /// tiers. A cycle with nothing to merge publishes nothing. Without
+  /// data_dir, the tails merge into the primary in memory. The background
+  /// trigger calls the same body. A failed write leaves everything
+  /// untouched.
   [[nodiscard]] Status CompactNow();
 
   const std::string& socket_path() const { return options_.socket_path; }

@@ -400,26 +400,27 @@ TEST_F(DatasetStoreTest, CompactAllContendedLockIsUnavailable) {
   EXPECT_EQ(store.value().num_datasets(), 1u);
 }
 
-TEST_F(DatasetStoreTest, MappedRelationFileReadsColumnsLazily) {
-  std::filesystem::create_directories(dir_);
+// A dataset loads through the mapped reader (ReadRelation): every column
+// of the sealed relation comes back with the same presence bits and value
+// bits.
+TEST_F(DatasetStoreTest, LoadReadsEveryColumnThroughTheMappedReader) {
   const MasterRelation rel = MakeRelation(10, 40);
-  const std::string path = dir_ + "/relation.bin";
-  ASSERT_TRUE(WriteRelation(rel, path).ok());
-  auto mapped = MappedRelationFile::Open(path);
-  ASSERT_TRUE(mapped.ok()) << mapped.status().ToString();
-  ASSERT_EQ(mapped.value().num_records(), rel.num_records());
-  ASSERT_EQ(mapped.value().num_columns(), rel.num_edge_columns());
-  for (size_t c = 0; c < mapped.value().num_columns(); ++c) {
-    auto col = mapped.value().ReadColumn(c);
-    ASSERT_TRUE(col.ok()) << col.status().ToString();
-    const MeasureColumn& want = rel.PeekMeasureColumn(static_cast<EdgeId>(c));
-    for (RecordId r = 0; r < rel.num_records(); ++r) {
-      const auto va = want.Get(r);
-      const auto vb = col.value().Get(r);
-      ASSERT_EQ(va.has_value(), vb.has_value()) << "column " << c;
-      if (va.has_value()) {
-        ASSERT_TRUE(BitEqual(*va, *vb));
-      }
+  auto store = DatasetStore::Open(dir_);
+  ASSERT_TRUE(store.ok()) << store.status().ToString();
+  ASSERT_TRUE(store.value().Seal(rel).ok());
+  const auto loaded = store.value().Load(0);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  ASSERT_EQ(loaded.value().num_records(), rel.num_records());
+  ASSERT_EQ(loaded.value().num_edge_columns(), rel.num_edge_columns());
+  for (EdgeId c = 0; c < rel.num_edge_columns(); ++c) {
+    const MeasureColumn& want = rel.PeekMeasureColumn(c);
+    const MeasureColumn& got = loaded.value().PeekMeasureColumn(c);
+    ASSERT_TRUE(want.presence().bits() == got.presence().bits())
+        << "column " << c;
+    ASSERT_EQ(want.num_values(), got.num_values()) << "column " << c;
+    for (size_t i = 0; i < want.num_values(); ++i) {
+      ASSERT_TRUE(BitEqual(want.ValueAtRank(i), got.ValueAtRank(i)))
+          << "column " << c;
     }
   }
 }
@@ -526,6 +527,72 @@ TEST(DatasetEngineTest, ReplaceTailsSwapsOnlyTheNewestRun) {
   std::filesystem::remove_all(dir);
 }
 
+// The daemon swaps in merged view columns, so ReplaceTails checks them
+// too: a merge of the newest two tails whose graph view lost one set bit
+// holds the same records and edge values, yet is refused as Internal and
+// changes nothing. The faithful merge is accepted.
+TEST(DatasetEngineTest, ReplaceTailsRefusesAMergeThatLostAViewBit) {
+  const auto walks = MakeWalks(96, 3131);
+  ColGraphEngine split = BuildSplit(walks, /*num_tails=*/3);
+  // Views over the first two edges of a walk in the merged run (the newest
+  // two tails) that the primary has columns for, so the graph view has a
+  // set bit in the run.
+  const size_t primary_columns = split.relation().num_edge_columns();
+  std::vector<EdgeId> ids;
+  for (size_t w = walks.size(); w-- > walks.size() / 2 && ids.empty();) {
+    const std::vector<Edge> path = WalkToEdges(walks[w]);
+    const auto first = split.catalog().Lookup(path[0]);
+    const auto second = split.catalog().Lookup(path[1]);
+    ASSERT_TRUE(first.has_value() && second.has_value());
+    if (*first < primary_columns && *second < primary_columns) {
+      ids = {*first, *second};
+    }
+  }
+  ASSERT_FALSE(ids.empty()) << "no walk of the run fits the primary's columns";
+  ASSERT_TRUE(split.MaterializeView(GraphViewDef::Make(ids)).ok());
+  AggViewDef agg;
+  agg.elements = ids;
+  agg.fn = AggFn::kSum;
+  ASSERT_TRUE(split.MaterializeView(agg).ok());
+  const auto before = split.tails();
+
+  auto merged = MergeRelations({before[1].get(), before[2].get()},
+                               MasterRelationOptions{});
+  ASSERT_TRUE(merged.ok()) << merged.status().ToString();
+  ASSERT_EQ(merged->num_graph_views(), 1u);
+  ASSERT_EQ(merged->num_aggregate_views(), 1u);
+
+  // The same columns and aggregate view; graph view 0 minus its last bit.
+  std::vector<MeasureColumn> columns;
+  for (EdgeId c = 0; c < merged->num_edge_columns(); ++c) {
+    columns.push_back(merged->PeekMeasureColumn(c));
+  }
+  auto lossy = MasterRelation::FromColumns(merged->num_records(),
+                                           std::move(columns), {});
+  ASSERT_TRUE(lossy.ok()) << lossy.status().ToString();
+  Bitmap bits = merged->PeekGraphView(0);
+  size_t last = bits.size();
+  bits.ForEachSetBit([&](size_t r) { last = r; });
+  ASSERT_LT(last, bits.size()) << "the view must match some record";
+  bits.Clear(last);
+  lossy->AddGraphView(std::move(bits));
+  lossy->AddAggregateView(merged->PeekAggregateView(0));
+
+  const Status refused = split.ReplaceTails(
+      2, {std::make_shared<const MasterRelation>(std::move(lossy).value())});
+  EXPECT_TRUE(refused.IsInternal()) << refused.ToString();
+  EXPECT_EQ(split.tails(), before) << "a refused swap changed the tails";
+
+  ASSERT_TRUE(split
+                  .ReplaceTails(2, {std::make_shared<const MasterRelation>(
+                                       std::move(merged).value())})
+                  .ok());
+  ASSERT_EQ(split.tails().size(), 2u);
+  EXPECT_EQ(split.tails()[0], before[0]);
+  ExpectQueryEquivalence(BuildSingle(walks), split,
+                         "faithful merge swapped in");
+}
+
 TEST(DatasetEngineTest, ViewsSurviveCompaction) {
   const auto walks = MakeWalks(80, 99);
   ColGraphEngine split = BuildSplit(walks, /*num_tails=*/2);
@@ -539,11 +606,12 @@ TEST(DatasetEngineTest, ViewsSurviveCompaction) {
   ExpectQueryEquivalence(single, split, "views + tails");
 
   ASSERT_TRUE(split.Compact().ok());
-  // Compaction re-materializes the views against the merged relation;
-  // queries must keep using them without divergence.
+  // Compaction lays every segment's view columns end to end, so the
+  // merged relation keeps one column per view without materializing it
+  // again; queries must keep using them without divergence.
   EXPECT_EQ(split.relation().num_graph_views(), 1u);
   EXPECT_EQ(split.relation().num_aggregate_views(), 1u);
-  ExpectQueryEquivalence(single, split, "views re-materialized post-compact");
+  ExpectQueryEquivalence(single, split, "views merged post-compact");
 }
 
 // The two compactions share one column merge (MergeColumn): for the same

@@ -94,6 +94,21 @@ TEST(MasterRelationTest, DuplicateEdgeInRecordRejected) {
   EXPECT_EQ(rel.num_records(), 0u);
   ASSERT_TRUE(rel.AddRecord({{3, 1.0}}).ok());
   EXPECT_EQ(rel.num_records(), 1u);
+
+  // A new edge id first and the duplicate late: rejected before any
+  // column is touched, so the universe does not grow to edge 9 and no
+  // column takes a value.
+  const auto late = rel.AddRecord({{9, 5.0}, {3, 6.0}, {1, 7.0}, {3, 8.0}});
+  EXPECT_TRUE(late.status().IsInvalidArgument()) << late.status().ToString();
+  EXPECT_EQ(rel.num_records(), 1u);
+  EXPECT_EQ(rel.num_edge_columns(), 4u);
+  ASSERT_TRUE(rel.Seal().ok());
+  for (EdgeId e = 0; e < rel.num_edge_columns(); ++e) {
+    const MeasureColumn& column = rel.PeekMeasureColumn(e);
+    EXPECT_EQ(column.num_values(), e == 3 ? 1u : 0u) << "edge " << e;
+    EXPECT_EQ(column.presence().Count(), e == 3 ? 1u : 0u) << "edge " << e;
+  }
+  EXPECT_EQ(rel.PeekMeasureColumn(3).Get(0), 1.0);
 }
 
 TEST(MasterRelationTest, AddAfterSealRejected) {

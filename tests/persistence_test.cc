@@ -8,13 +8,128 @@
 #include <cstring>
 #include <fstream>
 
-#include "columnstore/dataset.h"
 #include "core/engine_io.h"
 #include "util/failpoint.h"
 #include "util/random.h"
 
 namespace colgraph {
 namespace {
+
+// The image assembly the writers used before they encoded in place: each
+// extent's payload encoded on its own, the directory computed from the
+// payload sizes, then the payloads copied in behind it. The writers must
+// still produce exactly its bytes.
+void AppendReferenceExtents(io::Writer* out,
+                            const std::vector<std::vector<char>>& payloads) {
+  // A 12-byte section frame, the count, one {offset, len} pair per extent.
+  uint64_t cursor = out->bytes_buffered() + 12 + 8 + 16 * payloads.size();
+  std::vector<internal::Extent> extents(payloads.size());
+  for (size_t i = 0; i < payloads.size(); ++i) {
+    extents[i].offset = (cursor + 7) / 8 * 8;
+    extents[i].len = payloads[i].size();
+    cursor = extents[i].offset + extents[i].len;
+  }
+  out->BeginSection();
+  out->WritePod(static_cast<uint64_t>(payloads.size()));
+  for (const internal::Extent& e : extents) {
+    out->WritePod(e.offset);
+    out->WritePod(e.len);
+  }
+  out->EndSection();
+  for (size_t i = 0; i < payloads.size(); ++i) {
+    out->PadTo(static_cast<size_t>(extents[i].offset));
+    out->AppendRaw(payloads[i].data(), payloads[i].size());
+  }
+}
+
+template <typename Encode>
+std::vector<char> Payload(const Encode& encode) {
+  io::Writer enc;
+  encode(enc);
+  return enc.TakePayload();
+}
+
+std::vector<std::vector<char>> ColumnPayloads(const MasterRelation& rel) {
+  std::vector<std::vector<char>> payloads;
+  for (EdgeId e = 0; e < rel.num_edge_columns(); ++e) {
+    payloads.push_back(Payload([&](io::Writer& enc) {
+      enc.WriteMeasureColumn(rel.PeekMeasureColumn(e));
+    }));
+  }
+  return payloads;
+}
+
+Status WriteReferenceRelation(uint64_t num_records,
+                              const std::vector<std::vector<char>>& payloads,
+                              const std::string& path) {
+  io::Writer out(path, internal::kRelationMagic, internal::kRelationVersion);
+  out.BeginSection();
+  out.WritePod(num_records);
+  out.WritePod(static_cast<uint64_t>(payloads.size()));
+  out.EndSection();
+  AppendReferenceExtents(&out, payloads);
+  return out.Commit();
+}
+
+// WriteEngine's sections, then its extents by the reference assembly.
+Status WriteReferenceEngine(const ColGraphEngine& engine,
+                            const std::string& path) {
+  const MasterRelation& relation = engine.relation();
+  io::Writer out(path, /*"CGEN"*/ 0x4347454E, /*version=*/5);
+  out.BeginSection();
+  out.WritePod(
+      static_cast<uint64_t>(engine.options().relation.partition_width));
+  out.WritePod(static_cast<uint64_t>(engine.options().view_min_support));
+  out.WritePod(static_cast<uint64_t>(engine.catalog().size()));
+  for (EdgeId id = 0; id < engine.catalog().size(); ++id) {
+    for (const NodeRef& n :
+         {engine.catalog().edge(id).from, engine.catalog().edge(id).to}) {
+      out.WritePod(n.base);
+      out.WritePod(n.occurrence);
+    }
+  }
+  out.EndSection();
+  out.BeginSection();
+  out.WritePod(static_cast<uint64_t>(relation.num_records()));
+  out.WritePod(static_cast<uint64_t>(relation.num_edge_columns()));
+  out.EndSection();
+  const auto& graph_views = engine.views().graph_views();
+  const auto& agg_views = engine.views().agg_views();
+  out.BeginSection();
+  out.WritePod(static_cast<uint64_t>(graph_views.size()));
+  for (const auto& [def, index] : graph_views) {
+    out.WriteVec(def.edges);
+    out.WritePod(static_cast<uint64_t>(index));
+  }
+  out.EndSection();
+  out.BeginSection();
+  out.WritePod(static_cast<uint64_t>(agg_views.size()));
+  for (const auto& [def, index] : agg_views) {
+    out.WritePod(static_cast<uint8_t>(def.fn));
+    out.WriteVec(def.elements);
+    out.WritePod(static_cast<uint64_t>(index));
+  }
+  out.EndSection();
+  std::vector<std::vector<char>> payloads = ColumnPayloads(relation);
+  for (const auto& [def, index] : graph_views) {
+    payloads.push_back(Payload([&, i = index](io::Writer& enc) {
+      enc.WriteBitmap(relation.PeekGraphViewColumn(i));
+    }));
+  }
+  for (const auto& [def, index] : agg_views) {
+    payloads.push_back(Payload([&, i = index](io::Writer& enc) {
+      enc.WriteMeasureColumn(relation.PeekAggregateView(i));
+    }));
+  }
+  AppendReferenceExtents(&out, payloads);
+  return out.Commit();
+}
+
+std::string FileBytes(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return std::string((std::istreambuf_iterator<char>(in)),
+                     std::istreambuf_iterator<char>());
+}
 
 class PersistenceTest : public ::testing::Test {
  protected:
@@ -135,15 +250,10 @@ TEST_F(PersistenceTest, HybridSidecarDoesNotChangeTheBytes) {
   ASSERT_NE(with_sidecar.PeekEdgeBitmapHybrid(1), nullptr);
   ASSERT_EQ(without_sidecar.PeekEdgeBitmapHybrid(1), nullptr);
 
-  auto slurp = [](const std::string& path) {
-    std::ifstream in(path, std::ios::binary);
-    return std::string((std::istreambuf_iterator<char>(in)),
-                       std::istreambuf_iterator<char>());
-  };
   ASSERT_TRUE(WriteRelation(with_sidecar, path_).ok());
-  const std::string a = slurp(path_);
+  const std::string a = FileBytes(path_);
   ASSERT_TRUE(WriteRelation(without_sidecar, path_).ok());
-  const std::string b = slurp(path_);
+  const std::string b = FileBytes(path_);
   EXPECT_EQ(a, b);
   EXPECT_EQ(with_sidecar.DiskBytes(), without_sidecar.DiskBytes());
 
@@ -190,8 +300,8 @@ TEST_F(PersistenceTest, StaleTmpFromCrashedWriteIsSweptOnNextRead) {
 }
 
 // The relation codec reads v5 only: every other version number on an
-// otherwise valid image is Corruption, through the eager reader and the
-// mapped per-column reader alike.
+// otherwise valid image is Corruption, through the mapped file reader and
+// the in-memory decoder alike.
 TEST_F(PersistenceTest, FutureVersionRejected) {
   MasterRelation rel;
   ASSERT_TRUE(rel.AddRecord({{0, 1.0}}).ok());
@@ -217,9 +327,11 @@ TEST_F(PersistenceTest, FutureVersionRejected) {
     ASSERT_TRUE(eager.IsCorruption()) << "v" << version << ": "
                                       << eager.ToString();
     EXPECT_NE(eager.message().find("version"), std::string::npos);
-    const Status mapped = MappedRelationFile::Open(path_).status();
-    EXPECT_TRUE(mapped.IsCorruption()) << "v" << version << ": "
-                                       << mapped.ToString();
+    const Status copied =
+        DecodeRelation(std::vector<char>(bytes.begin(), bytes.end()), "buffer")
+            .status();
+    EXPECT_TRUE(copied.IsCorruption()) << "v" << version << ": "
+                                       << copied.ToString();
   }
 }
 
@@ -252,9 +364,72 @@ TEST_F(PersistenceTest, HugeVectorLengthIsCorruptionNotBadAlloc) {
   io::Writer payload;
   payload.WritePod(uint64_t{2});        // num_bits
   payload.WritePod(uint64_t{1} << 60);  // container word count
-  ASSERT_TRUE(
-      internal::WriteRelationPayloads(2, {payload.TakePayload()}, path_).ok());
+  ASSERT_TRUE(WriteReferenceRelation(2, {payload.TakePayload()}, path_).ok());
   EXPECT_TRUE(ReadRelation(path_).status().IsCorruption());
+}
+
+// The relation and engine writers encode each column straight into the
+// image and fill the extent directory in afterwards. Their bytes must be
+// the reference assembly's for an image with no columns, one with an
+// empty column, and one whose columns run past the first 65,536-record
+// container chunk, views included.
+TEST_F(PersistenceTest, InPlaceImagesMatchThePayloadAssembly) {
+  const auto with_views = [](ColGraphEngine* engine) {
+    ASSERT_TRUE(engine->MaterializeView(GraphViewDef::Make({0, 2})).ok());
+    AggViewDef agg;
+    agg.elements = {0, 2};
+    agg.fn = AggFn::kSum;
+    ASSERT_TRUE(engine->MaterializeView(agg).ok());
+  };
+  const auto edge = [](NodeId from, NodeId to) {
+    return Edge{NodeRef{from, 0}, NodeRef{to, 0}};
+  };
+  std::vector<std::pair<std::string, ColGraphEngine>> cases;
+  {
+    ColGraphEngine none;
+    ASSERT_TRUE(none.Seal().ok());
+    ASSERT_EQ(none.relation().num_edge_columns(), 0u);
+    cases.emplace_back("no columns", std::move(none));
+  }
+  {
+    // Edge 7→8 (id 1) is in the universe and in no record.
+    ColGraphEngine empty_column;
+    empty_column.RegisterUniverse({edge(1, 2), edge(7, 8), edge(2, 3)});
+    ASSERT_TRUE(empty_column.AddWalk({1, 2, 3}, {1.5, -2.5}).ok());
+    ASSERT_TRUE(empty_column.AddWalk({1, 2}, {4.0}).ok());
+    ASSERT_TRUE(empty_column.Seal().ok());
+    ASSERT_EQ(empty_column.relation().PeekMeasureColumn(1).num_values(), 0u);
+    with_views(&empty_column);
+    cases.emplace_back("an empty column", std::move(empty_column));
+  }
+  {
+    ColGraphEngine large;
+    for (int r = 0; r < 70000; ++r) {
+      const std::vector<NodeId> walk =
+          r % 3 == 0 ? std::vector<NodeId>{1, 2, 3, 4}
+                     : std::vector<NodeId>{1, 2, 3};
+      ASSERT_TRUE(
+          large.AddWalk(walk, std::vector<double>(walk.size() - 1, r)).ok());
+    }
+    ASSERT_TRUE(large.Seal().ok());
+    ASSERT_GT(large.relation().num_records(), 65536u);
+    with_views(&large);
+    cases.emplace_back("past 65,536 records", std::move(large));
+  }
+
+  const std::string reference = path_ + ".reference";
+  for (const auto& [name, engine] : cases) {
+    ASSERT_TRUE(WriteRelation(engine.relation(), path_).ok()) << name;
+    ASSERT_TRUE(WriteReferenceRelation(engine.relation().num_records(),
+                                       ColumnPayloads(engine.relation()),
+                                       reference)
+                    .ok());
+    EXPECT_EQ(FileBytes(path_), FileBytes(reference)) << "relation, " << name;
+    ASSERT_TRUE(WriteEngine(engine, path_).ok()) << name;
+    ASSERT_TRUE(WriteReferenceEngine(engine, reference).ok());
+    EXPECT_EQ(FileBytes(path_), FileBytes(reference)) << "engine, " << name;
+  }
+  std::remove(reference.c_str());
 }
 
 // ---------------------------------------------------------------------------

@@ -12,7 +12,6 @@
 #include <string>
 #include <vector>
 
-#include "columnstore/dataset.h"
 #include "columnstore/persistence.h"
 #include "core/engine_io.h"
 #include "util/random.h"
@@ -155,18 +154,6 @@ Status LoadRelation(const std::string& path) {
   return ReadRelation(path).status();
 }
 
-// The lazy mmap loader (DESIGN.md §14): map + validate, then decode every
-// column through its extent — the exact access pattern compaction uses.
-Status LoadMapped(const std::string& path) {
-  auto mapped = MappedRelationFile::Open(path);
-  if (!mapped.ok()) return mapped.status();
-  for (size_t c = 0; c < mapped.value().num_columns(); ++c) {
-    const auto column = mapped.value().ReadColumn(c);
-    if (!column.ok()) return column.status();
-  }
-  return Status::OK();
-}
-
 Status LoadEngine(const std::string& path) {
   return ReadEngine(path).status();
 }
@@ -213,12 +200,13 @@ TEST_F(PersistenceTortureTest, HybridEncodedSnapshotNeverLoadsCorrupt) {
   TortureFile(path_, LoadRelation);
 }
 
-// The mmap'd per-column path must fail exactly as cleanly as the eager
-// reader. The fixture's column payloads span several pages of packed
-// extents (the v5 extent layout), so truncations and bit flips land
-// inside mid-file extents, not just in headers — and every one must load
-// as Corruption/IOError through MappedRelationFile, never a SIGBUS (the
-// whole-file CRC at open faults in every page before any column decode).
+// The mmap'd reader (ReadRelation maps the file, then decodes every column
+// through its extent, as a dataset load does) on a multi-page image. The
+// fixture's column payloads span several pages of packed extents (the v5
+// extent layout), so truncations and bit flips land inside mid-file
+// extents, not just in headers — and every one must load as
+// Corruption/IOError, never a SIGBUS (the whole-file CRC at open faults in
+// every page before any column decode).
 TEST_F(PersistenceTortureTest, MappedV4RelationNeverLoadsCorrupt) {
   const MasterRelation rel = MakeMultiPageRelation();
   ASSERT_TRUE(WriteRelation(rel, path_).ok());
@@ -233,18 +221,17 @@ TEST_F(PersistenceTortureTest, MappedV4RelationNeverLoadsCorrupt) {
 
   // Baseline: the untouched file loads through the mapped path with
   // columns identical to the source relation.
-  ASSERT_TRUE(LoadMapped(path_).ok());
-  auto mapped = MappedRelationFile::Open(path_);
+  const auto mapped = ReadRelation(path_);
   ASSERT_TRUE(mapped.ok()) << mapped.status().ToString();
+  ASSERT_EQ(mapped.value().num_edge_columns(), rel.num_edge_columns());
   for (EdgeId e = 0; e < rel.num_edge_columns(); ++e) {
-    const auto column = mapped.value().ReadColumn(e);
-    ASSERT_TRUE(column.ok()) << column.status().ToString();
+    const MeasureColumn& column = mapped.value().PeekMeasureColumn(e);
     for (RecordId r = 0; r < rel.num_records(); ++r) {
-      ASSERT_EQ(column.value().Get(r), rel.PeekMeasureColumn(e).Get(r));
+      ASSERT_EQ(column.Get(r), rel.PeekMeasureColumn(e).Get(r));
     }
   }
 
-  TortureFile(path_, LoadMapped);
+  TortureFile(path_, LoadRelation);
 
   // Targeted mid-extent corruption: single-bit flips well past the first
   // page, squarely inside column extents (the seeded storm above hits
@@ -257,7 +244,7 @@ TEST_F(PersistenceTortureTest, MappedV4RelationNeverLoadsCorrupt) {
     std::string mutant = bytes;
     mutant[offset] = static_cast<char>(mutant[offset] ^ 0x10);
     WriteFileBytes(mutant_path, mutant);
-    ExpectCleanFailure(LoadMapped, mutant_path,
+    ExpectCleanFailure(LoadRelation, mutant_path,
                        "mid-extent flip at offset " + std::to_string(offset));
   }
   std::remove(mutant_path.c_str());

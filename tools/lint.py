@@ -88,7 +88,7 @@ RAW_SOCKET_CALL = re.compile(
 )
 
 # Raw memory-mapping calls: same shape as RAW_SOCKET_CALL, so MemMap,
-# MappedRelationFile and friends (word char before the name) never match
+# OpenMapped and friends (word char before the name) never match
 # while `mmap(`, `::munmap(` and `(void)mremap(` do.
 RAW_MMAP_CALL = re.compile(
     r"(^|[^\w.>:])(::\s*)?(?:mmap|munmap|mremap)\s*\("
