@@ -1,7 +1,6 @@
 #include "graph/path.h"
 
 #include <algorithm>
-#include <unordered_set>
 
 namespace colgraph {
 
@@ -71,26 +70,26 @@ std::string Path::ToString() const {
 
 namespace {
 
-// DFS path enumeration from each start node to any target node.
-Status Dfs(const DirectedGraph& graph,
-           const std::unordered_set<NodeRef, NodeRefHash>& targets,
-           std::vector<NodeRef>* current,
-           std::unordered_set<NodeRef, NodeRefHash>* on_path,
-           std::vector<Path>* out, size_t max_paths) {
+// DFS path enumeration from each start node to any target node. The path
+// so far is its own on-path mark: query graphs are small, so a scan of
+// `current` is cheaper than a hash set updated at every step.
+Status Dfs(const DirectedGraph& graph, const std::vector<NodeRef>& targets,
+           std::vector<NodeRef>* current, std::vector<Path>* out,
+           size_t max_paths) {
   const NodeRef here = current->back();
-  if (targets.count(here) && current->size() >= 1) {
+  if (std::binary_search(targets.begin(), targets.end(), here)) {
     if (out->size() >= max_paths) {
       return Status::OutOfRange("path enumeration exceeded max_paths");
     }
     out->emplace_back(*current);
   }
   for (const NodeRef& next : graph.OutNeighbors(here)) {
-    if (on_path->count(next)) continue;  // keep paths simple
+    // Keep paths simple: a road network may have cycles.
+    if (std::find(current->begin(), current->end(), next) != current->end()) {
+      continue;
+    }
     current->push_back(next);
-    on_path->insert(next);
-    COLGRAPH_RETURN_NOT_OK(
-        Dfs(graph, targets, current, on_path, out, max_paths));
-    on_path->erase(next);
+    COLGRAPH_RETURN_NOT_OK(Dfs(graph, targets, current, out, max_paths));
     current->pop_back();
   }
   return Status::OK();
@@ -101,14 +100,14 @@ Status Dfs(const DirectedGraph& graph,
 StatusOr<std::vector<Path>> EnumerateCompositePath(
     const DirectedGraph& graph, const std::vector<NodeRef>& from,
     const std::vector<NodeRef>& to, size_t max_paths) {
-  std::unordered_set<NodeRef, NodeRefHash> targets(to.begin(), to.end());
+  std::vector<NodeRef> targets = to;
+  std::sort(targets.begin(), targets.end());
   std::vector<Path> result;
+  std::vector<NodeRef> current;
   for (const NodeRef& start : from) {
     if (!graph.HasNode(start)) continue;
-    std::vector<NodeRef> current{start};
-    std::unordered_set<NodeRef, NodeRefHash> on_path{start};
-    COLGRAPH_RETURN_NOT_OK(
-        Dfs(graph, targets, &current, &on_path, &result, max_paths));
+    current.assign(1, start);
+    COLGRAPH_RETURN_NOT_OK(Dfs(graph, targets, &current, &result, max_paths));
   }
   return result;
 }
@@ -117,7 +116,8 @@ StatusOr<std::vector<Path>> MaximalPaths(const DirectedGraph& graph,
                                          size_t max_paths) {
   if (!graph.IsAcyclic()) {
     return Status::InvalidArgument(
-        "maximal-path extraction requires a DAG; flatten the graph first");
+        "path aggregation requires a DAG query; flatten cycles first "
+        "(Section 6.2)");
   }
   return EnumerateCompositePath(graph, graph.SourceNodes(),
                                 graph.TerminalNodes(), max_paths);

@@ -194,11 +194,9 @@ StatusOr<PathAggResult> QueryEngine::RunAggregateQuery(
 StatusOr<PathAggResult> QueryEngine::RunAggregateQueryImpl(
     const GraphQuery& query, AggFn fn, const QueryOptions& options,
     MatchPlan* plan_out, std::vector<uint32_t>* path_views_out) const {
-  if (!query.graph().IsAcyclic()) {
-    return Status::InvalidArgument(
-        "path aggregation requires a DAG query; flatten cycles first "
-        "(Section 6.2)");
-  }
+  // A cyclic query fails here (InvalidArgument), before any work.
+  COLGRAPH_ASSIGN_OR_RETURN(std::vector<Path> paths,
+                            MaximalPaths(query.graph()));
 
   static obs::Counter& queries =
       obs::MetricsRegistry::Global().GetCounter("query.agg.count");
@@ -224,7 +222,7 @@ StatusOr<PathAggResult> QueryEngine::RunAggregateQueryImpl(
       MatchIds(resolved.ids, options, /*consider_agg_bitmaps=*/true, plan_out);
   matches.AppendSetBits(&result.records);
 
-  COLGRAPH_ASSIGN_OR_RETURN(result.paths, MaximalPaths(query.graph()));
+  result.paths = std::move(paths);
 
   const ViewCatalog* views = options.use_views ? views_ : nullptr;
 

@@ -415,7 +415,6 @@ obs::ExplainResult QueryEngine::ExplainAggregate(
 
   // Path segmentation, mirroring RunAggregateQueryImpl. A cyclic query is
   // rejected by evaluation; EXPLAIN just reports zero paths for it.
-  if (!query.graph().IsAcyclic()) return result;
   StatusOr<std::vector<Path>> paths = MaximalPaths(query.graph());
   if (!paths.ok()) return result;
   result.num_paths = paths.value().size();

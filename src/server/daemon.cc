@@ -1,8 +1,11 @@
 #include "server/daemon.h"
 
 #include <algorithm>
+#include <array>
 #include <charconv>
+#include <cmath>
 #include <cstdio>
+#include <cstring>
 #include <span>
 #include <utility>
 #include <vector>
@@ -11,6 +14,7 @@
 #include "obs/trace.h"
 #include "query/parser.h"
 #include "util/cancellation.h"
+#include "util/check.h"
 #include "workload/trace_loader.h"
 
 namespace colgraph::server {
@@ -83,28 +87,129 @@ class GaugeScope {
   obs::Gauge* gauge_;
 };
 
-// Longest rendering of a value: sign, 17 significant digits, the point
-// and a 5-character exponent ("-1.2345678901234567e-308" is 24 bytes).
-constexpr size_t kMaxValueChars = 24;
-
-// The Append* helpers write a number's decimal form straight into the
-// response body, with no temporary string per number.
+// Writes a count's decimal form straight into the response body, with no
+// temporary string per number.
 void AppendCount(std::string* out, size_t n) {
   char buffer[24];
   out->append(buffer, std::to_chars(buffer, buffer + sizeof(buffer), n).ptr);
 }
 
-// to_chars in general format at precision 17 writes the bytes of printf's
-// "%.17g", which round-trips every double bit-exactly, so serial
-// re-evaluation renders byte-identical bodies (the stress test's oracle).
-void AppendValue(std::string* out, double v) {
-  char buffer[kMaxValueChars + 8];
-  out->append(buffer, std::to_chars(buffer, buffer + sizeof(buffer), v,
-                                    std::chars_format::general, 17)
-                          .ptr);
+#ifdef __SIZEOF_INT128__
+// "00", "01", ..., "99": two digits per table load.
+constexpr std::array<char, 200> kDigitPairs = [] {
+  std::array<char, 200> pairs{};
+  for (size_t i = 0; i < 100; ++i) {
+    pairs[2 * i] = static_cast<char>('0' + i / 10);
+    pairs[2 * i + 1] = static_cast<char>('0' + i % 10);
+  }
+  return pairs;
+}();
+
+// Writes `v` < 10^8 as exactly eight digits, leading zeros included.
+void WriteEightDigits(uint32_t v, char* out) {
+  for (size_t i = 8; i > 0; i -= 2) {
+    const uint32_t q = v / 100;
+    std::memcpy(out + i - 2, &kDigitPairs[2 * (v - q * 100)], 2);
+    v = q;
+  }
 }
 
+// 5^s for s in [0, 20]; 5^20 < 2^47, so a 53-bit significand times any of
+// them fits in 100 bits.
+constexpr std::array<uint64_t, 21> kPow5 = [] {
+  std::array<uint64_t, 21> pow{};
+  pow[0] = 1;
+  for (size_t s = 1; s < pow.size(); ++s) pow[s] = pow[s - 1] * 5;
+  return pow;
+}();
+
+// 10^j for j in [-4, 16], at index j + 4. The positive powers are exact.
+// Each negative one is the double just above the real 10^j, so for a
+// double a, `a >= kPow10[j + 4]` holds exactly when a >= 10^j.
+constexpr double kPow10[] = {1e-4, 1e-3, 1e-2, 1e-1, 1e0,  1e1,  1e2,
+                             1e3,  1e4,  1e5,  1e6,  1e7,  1e8,  1e9,
+                             1e10, 1e11, 1e12, 1e13, 1e14, 1e15, 1e16};
+
+constexpr uint64_t kTenTo8 = 100000000;
+constexpr uint64_t kTenTo16 = kTenTo8 * kTenTo8;
+#endif  // __SIZEOF_INT128__
+
 }  // namespace
+
+#ifdef __SIZEOF_INT128__
+// "%.17g" of a normal |v| in [1e-4, 1e16) is its 17 correctly rounded
+// significant digits in fixed notation, less trailing fractional zeros and
+// a bare point. Ties are left to to_chars, which rounds them half to even.
+char* WriteFixed17g(char* out, double v) {
+  const double a = std::fabs(v);
+  // NaN fails both comparisons; zero, subnormals and infinities fall out.
+  if (!(a >= kPow10[0] && a < kPow10[20])) return nullptr;
+  uint64_t bits = 0;
+  std::memcpy(&bits, &a, sizeof(bits));
+  // a = m * 2^e2 with m the 53-bit significand.
+  const int e2 = static_cast<int>(bits >> 52) - 1075;
+  const uint64_t m = (bits & ((uint64_t{1} << 52) - 1)) | (uint64_t{1} << 52);
+  // k = floor(log10 a): floor((e2 + 52) * log10 2) is k or k - 1, and one
+  // comparison with 10^(k+1) settles which. The range keeps k in [-4, 15].
+  int k = ((e2 + 52) * 78913) >> 18;
+  if (a >= kPow10[static_cast<size_t>(k + 5)]) ++k;
+  // digits = round(a * 10^s), s = 16 - k: m * 5^s * 2^(e2 + s), exactly.
+  const int s = 16 - k;
+  const unsigned __int128 product =
+      static_cast<unsigned __int128>(m) * kPow5[static_cast<size_t>(s)];
+  const int shift = e2 + s;
+  uint64_t digits = 0;
+  if (shift >= 0) {
+    digits = static_cast<uint64_t>(product << shift);
+  } else {
+    const unsigned __int128 one = 1;
+    const int right = -shift;
+    const unsigned __int128 rem = product & ((one << right) - 1);
+    const unsigned __int128 half = one << (right - 1);
+    if (rem == half) return nullptr;
+    digits = static_cast<uint64_t>(product >> right) + (rem > half ? 1 : 0);
+  }
+  // Other than 17 digits would mean k was misestimated, or a rounding
+  // carry that no double in the range has.
+  if (digits < kTenTo16 || digits >= 10 * kTenTo16) return nullptr;
+
+  char d[17];
+  d[0] = static_cast<char>('0' + digits / kTenTo16);
+  WriteEightDigits(static_cast<uint32_t>(digits / kTenTo8 % kTenTo8), d + 1);
+  WriteEightDigits(static_cast<uint32_t>(digits % kTenTo8), d + 9);
+  // Fixed notation: "0." and -k-1 zeros before the digits when k < 0, else
+  // the point after the (k+1)th digit. Every write stays within the 23
+  // bytes of a sign, "0.000" and 17 digits.
+  if (v < 0) *out++ = '-';
+  if (k < 0) {
+    std::memcpy(out, "0.000", 5);  // the digits overwrite any extra zero
+    out += 1 - k;
+    std::memcpy(out, d, 17);
+    out += 17;
+  } else {
+    const size_t whole = static_cast<size_t>(k) + 1;
+    std::memcpy(out, d, 16);  // the point and the fraction overwrite the rest
+    out[whole] = '.';
+    std::memcpy(out + whole + 1, d + whole, 17 - whole);
+    out += 18;
+  }
+  // Trailing fractional zeros go, then a bare point; d[0] is never '0'.
+  while (out[-1] == '0') --out;
+  if (out[-1] == '.') --out;
+  return out;
+}
+#else
+char* WriteFixed17g(char* /*out*/, double /*v*/) { return nullptr; }
+#endif  // __SIZEOF_INT128__
+
+char* WriteValue17g(char* out, double v) {
+  if (char* end = WriteFixed17g(out, v); end != nullptr) return end;
+  // to_chars in general format at precision 17 writes the bytes of "%.17g".
+  const std::to_chars_result written = std::to_chars(
+      out, out + kMaxValueChars, v, std::chars_format::general, 17);
+  COLGRAPH_DCHECK(written.ec == std::errc{});
+  return written.ptr;
+}
 
 std::string RenderMatchResult(const Bitmap& matches) {
   const size_t count = matches.Count();
@@ -140,10 +245,16 @@ std::string RenderAggResult(const PathAggResult& result, AggFn fn) {
     out += "path ";
     out += result.paths[p].ToString();
     out += ':';
+    // Room for every value of the path at its longest, then one cursor
+    // writes them all and the body is cut back to what was written.
+    const size_t start = out.size();
+    out.resize(start + result.values[p].size() * (1 + kMaxValueChars));
+    char* cursor = out.data() + start;
     for (const double v : result.values[p]) {
-      out += ' ';
-      AppendValue(&out, v);
+      *cursor++ = ' ';
+      cursor = WriteValue17g(cursor, v);
     }
+    out.resize(static_cast<size_t>(cursor - out.data()));
     out += '\n';
   }
   return out;
@@ -177,6 +288,19 @@ StatusOr<std::unique_ptr<Daemon>> Daemon::Start(
       ColGraphEngine restored = initial->SharedCopy();
       for (size_t i = 0; i < store->num_datasets(); ++i) {
         COLGRAPH_ASSIGN_OR_RETURN(MasterRelation dataset, store->Load(i));
+        // The data dir keeps no edge catalog: a dataset whose edges an
+        // ingest added to the catalog would be served under whatever
+        // those ids name in this run's catalog, and the next ingest would
+        // reuse them for other edges. Refuse such a restart.
+        if (dataset.num_edge_columns() > initial->catalog().size()) {
+          return Status::NotSupported(
+              "dataset " + store->PathFor(store->dataset_names()[i]) +
+              " has " + std::to_string(dataset.num_edge_columns()) +
+              " edge columns but the initial engine's catalog names " +
+              std::to_string(initial->catalog().size()) +
+              " edges; edges added by ingest are not persisted, so this "
+              "restart would serve them under the wrong ids");
+        }
         COLGRAPH_ASSIGN_OR_RETURN(
             MasterRelation tail,
             restored.BuildTailRelation(std::move(dataset)));

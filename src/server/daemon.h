@@ -92,6 +92,24 @@ struct DaemonOptions {
 std::string RenderMatchResult(const Bitmap& matches);
 std::string RenderAggResult(const PathAggResult& result, AggFn fn);
 
+/// Longest rendering of a value: sign, 17 significant digits, the point
+/// and a 5-character exponent ("-1.2345678901234567e-308" is 24 bytes).
+inline constexpr size_t kMaxValueChars = 24;
+
+/// Writes the bytes of printf's "%.17g" for `v` at `out`, which has room
+/// for kMaxValueChars, and returns the end. "%.17g" round-trips every
+/// double bit-exactly. A normal value with 1e-4 <= |v| < 1e16 takes an
+/// exact fixed-notation kernel, WriteFixed17g (DESIGN.md §12); every value
+/// the kernel declines goes through std::to_chars.
+char* WriteValue17g(char* out, double v);
+
+/// The kernel alone, exposed so tests can check which values it takes:
+/// writes "%.17g" of a normal `v` with 1e-4 <= |v| < 1e16 and returns the
+/// end, or writes nothing and returns null for any other value and for an
+/// exact tie at the 17th digit (and always in builds without 128-bit
+/// integers).
+char* WriteFixed17g(char* out, double v);
+
 /// \brief The serving daemon. Construct via Start(); Drain() (idempotent,
 /// also run by the destructor) performs the graceful shutdown.
 class Daemon {

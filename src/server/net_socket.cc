@@ -156,16 +156,22 @@ Status UnixSocket::WriteAll(const void* data, size_t n, uint64_t timeout_ms) {
     injected_short = true;
   }
 
+  // Try the call first and poll only when the socket is not ready: a
+  // reply usually fits the send buffer, so the poll would find it ready.
   const char* p = static_cast<const char*>(data);
   size_t written = 0;
   while (written < limit) {
-    COLGRAPH_RETURN_NOT_OK(PollFor(fd_, POLLOUT, timeout_ms));
-    const ssize_t rc = ::send(fd_, p + written, limit - written, kSendFlags);
+    const ssize_t rc = ::send(fd_, p + written, limit - written,
+                              kSendFlags | MSG_DONTWAIT);
     if (rc >= 0) {
       written += static_cast<size_t>(rc);
       continue;
     }
-    if (errno == EINTR || errno == EAGAIN || errno == EWOULDBLOCK) continue;
+    if (errno == EINTR) continue;
+    if (errno == EAGAIN || errno == EWOULDBLOCK) {
+      COLGRAPH_RETURN_NOT_OK(PollFor(fd_, POLLOUT, timeout_ms));
+      continue;
+    }
     if (errno == EPIPE || errno == ECONNRESET) {
       return Status::IOError("peer closed connection mid-write");
     }
@@ -184,11 +190,11 @@ Status UnixSocket::ReadFull(void* buf, size_t n, uint64_t timeout_ms) {
   if (failpoint::Hit("net:read_error") != failpoint::Action::kOff) {
     return Status::IOError("injected read failure (net:read_error)");
   }
+  // As in WriteAll: read what is already there, poll only when nothing is.
   char* p = static_cast<char*>(buf);
   size_t got = 0;
   while (got < n) {
-    COLGRAPH_RETURN_NOT_OK(PollFor(fd_, POLLIN, timeout_ms));
-    const ssize_t rc = ::recv(fd_, p + got, n - got, 0);
+    const ssize_t rc = ::recv(fd_, p + got, n - got, MSG_DONTWAIT);
     if (rc > 0) {
       got += static_cast<size_t>(rc);
       continue;
@@ -201,7 +207,11 @@ Status UnixSocket::ReadFull(void* buf, size_t n, uint64_t timeout_ms) {
                              std::to_string(got) + " of " + std::to_string(n) +
                              " bytes read)");
     }
-    if (errno == EINTR || errno == EAGAIN || errno == EWOULDBLOCK) continue;
+    if (errno == EINTR) continue;
+    if (errno == EAGAIN || errno == EWOULDBLOCK) {
+      COLGRAPH_RETURN_NOT_OK(PollFor(fd_, POLLIN, timeout_ms));
+      continue;
+    }
     if (errno == ECONNRESET) {
       return got == 0 ? Status::Unavailable("connection reset by peer")
                       : Status::IOError("connection reset mid-frame");

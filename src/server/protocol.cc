@@ -14,15 +14,34 @@ constexpr uint32_t kContextExtMagic = 0x58524743;  // 'CGRX' little-endian
 constexpr uint32_t kTraceExtMagic = 0x54524743;    // 'CGRT' little-endian
 
 void AppendBytes(std::vector<char>* out, const void* data, size_t n) {
-  if (n == 0) return;  // out->data() may still be null; memcpy is nonnull
-  const size_t old = out->size();
-  out->resize(old + n);
-  std::memcpy(out->data() + old, data, n);
+  const char* bytes = static_cast<const char*>(data);
+  out->insert(out->end(), bytes, bytes + n);
 }
 
 template <typename T>
 void AppendPod(std::vector<char>* out, const T& value) {
   AppendBytes(out, &value, sizeof(T));
+}
+
+// A frame's payload is encoded in place: BeginFrame appends the header
+// with its length and CRC still zero and returns where the frame starts;
+// the payload is appended behind it; EndFrame then fills in the length
+// and the CRC of everything after the header.
+size_t BeginFrame(uint8_t type, size_t payload_bytes, std::vector<char>* out) {
+  const size_t start = out->size();
+  out->reserve(start + kFrameHeaderBytes + payload_bytes);
+  AppendPod(out, type);
+  out->resize(start + kFrameHeaderBytes);
+  return start;
+}
+
+void EndFrame(size_t start, std::vector<char>* out) {
+  const char* payload = out->data() + start + kFrameHeaderBytes;
+  const uint64_t len = out->size() - start - kFrameHeaderBytes;
+  const uint32_t crc = Crc32c(payload, len);
+  char* header = out->data() + start + sizeof(uint8_t);
+  std::memcpy(header, &len, sizeof(len));
+  std::memcpy(header + sizeof(len), &crc, sizeof(crc));
 }
 
 /// Cursor over an untrusted payload; every read is bounds-checked.
@@ -90,10 +109,9 @@ Status VerifyFrameCrc(const FrameHeader& header, const char* payload,
 
 void AppendFrame(uint8_t type, const std::vector<char>& payload,
                  std::vector<char>* out) {
-  AppendPod(out, type);
-  AppendPod(out, static_cast<uint64_t>(payload.size()));
-  AppendPod(out, Crc32c(payload.data(), payload.size()));
+  const size_t start = BeginFrame(type, payload.size(), out);
   AppendBytes(out, payload.data(), payload.size());
+  EndFrame(start, out);
 }
 
 uint32_t WireCodeFromStatus(const Status& status) {
@@ -171,41 +189,44 @@ Status Response::ToStatus() const {
 }
 
 void AppendRequestFrame(const Request& request, std::vector<char>* out) {
-  std::vector<char> payload;
-  AppendPod(&payload, kRequestMagic);
-  AppendPod(&payload, static_cast<uint8_t>(request.op));
-  AppendPod(&payload, uint8_t{0});
-  AppendPod(&payload, uint16_t{0});  // pad: keeps timeout_ms aligned
-  AppendPod(&payload, request.timeout_ms);
-  AppendPod(&payload, static_cast<uint32_t>(request.body.size()));
-  AppendBytes(&payload, request.body.data(), request.body.size());
+  // 20 bytes before the body and 16 for the context extension.
+  const size_t start = BeginFrame(kRequestFrame, 36 + request.body.size(), out);
+  AppendPod(out, kRequestMagic);
+  AppendPod(out, static_cast<uint8_t>(request.op));
+  AppendPod(out, uint8_t{0});
+  AppendPod(out, uint16_t{0});  // pad: keeps timeout_ms aligned
+  AppendPod(out, request.timeout_ms);
+  AppendPod(out, static_cast<uint32_t>(request.body.size()));
+  AppendBytes(out, request.body.data(), request.body.size());
   if (request.has_context) {
     // Opt-in extension: a context-free request stays byte-identical to the
     // pre-extension encoding (the compat contract in the header comment).
-    AppendPod(&payload, kContextExtMagic);
-    AppendPod(&payload, request.context.request_id);
-    AppendPod(&payload, request.context.flags);
-    AppendPod(&payload, uint8_t{0});
-    AppendPod(&payload, uint16_t{0});  // pad: keeps the payload end aligned
+    AppendPod(out, kContextExtMagic);
+    AppendPod(out, request.context.request_id);
+    AppendPod(out, request.context.flags);
+    AppendPod(out, uint8_t{0});
+    AppendPod(out, uint16_t{0});  // pad: keeps the payload end aligned
   }
-  AppendFrame(kRequestFrame, payload, out);
+  EndFrame(start, out);
 }
 
 void AppendResponseFrame(const Response& response, std::vector<char>* out) {
-  std::vector<char> payload;
-  AppendPod(&payload, kResponseMagic);
-  AppendPod(&payload, response.code);
-  AppendPod(&payload, response.snapshot_epoch);
-  AppendPod(&payload, static_cast<uint32_t>(response.body.size()));
-  AppendBytes(&payload, response.body.data(), response.body.size());
+  // 20 bytes before the body and 16 before the trace.
+  const size_t start =
+      BeginFrame(kResponseFrame,
+                 36 + response.body.size() + response.trace_json.size(), out);
+  AppendPod(out, kResponseMagic);
+  AppendPod(out, response.code);
+  AppendPod(out, response.snapshot_epoch);
+  AppendPod(out, static_cast<uint32_t>(response.body.size()));
+  AppendBytes(out, response.body.data(), response.body.size());
   if (response.has_trace) {
-    AppendPod(&payload, kTraceExtMagic);
-    AppendPod(&payload, response.request_id);
-    AppendPod(&payload, static_cast<uint32_t>(response.trace_json.size()));
-    AppendBytes(&payload, response.trace_json.data(),
-                response.trace_json.size());
+    AppendPod(out, kTraceExtMagic);
+    AppendPod(out, response.request_id);
+    AppendPod(out, static_cast<uint32_t>(response.trace_json.size()));
+    AppendBytes(out, response.trace_json.data(), response.trace_json.size());
   }
-  AppendFrame(kResponseFrame, payload, out);
+  EndFrame(start, out);
 }
 
 StatusOr<Request> DecodeRequestPayload(const char* data, size_t len) {

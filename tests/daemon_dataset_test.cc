@@ -519,6 +519,53 @@ TEST_F(DaemonDatasetTest, BackgroundCompactionTriggersAtThreshold) {
   EXPECT_NE(body.find(expected_tail), std::string::npos) << body;
 }
 
+// The data dir keeps no edge catalog, so a restart over the same initial
+// engine cannot name the edges that ingests added. Serving them anyway
+// answered [7,8,9] with "match 0:" after the restart, and the next ingest
+// reused the freed ids for other edges; Start refuses instead, naming the
+// dataset, its column count and the catalog's size.
+TEST_F(DaemonDatasetTest, RestartRefusesEdgesTheCatalogNeverNamed) {
+  const auto make_initial = [] {
+    auto engine = std::make_shared<ColGraphEngine>();
+    EXPECT_TRUE(engine->AddWalk({1, 2, 3}, {1, 2}).ok());
+    EXPECT_TRUE(engine->Seal().ok());
+    return engine;
+  };
+  StartDaemon(/*compact_after_datasets=*/0, make_initial());
+  ASSERT_TRUE(daemon_->Ingest("7 8 9 | 5 6\n").ok());
+  EXPECT_NE(Query("[7,8,9]").find("match 1: r1"), std::string::npos);
+  ASSERT_TRUE(daemon_->Drain().ok());
+  daemon_.reset();
+
+  const std::vector<std::filesystem::path> datasets = DatasetPaths();
+  ASSERT_EQ(datasets.size(), 1u);
+  const auto dataset = ReadRelation(datasets[0].string());
+  ASSERT_TRUE(dataset.ok()) << dataset.status().ToString();
+  const size_t catalog_size = make_initial()->catalog().size();
+  ASSERT_GT(dataset->num_edge_columns(), catalog_size);
+
+  DaemonOptions options;
+  options.socket_path = socket_path_;
+  options.num_workers = 2;
+  options.data_dir = data_dir_;
+  const auto restarted = Daemon::Start(make_initial(), options);
+  ASSERT_FALSE(restarted.ok())
+      << "the restart served ingest-added edges under this run's ids";
+  EXPECT_TRUE(restarted.status().IsNotSupported())
+      << restarted.status().ToString();
+  const std::string message = restarted.status().message();
+  EXPECT_NE(message.find(datasets[0].filename().string()), std::string::npos)
+      << message;
+  EXPECT_NE(message.find(" has " +
+                         std::to_string(dataset->num_edge_columns()) +
+                         " edge columns"),
+            std::string::npos)
+      << message;
+  EXPECT_NE(message.find("names " + std::to_string(catalog_size) + " edges"),
+            std::string::npos)
+      << message;
+}
+
 // Data dirs from builds with another snapshot version are not read: a
 // dataset file carrying any version but v5 fails the restart as
 // Corruption (the operator rebuilds the dir from traces) instead of

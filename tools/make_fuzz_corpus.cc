@@ -312,9 +312,9 @@ int main(int argc, char** argv) {
   colgraph::MakeSnapshotSeeds(root / "fuzz_snapshot");
   colgraph::MakeHybridBitmapSeeds(root / "fuzz_hybrid_bitmap");
   colgraph::MakeQueryLogSeeds(root / "fuzz_query_log");
-  // fuzz_parser and fuzz_trace_parser seeds are plain text, committed
-  // directly in the repo — regenerating them here would only churn the
-  // files. So is fuzz_snapshot/valid_page_aligned, a relation image with
+  // fuzz_parser and fuzz_trace_parser seeds are plain text, and
+  // fuzz_render's are single doubles, committed directly in the repo —
+  // regenerating them here would only churn the files. So is fuzz_snapshot/valid_page_aligned, a relation image with
   // page-aligned extents that current writers no longer produce.
 
   std::fprintf(stderr, "fuzz corpus written under %s\n", root.string().c_str());
