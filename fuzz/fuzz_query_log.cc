@@ -1,14 +1,16 @@
-// Fuzz harness for the query-log reader (obs/query_log_reader.h).
-// Invariant: DecodeQueryLog on ANY byte string returns a clean Status —
-// never a crash, OOB access, or unbounded allocation — and every record a
-// successful decode yields rebuilds a GraphQuery via ToQuery() without
-// tripping any internal check.
+// Fuzz harness for the framed-log readers (obs/framed_log.h): the query
+// log (DecodeQueryLog) and the slow-query log (DecodeSlowQueryLog).
+// Invariant: either decoder on ANY byte string returns a clean Status —
+// never a crash, OOB access, or unbounded allocation — and every query
+// record a successful decode yields rebuilds a GraphQuery via ToQuery()
+// without tripping any internal check.
 //
 // Structure-aware: the raw pass exercises magic/framing/CRC rejection; the
-// fixup pass rewrites the header and re-checksums every frame whose length
-// prefix is in bounds, so mutated *payload* bytes reach the record
-// deserializer (kind/edge-count/phase-timing parsing) instead of dying at
-// the frame CRC.
+// fixup passes rewrite the preamble for each format and re-checksum every
+// frame whose length prefix is in bounds, so mutated *payload* bytes reach
+// the record decoders (the query log's kind/edge-count/phase parsing, the
+// slow log's text-length and span-count bounds) instead of dying at the
+// frame CRC.
 
 #include <cstdint>
 #include <cstring>
@@ -17,21 +19,22 @@
 
 #include "obs/query_log.h"
 #include "obs/query_log_reader.h"
+#include "obs/slow_query_log.h"
 #include "util/check.h"
-#include "util/crc32.h"
+#include "util/frame.h"
 #include "util/status.h"
 
 namespace {
 
-constexpr size_t kFrameHeaderBytes = 13;  // u8 type + u64 len + u32 crc
+void CheckClean(const colgraph::Status& st, const char* format) {
+  COLGRAPH_CHECK(st.IsCorruption() || st.IsInvalidArgument())
+      << format << " decode must fail cleanly, got: " << st.ToString();
+}
 
-void CheckDecode(const std::vector<char>& data) {
-  const colgraph::StatusOr<std::vector<colgraph::obs::QueryLogRecord>>
-      result = colgraph::obs::DecodeQueryLog(data, "fuzz input");
+void CheckQueryLog(const std::vector<char>& data) {
+  const auto result = colgraph::obs::DecodeQueryLog(data, "fuzz input");
   if (!result.ok()) {
-    const colgraph::Status& st = result.status();
-    COLGRAPH_CHECK(st.IsCorruption() || st.IsInvalidArgument())
-        << "query-log decode must fail cleanly, got: " << st.ToString();
+    CheckClean(result.status(), "query-log");
     return;
   }
   // A decoded record must be usable: replay rebuilds the query from it.
@@ -41,20 +44,27 @@ void CheckDecode(const std::vector<char>& data) {
   }
 }
 
-std::vector<char> FixupChecksums(std::vector<char> data) {
+void CheckSlowQueryLog(const std::vector<char>& data) {
+  const auto result = colgraph::obs::DecodeSlowQueryLog(data, "fuzz input");
+  if (!result.ok()) CheckClean(result.status(), "slow-query-log");
+}
+
+// Stamps the preamble of `format` and re-checksums every in-bounds frame.
+std::vector<char> FixupChecksums(std::vector<char> data,
+                                 const colgraph::obs::FramedLogFormat& format) {
   if (data.size() < 2 * sizeof(uint32_t)) return data;
-  std::memcpy(data.data(), &colgraph::obs::kQueryLogMagic, sizeof(uint32_t));
-  std::memcpy(data.data() + 4, &colgraph::obs::kQueryLogVersion,
-              sizeof(uint32_t));
+  std::memcpy(data.data(), &format.magic, sizeof(uint32_t));
+  std::memcpy(data.data() + 4, &format.version, sizeof(uint32_t));
   size_t pos = 2 * sizeof(uint32_t);
-  while (data.size() - pos >= kFrameHeaderBytes) {
-    uint64_t len = 0;
-    std::memcpy(&len, data.data() + pos + 1, sizeof(len));
-    if (len > data.size() - pos - kFrameHeaderBytes) break;
-    const uint32_t crc = colgraph::Crc32c(data.data() + pos + kFrameHeaderBytes,
-                                          static_cast<size_t>(len));
-    std::memcpy(data.data() + pos + 1 + sizeof(len), &crc, sizeof(crc));
-    pos += kFrameHeaderBytes + static_cast<size_t>(len);
+  while (data.size() - pos >= colgraph::kFrameHeaderBytes) {
+    const colgraph::FrameHeader header =
+        colgraph::ParseFrameHeader(data.data() + pos);
+    const size_t payload_pos = pos + colgraph::kFrameHeaderBytes;
+    if (header.payload_len > data.size() - payload_pos) break;
+    const size_t len = static_cast<size_t>(header.payload_len);
+    const uint32_t crc = colgraph::FrameCrc(data.data() + payload_pos, len);
+    std::memcpy(data.data() + payload_pos - sizeof(crc), &crc, sizeof(crc));
+    pos = payload_pos + len;
   }
   return data;
 }
@@ -62,9 +72,11 @@ std::vector<char> FixupChecksums(std::vector<char> data) {
 }  // namespace
 
 extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
-  std::vector<char> raw(reinterpret_cast<const char*>(data),
-                        reinterpret_cast<const char*>(data) + size);
-  CheckDecode(raw);
-  CheckDecode(FixupChecksums(std::move(raw)));
+  const std::vector<char> raw(reinterpret_cast<const char*>(data),
+                              reinterpret_cast<const char*>(data) + size);
+  CheckQueryLog(raw);
+  CheckSlowQueryLog(raw);
+  CheckQueryLog(FixupChecksums(raw, colgraph::obs::kQueryLogFormat));
+  CheckSlowQueryLog(FixupChecksums(raw, colgraph::obs::kSlowQueryLogFormat));
   return 0;
 }

@@ -54,8 +54,7 @@ struct EngineOptions {
   /// later replay (tools/colgraph_replay) and workload-driven view advice.
   /// If the file cannot be opened the engine still constructs — capture is
   /// disabled with one warning on stderr (an observability failure must
-  /// not take the database down). obs::SetQueryLogEnabled(false) is the
-  /// process-wide kill switch.
+  /// not take the database down).
   obs::QueryLogOptions query_log;
 };
 

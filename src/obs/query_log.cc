@@ -1,41 +1,32 @@
 #include "obs/query_log.h"
 
-#include <cstdio>
-#include <cstring>
-
-#include "obs/metrics.h"
-#include "util/check.h"
-#include "util/crc32.h"
+#include "util/frame.h"
 
 namespace colgraph::obs {
 
-namespace {
-
-/// Process-wide mirror of per-log drop counts: disk-full capture loss must
-/// show up in DumpMetricsJson, not just in one QueryLog instance.
-Counter& DroppedCounter() {
-  static Counter& c =
-      MetricsRegistry::Global().GetCounter("query_log.dropped");
-  return c;
+const char* QueryLogKindName(QueryLogKind kind) {
+  switch (kind) {
+    case QueryLogKind::kMatch:
+      return "match";
+    case QueryLogKind::kPathAgg:
+      return "path_agg";
+  }
+  return "unknown";
 }
 
-constexpr uint8_t kFrameRecord = 0;
-constexpr uint8_t kFrameFooter = 1;
-
-void AppendBytes(std::vector<char>* out, const void* data, size_t n) {
-  if (n == 0) return;  // out->data() may still be null; memcpy is nonnull
-  const size_t old = out->size();
-  out->resize(old + n);
-  std::memcpy(out->data() + old, data, n);
+GraphQuery QueryLogRecord::ToQuery() const {
+  DirectedGraph g;
+  for (const Edge& e : edges) g.AddEdge(e);
+  // Isolated measured nodes must come back as nodes, not self-edges: a
+  // self-edge would put a cycle in the structure and break the aggregate
+  // path's DAG requirement. Resolve() turns them back into Edge{n,n}
+  // catalog lookups, exactly as it did for the live query.
+  for (const NodeRef& n : isolated_nodes) g.AddNode(n);
+  return GraphQuery(std::move(g));
 }
 
-template <typename T>
-void AppendPod(std::vector<char>* out, const T& value) {
-  AppendBytes(out, &value, sizeof(T));
-}
-
-// Serializes the record payload (frame header excluded).
-void AppendRecordPayload(const QueryLogRecord& r, std::vector<char>* out) {
+void AppendRecordFrame(const QueryLogRecord& r, std::vector<char>* out) {
+  const size_t start = BeginFrame(kLogRecordFrame, 0, out);
   AppendPod(out, static_cast<uint8_t>(r.kind));
   AppendPod(out, static_cast<uint8_t>(r.fn));
   AppendPod(out, uint16_t{0});  // pad: keeps the u32 counts aligned
@@ -60,65 +51,17 @@ void AppendRecordPayload(const QueryLogRecord& r, std::vector<char>* out) {
   for (size_t p = 0; p < kNumQueryPhases; ++p) AppendPod(out, r.phase_us[p]);
   AppendPod(out, r.total_us);
   AppendPod(out, r.result_cardinality);
+  EndFrame(start, out);
 }
 
-// Wraps `payload` in a [type|len|crc|payload] frame appended to `out`.
-void AppendFrame(uint8_t type, const std::vector<char>& payload,
-                 std::vector<char>* out) {
-  AppendPod(out, type);
-  AppendPod(out, static_cast<uint64_t>(payload.size()));
-  AppendPod(out, Crc32c(payload.data(), payload.size()));
-  AppendBytes(out, payload.data(), payload.size());
-}
-
-}  // namespace
-
-const char* QueryLogKindName(QueryLogKind kind) {
-  switch (kind) {
-    case QueryLogKind::kMatch:
-      return "match";
-    case QueryLogKind::kPathAgg:
-      return "path_agg";
-  }
-  return "unknown";
-}
-
-GraphQuery QueryLogRecord::ToQuery() const {
-  DirectedGraph g;
-  for (const Edge& e : edges) g.AddEdge(e);
-  // Isolated measured nodes must come back as nodes, not self-edges: a
-  // self-edge would put a cycle in the structure and break the aggregate
-  // path's DAG requirement. Resolve() turns them back into Edge{n,n}
-  // catalog lookups, exactly as it did for the live query.
-  for (const NodeRef& n : isolated_nodes) g.AddNode(n);
-  return GraphQuery(std::move(g));
-}
-
-void AppendRecordFrame(const QueryLogRecord& record, std::vector<char>* out) {
-  std::vector<char> payload;
-  AppendRecordPayload(record, &payload);
-  AppendFrame(kFrameRecord, payload, out);
-}
+QueryLog::QueryLog(const QueryLogOptions& options, io::AppendFile file)
+    : FramedLog(kQueryLogFormat, options.path, options.flush_bytes,
+                std::move(file)) {}
 
 StatusOr<std::unique_ptr<QueryLog>> QueryLog::Open(QueryLogOptions options) {
-  if (options.path.empty()) {
-    return Status::InvalidArgument("query log path must not be empty");
-  }
   COLGRAPH_ASSIGN_OR_RETURN(io::AppendFile file,
-                            io::AppendFile::Create(options.path));
-  std::unique_ptr<QueryLog> log(
-      new QueryLog(std::move(options), std::move(file)));
-  AppendPod(&log->buffer_, kQueryLogMagic);
-  AppendPod(&log->buffer_, kQueryLogVersion);
-  return log;
-}
-
-QueryLog::~QueryLog() {
-  const Status s = Close();
-  if (!s.ok()) {
-    std::fprintf(stderr, "colgraph: query log close failed: %s\n",
-                 s.ToString().c_str());
-  }
+                            CreateFile(kQueryLogFormat, options.path));
+  return std::unique_ptr<QueryLog>(new QueryLog(options, std::move(file)));
 }
 
 void QueryLog::Append(const QueryLogRecord& record) {
@@ -126,69 +69,7 @@ void QueryLog::Append(const QueryLogRecord& record) {
   // part of the hot path.
   std::vector<char> frame;
   AppendRecordFrame(record, &frame);
-
-  const MutexLock lock(mu_);
-  if (closed_) return;
-  if (!first_error_.ok()) {
-    // Poisoned (disk full, torn write): the engine keeps serving; the
-    // record is dropped and the loss is counted, not fatal.
-    ++dropped_;
-    DroppedCounter().Increment();
-    return;
-  }
-  AppendBytes(&buffer_, frame.data(), frame.size());
-  ++records_;
-  ++buffered_records_;
-  if (buffer_.size() >= options_.flush_bytes) FlushLocked();
-}
-
-void QueryLog::FlushLocked() {
-  if (buffer_.empty() || !first_error_.ok()) return;
-  const Status s = file_.Append(buffer_.data(), buffer_.size());
-  buffer_.clear();
-  if (!s.ok()) {
-    first_error_ = s;
-    // The buffered records went down with the failed write.
-    dropped_ += buffered_records_;
-    DroppedCounter().Add(buffered_records_);
-    std::fprintf(stderr,
-                 "colgraph: query log write failed, capture degraded to "
-                 "dropping (%s)\n",
-                 s.ToString().c_str());
-  }
-  buffered_records_ = 0;
-}
-
-Status QueryLog::Flush() {
-  const MutexLock lock(mu_);
-  FlushLocked();
-  return first_error_;
-}
-
-Status QueryLog::Close() {
-  const MutexLock lock(mu_);
-  if (closed_) return first_error_;
-  closed_ = true;
-  if (first_error_.ok()) {
-    std::vector<char> footer;
-    AppendPod(&footer, kQueryLogFooterMagic);
-    AppendPod(&footer, records_);
-    AppendFrame(kFrameFooter, footer, &buffer_);
-    FlushLocked();
-  }
-  const Status sync = file_.SyncAndClose();
-  if (first_error_.ok()) first_error_ = sync;
-  return first_error_;
-}
-
-uint64_t QueryLog::records_appended() const {
-  const MutexLock lock(mu_);
-  return records_;
-}
-
-uint64_t QueryLog::records_dropped() const {
-  const MutexLock lock(mu_);
-  return dropped_;
+  Enqueue(frame);
 }
 
 }  // namespace colgraph::obs

@@ -5,62 +5,31 @@
 // selection (§5.2–§5.4) is driven entirely by the observed workload; this
 // log is how a deployment observes one.
 //
-// File format (all integers host byte order, like the snapshot codecs):
-//
-//   header:  [u32 magic "CGQL"][u32 version = 1]
-//   frame*:  [u8 type][u64 payload_len][u32 crc32c(payload)][payload]
-//            type 0 = query record, type 1 = footer
-//   footer payload: [u32 footer magic "CGQF"][u64 record_count]
-//
-// The footer frame is mandatory and must be the file's last bytes: a log
-// without it — any truncation, including one cut exactly at a frame
-// boundary — reads as Status::Corruption, never as a silently shorter
-// workload. Records are framed individually so the writer can stream
-// appends; each frame's CRC-32C catches bit rot in place.
-//
-// Durability: appends are buffered in memory (the hot path pays a mutex +
-// memcpy enqueue, no syscalls) and written out once the buffer exceeds
-// QueryLogOptions::flush_bytes; Close() writes the footer and fsyncs. A
-// crash before Close() loses only the un-Closed tail — by design the log
-// is advisory observability data, not the database of record (contrast
-// snapshot v2's write-tmp-then-rename in io_util.h).
+// The file is a framed log (obs/framed_log.h: preamble, CRC-framed records,
+// mandatory footer, buffered and poison-on-failure writes) with magic
+// "CGQL", version 1 and footer magic "CGQF". This header adds the record
+// payload (AppendRecordFrame); drops are mirrored into `query_log.dropped`.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <string>
 #include <vector>
 
-#include "columnstore/io_util.h"
 #include "graph/graph.h"
+#include "obs/framed_log.h"
 #include "obs/trace.h"
 #include "query/agg_fn.h"
 #include "util/status.h"
-#include "util/sync.h"
 
 namespace colgraph::obs {
-
-namespace internal {
-// Global kill switch mirroring g_metrics_enabled: gates the engine's log
-// hooks without touching per-engine configuration. Relaxed: the flag gates
-// observability, not correctness.
-inline std::atomic<bool> g_query_log_enabled{true};
-}  // namespace internal
-
-/// True when query logging is on (the default). Engines with a configured
-/// log skip the record hook entirely when off — same set-once-at-startup
-/// contract as SetMetricsEnabled.
-inline bool QueryLogEnabled() {
-  return internal::g_query_log_enabled.load(std::memory_order_relaxed);
-}
-inline void SetQueryLogEnabled(bool on) {
-  internal::g_query_log_enabled.store(on, std::memory_order_relaxed);
-}
 
 inline constexpr uint32_t kQueryLogMagic = 0x4C514743;   // "CGQL"
 inline constexpr uint32_t kQueryLogFooterMagic = 0x46514743;  // "CGQF"
 inline constexpr uint32_t kQueryLogVersion = 1;
+inline constexpr FramedLogFormat kQueryLogFormat{
+    "query log", kQueryLogMagic, kQueryLogVersion, kQueryLogFooterMagic,
+    "query_log.dropped"};
 
 /// What kind of query a log record captures.
 enum class QueryLogKind : uint8_t { kMatch = 0, kPathAgg = 1 };
@@ -112,65 +81,20 @@ struct QueryLogOptions {
   size_t flush_bytes = size_t{64} * 1024;
 };
 
-/// \brief Append-only query-log writer. Thread-safe: batch workers append
-/// concurrently; each Append serializes its record and enqueues it under
-/// one mutex.
-///
-/// Errors: Append is void (hot path) — the first failed file write poisons
-/// the log (later appends drop, a one-line warning goes to stderr) and the
-/// error is returned from Close(). Close() is idempotent and must be called
-/// for the log to be readable at all (it writes the mandatory footer).
-class QueryLog {
+/// \brief Append-only query-log writer (a FramedLog). Thread-safe: batch
+/// workers append concurrently. Append is void (hot path): a failed write
+/// poisons the log and surfaces at Close(), which must be called for the
+/// log to be readable at all.
+class QueryLog : public FramedLog {
  public:
   /// Creates (truncating) the log file and writes the header.
   static StatusOr<std::unique_ptr<QueryLog>> Open(QueryLogOptions options);
 
-  QueryLog(const QueryLog&) = delete;
-  QueryLog& operator=(const QueryLog&) = delete;
-  /// Best-effort Close() (footer + fsync); errors only warn on stderr.
-  ~QueryLog();
-
-  /// Serializes and enqueues one record; flushes if the buffer is full.
+  /// Serializes one record outside the lock and enqueues it.
   void Append(const QueryLogRecord& record);
 
-  /// Writes any buffered frames to the file (no fsync, no footer).
-  [[nodiscard]] Status Flush();
-
-  /// Flushes, appends the footer frame, fsyncs, and closes. Idempotent;
-  /// returns the first error the log hit, if any. After Close() further
-  /// Appends drop silently.
-  [[nodiscard]] Status Close();
-
-  /// Records accepted so far (including buffered, unflushed ones).
-  uint64_t records_appended() const;
-
-  /// Records dropped after the log was poisoned by a write failure (disk
-  /// full, injected fault): the buffered records discarded by the failing
-  /// flush plus every record offered afterwards. Mirrored into the
-  /// process-wide counter `query_log.dropped` so DumpMetricsJson surfaces
-  /// the degradation (capture loss must be observable, never fatal).
-  uint64_t records_dropped() const;
-
-  const std::string& path() const { return options_.path; }
-
  private:
-  explicit QueryLog(QueryLogOptions options, io::AppendFile file)
-      : options_(std::move(options)), file_(std::move(file)) {}
-
-  // Flushes buffer_ to file_; on failure poisons the log.
-  void FlushLocked() COLGRAPH_REQUIRES(mu_);
-
-  const QueryLogOptions options_;
-
-  mutable Mutex mu_;
-  io::AppendFile file_ COLGRAPH_GUARDED_BY(mu_);
-  std::vector<char> buffer_ COLGRAPH_GUARDED_BY(mu_);
-  uint64_t records_ COLGRAPH_GUARDED_BY(mu_) = 0;
-  /// Records currently in buffer_ (lost if the next flush fails).
-  uint64_t buffered_records_ COLGRAPH_GUARDED_BY(mu_) = 0;
-  uint64_t dropped_ COLGRAPH_GUARDED_BY(mu_) = 0;
-  bool closed_ COLGRAPH_GUARDED_BY(mu_) = false;
-  Status first_error_ COLGRAPH_GUARDED_BY(mu_) = Status::OK();
+  QueryLog(const QueryLogOptions& options, io::AppendFile file);
 };
 
 /// Serializes one record as a complete [type|len|crc|payload] frame,

@@ -1,130 +1,80 @@
 #include "obs/query_log_reader.h"
 
-#include <cstring>
-
 #include "columnstore/io_util.h"
-#include "util/crc32.h"
+#include "util/frame.h"
 
 namespace colgraph::obs {
 
 namespace {
 
-constexpr uint8_t kFrameRecord = 0;
-constexpr uint8_t kFrameFooter = 1;
-constexpr size_t kFrameHeaderBytes = 1 + 8 + 4;  // type + len + crc
-constexpr size_t kFooterPayloadBytes = 4 + 8;    // magic + record count
+constexpr const char* kMidField = "record payload ends mid-field";
 
-// Bounds-checked cursor over one frame payload. Every read is clamped by
-// the payload length, so a corrupt count fails cleanly instead of reading
-// out of bounds or resizing to a bogus size.
-class PayloadCursor {
- public:
-  PayloadCursor(const char* data, size_t size, const std::string& what)
-      : data_(data), size_(size), what_(what) {}
-
-  template <typename T>
-  [[nodiscard]] Status ReadPod(T* value) {
-    if (sizeof(T) > size_ - pos_) {
-      return Corrupt("record payload ends mid-field");
-    }
-    std::memcpy(value, data_ + pos_, sizeof(T));
-    pos_ += sizeof(T);
-    return Status::OK();
+// Reads the [u32 count] ahead of `element_bytes`-sized elements, bounded
+// by the bytes left so a corrupt count cannot drive an oversized resize.
+Status ReadCount(FrameCursor* c, size_t element_bytes, const std::string& what,
+                 uint32_t* n) {
+  if (!c->Read(n)) return LogCorruption(kMidField, what);
+  if (*n > c->remaining() / element_bytes) {
+    return LogCorruption("record element count exceeds payload size", what);
   }
+  return Status::OK();
+}
 
-  // Reads [u32 count][count × ElementBytes-byte elements] via `decode`.
-  template <typename Fn>
-  [[nodiscard]] Status ReadCounted(size_t element_bytes, Fn decode) {
-    uint32_t n = 0;
-    COLGRAPH_RETURN_NOT_OK(ReadPod(&n));
-    if (n > (size_ - pos_) / element_bytes) {
-      return Corrupt("record element count exceeds payload size");
-    }
-    for (uint32_t i = 0; i < n; ++i) {
-      COLGRAPH_RETURN_NOT_OK(decode(this));
-    }
-    return Status::OK();
+Status ReadU32s(FrameCursor* c, const std::string& what,
+                std::vector<uint32_t>* out) {
+  uint32_t n = 0;
+  COLGRAPH_RETURN_NOT_OK(ReadCount(c, sizeof(uint32_t), what, &n));
+  out->resize(n);
+  for (uint32_t& v : *out) {
+    if (!c->Read(&v)) return LogCorruption(kMidField, what);
   }
+  return Status::OK();
+}
 
-  bool AtEnd() const { return pos_ == size_; }
-
-  Status Corrupt(const std::string& msg) const {
-    return Status::Corruption(msg + " in " + what_);
-  }
-
- private:
-  const char* data_;
-  size_t size_;
-  size_t pos_ = 0;
-  const std::string& what_;
-};
-
-Status DecodeRecord(const char* data, size_t size, const std::string& what,
+Status DecodeRecord(FrameCursor* c, const std::string& what,
                     QueryLogRecord* out) {
-  PayloadCursor c(data, size, what);
   uint8_t kind = 0, fn = 0;
   uint16_t pad = 0;
-  COLGRAPH_RETURN_NOT_OK(c.ReadPod(&kind));
-  COLGRAPH_RETURN_NOT_OK(c.ReadPod(&fn));
-  COLGRAPH_RETURN_NOT_OK(c.ReadPod(&pad));
+  if (!c->Read(&kind) || !c->Read(&fn) || !c->Read(&pad)) {
+    return LogCorruption(kMidField, what);
+  }
   if (kind > static_cast<uint8_t>(QueryLogKind::kPathAgg)) {
-    return c.Corrupt("unknown query kind");
+    return LogCorruption("unknown query kind", what);
   }
   if (fn > static_cast<uint8_t>(AggFn::kAvg)) {
-    return c.Corrupt("unknown aggregate function");
+    return LogCorruption("unknown aggregate function", what);
   }
-  if (pad != 0) {
-    return c.Corrupt("nonzero record padding");
-  }
+  if (pad != 0) return LogCorruption("nonzero record padding", what);
   out->kind = static_cast<QueryLogKind>(kind);
   out->fn = static_cast<AggFn>(fn);
 
-  // The element lambdas live outside the COLGRAPH_RETURN_NOT_OK arguments:
-  // the macro declares a local Status, and a nested use inside the argument
-  // expression would shadow it (-Wshadow under COLGRAPH_STRICT).
-  const auto read_edge = [out](PayloadCursor* cur) {
-    Edge e;
-    COLGRAPH_RETURN_NOT_OK(cur->ReadPod(&e.from.base));
-    COLGRAPH_RETURN_NOT_OK(cur->ReadPod(&e.from.occurrence));
-    COLGRAPH_RETURN_NOT_OK(cur->ReadPod(&e.to.base));
-    COLGRAPH_RETURN_NOT_OK(cur->ReadPod(&e.to.occurrence));
-    // Self-edges are legal here: query graphs carry them as node-measure
-    // constraints, and capture stores g.edges() verbatim so ToQuery()
-    // can rebuild the exact original query.
-    out->edges.push_back(e);
-    return Status::OK();
-  };
-  const auto read_node = [out](PayloadCursor* cur) {
-    NodeRef n;
-    COLGRAPH_RETURN_NOT_OK(cur->ReadPod(&n.base));
-    COLGRAPH_RETURN_NOT_OK(cur->ReadPod(&n.occurrence));
-    out->isolated_nodes.push_back(n);
-    return Status::OK();
-  };
-  const auto read_graph_view = [out](PayloadCursor* cur) {
-    uint32_t v = 0;
-    COLGRAPH_RETURN_NOT_OK(cur->ReadPod(&v));
-    out->graph_view_indexes.push_back(v);
-    return Status::OK();
-  };
-  const auto read_agg_view = [out](PayloadCursor* cur) {
-    uint32_t v = 0;
-    COLGRAPH_RETURN_NOT_OK(cur->ReadPod(&v));
-    out->agg_view_indexes.push_back(v);
-    return Status::OK();
-  };
-  COLGRAPH_RETURN_NOT_OK(c.ReadCounted(4 * sizeof(uint32_t), read_edge));
-  COLGRAPH_RETURN_NOT_OK(c.ReadCounted(2 * sizeof(uint32_t), read_node));
-  COLGRAPH_RETURN_NOT_OK(c.ReadCounted(sizeof(uint32_t), read_graph_view));
-  COLGRAPH_RETURN_NOT_OK(c.ReadCounted(sizeof(uint32_t), read_agg_view));
-
-  for (size_t p = 0; p < kNumQueryPhases; ++p) {
-    COLGRAPH_RETURN_NOT_OK(c.ReadPod(&out->phase_us[p]));
+  uint32_t n = 0;
+  COLGRAPH_RETURN_NOT_OK(ReadCount(c, 4 * sizeof(uint32_t), what, &n));
+  // Self-edges are legal here: query graphs carry them as node-measure
+  // constraints, and capture stores g.edges() verbatim so ToQuery() can
+  // rebuild the exact original query.
+  out->edges.resize(n);
+  for (Edge& e : out->edges) {
+    if (!c->Read(&e.from.base) || !c->Read(&e.from.occurrence) ||
+        !c->Read(&e.to.base) || !c->Read(&e.to.occurrence)) {
+      return LogCorruption(kMidField, what);
+    }
   }
-  COLGRAPH_RETURN_NOT_OK(c.ReadPod(&out->total_us));
-  COLGRAPH_RETURN_NOT_OK(c.ReadPod(&out->result_cardinality));
-  if (!c.AtEnd()) {
-    return c.Corrupt("trailing bytes inside a record payload");
+  COLGRAPH_RETURN_NOT_OK(ReadCount(c, 2 * sizeof(uint32_t), what, &n));
+  out->isolated_nodes.resize(n);
+  for (NodeRef& node : out->isolated_nodes) {
+    if (!c->Read(&node.base) || !c->Read(&node.occurrence)) {
+      return LogCorruption(kMidField, what);
+    }
+  }
+  COLGRAPH_RETURN_NOT_OK(ReadU32s(c, what, &out->graph_view_indexes));
+  COLGRAPH_RETURN_NOT_OK(ReadU32s(c, what, &out->agg_view_indexes));
+
+  for (uint64_t& us : out->phase_us) {
+    if (!c->Read(&us)) return LogCorruption(kMidField, what);
+  }
+  if (!c->Read(&out->total_us) || !c->Read(&out->result_cardinality)) {
+    return LogCorruption(kMidField, what);
   }
   return Status::OK();
 }
@@ -133,86 +83,11 @@ Status DecodeRecord(const char* data, size_t size, const std::string& what,
 
 StatusOr<std::vector<QueryLogRecord>> DecodeQueryLog(
     const std::vector<char>& data, const std::string& what) {
-  const auto corrupt = [&what](const std::string& msg) {
-    return Status::Corruption(msg + " in " + what);
-  };
-
-  size_t pos = 0;
-  if (data.size() < 2 * sizeof(uint32_t)) {
-    return corrupt("truncated query log preamble");
-  }
-  uint32_t magic = 0, version = 0;
-  std::memcpy(&magic, data.data(), sizeof(magic));
-  std::memcpy(&version, data.data() + sizeof(magic), sizeof(version));
-  if (magic != kQueryLogMagic) {
-    return corrupt("bad query log magic");
-  }
-  if (version != kQueryLogVersion) {
-    return corrupt("unsupported query log version " + std::to_string(version));
-  }
-  pos = 2 * sizeof(uint32_t);
-
   std::vector<QueryLogRecord> records;
-  bool saw_footer = false;
-  uint64_t footer_count = 0;
-  while (pos < data.size()) {
-    if (saw_footer) {
-      return corrupt("frame after the footer");
-    }
-    if (data.size() - pos < kFrameHeaderBytes) {
-      return corrupt("truncated frame header");
-    }
-    uint8_t type = 0;
-    uint64_t len = 0;
-    uint32_t crc = 0;
-    std::memcpy(&type, data.data() + pos, sizeof(type));
-    std::memcpy(&len, data.data() + pos + 1, sizeof(len));
-    std::memcpy(&crc, data.data() + pos + 9, sizeof(crc));
-    pos += kFrameHeaderBytes;
-    if (len > data.size() - pos) {
-      return corrupt("frame length exceeds file size");
-    }
-    const char* payload = data.data() + pos;
-    if (Crc32c(payload, static_cast<size_t>(len)) != crc) {
-      return corrupt("frame checksum mismatch");
-    }
-    pos += static_cast<size_t>(len);
-
-    switch (type) {
-      case kFrameRecord: {
-        QueryLogRecord record;
-        COLGRAPH_RETURN_NOT_OK(
-            DecodeRecord(payload, static_cast<size_t>(len), what, &record));
-        records.push_back(std::move(record));
-        break;
-      }
-      case kFrameFooter: {
-        if (len != kFooterPayloadBytes) {
-          return corrupt("footer payload has the wrong size");
-        }
-        uint32_t footer_magic = 0;
-        std::memcpy(&footer_magic, payload, sizeof(footer_magic));
-        std::memcpy(&footer_count, payload + 4, sizeof(footer_count));
-        if (footer_magic != kQueryLogFooterMagic) {
-          return corrupt("bad footer magic");
-        }
-        saw_footer = true;
-        break;
-      }
-      default:
-        return corrupt("unknown frame type");
-    }
-  }
-
-  // The footer is mandatory and must account for every record: its absence
-  // means the log was torn (crash before Close, or a truncation that
-  // happened to land on a frame boundary).
-  if (!saw_footer) {
-    return corrupt("missing footer (log not closed, or truncated)");
-  }
-  if (footer_count != records.size()) {
-    return corrupt("footer record count does not match the frames present");
-  }
+  COLGRAPH_RETURN_NOT_OK(DecodeFramedLog(
+      data, kQueryLogFormat, what, [&](FrameCursor* payload) {
+        return DecodeRecord(payload, what, &records.emplace_back());
+      }));
   return records;
 }
 

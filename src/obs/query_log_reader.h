@@ -1,11 +1,9 @@
-// Validating reader for the query-log format defined in obs/query_log.h.
-//
-// Structural guarantees (torture-tested like the snapshot codecs): a log
-// that was not cleanly Close()d — any byte truncation, a missing footer,
-// trailing bytes, a record-count mismatch — is Status::Corruption, and
-// every length prefix is bounded by the bytes actually present before any
-// allocation or copy. A valid file decodes to the exact QueryLogRecord
-// sequence that was appended.
+// Validating reader for the query log defined in obs/query_log.h. The
+// framed-log reader (obs/framed_log.h) checks the structure: any byte
+// truncation, a missing footer, trailing bytes or a record-count mismatch
+// is Status::Corruption. This file decodes the record payloads, bounding
+// every count by the bytes present before any allocation. A valid file
+// decodes to the exact QueryLogRecord sequence that was appended.
 #pragma once
 
 #include <string>

@@ -1,23 +1,13 @@
 #include "obs/slow_query_log.h"
 
-#include <cstdio>
-#include <cstring>
+#include <algorithm>
 
 #include "obs/metrics.h"
-#include "util/check.h"
-#include "util/crc32.h"
+#include "util/frame.h"
 
 namespace colgraph::obs {
 
 namespace {
-
-/// Process-wide mirror of per-log drop counts, like `query_log.dropped`:
-/// disk-full capture loss must show up in DumpMetricsJson.
-Counter& DroppedCounter() {
-  static Counter& c =
-      MetricsRegistry::Global().GetCounter("slow_query_log.dropped");
-  return c;
-}
 
 /// Captured-record throughput, split by which rule fired, so operators can
 /// see threshold hits vs. sampler picks without reading the log.
@@ -32,23 +22,48 @@ Counter& SampledCounter() {
   return c;
 }
 
-constexpr uint8_t kFrameRecord = 0;
-constexpr uint8_t kFrameFooter = 1;
-constexpr size_t kFrameHeaderBytes = 13;  // u8 type + u64 len + u32 crc
+Status DecodeRecord(FrameCursor* c, const std::string& what,
+                    SlowQueryRecord* r) {
+  const auto end_of_data = [&what] {
+    return LogCorruption("unexpected end of data", what);
+  };
+  const auto string_too_long = [&what] {
+    return LogCorruption("string length exceeds data", what);
+  };
+  uint8_t sampled = 0;
+  uint16_t pad = 0;
+  uint32_t text_len = 0;
+  if (!c->Read(&r->request_id) || !c->Read(&r->snapshot_epoch) ||
+      !c->Read(&r->total_us) || !c->Read(&r->wire_code) || !c->Read(&r->op) ||
+      !c->Read(&sampled) || !c->Read(&pad) || !c->Read(&text_len)) {
+    return end_of_data();
+  }
+  r->sampled = sampled != 0;
+  if (!c->ReadString(text_len, &r->query)) return string_too_long();
 
-void AppendBytes(std::vector<char>* out, const void* data, size_t n) {
-  if (n == 0) return;
-  const size_t old = out->size();
-  out->resize(old + n);
-  std::memcpy(out->data() + old, data, n);
+  uint32_t num_spans = 0;
+  if (!c->Read(&num_spans)) return end_of_data();
+  // Each span needs at least its three fixed fields; a corrupt count must
+  // fail cleanly instead of triggering an oversized resize.
+  if (num_spans > c->remaining() / (sizeof(uint32_t) + 2 * sizeof(uint64_t))) {
+    return LogCorruption("span count exceeds remaining data", what);
+  }
+  r->spans.resize(num_spans);
+  for (SlowQuerySpan& s : r->spans) {
+    uint32_t name_len = 0;
+    if (!c->Read(&name_len)) return end_of_data();
+    if (!c->ReadString(name_len, &s.name)) return string_too_long();
+    if (!c->Read(&s.start_us) || !c->Read(&s.duration_us)) {
+      return end_of_data();
+    }
+  }
+  return Status::OK();
 }
 
-template <typename T>
-void AppendPod(std::vector<char>* out, const T& value) {
-  AppendBytes(out, &value, sizeof(T));
-}
+}  // namespace
 
-void AppendRecordPayload(const SlowQueryRecord& r, std::vector<char>* out) {
+void AppendSlowQueryFrame(const SlowQueryRecord& r, std::vector<char>* out) {
+  const size_t start = BeginFrame(kLogRecordFrame, 0, out);
   AppendPod(out, r.request_id);
   AppendPod(out, r.snapshot_epoch);
   AppendPod(out, r.total_us);
@@ -68,128 +83,29 @@ void AppendRecordPayload(const SlowQueryRecord& r, std::vector<char>* out) {
     AppendPod(out, s.start_us);
     AppendPod(out, s.duration_us);
   }
+  EndFrame(start, out);
 }
 
-void AppendFrame(uint8_t type, const std::vector<char>& payload,
-                 std::vector<char>* out) {
-  AppendPod(out, type);
-  AppendPod(out, static_cast<uint64_t>(payload.size()));
-  AppendPod(out, Crc32c(payload.data(), payload.size()));
-  AppendBytes(out, payload.data(), payload.size());
-}
-
-/// Bounds-checked cursor over the decoded file bytes; running out of data
-/// is Corruption, never UB (same discipline as io::Reader).
-class PayloadCursor {
- public:
-  PayloadCursor(const char* data, size_t size, const std::string& path)
-      : data_(data), size_(size), path_(path) {}
-
-  template <typename T>
-  [[nodiscard]] Status Read(T* value) {
-    if (sizeof(T) > size_ - pos_) return Corrupt("unexpected end of data");
-    std::memcpy(value, data_ + pos_, sizeof(T));
-    pos_ += sizeof(T);
-    return Status::OK();
-  }
-
-  [[nodiscard]] Status ReadString(uint32_t len, std::string* out) {
-    if (len > size_ - pos_) return Corrupt("string length exceeds data");
-    out->assign(data_ + pos_, len);
-    pos_ += len;
-    return Status::OK();
-  }
-
-  size_t remaining() const { return size_ - pos_; }
-  size_t pos() const { return pos_; }
-  void Seek(size_t pos) { pos_ = pos; }
-
-  Status Corrupt(const std::string& what) const {
-    return Status::Corruption(what + " in " + path_);
-  }
-
- private:
-  const char* data_;
-  size_t size_;
-  size_t pos_ = 0;
-  const std::string& path_;
-};
-
-Status DecodeRecordPayload(PayloadCursor* in, SlowQueryRecord* r) {
-  COLGRAPH_RETURN_NOT_OK(in->Read(&r->request_id));
-  COLGRAPH_RETURN_NOT_OK(in->Read(&r->snapshot_epoch));
-  COLGRAPH_RETURN_NOT_OK(in->Read(&r->total_us));
-  COLGRAPH_RETURN_NOT_OK(in->Read(&r->wire_code));
-  COLGRAPH_RETURN_NOT_OK(in->Read(&r->op));
-  uint8_t sampled = 0;
-  COLGRAPH_RETURN_NOT_OK(in->Read(&sampled));
-  r->sampled = sampled != 0;
-  uint16_t pad = 0;
-  COLGRAPH_RETURN_NOT_OK(in->Read(&pad));
-
-  uint32_t text_len = 0;
-  COLGRAPH_RETURN_NOT_OK(in->Read(&text_len));
-  COLGRAPH_RETURN_NOT_OK(in->ReadString(text_len, &r->query));
-
-  uint32_t num_spans = 0;
-  COLGRAPH_RETURN_NOT_OK(in->Read(&num_spans));
-  // Each span needs at least its three fixed fields; a corrupt count must
-  // fail cleanly instead of triggering an oversized reserve.
-  if (num_spans > in->remaining() / (sizeof(uint32_t) + 2 * sizeof(uint64_t))) {
-    return in->Corrupt("span count exceeds remaining data");
-  }
-  r->spans.resize(num_spans);
-  for (SlowQuerySpan& s : r->spans) {
-    uint32_t name_len = 0;
-    COLGRAPH_RETURN_NOT_OK(in->Read(&name_len));
-    COLGRAPH_RETURN_NOT_OK(in->ReadString(name_len, &s.name));
-    COLGRAPH_RETURN_NOT_OK(in->Read(&s.start_us));
-    COLGRAPH_RETURN_NOT_OK(in->Read(&s.duration_us));
-  }
-  return Status::OK();
-}
-
-}  // namespace
-
-void AppendSlowQueryFrame(const SlowQueryRecord& record,
-                          std::vector<char>* out) {
-  std::vector<char> payload;
-  AppendRecordPayload(record, &payload);
-  AppendFrame(kFrameRecord, payload, out);
-}
+SlowQueryLog::SlowQueryLog(SlowQueryLogOptions options, io::AppendFile file)
+    : FramedLog(kSlowQueryLogFormat, options.path, options.flush_bytes,
+                std::move(file)),
+      options_(std::move(options)) {}
 
 StatusOr<std::unique_ptr<SlowQueryLog>> SlowQueryLog::Open(
     SlowQueryLogOptions options) {
-  if (options.path.empty()) {
-    return Status::InvalidArgument("slow query log path must not be empty");
-  }
   COLGRAPH_ASSIGN_OR_RETURN(io::AppendFile file,
-                            io::AppendFile::Create(options.path));
-  std::unique_ptr<SlowQueryLog> log(
+                            CreateFile(kSlowQueryLogFormat, options.path));
+  return std::unique_ptr<SlowQueryLog>(
       new SlowQueryLog(std::move(options), std::move(file)));
-  AppendPod(&log->buffer_, kSlowQueryLogMagic);
-  AppendPod(&log->buffer_, kSlowQueryLogVersion);
-  return log;
-}
-
-SlowQueryLog::~SlowQueryLog() {
-  const Status s = Close();
-  if (!s.ok()) {
-    std::fprintf(stderr, "colgraph: slow query log close failed: %s\n",
-                 s.ToString().c_str());
-  }
 }
 
 bool SlowQueryLog::AdmitForCapture(uint64_t total_us, bool* sampled_out) {
-  bool threshold_hit = total_us >= options_.threshold_us;
-  bool sampler_hit = false;
-  {
-    const MutexLock lock(mu_);
-    ++offered_;
-    if (options_.sample_every != 0) {
-      sampler_hit = offered_ % options_.sample_every == 0;
-    }
-  }
+  const bool threshold_hit = total_us >= options_.threshold_us;
+  // Each offer takes a distinct sampler position from one atomic count,
+  // without touching the writer's mutex.
+  const uint64_t offered = ++offered_;
+  const bool sampler_hit =
+      options_.sample_every != 0 && offered % options_.sample_every == 0;
   if (threshold_hit) {
     ThresholdCounter().Increment();
   } else if (sampler_hit) {
@@ -200,134 +116,27 @@ bool SlowQueryLog::AdmitForCapture(uint64_t total_us, bool* sampled_out) {
 }
 
 void SlowQueryLog::Append(const SlowQueryRecord& record) {
-  // Serialize outside the lock, like QueryLog::Append: the buffer enqueue
-  // is the only contended part.
+  // Serialize outside the lock: the buffer enqueue is the only contended
+  // part.
   std::vector<char> frame;
   AppendSlowQueryFrame(record, &frame);
-
-  const MutexLock lock(mu_);
-  if (closed_) return;
-  if (!first_error_.ok()) {
-    ++dropped_;
-    DroppedCounter().Increment();
-    return;
-  }
-  AppendBytes(&buffer_, frame.data(), frame.size());
-  ++records_;
-  ++buffered_records_;
-  if (buffer_.size() >= options_.flush_bytes) FlushLocked();
+  Enqueue(frame);
 }
 
-void SlowQueryLog::FlushLocked() {
-  if (buffer_.empty() || !first_error_.ok()) return;
-  const Status s = file_.Append(buffer_.data(), buffer_.size());
-  buffer_.clear();
-  if (!s.ok()) {
-    first_error_ = s;
-    dropped_ += buffered_records_;
-    DroppedCounter().Add(buffered_records_);
-    std::fprintf(stderr,
-                 "colgraph: slow query log write failed, capture degraded "
-                 "to dropping (%s)\n",
-                 s.ToString().c_str());
-  }
-  buffered_records_ = 0;
-}
-
-Status SlowQueryLog::Close() {
-  const MutexLock lock(mu_);
-  if (closed_) return first_error_;
-  closed_ = true;
-  if (first_error_.ok()) {
-    std::vector<char> footer;
-    AppendPod(&footer, kSlowQueryLogFooterMagic);
-    AppendPod(&footer, records_);
-    AppendFrame(kFrameFooter, footer, &buffer_);
-    FlushLocked();
-  }
-  const Status sync = file_.SyncAndClose();
-  if (first_error_.ok()) first_error_ = sync;
-  return first_error_;
-}
-
-uint64_t SlowQueryLog::records_appended() const {
-  const MutexLock lock(mu_);
-  return records_;
-}
-
-uint64_t SlowQueryLog::records_dropped() const {
-  const MutexLock lock(mu_);
-  return dropped_;
+StatusOr<std::vector<SlowQueryRecord>> DecodeSlowQueryLog(
+    const std::vector<char>& data, const std::string& what) {
+  std::vector<SlowQueryRecord> records;
+  COLGRAPH_RETURN_NOT_OK(DecodeFramedLog(
+      data, kSlowQueryLogFormat, what, [&](FrameCursor* payload) {
+        return DecodeRecord(payload, what, &records.emplace_back());
+      }));
+  return records;
 }
 
 StatusOr<std::vector<SlowQueryRecord>> ReadSlowQueryLog(
     const std::string& path) {
-  std::vector<char> bytes;
-  COLGRAPH_ASSIGN_OR_RETURN(bytes, io::ReadFileBytes(path));
-  PayloadCursor in(bytes.data(), bytes.size(), path);
-
-  uint32_t magic = 0, version = 0;
-  COLGRAPH_RETURN_NOT_OK(in.Read(&magic));
-  COLGRAPH_RETURN_NOT_OK(in.Read(&version));
-  if (magic != kSlowQueryLogMagic) return in.Corrupt("bad magic");
-  if (version != kSlowQueryLogVersion) {
-    return in.Corrupt("unsupported slow query log version " +
-                      std::to_string(version));
-  }
-
-  std::vector<SlowQueryRecord> records;
-  bool saw_footer = false;
-  while (in.remaining() > 0) {
-    if (in.remaining() < kFrameHeaderBytes) {
-      return in.Corrupt("truncated frame header");
-    }
-    uint8_t type = 0;
-    uint64_t len = 0;
-    uint32_t crc = 0;
-    COLGRAPH_RETURN_NOT_OK(in.Read(&type));
-    COLGRAPH_RETURN_NOT_OK(in.Read(&len));
-    COLGRAPH_RETURN_NOT_OK(in.Read(&crc));
-    if (len > in.remaining()) return in.Corrupt("truncated frame payload");
-    const size_t payload_pos = in.pos();
-    if (Crc32c(bytes.data() + payload_pos, static_cast<size_t>(len)) != crc) {
-      return in.Corrupt("frame checksum mismatch");
-    }
-    if (type == kFrameRecord) {
-      PayloadCursor payload(bytes.data() + payload_pos,
-                            static_cast<size_t>(len), path);
-      SlowQueryRecord r;
-      COLGRAPH_RETURN_NOT_OK(DecodeRecordPayload(&payload, &r));
-      if (payload.remaining() != 0) {
-        return in.Corrupt("trailing bytes in record frame");
-      }
-      records.push_back(std::move(r));
-    } else if (type == kFrameFooter) {
-      PayloadCursor payload(bytes.data() + payload_pos,
-                            static_cast<size_t>(len), path);
-      uint32_t footer_magic = 0;
-      uint64_t count = 0;
-      COLGRAPH_RETURN_NOT_OK(payload.Read(&footer_magic));
-      COLGRAPH_RETURN_NOT_OK(payload.Read(&count));
-      if (footer_magic != kSlowQueryLogFooterMagic) {
-        return in.Corrupt("bad footer magic");
-      }
-      if (count != records.size()) {
-        return in.Corrupt("footer record count mismatch");
-      }
-      if (payload.remaining() != 0 ||
-          static_cast<size_t>(len) != in.remaining()) {
-        return in.Corrupt("footer frame is not the last frame");
-      }
-      saw_footer = true;
-    } else {
-      return in.Corrupt("unknown frame type");
-    }
-    in.Seek(payload_pos + static_cast<size_t>(len));
-  }
-  if (!saw_footer) {
-    return in.Corrupt("missing footer (truncated slow query log)");
-  }
-  return records;
+  COLGRAPH_ASSIGN_OR_RETURN(std::vector<char> data, io::ReadFileBytes(path));
+  return DecodeSlowQueryLog(data, path);
 }
 
 }  // namespace colgraph::obs

@@ -7,33 +7,31 @@
 // requests' *time breakdown* for diagnosis; tools/colgraph_trace renders
 // it.
 //
-// File format (all integers host byte order, frames as in query_log.h):
-//
-//   header:  [u32 magic "CGSQ"][u32 version = 1]
-//   frame*:  [u8 type][u64 payload_len][u32 crc32c(payload)][payload]
-//            type 0 = slow-query record, type 1 = footer
-//   footer payload: [u32 footer magic "CGSF"][u64 record_count]
-//
-// Durability and degradation mirror QueryLog exactly: buffered appends, a
-// mandatory footer written by Close(), and poison-on-write-failure with
-// drops mirrored into the process-wide counter `slow_query_log.dropped` —
-// a full disk degrades capture, never serving.
+// The file is a framed log (obs/framed_log.h: preamble, CRC-framed
+// records, mandatory footer, buffered and poison-on-failure writes) with
+// magic "CGSQ", version 1 and footer magic "CGSF". This header adds the
+// record payload (AppendSlowQueryFrame) and the capture decision; drops
+// are mirrored into `slow_query_log.dropped`, so a full disk degrades
+// capture, never serving.
 #pragma once
 
+#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <string>
 #include <vector>
 
-#include "columnstore/io_util.h"
+#include "obs/framed_log.h"
 #include "util/status.h"
-#include "util/sync.h"
 
 namespace colgraph::obs {
 
 inline constexpr uint32_t kSlowQueryLogMagic = 0x51534743;        // "CGSQ"
 inline constexpr uint32_t kSlowQueryLogFooterMagic = 0x46534743;  // "CGSF"
 inline constexpr uint32_t kSlowQueryLogVersion = 1;
+inline constexpr FramedLogFormat kSlowQueryLogFormat{
+    "slow query log", kSlowQueryLogMagic, kSlowQueryLogVersion,
+    kSlowQueryLogFooterMagic, "slow_query_log.dropped"};
 
 /// Query text beyond this many bytes is truncated at Append: the log
 /// captures enough to identify the request, not to archive multi-MB
@@ -80,18 +78,13 @@ struct SlowQueryLogOptions {
   size_t flush_bytes = size_t{64} * 1024;
 };
 
-/// \brief Append-only slow-query-log writer. Thread-safe: connection
-/// workers decide and append concurrently.
-class SlowQueryLog {
+/// \brief Append-only slow-query-log writer (a FramedLog). Thread-safe:
+/// connection workers decide and append concurrently.
+class SlowQueryLog : public FramedLog {
  public:
   /// Creates (truncating) the log file and writes the header.
   static StatusOr<std::unique_ptr<SlowQueryLog>> Open(
       SlowQueryLogOptions options);
-
-  SlowQueryLog(const SlowQueryLog&) = delete;
-  SlowQueryLog& operator=(const SlowQueryLog&) = delete;
-  /// Best-effort Close() (footer + fsync); errors only warn on stderr.
-  ~SlowQueryLog();
 
   /// The capture decision for a finished request: true when `total_us`
   /// meets the threshold or the deterministic sampler picks this request.
@@ -100,40 +93,17 @@ class SlowQueryLog {
   /// request.
   bool AdmitForCapture(uint64_t total_us, bool* sampled_out);
 
-  /// Serializes and enqueues one record (query text truncated to
-  /// kMaxSlowQueryTextBytes); flushes if the buffer is full. Errors poison
-  /// the log as in QueryLog::Append.
+  /// Serializes one record outside the lock (query text truncated to
+  /// kMaxSlowQueryTextBytes) and enqueues it.
   void Append(const SlowQueryRecord& record);
 
-  /// Flushes, appends the footer frame, fsyncs, and closes. Idempotent;
-  /// returns the first error the log hit. After Close() Appends drop.
-  [[nodiscard]] Status Close();
-
-  uint64_t records_appended() const;
-  /// Records dropped after a write failure poisoned the log; mirrored into
-  /// the process-wide counter `slow_query_log.dropped`.
-  uint64_t records_dropped() const;
-
-  const std::string& path() const { return options_.path; }
   const SlowQueryLogOptions& options() const { return options_; }
 
  private:
-  SlowQueryLog(SlowQueryLogOptions options, io::AppendFile file)
-      : options_(std::move(options)), file_(std::move(file)) {}
-
-  void FlushLocked() COLGRAPH_REQUIRES(mu_);
+  SlowQueryLog(SlowQueryLogOptions options, io::AppendFile file);
 
   const SlowQueryLogOptions options_;
-
-  mutable Mutex mu_;
-  io::AppendFile file_ COLGRAPH_GUARDED_BY(mu_);
-  std::vector<char> buffer_ COLGRAPH_GUARDED_BY(mu_);
-  uint64_t records_ COLGRAPH_GUARDED_BY(mu_) = 0;
-  uint64_t buffered_records_ COLGRAPH_GUARDED_BY(mu_) = 0;
-  uint64_t dropped_ COLGRAPH_GUARDED_BY(mu_) = 0;
-  uint64_t offered_ COLGRAPH_GUARDED_BY(mu_) = 0;  ///< sampler position
-  bool closed_ COLGRAPH_GUARDED_BY(mu_) = false;
-  Status first_error_ COLGRAPH_GUARDED_BY(mu_) = Status::OK();
+  std::atomic<uint64_t> offered_{0};  ///< sampler position
 };
 
 /// Serializes one record as a complete [type|len|crc|payload] frame,
@@ -141,10 +111,15 @@ class SlowQueryLog {
 void AppendSlowQueryFrame(const SlowQueryRecord& record,
                           std::vector<char>* out);
 
-/// Reads a closed slow-query log back: validates the header, every frame
-/// CRC, and the mandatory footer (count match included). Any truncation —
-/// even at a frame boundary — is Status::Corruption.
+/// Reads and validates a whole slow-query log. Missing file → IOError;
+/// any structural damage, truncation at a frame boundary included, →
+/// Corruption.
 StatusOr<std::vector<SlowQueryRecord>> ReadSlowQueryLog(
     const std::string& path);
+
+/// Decodes a log already loaded into memory; `what` names the source in
+/// error messages.
+StatusOr<std::vector<SlowQueryRecord>> DecodeSlowQueryLog(
+    const std::vector<char>& data, const std::string& what);
 
 }  // namespace colgraph::obs

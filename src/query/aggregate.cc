@@ -167,7 +167,7 @@ StatusOr<PathAggResult> QueryEngine::AggregateAlongPath(
 
 StatusOr<PathAggResult> QueryEngine::RunAggregateQuery(
     const GraphQuery& query, AggFn fn, const QueryOptions& options) const {
-  if (log_ == nullptr || !obs::QueryLogEnabled()) {
+  if (log_ == nullptr) {
     return RunAggregateQueryImpl(query, fn, options, nullptr, nullptr);
   }
   // Capture path — see RunGraphQuery for the private-trace rationale.

@@ -61,7 +61,7 @@ StatusOr<std::vector<MeasureTable>> QueryEngine::EvaluateBatch(
   // push the buffered records to the file so a later crash loses at most
   // the in-flight batch. Log failures never fail queries (the log poisons
   // itself and reports at Close).
-  if (log_ != nullptr && obs::QueryLogEnabled()) (void)log_->Flush();
+  if (log_ != nullptr) (void)log_->Flush();
   return results;
 }
 
@@ -81,7 +81,7 @@ StatusOr<std::vector<PathAggResult>> QueryEngine::EvaluatePathAggBatch(
         }
         return Status::OK();
       }));
-  if (log_ != nullptr && obs::QueryLogEnabled()) (void)log_->Flush();
+  if (log_ != nullptr) (void)log_->Flush();
   return results;
 }
 

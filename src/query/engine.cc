@@ -364,7 +364,7 @@ void QueryEngine::AppendLogRecord(bool is_path_agg, AggFn fn,
 
 StatusOr<MeasureTable> QueryEngine::RunGraphQuery(
     const GraphQuery& query, const QueryOptions& options) const {
-  if (log_ == nullptr || !obs::QueryLogEnabled()) {
+  if (log_ == nullptr) {
     return RunGraphQueryImpl(query, options, nullptr);
   }
   // Capture path: run with a private trace so this query's phase timings

@@ -91,7 +91,7 @@ class QueryEngine {
   /// `query_log` (optional) captures every executed query — structure,
   /// chosen views, per-phase timings, result cardinality — for replay and
   /// workload-driven view advice (DESIGN.md §10). The log outlives the
-  /// evaluator; hooks are skipped when obs::QueryLogEnabled() is off.
+  /// evaluator.
   ///
   /// `tails` (optional) appends immutable tail datasets behind the primary
   /// relation. A query is planned once against the catalog; every segment

@@ -1,9 +1,5 @@
 #include "server/protocol.h"
 
-#include <cstring>
-
-#include "util/crc32.h"
-
 namespace colgraph::server {
 
 namespace {
@@ -13,77 +9,18 @@ constexpr uint32_t kResponseMagic = 0x53524743;  // 'CGRS' little-endian
 constexpr uint32_t kContextExtMagic = 0x58524743;  // 'CGRX' little-endian
 constexpr uint32_t kTraceExtMagic = 0x54524743;    // 'CGRT' little-endian
 
-void AppendBytes(std::vector<char>* out, const void* data, size_t n) {
-  const char* bytes = static_cast<const char*>(data);
-  out->insert(out->end(), bytes, bytes + n);
+Status Truncated() {
+  return Status::InvalidArgument("protocol: truncated payload");
 }
 
-template <typename T>
-void AppendPod(std::vector<char>* out, const T& value) {
-  AppendBytes(out, &value, sizeof(T));
+Status TruncatedBody() {
+  return Status::InvalidArgument("protocol: truncated payload body");
 }
-
-// A frame's payload is encoded in place: BeginFrame appends the header
-// with its length and CRC still zero and returns where the frame starts;
-// the payload is appended behind it; EndFrame then fills in the length
-// and the CRC of everything after the header.
-size_t BeginFrame(uint8_t type, size_t payload_bytes, std::vector<char>* out) {
-  const size_t start = out->size();
-  out->reserve(start + kFrameHeaderBytes + payload_bytes);
-  AppendPod(out, type);
-  out->resize(start + kFrameHeaderBytes);
-  return start;
-}
-
-void EndFrame(size_t start, std::vector<char>* out) {
-  const char* payload = out->data() + start + kFrameHeaderBytes;
-  const uint64_t len = out->size() - start - kFrameHeaderBytes;
-  const uint32_t crc = Crc32c(payload, len);
-  char* header = out->data() + start + sizeof(uint8_t);
-  std::memcpy(header, &len, sizeof(len));
-  std::memcpy(header + sizeof(len), &crc, sizeof(crc));
-}
-
-/// Cursor over an untrusted payload; every read is bounds-checked.
-class PayloadReader {
- public:
-  PayloadReader(const char* data, size_t len) : data_(data), len_(len) {}
-
-  template <typename T>
-  [[nodiscard]] Status Read(T* out) {
-    if (len_ - pos_ < sizeof(T)) {
-      return Status::InvalidArgument("protocol: truncated payload");
-    }
-    std::memcpy(out, data_ + pos_, sizeof(T));
-    pos_ += sizeof(T);
-    return Status::OK();
-  }
-
-  [[nodiscard]] Status ReadString(uint32_t n, std::string* out) {
-    if (len_ - pos_ < n) {
-      return Status::InvalidArgument("protocol: truncated payload body");
-    }
-    out->assign(data_ + pos_, n);
-    pos_ += n;
-    return Status::OK();
-  }
-
-  bool AtEnd() const { return pos_ == len_; }
-
- private:
-  const char* data_;
-  size_t len_;
-  size_t pos_ = 0;
-};
 
 }  // namespace
 
 Status DecodeFrameHeader(const char* data, FrameHeader* out) {
-  std::memcpy(&out->type, data, sizeof(out->type));
-  std::memcpy(&out->payload_len, data + sizeof(uint8_t),
-              sizeof(out->payload_len));
-  std::memcpy(&out->crc, data + sizeof(uint8_t) + sizeof(uint64_t),
-              sizeof(out->crc));
+  *out = ParseFrameHeader(data);
   if (out->type != kRequestFrame && out->type != kResponseFrame) {
     return Status::InvalidArgument("protocol: unknown frame type " +
                                    std::to_string(out->type));
@@ -98,7 +35,7 @@ Status DecodeFrameHeader(const char* data, FrameHeader* out) {
 
 Status VerifyFrameCrc(const FrameHeader& header, const char* payload,
                       size_t len) {
-  const uint32_t actual = Crc32c(payload, len);
+  const uint32_t actual = FrameCrc(payload, len);
   if (actual != header.crc) {
     return Status::Corruption("protocol: frame CRC mismatch (stored " +
                               std::to_string(header.crc) + ", computed " +
@@ -230,42 +167,44 @@ void AppendResponseFrame(const Response& response, std::vector<char>* out) {
 }
 
 StatusOr<Request> DecodeRequestPayload(const char* data, size_t len) {
-  PayloadReader reader(data, len);
+  FrameCursor reader(data, len);
   uint32_t magic = 0;
-  COLGRAPH_RETURN_NOT_OK(reader.Read(&magic));
+  if (!reader.Read(&magic)) return Truncated();
   if (magic != kRequestMagic) {
     return Status::InvalidArgument("protocol: bad request magic");
   }
   uint8_t op = 0, pad8 = 0;
   uint16_t pad16 = 0;
-  COLGRAPH_RETURN_NOT_OK(reader.Read(&op));
-  COLGRAPH_RETURN_NOT_OK(reader.Read(&pad8));
-  COLGRAPH_RETURN_NOT_OK(reader.Read(&pad16));
+  if (!reader.Read(&op) || !reader.Read(&pad8) || !reader.Read(&pad16)) {
+    return Truncated();
+  }
   if (op > static_cast<uint8_t>(RequestOp::kStats)) {
     return Status::InvalidArgument("protocol: unknown request op " +
                                    std::to_string(op));
   }
   Request request;
   request.op = static_cast<RequestOp>(op);
-  COLGRAPH_RETURN_NOT_OK(reader.Read(&request.timeout_ms));
   uint32_t body_len = 0;
-  COLGRAPH_RETURN_NOT_OK(reader.Read(&body_len));
-  COLGRAPH_RETURN_NOT_OK(reader.ReadString(body_len, &request.body));
+  if (!reader.Read(&request.timeout_ms) || !reader.Read(&body_len)) {
+    return Truncated();
+  }
+  if (!reader.ReadString(body_len, &request.body)) return TruncatedBody();
   if (!reader.AtEnd()) {
     // Anything after the body must be exactly one context extension; its
     // magic distinguishes the extension from garbage trailing bytes.
     uint32_t ext_magic = 0;
-    COLGRAPH_RETURN_NOT_OK(reader.Read(&ext_magic));
+    if (!reader.Read(&ext_magic)) return Truncated();
     if (ext_magic != kContextExtMagic) {
       return Status::InvalidArgument(
           "protocol: trailing bytes after request");
     }
     uint8_t ext_pad8 = 0;
     uint16_t ext_pad16 = 0;
-    COLGRAPH_RETURN_NOT_OK(reader.Read(&request.context.request_id));
-    COLGRAPH_RETURN_NOT_OK(reader.Read(&request.context.flags));
-    COLGRAPH_RETURN_NOT_OK(reader.Read(&ext_pad8));
-    COLGRAPH_RETURN_NOT_OK(reader.Read(&ext_pad16));
+    if (!reader.Read(&request.context.request_id) ||
+        !reader.Read(&request.context.flags) || !reader.Read(&ext_pad8) ||
+        !reader.Read(&ext_pad16)) {
+      return Truncated();
+    }
     if (!reader.AtEnd()) {
       return Status::InvalidArgument(
           "protocol: trailing bytes after request context");
@@ -276,29 +215,33 @@ StatusOr<Request> DecodeRequestPayload(const char* data, size_t len) {
 }
 
 StatusOr<Response> DecodeResponsePayload(const char* data, size_t len) {
-  PayloadReader reader(data, len);
+  FrameCursor reader(data, len);
   uint32_t magic = 0;
-  COLGRAPH_RETURN_NOT_OK(reader.Read(&magic));
+  if (!reader.Read(&magic)) return Truncated();
   if (magic != kResponseMagic) {
     return Status::InvalidArgument("protocol: bad response magic");
   }
   Response response;
-  COLGRAPH_RETURN_NOT_OK(reader.Read(&response.code));
-  COLGRAPH_RETURN_NOT_OK(reader.Read(&response.snapshot_epoch));
   uint32_t body_len = 0;
-  COLGRAPH_RETURN_NOT_OK(reader.Read(&body_len));
-  COLGRAPH_RETURN_NOT_OK(reader.ReadString(body_len, &response.body));
+  if (!reader.Read(&response.code) || !reader.Read(&response.snapshot_epoch) ||
+      !reader.Read(&body_len)) {
+    return Truncated();
+  }
+  if (!reader.ReadString(body_len, &response.body)) return TruncatedBody();
   if (!reader.AtEnd()) {
     uint32_t ext_magic = 0;
-    COLGRAPH_RETURN_NOT_OK(reader.Read(&ext_magic));
+    if (!reader.Read(&ext_magic)) return Truncated();
     if (ext_magic != kTraceExtMagic) {
       return Status::InvalidArgument(
           "protocol: trailing bytes after response");
     }
-    COLGRAPH_RETURN_NOT_OK(reader.Read(&response.request_id));
     uint32_t trace_len = 0;
-    COLGRAPH_RETURN_NOT_OK(reader.Read(&trace_len));
-    COLGRAPH_RETURN_NOT_OK(reader.ReadString(trace_len, &response.trace_json));
+    if (!reader.Read(&response.request_id) || !reader.Read(&trace_len)) {
+      return Truncated();
+    }
+    if (!reader.ReadString(trace_len, &response.trace_json)) {
+      return TruncatedBody();
+    }
     if (!reader.AtEnd()) {
       return Status::InvalidArgument(
           "protocol: trailing bytes after response trace");

@@ -1,8 +1,8 @@
-// colgraphd wire protocol (DESIGN.md §12): length-prefixed CRC-32C-framed
-// request/response messages over a local stream socket, reusing the frame
-// idiom of the durable query log (obs/query_log.h):
-//
-//   [u8 type][u64 payload_len LE][u32 crc32c(payload)][payload bytes]
+// colgraphd wire protocol (DESIGN.md §12): request/response messages over
+// a local stream socket, each one frame of the codec in util/frame.h (the
+// frame of the framed logs, DESIGN.md §10). This header adds the frame
+// types 0x10 (request) and 0x11 (response), a 64 MiB payload cap, and the
+// payloads:
 //
 // Request payload:
 //   [u32 magic 'CGRQ'][u8 op][u8 pad x3][u64 timeout_ms][u32 len][body]
@@ -36,6 +36,7 @@
 #include <string>
 #include <vector>
 
+#include "util/frame.h"
 #include "util/status.h"
 
 namespace colgraph::server {
@@ -45,19 +46,12 @@ namespace colgraph::server {
 inline constexpr uint8_t kRequestFrame = 0x10;
 inline constexpr uint8_t kResponseFrame = 0x11;
 
-/// [type][len][crc] — the fixed prefix of every frame.
-inline constexpr size_t kFrameHeaderBytes =
-    sizeof(uint8_t) + sizeof(uint64_t) + sizeof(uint32_t);
+using colgraph::FrameHeader;
+using colgraph::kFrameHeaderBytes;
 
 /// Upper bound on one frame's payload. A hostile or corrupt length prefix
 /// must not make the peer allocate unbounded memory.
 inline constexpr uint64_t kMaxFramePayloadBytes = uint64_t{64} << 20;
-
-struct FrameHeader {
-  uint8_t type = 0;
-  uint64_t payload_len = 0;
-  uint32_t crc = 0;
-};
 
 /// Parses a frame header from exactly kFrameHeaderBytes of `data`.
 /// Rejects unknown frame types and payload lengths above the cap.

@@ -49,6 +49,14 @@ TEST(LintInvariantsTest, KnownBadFixtureTripsEveryRule) {
   EXPECT_NE(r.output.find("[no-adhoc-timing]"), std::string::npos) << r.output;
   EXPECT_NE(r.output.find("[no-raw-socket]"), std::string::npos) << r.output;
   EXPECT_NE(r.output.find("[no-raw-mmap]"), std::string::npos) << r.output;
+  EXPECT_NE(r.output.find("[raw-frame-crc]"), std::string::npos) << r.output;
+  // The CRC rule matches the whole word: the fixture's direct Crc32c call
+  // (line 11) trips it, its simd::Crc32cUpdate call (line 15) does not.
+  EXPECT_NE(r.output.find("src/obs/bad_frame_crc.cc:11: [raw-frame-crc]"),
+            std::string::npos)
+      << r.output;
+  EXPECT_EQ(r.output.find("src/obs/bad_frame_crc.cc:15:"), std::string::npos)
+      << r.output;
   // The socket rule's one carve-out: src/server/net_* may touch the raw
   // API, so the exempt fixture must never be flagged.
   EXPECT_EQ(r.output.find("net_fixture.cc"), std::string::npos) << r.output;

@@ -1,6 +1,6 @@
 // Negative-compilation fixture: calling a COLGRAPH_REQUIRES(mu_) method
 // without holding the mutex must be rejected. This is the contract that
-// protects the *Locked() helper pattern (e.g. QueryLog::FlushLocked).
+// protects the *Locked() helper pattern (e.g. FramedLog::FlushLocked).
 //
 // negcompile-expect: requires holding mutex
 

@@ -1,7 +1,7 @@
 // Query-log capture end-to-end (DESIGN.md §10): binary round-trips through
 // writer + reader, engine-level capture of match and path-agg queries
-// (structure, chosen views, timings, cardinalities), the process-wide kill
-// switch, and the reader's structural rejections.
+// (structure, chosen views, timings, cardinalities), and the reader's
+// structural rejections.
 #include "obs/query_log.h"
 
 #include <gtest/gtest.h>
@@ -24,16 +24,6 @@ using obs::QueryLogOptions;
 using obs::QueryLogRecord;
 
 NodeRef N(NodeId id, uint32_t occ = 0) { return NodeRef{id, occ}; }
-
-// Restores the process-wide capture switch on scope exit.
-class QueryLogEnabledGuard {
- public:
-  QueryLogEnabledGuard() : was_(obs::QueryLogEnabled()) {}
-  ~QueryLogEnabledGuard() { obs::SetQueryLogEnabled(was_); }
-
- private:
-  bool was_;
-};
 
 class QueryLogTest : public ::testing::Test {
  protected:
@@ -178,8 +168,6 @@ TEST_F(QueryLogTest, ReaderRejectsStructuralDamage) {
 }
 
 TEST_F(QueryLogTest, EngineCapturesMatchAndAggregateQueries) {
-  const QueryLogEnabledGuard guard;
-  obs::SetQueryLogEnabled(true);
   EngineOptions options;
   options.query_log.path = path_;
   options.query_log.flush_bytes = 1;
@@ -224,32 +212,7 @@ TEST_F(QueryLogTest, EngineCapturesMatchAndAggregateQueries) {
   EXPECT_EQ(u.result_cardinality, 0u);
 }
 
-TEST_F(QueryLogTest, KillSwitchStopsCapture) {
-  const QueryLogEnabledGuard guard;
-  EngineOptions options;
-  options.query_log.path = path_;
-  ColGraphEngine engine(options);
-  for (int i = 0; i < 4; ++i) {
-    ASSERT_TRUE(engine.AddWalk({1, 2, 3}, {1, 2}).ok());
-  }
-  ASSERT_TRUE(engine.Seal().ok());
-
-  obs::SetQueryLogEnabled(false);
-  ASSERT_TRUE(engine.RunGraphQuery(GraphQuery::FromPath({N(1), N(2)})).ok());
-  obs::SetQueryLogEnabled(true);
-  ASSERT_TRUE(engine.RunGraphQuery(GraphQuery::FromPath({N(2), N(3)})).ok());
-  ASSERT_TRUE(engine.CloseQueryLog().ok());
-
-  const auto records = obs::ReadQueryLog(path_);
-  ASSERT_TRUE(records.ok());
-  ASSERT_EQ(records->size(), 1u);  // only the query run while enabled
-  EXPECT_EQ((*records)[0].edges,
-            (std::vector<Edge>{Edge{N(2), N(3)}}));
-}
-
 TEST_F(QueryLogTest, BatchEvaluationCapturesEveryQuery) {
-  const QueryLogEnabledGuard guard;
-  obs::SetQueryLogEnabled(true);
   EngineOptions options;
   options.query_log.path = path_;
   options.num_threads = 2;

@@ -20,15 +20,6 @@ namespace {
 
 NodeRef N(NodeId id, uint32_t occ = 0) { return NodeRef{id, occ}; }
 
-class QueryLogEnabledGuard {
- public:
-  QueryLogEnabledGuard() : was_(obs::QueryLogEnabled()) {}
-  ~QueryLogEnabledGuard() { obs::SetQueryLogEnabled(was_); }
-
- private:
-  bool was_;
-};
-
 class ReplayRoundtripTest : public ::testing::Test {
  protected:
   std::string base_ =
@@ -75,9 +66,6 @@ class ReplayRoundtripTest : public ::testing::Test {
 };
 
 TEST_F(ReplayRoundtripTest, ReplayReproducesEveryCardinality) {
-  const QueryLogEnabledGuard guard;
-  obs::SetQueryLogEnabled(true);
-
   {
     EngineOptions options;
     options.query_log.path = log_path_;
@@ -129,8 +117,6 @@ TEST_F(ReplayRoundtripTest, ReplayReproducesEveryCardinality) {
 }
 
 TEST_F(ReplayRoundtripTest, MismatchesAreDetectedAgainstADifferentEngine) {
-  const QueryLogEnabledGuard guard;
-  obs::SetQueryLogEnabled(true);
   {
     EngineOptions options;
     options.query_log.path = log_path_;
@@ -156,8 +142,6 @@ TEST_F(ReplayRoundtripTest, MismatchesAreDetectedAgainstADifferentEngine) {
 }
 
 TEST_F(ReplayRoundtripTest, AdviceFromLogMatchesAdviceFromWorkload) {
-  const QueryLogEnabledGuard guard;
-  obs::SetQueryLogEnabled(true);
   EngineOptions options;
   options.query_log.path = log_path_;
   ColGraphEngine engine(options);

@@ -76,7 +76,6 @@ int BuildSelfTestArtifacts(const std::string& dir, Args* args) {
   args->log_path = dir + "/selftest.qlog";
   args->advise_views = 2;
 
-  colgraph::obs::SetQueryLogEnabled(true);
   colgraph::EngineOptions options;
   options.query_log.path = args->log_path;
   ColGraphEngine engine(options);

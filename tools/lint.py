@@ -68,6 +68,14 @@ Rules
                      and failpoint instrumented. src/server/net_* itself is
                      exempt; capitalized wrappers (Connect/Bind/Accept) and
                      std::bind are not matched.
+  raw-frame-crc      Library code must not call Crc32c( directly: a frame's
+                     CRC is written and checked only by the frame codec
+                     (util/frame.cc, FrameCrc), so the wire and the framed
+                     logs cannot grow a second frame encoder or walker.
+                     Exempt: util/frame.cc, columnstore/io_util.cc (snapshot
+                     sections, a different format) and util/crc32.{h,cc}.
+                     The match is on the whole word, so Crc32cUpdate is not
+                     matched.
 """
 
 import argparse
@@ -92,6 +100,18 @@ RAW_SOCKET_CALL = re.compile(
 # while `mmap(`, `::munmap(` and `(void)mremap(` do.
 RAW_MMAP_CALL = re.compile(
     r"(^|[^\w.>:])(::\s*)?(?:mmap|munmap|mremap)\s*\("
+)
+
+# A direct CRC-32C call: the whole word, so simd::Crc32cUpdate never
+# matches while `Crc32c(` and `colgraph::Crc32c(` do.
+RAW_CRC_CALL = re.compile(r"\bCrc32c\s*\(")
+
+# The files allowed to call Crc32c( directly.
+CRC_CALL_HOMES = (
+    "src/util/frame.cc",
+    "src/columnstore/io_util.cc",
+    "src/util/crc32.h",
+    "src/util/crc32.cc",
 )
 
 # Statement openers that legitimately consume a Status result.
@@ -239,6 +259,12 @@ def lint_file(path, rel, status_fns, errors, in_library):
                     f"through columnstore/mem_map.h (MemMap: RAII release, "
                     f"empty-file contract, single home for the SIGBUS "
                     f"argument), not raw mmap/munmap/mremap"
+                )
+            if posix_rel not in CRC_CALL_HOMES and RAW_CRC_CALL.search(line):
+                errors.append(
+                    f"{rel}:{i}: [raw-frame-crc] frames are checksummed "
+                    f"only by the frame codec (util/frame.h FrameCrc, "
+                    f"BeginFrame/EndFrame), not by direct Crc32c calls"
                 )
             if not is_net and RAW_SOCKET_CALL.search(line):
                 errors.append(

@@ -1,9 +1,9 @@
 // Regenerates the committed fuzz seed corpus (fuzz/corpus/) from real
 // artifacts: every binary seed is produced by the production writers
-// (WriteRelation, AppendRecordFrame, HybridBitmap::FromBitmap) and then
-// deterministically damaged the way the torture tests damage snapshots —
-// truncation, bit flips, bad magic, implausible counts. Run it when a
-// format changes:
+// (WriteRelation, AppendRecordFrame, AppendSlowQueryFrame,
+// HybridBitmap::FromBitmap) and then deterministically damaged the way the
+// torture tests damage snapshots — truncation, bit flips, bad magic,
+// implausible counts. Run it when a format changes:
 //
 //   make_fuzz_corpus <repo>/fuzz/corpus
 //
@@ -22,8 +22,9 @@
 #include "bitmap/hybrid_bitmap.h"
 #include "columnstore/persistence.h"
 #include "obs/query_log.h"
+#include "obs/slow_query_log.h"
 #include "util/check.h"
-#include "util/crc32.h"
+#include "util/frame.h"
 
 namespace colgraph {
 namespace {
@@ -249,6 +250,16 @@ void MakeHybridBitmapSeeds(const std::filesystem::path& dir) {
 
 // --- fuzz_query_log ------------------------------------------------------
 
+// Footer frame, matching the framed log's Close(): type 1, payload
+// [u32 footer magic][u64 record count].
+void AppendFooterFrame(uint32_t footer_magic, uint64_t count,
+                       std::vector<char>* log) {
+  const size_t start = BeginFrame(obs::kLogFooterFrame, 12, log);
+  AppendPod(log, footer_magic);
+  AppendPod(log, count);
+  EndFrame(start, log);
+}
+
 void MakeQueryLogSeeds(const std::filesystem::path& dir) {
   obs::QueryLogRecord rec;
   rec.kind = obs::QueryLogKind::kPathAgg;
@@ -274,15 +285,7 @@ void MakeQueryLogSeeds(const std::filesystem::path& dir) {
   }
   const size_t records_end = log.size();
 
-  // Footer frame, matching the writer's Close(): type 1, payload
-  // [u32 footer magic][u64 record count].
-  std::vector<char> footer_payload;
-  AppendPod(&footer_payload, obs::kQueryLogFooterMagic);
-  AppendPod(&footer_payload, uint64_t{3});
-  AppendPod(&log, uint8_t{1});
-  AppendPod(&log, static_cast<uint64_t>(footer_payload.size()));
-  AppendPod(&log, Crc32c(footer_payload.data(), footer_payload.size()));
-  log.insert(log.end(), footer_payload.begin(), footer_payload.end());
+  AppendFooterFrame(obs::kQueryLogFooterMagic, 3, &log);
 
   WriteSeed(dir, "valid_log", log);
   WriteSeed(dir, "missing_footer", Truncated(log, records_end));
@@ -292,6 +295,54 @@ void MakeQueryLogSeeds(const std::filesystem::path& dir) {
   WriteSeed(dir, "flipped_payload_bit",
             BitFlipped(log, header_end + 20, 2));
   WriteSeed(dir, "empty", {});
+}
+
+// Slow-query-log seeds share the fuzz_query_log corpus: the harness
+// decodes every input as both formats.
+void MakeSlowQueryLogSeeds(const std::filesystem::path& dir) {
+  obs::SlowQueryRecord rec;
+  rec.request_id = 0xABCD;
+  rec.snapshot_epoch = 3;
+  rec.total_us = 2500;
+  rec.op = 1;
+  rec.query = "SUM [1,2]";
+  rec.spans = {{"decode", 0, 40}, {"evaluate", 50, 2400}};
+
+  std::vector<char> log;
+  AppendPod(&log, obs::kSlowQueryLogMagic);
+  AppendPod(&log, obs::kSlowQueryLogVersion);
+  const size_t header_end = log.size();
+  obs::AppendSlowQueryFrame(rec, &log);
+  // A sampled, failed request with no text and no spans.
+  rec.request_id = 0x1111;
+  rec.wire_code = 9;
+  rec.sampled = true;
+  rec.query.clear();
+  rec.spans.clear();
+  obs::AppendSlowQueryFrame(rec, &log);
+  const size_t records_end = log.size();
+  AppendFooterFrame(obs::kSlowQueryLogFooterMagic, 2, &log);
+
+  WriteSeed(dir, "slow_valid_log", log);
+  WriteSeed(dir, "slow_missing_footer", Truncated(log, records_end));
+  WriteSeed(dir, "slow_truncated_mid_frame", Truncated(log, header_end + 20));
+
+  // A record whose span count (the last u32 of a span-free payload) runs
+  // far past the payload, re-checksummed so the raw input reaches the
+  // record decoder's bound.
+  std::vector<char> frame;
+  obs::AppendSlowQueryFrame(rec, &frame);
+  const uint32_t huge_count = 1u << 30;
+  std::memcpy(frame.data() + frame.size() - sizeof(huge_count), &huge_count,
+              sizeof(huge_count));
+  const uint32_t crc = FrameCrc(frame.data() + kFrameHeaderBytes,
+                                frame.size() - kFrameHeaderBytes);
+  std::memcpy(frame.data() + kFrameHeaderBytes - sizeof(crc), &crc,
+              sizeof(crc));
+  std::vector<char> span_log = Truncated(log, header_end);
+  span_log.insert(span_log.end(), frame.begin(), frame.end());
+  AppendFooterFrame(obs::kSlowQueryLogFooterMagic, 1, &span_log);
+  WriteSeed(dir, "slow_span_count_past_payload", span_log);
 }
 
 }  // namespace
@@ -312,10 +363,13 @@ int main(int argc, char** argv) {
   colgraph::MakeSnapshotSeeds(root / "fuzz_snapshot");
   colgraph::MakeHybridBitmapSeeds(root / "fuzz_hybrid_bitmap");
   colgraph::MakeQueryLogSeeds(root / "fuzz_query_log");
+  colgraph::MakeSlowQueryLogSeeds(root / "fuzz_query_log");
   // fuzz_parser and fuzz_trace_parser seeds are plain text, and
   // fuzz_render's are single doubles, committed directly in the repo —
   // regenerating them here would only churn the files. So is fuzz_snapshot/valid_page_aligned, a relation image with
   // page-aligned extents that current writers no longer produce.
+  // fuzz_query_log/slow_selftest_log is colgraph_trace's self-test log,
+  // committed as written so tests/frame_golden_test.cc can pin its bytes.
 
   std::fprintf(stderr, "fuzz corpus written under %s\n", root.string().c_str());
   return 0;
