@@ -88,25 +88,6 @@ void Bitmap::OrAt(const Bitmap& src, size_t offset) {
   }
 }
 
-Bitmap Bitmap::Extract(size_t offset, size_t num_bits) const {
-  COLGRAPH_CHECK(offset <= num_bits_ && num_bits <= num_bits_ - offset)
-      << "Extract range exceeds the source universe";
-  Bitmap out(num_bits);
-  const size_t word0 = offset / kWordBits;
-  const size_t shift = offset % kWordBits;
-  for (size_t i = 0; i < out.words_.size(); ++i) {
-    // The range check bounds word0 + i for every output word; only the
-    // high part borrowed from one word up needs its own bound.
-    uint64_t w = words_[word0 + i] >> shift;
-    if (shift != 0 && word0 + i + 1 < words_.size()) {
-      w |= words_[word0 + i + 1] << (kWordBits - shift);
-    }
-    out.words_[i] = w;
-  }
-  out.ClearTail();
-  return out;
-}
-
 Bitmap Bitmap::AndAll(const std::vector<const Bitmap*>& operands) {
   if (operands.empty()) return Bitmap();
   Bitmap result = *operands[0];

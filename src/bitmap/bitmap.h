@@ -59,12 +59,6 @@ class Bitmap {
   /// global base offset. Word-shifted, not bit-at-a-time.
   void OrAt(const Bitmap& src, size_t offset);
 
-  /// The inverse of OrAt: bits [offset, offset + num_bits) as a bitmap of
-  /// `num_bits` bits, bit i of the result being bit offset+i here. Requires
-  /// offset + num_bits <= size(). Word-shifted, not bit-at-a-time; the
-  /// multi-dataset fetch hands each dataset its slice of a global match.
-  Bitmap Extract(size_t offset, size_t num_bits) const;
-
   /// Appends the positions of all set bits to `out` (one allocation).
   void AppendSetBits(std::vector<uint64_t>* out) const;
   /// Convenience: returns the positions of all set bits.

@@ -40,26 +40,27 @@ __attribute__((always_inline)) inline size_t PopcountWordsBody(
   return count;
 }
 
-__attribute__((always_inline)) inline size_t GatherByRankBody(
-    const uint64_t* match, const uint64_t* presence, const uint32_t* rank,
-    const double* values, size_t num_words, double* out) {
+__attribute__((always_inline)) inline size_t GatherIdsBody(
+    const uint64_t* ids, size_t n, uint64_t base, const uint64_t* presence,
+    const uint32_t* rank, const double* values, double* out) {
   constexpr double kNull = std::numeric_limits<double>::quiet_NaN();
-  size_t k = 0;
-  for (size_t w = 0; w < num_words; ++w) {
-    uint64_t m = match[w];
-    if (m == 0) continue;
-    // One presence word and one rank entry serve every match in the word.
-    const uint64_t p = presence[w];
-    const double* packed = values + rank[w];
-    do {
-      const uint64_t bit = m & (~m + 1);  // lowest set bit
-      out[k++] = (p & bit) != 0 ? packed[static_cast<size_t>(
-                                      __builtin_popcountll(p & (bit - 1)))]
-                                : kNull;
-      m ^= bit;
-    } while (m != 0);
+  size_t absent = 0;
+  for (size_t i = 0; i < n; ++i) {
+    const uint64_t r = ids[i] - base;
+    const size_t w = static_cast<size_t>(r / 64);
+    // The word's presence bits up to and including r, with r on top: its
+    // top bit says whether r has a value, its popcount counts that value.
+    const uint64_t upto = presence[w] << (63 - r % 64);
+    if ((upto >> 63) != 0) {
+      const auto below = static_cast<size_t>(__builtin_popcountll(upto)) - 1;
+      out[i] = values[rank[w] + below];
+    } else {
+      // No value is read: past the last stored value there is none.
+      out[i] = kNull;
+      ++absent;
+    }
   }
-  return k;
+  return absent;
 }
 
 // CRC-32C table for the scalar kernel, from the reflected form of the
@@ -127,10 +128,10 @@ __attribute__((target("popcnt"))) size_t PopcountWordsPopcnt(
   return PopcountWordsBody(words, n);
 }
 
-__attribute__((target("popcnt"))) size_t GatherByRankPopcnt(
-    const uint64_t* match, const uint64_t* presence, const uint32_t* rank,
-    const double* values, size_t num_words, double* out) {
-  return GatherByRankBody(match, presence, rank, values, num_words, out);
+__attribute__((target("popcnt"))) size_t GatherIdsPopcnt(
+    const uint64_t* ids, size_t n, uint64_t base, const uint64_t* presence,
+    const uint32_t* rank, const double* values, double* out) {
+  return GatherIdsBody(ids, n, base, presence, rank, values, out);
 }
 
 // The crc32 instruction computes CRC-32C with the same reflected
@@ -164,7 +165,7 @@ bool CpuAllowsAvx2() {
   return allowed;
 }
 
-// PopcountWords and GatherByRank use the hardware popcount instruction
+// PopcountWords and GatherIds use the hardware popcount instruction
 // under the same conditions as the AVX2 kernels, with the POPCNT flag.
 bool UsingPopcnt() {
   static const bool allowed =
@@ -221,15 +222,15 @@ size_t PopcountWords(const uint64_t* words, size_t n) {
   return PopcountWordsBody(words, n);
 }
 
-size_t GatherByRank(const uint64_t* match, const uint64_t* presence,
-                    const uint32_t* rank, const double* values,
-                    size_t num_words, double* out) {
+size_t GatherIds(const uint64_t* ids, size_t n, uint64_t base,
+                 const uint64_t* presence, const uint32_t* rank,
+                 const double* values, double* out) {
 #if defined(COLGRAPH_HAVE_X86_TARGETS)
   if (UsingPopcnt()) {
-    return GatherByRankPopcnt(match, presence, rank, values, num_words, out);
+    return GatherIdsPopcnt(ids, n, base, presence, rank, values, out);
   }
 #endif
-  return GatherByRankBody(match, presence, rank, values, num_words, out);
+  return GatherIdsBody(ids, n, base, presence, rank, values, out);
 }
 
 uint32_t Crc32cUpdate(uint32_t crc, const uint8_t* data, size_t n) {

@@ -1,6 +1,6 @@
 // Runtime-dispatched word kernels shared by the bitmap containers, the
 // measure fetch and the checksums: AND/OR over arrays of 64-bit words
-// (AVX2 when the CPU has it), popcount over arrays of words, the rank
+// (AVX2 when the CPU has it), popcount over arrays of words, the list
 // gather behind MeasureColumn::Gather (hardware popcount when the CPU has
 // it) and the CRC-32C update behind util/crc32.h (the SSE4.2 crc32
 // instruction when the CPU has it). Each falls back to a portable scalar
@@ -25,16 +25,16 @@ void OrWords(uint64_t* dst, const uint64_t* src, size_t n);
 /// Number of set bits in words[0, n).
 size_t PopcountWords(const uint64_t* words, size_t n);
 
-/// Gathers packed values by rank, one match word at a time. For every set
-/// bit b of match[w], in ascending order, writes the next slot of `out`:
-/// values[rank[w] + popcount(presence[w] & (2^b - 1))] when bit b of
-/// presence[w] is set, and a quiet NaN otherwise. `rank[w]` is the number
-/// of set bits in presence[0, w) (BitmapColumn's rank directory). All
-/// three word arrays have `num_words` entries; `out` has room for the
-/// popcount of `match`, which is returned. Values are copied bit for bit.
-size_t GatherByRank(const uint64_t* match, const uint64_t* presence,
-                    const uint32_t* rank, const double* values,
-                    size_t num_words, double* out);
+/// Gathers packed values for a list of ascending record ids, one id at a
+/// time. For each i in [0, n), r = ids[i] - base is a bit of `presence`:
+/// when it is set, out[i] = values[rank[r / 64] + popcount(presence[r / 64]
+/// & (2^(r % 64) - 1))], copied bit for bit; otherwise out[i] is a quiet
+/// NaN and no value is read. `rank[w]` is the number of set bits in
+/// presence[0, w) (BitmapColumn's rank directory). Returns how many ids
+/// read NaN because their presence bit is clear.
+size_t GatherIds(const uint64_t* ids, size_t n, uint64_t base,
+                 const uint64_t* presence, const uint32_t* rank,
+                 const double* values, double* out);
 
 /// Extends a CRC-32C (Castagnoli) register over data[0, n) and returns it.
 /// `crc` is the raw register, the complement of a running checksum:

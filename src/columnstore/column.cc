@@ -1,5 +1,7 @@
 #include "columnstore/column.h"
 
+#include <algorithm>
+
 #include "bitmap/simd.h"
 #include "util/check.h"
 
@@ -84,20 +86,16 @@ std::optional<double> MeasureColumn::Get(size_t record) const {
   return values_[presence_.Rank(record)];
 }
 
-void MeasureColumn::Gather(const Bitmap& matches, double* out) const {
-  Gather(matches, 0, matches.words().size(), out);
-}
-
-void MeasureColumn::Gather(const Bitmap& matches, size_t first_word,
-                           size_t num_words, double* out) const {
+size_t MeasureColumn::Gather(const uint64_t* ids, size_t n, uint64_t base,
+                             double* out) const {
   COLGRAPH_DCHECK(sealed());
-  COLGRAPH_CHECK_EQ(matches.size(), presence_.size());
-  COLGRAPH_CHECK_LE(first_word + num_words, matches.words().size());
-  // Rank entries count from record 0, so a word range needs no rebasing.
-  simd::GatherByRank(matches.words().data() + first_word,
-                     presence_.bits().words().data() + first_word,
-                     presence_.rank_directory().data() + first_word,
-                     values_.data(), num_words, out);
+  if (n == 0) return 0;
+  COLGRAPH_CHECK(ids[0] >= base && ids[n - 1] - base < presence_.size())
+      << "gathered ids lie outside the column's records";
+  COLGRAPH_DCHECK(std::is_sorted(ids, ids + n));
+  return simd::GatherIds(ids, n, base, presence_.bits().words().data(),
+                         presence_.rank_directory().data(), values_.data(),
+                         out);
 }
 
 StatusOr<MeasureColumn> MergeColumn(const std::vector<ColumnPart>& parts) {

@@ -120,22 +120,17 @@ class MeasureColumn {
   }
 
   /// Value of `record`, or nullopt when NULL. Requires sealed(). For point
-  /// lookups; a fetch over a match bitmap uses Gather.
+  /// lookups; a fetch over a list of records uses Gather.
   std::optional<double> Get(size_t record) const;
 
-  /// Writes the value of every record set in `matches` (a bitmap over this
-  /// column's records) to out[0, matches.Count()), in record order: the
-  /// stored value bit for bit, or a quiet NaN where the record is NULL.
-  /// One pass over the match words: each non-zero word reads its presence
-  /// word and rank entry once (simd::GatherByRank). Requires sealed().
-  void Gather(const Bitmap& matches, double* out) const;
-
-  /// Gather over match words [first_word, first_word + num_words) only:
-  /// writes the values of the records set in those words, from record
-  /// 64 * first_word on, to out[0, their count). Lets a caller work
-  /// through a large match a block at a time.
-  void Gather(const Bitmap& matches, size_t first_word, size_t num_words,
-              double* out) const;
+  /// Writes the value of record ids[i] - base to out[i], for i in [0, n):
+  /// the stored value bit for bit, or a quiet NaN where the record is NULL.
+  /// `ids` ascend and each ids[i] - base is a record of this column
+  /// (checked at both ends). One presence word and one rank entry per id,
+  /// and a value only where the record has one (simd::GatherIds). Returns
+  /// the number of NULLs written. Requires sealed().
+  size_t Gather(const uint64_t* ids, size_t n, uint64_t base,
+                double* out) const;
 
   /// Packed value by rank (for scans that already know the rank).
   double ValueAtRank(size_t rank) const { return values_[rank]; }

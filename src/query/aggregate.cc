@@ -7,7 +7,6 @@
 
 #include <algorithm>
 
-#include "bitmap/simd.h"
 #include "obs/metrics.h"
 #include "obs/query_log.h"
 #include "obs/trace.h"
@@ -16,10 +15,10 @@ namespace colgraph {
 
 namespace {
 
-// Match words per fold block: a fold gathers, folds and polls for
+// Records per fold block: a fold gathers, folds and polls for
 // cancellation up to 2,048 records at a time, so a block's gathered
 // values stay cache-resident however many records match.
-constexpr size_t kFoldBlockWords = 32;
+constexpr size_t kFoldBlockRecords = 2048;
 
 // One column a segment folds: a plan segment's column in that segment, or
 // nullptr where the segment never grew the element (NULL for every record
@@ -31,47 +30,36 @@ struct FoldInput {
   size_t view_elements = 0;
 };
 
-// Folds F over `inputs` for each of the `num_matches` records set in
-// `match` (a bitmap over one segment's records) and writes the results to
-// out[0, num_matches), in record order. Per block of match words, every
-// input column is gathered (MeasureColumn::Gather); then each record
-// folds its values into one AggAccumulator in input order, the order of
-// the per-record loop this replaced. A record whose bit of
-// presence & match is clear is NULL for that input and skipped, so a
-// stored NaN still folds.
-Status FoldSegment(const std::vector<FoldInput>& inputs, const Bitmap& match,
-                 size_t num_matches, AggFn fn, const CancellationToken* cancel,
-                 double* out) {
-  const std::vector<uint64_t>& words = match.words();
-  const size_t stride =
-      std::min(num_matches, kFoldBlockWords * Bitmap::kWordBits);
+// Folds F over `inputs` for each record ids[i] - base, i in [0, n) (one
+// segment's records, ascending), and writes the results to out[0, n).
+// Per block of ids, every input column is gathered (MeasureColumn::Gather);
+// then each record folds its values into one AggAccumulator in input
+// order, the order of the per-record loop this replaced. A record without
+// a value in an input is NULL there and skipped, so a stored NaN still
+// folds.
+Status FoldSegment(const std::vector<FoldInput>& inputs, const RecordId* ids,
+                   size_t n, size_t base, AggFn fn,
+                   const CancellationToken* cancel, double* out) {
+  const size_t stride = std::min(n, kFoldBlockRecords);
   // Input c's values for the block's records start at gathered[c * stride];
   // present[c * stride + i] says whether record i has one, filled only
   // where has_null[c] (most blocks of most inputs have no NULL).
   std::vector<double> gathered(inputs.size() * stride);
   std::vector<uint8_t> present(inputs.size() * stride);
   std::vector<uint8_t> has_null(inputs.size());
-  for (size_t first = 0; first < words.size(); first += kFoldBlockWords) {
+  for (size_t first = 0; first < n; first += kFoldBlockRecords) {
     COLGRAPH_RETURN_NOT_OK(CheckCancellation(cancel));
-    const size_t num_words = std::min(kFoldBlockWords, words.size() - first);
-    const size_t rows = simd::PopcountWords(&words[first], num_words);
-    if (rows == 0) continue;
+    const size_t rows = std::min(kFoldBlockRecords, n - first);
+    const RecordId* block = ids + first;
     for (size_t c = 0; c < inputs.size(); ++c) {
       const MeasureColumn* column = inputs[c].column;
       if (column == nullptr) continue;
-      column->Gather(match, first, num_words, &gathered[c * stride]);
-      const uint64_t* presence = &column->presence().bits().words()[first];
-      uint64_t absent = 0;
-      for (size_t w = 0; w < num_words; ++w) {
-        absent |= words[first + w] & ~presence[w];
-      }
-      has_null[c] = absent != 0;
-      if (absent == 0) continue;
-      uint8_t* row_present = &present[c * stride];
-      for (size_t w = 0; w < num_words; ++w) {
-        for (uint64_t m = words[first + w]; m != 0; m &= m - 1) {
-          *row_present++ = (presence[w] & m & (~m + 1)) != 0;
-        }
+      double* values = &gathered[c * stride];
+      has_null[c] = column->Gather(block, rows, base, values) != 0;
+      if (has_null[c] == 0) continue;
+      const Bitmap& presence = column->presence().bits();
+      for (size_t i = 0; i < rows; ++i) {
+        present[c * stride + i] = presence.Test(block[i] - base);
       }
     }
     for (size_t i = 0; i < rows; ++i) {
@@ -95,14 +83,14 @@ Status FoldSegment(const std::vector<FoldInput>& inputs, const Bitmap& match,
 }  // namespace
 
 StatusOr<std::vector<double>> QueryEngine::FoldPath(
-    const Bitmap& matches, size_t num_records, const PathPlan& plan,
-    AggFn fn, const CancellationToken* cancel,
-    uint64_t* values_fetched) const {
-  std::vector<double> values(num_records);
+    const std::vector<RecordId>& records, const PathPlan& plan, AggFn fn,
+    const CancellationToken* cancel, uint64_t* values_fetched) const {
+  std::vector<double> values(records.size());
   std::vector<FoldInput> inputs(plan.segments.size());
-  size_t row = 0;  // index in `values` of the segment's first matched record
+  size_t row = 0;  // index in `records` of the segment's first record
   for (size_t s = 0; s < NumSegments(); ++s) {
-    const MasterRelation& rel = *Segment(s).relation;
+    const RelationSegment segment = Segment(s);
+    const MasterRelation& rel = *segment.relation;
     for (size_t i = 0; i < plan.segments.size(); ++i) {
       const PathSegment& seg = plan.segments[i];
       inputs[i] = seg.is_view
@@ -113,14 +101,14 @@ StatusOr<std::vector<double>> QueryEngine::FoldPath(
         ++rel.stats().measure_columns_fetched;
       }
     }
-    Bitmap scratch;
-    const Bitmap& slice = SliceOf(matches, s, &scratch);
-    const size_t n = HasTails() ? slice.Count() : num_records;
+    const size_t end = SegmentEnd(records, row, s);
+    const size_t n = end - row;
     if (n == 0) continue;
-    COLGRAPH_RETURN_NOT_OK(
-        FoldSegment(inputs, slice, n, fn, cancel, values.data() + row));
+    COLGRAPH_RETURN_NOT_OK(FoldSegment(inputs, records.data() + row, n,
+                                       segment.base, fn, cancel,
+                                       values.data() + row));
     *values_fetched += n * inputs.size();
-    row += n;
+    row = end;
   }
   return values;
 }
@@ -147,9 +135,8 @@ StatusOr<PathAggResult> QueryEngine::AggregateAlongPath(
     elements.push_back(*id);
   }
 
-  const Bitmap matches =
-      MatchIds(elements, options, /*consider_agg_bitmaps=*/true);
-  matches.AppendSetBits(&result.records);
+  MatchIds(elements, options, /*consider_agg_bitmaps=*/true)
+      .AppendSetBits(&result.records);
 
   const ViewCatalog* views = options.use_views ? views_ : nullptr;
   const PathPlan plan = PlanPathAggregation(elements, fn, views);
@@ -158,8 +145,7 @@ StatusOr<PathAggResult> QueryEngine::AggregateAlongPath(
   uint64_t values_fetched = 0;
   COLGRAPH_ASSIGN_OR_RETURN(
       std::vector<double> values,
-      FoldPath(matches, result.records.size(), plan, fn, options.cancel,
-               &values_fetched));
+      FoldPath(result.records, plan, fn, options.cancel, &values_fetched));
   relation_->stats().values_fetched += values_fetched;
   result.values.push_back(std::move(values));
   return result;
@@ -218,9 +204,8 @@ StatusOr<PathAggResult> QueryEngine::RunAggregateQueryImpl(
   // Structural match. Aggregate-view bitmaps are offered as covering
   // bitmaps too: for an aggregate query whose paths are materialized, bp
   // both filters and pays for itself.
-  const Bitmap matches =
-      MatchIds(resolved.ids, options, /*consider_agg_bitmaps=*/true, plan_out);
-  matches.AppendSetBits(&result.records);
+  MatchIds(resolved.ids, options, /*consider_agg_bitmaps=*/true, plan_out)
+      .AppendSetBits(&result.records);
 
   result.paths = std::move(paths);
 
@@ -253,8 +238,7 @@ StatusOr<PathAggResult> QueryEngine::RunAggregateQueryImpl(
 
     COLGRAPH_ASSIGN_OR_RETURN(
         std::vector<double> values,
-        FoldPath(matches, result.records.size(), plan, fn, options.cancel,
-                 &values_fetched));
+        FoldPath(result.records, plan, fn, options.cancel, &values_fetched));
     result.values.push_back(std::move(values));
   }
   relation_->stats().values_fetched += values_fetched;

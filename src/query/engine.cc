@@ -124,6 +124,15 @@ size_t QueryEngine::TotalRecords() const {
   return last.base + last.relation->num_records();
 }
 
+size_t QueryEngine::SegmentEnd(const std::vector<RecordId>& records,
+                               size_t first, size_t s) const {
+  const RelationSegment seg = Segment(s);
+  const auto end =
+      std::lower_bound(records.begin() + static_cast<ptrdiff_t>(first),
+                       records.end(), seg.base + seg.relation->num_records());
+  return static_cast<size_t>(end - records.begin());
+}
+
 Bitmap QueryEngine::AndSegments(const std::vector<BitmapSource>& sources,
                                 std::vector<size_t>* step_counts) const {
   if (!HasTails()) return AndSegment(*relation_, sources, step_counts);
@@ -209,6 +218,8 @@ Bitmap QueryEngine::AndNotSets(const Bitmap& a, const Bitmap& b) {
 
 MeasureTable QueryEngine::FetchMeasures(const Bitmap& matches,
                                         const std::vector<EdgeId>& edges) const {
+  COLGRAPH_CHECK_EQ(matches.size(), TotalRecords())
+      << "the match is not a bitmap over the collection's records";
   const obs::Span span(obs::QueryPhase::kFetch, nullptr);
   MeasureTable table;
   table.edges = edges;
@@ -220,16 +231,18 @@ MeasureTable QueryEngine::FetchMeasures(const Bitmap& matches,
   constexpr double kNull = std::numeric_limits<double>::quiet_NaN();
   FetchStats& stats = relation_->stats();
 
-  // Each segment gathers its slice of the match into the rows it owns
-  // (segments are ascending id ranges) with MeasureColumn::Gather, the one
-  // rank gather (DESIGN.md §13); a column it never grew is NULL there.
+  // Each segment gathers the matched ids in its range (segments are
+  // ascending id ranges) into the rows they own, with MeasureColumn::Gather,
+  // the one list gather (DESIGN.md §13); a column it never grew is NULL
+  // there.
   size_t row = 0;
   for (size_t s = 0; s < NumSegments(); ++s) {
-    const MasterRelation& segment = *Segment(s).relation;
-    Bitmap scratch;
-    const Bitmap& slice = SliceOf(matches, s, &scratch);
-    const size_t n = HasTails() ? slice.Count() : table.records.size();
+    const RelationSegment seg = Segment(s);
+    const MasterRelation& segment = *seg.relation;
+    const size_t end = SegmentEnd(table.records, row, s);
+    const size_t n = end - row;
     if (n == 0) continue;
+    const RecordId* ids = table.records.data() + row;
     const auto gather = [&](size_t i, double* out) {
       const MeasureColumn* column = segment.FindEdgeColumn(edges[i]);
       if (column == nullptr) {
@@ -237,7 +250,7 @@ MeasureTable QueryEngine::FetchMeasures(const Bitmap& matches,
         return;
       }
       ++segment.stats().measure_columns_fetched;
-      column->Gather(slice, out);
+      column->Gather(ids, n, seg.base, out);
       stats.values_fetched += n;
     };
     // Group requested columns by vertical partition (Section 6.1); each
@@ -250,7 +263,6 @@ MeasureTable QueryEngine::FetchMeasures(const Bitmap& matches,
     stats.partitions_touched += by_partition.size();
     const bool joined = by_partition.size() > 1;
     if (joined) stats.partition_joins += by_partition.size() - 1;
-    const auto first = table.records.begin() + static_cast<ptrdiff_t>(row);
     for (const auto& [partition, slots] : by_partition) {
       (void)partition;
       // A single sub-relation gathers straight into the result columns.
@@ -258,8 +270,7 @@ MeasureTable QueryEngine::FetchMeasures(const Bitmap& matches,
       // rows, merge-joined on recid into the table: extra materialization
       // and merging that grows with the partition count, reproducing the
       // degradation of Figure 5.
-      const std::vector<RecordId> keys(
-          first, joined ? first + static_cast<ptrdiff_t>(n) : first);
+      const std::vector<RecordId> keys(ids, joined ? ids + n : ids);
       for (const size_t i : slots) {
         // A column is allocated just before its first gather, while it is
         // still in cache.
@@ -271,7 +282,7 @@ MeasureTable QueryEngine::FetchMeasures(const Bitmap& matches,
         std::copy(partial.begin(), partial.end(), out);
       }
     }
-    row += n;
+    row = end;
   }
   return table;
 }

@@ -225,24 +225,21 @@ class QueryEngine {
   Bitmap AndSegments(const std::vector<BitmapSource>& sources,
                      std::vector<size_t>* step_counts) const;
 
-  /// Segment s's share of a global match: `matches` itself with one
-  /// segment, else its slice, extracted into *scratch.
-  const Bitmap& SliceOf(const Bitmap& matches, size_t s,
-                        Bitmap* scratch) const {
-    if (!HasTails()) return matches;
-    const RelationSegment seg = Segment(s);
-    return *scratch = matches.Extract(seg.base, seg.relation->num_records());
-  }
+  /// The end of segment s's records in `records` (ascending global ids),
+  /// searched from `first`, where segment s - 1's records end: the
+  /// segment's ids are records[first, end).
+  size_t SegmentEnd(const std::vector<RecordId>& records, size_t first,
+                    size_t s) const;
 
   /// The aggregate fold behind RunAggregateQuery and AggregateAlongPath:
-  /// F along one path for each of the `num_records` records set in
-  /// `matches`, in record order. Every segment folds `plan` over its own
-  /// columns (one it never grew is NULL). Adds the number of values read
-  /// to *values_fetched; polls `cancel` once per block of records folded.
+  /// F along one path for each of `records` (ascending global ids), in
+  /// order. Every segment folds `plan` over its own columns (one it never
+  /// grew is NULL) for the ids in its range. Adds the number of values
+  /// read to *values_fetched; polls `cancel` once per block of records
+  /// folded.
   [[nodiscard]] StatusOr<std::vector<double>> FoldPath(
-      const Bitmap& matches, size_t num_records, const PathPlan& plan,
-      AggFn fn, const CancellationToken* cancel,
-      uint64_t* values_fetched) const;
+      const std::vector<RecordId>& records, const PathPlan& plan, AggFn fn,
+      const CancellationToken* cancel, uint64_t* values_fetched) const;
 
   /// Shared EXPLAIN core: runs MatchIds on resolved edge ids and fills
   /// `result` with its plan (sources in AND order, estimated vs. actual

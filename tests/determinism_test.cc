@@ -1,10 +1,12 @@
 // Determinism tests (ctest label: concurrency): every batch API must
 // produce byte-identical results for 1, 2 and 8 worker threads and for an
-// injected serial-mode (0-worker) pool. Workloads are seed-driven through
-// workload/query_generator.h so every engine sees identical inputs; doubles
-// are compared bitwise (operator== would wave NaNs through and conflate
-// 0.0 with -0.0).
+// injected serial-mode (0-worker) pool, and a batch must count the same
+// work (FetchStats) at every thread count. Workloads are seed-driven
+// through workload/query_generator.h so every engine sees identical
+// inputs; doubles are compared bitwise (operator== would wave NaNs through
+// and conflate 0.0 with -0.0).
 #include <cstring>
+#include <ostream>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -48,6 +50,40 @@ bool BitEqual(double a, double b) {
     }
   }
   return ::testing::AssertionSuccess();
+}
+
+// The FetchStats counters a batch moves. Every pool thread bumps them, so
+// a parallel batch must move each by exactly the serial run's amount.
+struct WorkCounts {
+  uint64_t bitmaps = 0, columns = 0, values = 0, partitions = 0, joins = 0;
+
+  static WorkCounts Of(const ColGraphEngine& engine) {
+    const FetchStats& s = engine.stats();
+    return {s.bitmap_columns_fetched, s.measure_columns_fetched,
+            s.values_fetched, s.partitions_touched, s.partition_joins};
+  }
+  WorkCounts operator-(const WorkCounts& o) const {
+    return {bitmaps - o.bitmaps, columns - o.columns, values - o.values,
+            partitions - o.partitions, joins - o.joins};
+  }
+  bool operator==(const WorkCounts&) const = default;
+
+  friend std::ostream& operator<<(std::ostream& os, const WorkCounts& c) {
+    return os << "{bitmaps " << c.bitmaps << ", columns " << c.columns
+              << ", values " << c.values << ", partitions " << c.partitions
+              << ", joins " << c.joins << "}";
+  }
+};
+
+// Runs `batch`, stores the counts it moved on `engine` in *work and
+// returns its result.
+template <typename Batch>
+auto RunCounted(const ColGraphEngine& engine, WorkCounts* work,
+                Batch&& batch) {
+  const WorkCounts before = WorkCounts::Of(engine);
+  auto result = batch();
+  *work = WorkCounts::Of(engine) - before;
+  return result;
 }
 
 struct Workbench {
@@ -203,14 +239,21 @@ TEST(DeterminismTest, HybridAndEwahEnginesAreByteIdentical) {
 TEST(DeterminismTest, EvaluateBatchIsByteIdenticalAcrossThreadCounts) {
   const Workbench wb = MakeWorkbench(100);
   const ColGraphEngine reference = BuildEngine(wb, 1);
-  auto expected = reference.EvaluateBatch(wb.workload);
+  WorkCounts expected_work;
+  auto expected = RunCounted(reference, &expected_work, [&] {
+    return reference.EvaluateBatch(wb.workload);
+  });
   ASSERT_TRUE(expected.ok()) << expected.status().ToString();
   ASSERT_EQ(expected->size(), wb.workload.size());
+  ASSERT_GT(expected_work.values, 0u);
 
   for (const size_t threads : kThreadCounts) {
     const ColGraphEngine engine = BuildEngine(wb, threads);
-    auto batch = engine.EvaluateBatch(wb.workload);
+    WorkCounts work;
+    auto batch = RunCounted(engine, &work,
+                            [&] { return engine.EvaluateBatch(wb.workload); });
     ASSERT_TRUE(batch.ok()) << batch.status().ToString();
+    EXPECT_EQ(work, expected_work) << "threads=" << threads;
     ASSERT_EQ(batch->size(), expected->size());
     for (size_t i = 0; i < expected->size(); ++i) {
       EXPECT_EQ((*batch)[i].records, (*expected)[i].records)
@@ -225,9 +268,13 @@ TEST(DeterminismTest, EvaluateBatchIsByteIdenticalAcrossThreadCounts) {
 
   // Injected serial-mode pool: same parallel code path, 0 workers.
   ThreadPool serial_pool(0);
-  auto serial = reference.query_engine().EvaluateBatch(wb.workload, {},
-                                                       &serial_pool);
+  WorkCounts serial_work;
+  auto serial = RunCounted(reference, &serial_work, [&] {
+    return reference.query_engine().EvaluateBatch(wb.workload, {},
+                                                  &serial_pool);
+  });
   ASSERT_TRUE(serial.ok()) << serial.status().ToString();
+  EXPECT_EQ(serial_work, expected_work);
   ASSERT_EQ(serial->size(), expected->size());
   for (size_t i = 0; i < expected->size(); ++i) {
     EXPECT_EQ((*serial)[i].records, (*expected)[i].records) << "query " << i;
@@ -240,13 +287,21 @@ TEST(DeterminismTest, EvaluateBatchIsByteIdenticalAcrossThreadCounts) {
 TEST(DeterminismTest, EvaluatePathAggBatchIsByteIdenticalAcrossThreadCounts) {
   const Workbench wb = MakeWorkbench(200);
   const ColGraphEngine reference = BuildEngine(wb, 1);
-  auto expected = reference.EvaluatePathAggBatch(wb.workload, AggFn::kSum);
+  WorkCounts expected_work;
+  auto expected = RunCounted(reference, &expected_work, [&] {
+    return reference.EvaluatePathAggBatch(wb.workload, AggFn::kSum);
+  });
   ASSERT_TRUE(expected.ok()) << expected.status().ToString();
+  ASSERT_GT(expected_work.values, 0u);
 
   for (const size_t threads : kThreadCounts) {
     const ColGraphEngine engine = BuildEngine(wb, threads);
-    auto batch = engine.EvaluatePathAggBatch(wb.workload, AggFn::kSum);
+    WorkCounts work;
+    auto batch = RunCounted(engine, &work, [&] {
+      return engine.EvaluatePathAggBatch(wb.workload, AggFn::kSum);
+    });
     ASSERT_TRUE(batch.ok()) << batch.status().ToString();
+    EXPECT_EQ(work, expected_work) << "threads=" << threads;
     ASSERT_EQ(batch->size(), expected->size());
     for (size_t i = 0; i < expected->size(); ++i) {
       EXPECT_EQ((*batch)[i].records, (*expected)[i].records)
@@ -262,9 +317,13 @@ TEST(DeterminismTest, EvaluatePathAggBatchIsByteIdenticalAcrossThreadCounts) {
   }
 
   ThreadPool serial_pool(0);
-  auto serial = reference.query_engine().EvaluatePathAggBatch(
-      wb.workload, AggFn::kSum, {}, &serial_pool);
+  WorkCounts serial_work;
+  auto serial = RunCounted(reference, &serial_work, [&] {
+    return reference.query_engine().EvaluatePathAggBatch(
+        wb.workload, AggFn::kSum, {}, &serial_pool);
+  });
   ASSERT_TRUE(serial.ok()) << serial.status().ToString();
+  EXPECT_EQ(serial_work, expected_work);
   ASSERT_EQ(serial->size(), expected->size());
   for (size_t i = 0; i < expected->size(); ++i) {
     EXPECT_TRUE(ColumnsBitIdentical((*serial)[i].values, (*expected)[i].values))

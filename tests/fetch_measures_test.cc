@@ -6,7 +6,9 @@
 // it routes rows the same way, builds the same per-partition partials and
 // bumps the same FetchStats counters. Tables must match bit for bit (NaN
 // for NULL, stored -0.0/NaN/inf unchanged) and every counter must move by
-// the same amount on every relation.
+// the same amount on every relation. A match that is not a bitmap over
+// exactly the collection's records fails a check, however the collection
+// is segmented.
 #include <gtest/gtest.h>
 
 #include <cstring>
@@ -258,6 +260,38 @@ TEST(FetchMeasuresTest, PartitionedPrimaryMatchesPerRecordFetch) {
   options.partition_width = 2;
   const MasterRelation primary = RandomRelation(rng, 517, 9, options);
   ExpectFetchesIdentical(rng, primary, {}, 9, 200);
+}
+
+// One bit too many or too few fails the check instead of fetching a row
+// for a record that does not exist (or dropping one that does).
+void ExpectWrongSizedMatchesDie(const QueryEngine& engine, size_t total) {
+  for (const size_t size : {total - 1, total + 1, total + 3}) {
+    SCOPED_TRACE("match of " + std::to_string(size) + " bits");
+    Bitmap matches(size);
+    matches.Set(3);
+    matches.Set(size - 1);
+    EXPECT_DEATH(engine.FetchMeasures(matches, {0, 1}), "Check failed");
+  }
+}
+
+TEST(FetchMeasuresDeathTest, WrongSizedMatchFailsOnOneSegment) {
+  Rng rng(404);
+  const MasterRelation primary = RandomRelation(rng, 10, 3);
+  const EdgeCatalog catalog;
+  const QueryEngine engine(&primary, &catalog, nullptr);
+  ExpectWrongSizedMatchesDie(engine, 10);
+}
+
+TEST(FetchMeasuresDeathTest, WrongSizedMatchFailsWithTails) {
+  // A 10-record primary and a 5-record tail: an 18-bit match with bit 17
+  // set names a record past the collection's 15.
+  Rng rng(505);
+  const MasterRelation primary = RandomRelation(rng, 10, 3);
+  const MasterRelation tail = RandomRelation(rng, 5, 3);
+  const std::vector<RelationSegment> tails{{&tail, 10}};
+  const EdgeCatalog catalog;
+  const QueryEngine engine(&primary, &catalog, nullptr, nullptr, &tails);
+  ExpectWrongSizedMatchesDie(engine, 15);
 }
 
 }  // namespace

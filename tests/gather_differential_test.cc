@@ -1,12 +1,16 @@
 // Differential harness for the measure-fetch gather kernel: MeasureColumn::
-// Gather (simd::GatherByRank, one match word at a time over the rank
-// directory) against the per-record MeasureColumn::Get loop it replaced.
-// Presence and match bitmaps are drawn at densities 0, 1/1000, 1/64, 1/2
-// and 1, over sizes that are not multiples of 64, with matched records
-// the column does not hold (they must read NaN). Stored values include
-// -0.0, NaN payloads and infinities, and every comparison is bit for bit.
-// Bitmap::Extract, which hands each dataset its slice of a global match,
-// is checked against a bit loop on the same draws.
+// Gather (simd::GatherIds, one presence word and one rank entry per record
+// id) against the per-record MeasureColumn::Get loop it replaced. Presence
+// bitmaps and the records listed are drawn at densities 0, 1/1000, 1/64,
+// 1/2 and 1, over sizes that are not multiples of 64, with listed records
+// the column does not hold (they must read NaN and count as NULLs). The
+// ids sit at a base of 0, an unaligned base or one past 2^32, as a
+// segment's global ids do, and any sub-range of the list (a fold block)
+// must gather the same rows. Stored values include -0.0, NaN payloads and
+// infinities, and every comparison is bit for bit. Two shapes pin down
+// that a NULL reads no value: NULLs after a column's last value, whose
+// rank is one past the end of the values, and a column with no values at
+// all, whose value array is null.
 //
 // Everything runs in both dispatch modes (hardware popcount and scalar);
 // the iteration count per mode scales with COLGRAPH_DIFF_ITERS.
@@ -15,6 +19,7 @@
 #include <cmath>
 #include <cstdlib>
 #include <cstring>
+#include <initializer_list>
 #include <iterator>
 #include <limits>
 #include <string>
@@ -47,6 +52,8 @@ double FromBits(uint64_t u) {
   return v;
 }
 
+const uint64_t kNullBits = Bits(std::numeric_limits<double>::quiet_NaN());
+
 class ScopedForceScalar {
  public:
   explicit ScopedForceScalar(bool force) {
@@ -60,6 +67,19 @@ size_t RandomSize(Rng& rng) {
   static const size_t kSizes[] = {1, 7, 63, 65, 127, 129, 1000, 4097, 70001};
   if (rng.Bernoulli(0.7)) return kSizes[rng.Uniform(0, std::size(kSizes) - 1)];
   return static_cast<size_t>(rng.Uniform(1, 20000));
+}
+
+// A segment's base: 0 (the primary), a base that is rarely word-aligned,
+// or one past 2^32.
+uint64_t RandomBase(Rng& rng) {
+  switch (rng.Uniform(0, 2)) {
+    case 0:
+      return 0;
+    case 1:
+      return rng.Uniform(1, 130);
+    default:
+      return (uint64_t{1} << 32) + rng.Uniform(1, 63);
+  }
 }
 
 Bitmap RandomBitmap(Rng& rng, size_t size) {
@@ -94,32 +114,54 @@ double RandomValue(Rng& rng) {
   return rng.UniformReal(-1e6, 1e6);
 }
 
-// The column holding `presence`, one random value per set bit.
-MeasureColumn RandomColumn(Rng& rng, const Bitmap& presence) {
-  std::vector<double> values(presence.Count());
-  for (double& v : values) v = RandomValue(rng);
+MeasureColumn ColumnOf(const Bitmap& presence, std::vector<double> values) {
   auto column = MeasureColumn::FromParts(presence, std::move(values));
   EXPECT_TRUE(column.ok()) << column.status().ToString();
   return std::move(column).value();
 }
 
+// The column holding `presence`, one random value per set bit.
+MeasureColumn RandomColumn(Rng& rng, const Bitmap& presence) {
+  std::vector<double> values(presence.Count());
+  for (double& v : values) v = RandomValue(rng);
+  return ColumnOf(presence, std::move(values));
+}
+
+// The global ids of the records set in `matches`, at `base`.
+std::vector<uint64_t> IdsAt(const Bitmap& matches, uint64_t base) {
+  std::vector<uint64_t> ids;
+  matches.ForEachSetBit([&](size_t r) { ids.push_back(base + r); });
+  return ids;
+}
+
 // The per-record fetch Gather replaced: Get, NaN for NULL.
-std::vector<double> GetLoop(const MeasureColumn& column, const Bitmap& matches) {
+std::vector<double> GetLoop(const MeasureColumn& column,
+                            const std::vector<uint64_t>& ids, uint64_t base) {
   std::vector<double> out;
-  matches.ForEachSetBit([&](size_t r) {
-    const auto v = column.Get(r);
+  for (const uint64_t id : ids) {
+    const auto v = column.Get(id - base);
     out.push_back(v.has_value() ? *v
                                 : std::numeric_limits<double>::quiet_NaN());
-  });
+  }
   return out;
 }
 
-void ExpectBitIdentical(const std::vector<double>& want,
-                        const std::vector<double>& got) {
-  ASSERT_EQ(want.size(), got.size());
-  for (size_t i = 0; i < want.size(); ++i) {
-    ASSERT_EQ(Bits(want[i]), Bits(got[i])) << "row " << i;
+// Gathers ids[first, first + len) and checks every row against `want`
+// (the whole list's per-record fetch) bit for bit, and the NULL count
+// against the records Get finds no value for.
+void ExpectGatherMatches(const MeasureColumn& column,
+                         const std::vector<uint64_t>& ids, uint64_t base,
+                         const std::vector<double>& want, size_t first,
+                         size_t len) {
+  std::vector<double> got(len);
+  const size_t nulls = column.Gather(ids.data() + first, len, base, got.data());
+  size_t want_nulls = 0;
+  for (size_t i = 0; i < len; ++i) {
+    ASSERT_EQ(Bits(want[first + i]), Bits(got[i])) << "row " << first + i;
+    if (!column.Get(ids[first + i] - base).has_value()) ++want_nulls;
   }
+  EXPECT_EQ(nulls, want_nulls) << "rows [" << first << ", " << first + len
+                               << ")";
 }
 
 void RunGatherMode(bool force_scalar, uint64_t seed) {
@@ -131,30 +173,19 @@ void RunGatherMode(bool force_scalar, uint64_t seed) {
                  (force_scalar ? " (scalar)" : " (dispatch)"));
     const size_t size = RandomSize(rng);
     const MeasureColumn column = RandomColumn(rng, RandomBitmap(rng, size));
-    // Half the draws match only stored records; the rest also match
-    // records the column does not hold.
+    // Half the draws list only stored records; the rest also list records
+    // the column does not hold.
     Bitmap matches = RandomBitmap(rng, size);
     if (rng.Bernoulli(0.5)) matches.And(column.presence().bits());
+    const uint64_t base = RandomBase(rng);
+    const std::vector<uint64_t> ids = IdsAt(matches, base);
+    const std::vector<double> want = GetLoop(column, ids, base);
 
-    const std::vector<double> want = GetLoop(column, matches);
-    std::vector<double> got(matches.Count());
-    column.Gather(matches, got.data());
-    ExpectBitIdentical(want, got);
-
-    // A dataset's slice of a wider match bitmap, at an offset that is
-    // rarely word-aligned.
-    const size_t offset = rng.Uniform(0, 130);
-    Bitmap wide(offset + size + rng.Uniform(0, 100));
-    wide.OrAt(matches, offset);
-    const Bitmap slice = wide.Extract(offset, size);
-    ASSERT_EQ(slice, matches);
-    const size_t sub_offset = rng.Uniform(0, size);
-    const size_t sub_len = rng.Uniform(0, size - sub_offset);
-    const Bitmap sub = matches.Extract(sub_offset, sub_len);
-    ASSERT_EQ(sub.size(), sub_len);
-    for (size_t i = 0; i < sub_len; ++i) {
-      ASSERT_EQ(sub.Test(i), matches.Test(sub_offset + i)) << "bit " << i;
-    }
+    ExpectGatherMatches(column, ids, base, want, 0, ids.size());
+    // A block of the list, cut anywhere, as the fold gathers it.
+    const size_t first = rng.Uniform(0, ids.size());
+    const size_t len = rng.Uniform(0, ids.size() - first);
+    ExpectGatherMatches(column, ids, base, want, first, len);
     if (::testing::Test::HasFatalFailure()) return;
   }
 }
@@ -167,8 +198,9 @@ TEST(GatherDifferentialTest, GatherEqualsGetLoopScalarMode) {
   RunGatherMode(/*force_scalar=*/true, /*seed=*/1017);
 }
 
-// Every stored bit pattern comes back unchanged in both modes, and a NULL
-// reads as exactly the quiet NaN the per-record fetch wrote.
+// Every stored bit pattern comes back unchanged in both modes and at
+// every base, and a NULL reads as exactly the quiet NaN the per-record
+// fetch wrote.
 TEST(GatherDifferentialTest, SpecialValuesCopiedBitForBit) {
   const std::vector<uint64_t> patterns = {
       0x8000000000000000ull, 0x7ff0000000000000ull, 0xfff0000000000000ull,
@@ -179,21 +211,77 @@ TEST(GatherDifferentialTest, SpecialValuesCopiedBitForBit) {
     presence.Set(i * 20 + 3);
     values.push_back(FromBits(patterns[i]));
   }
-  auto column = MeasureColumn::FromParts(presence, values);
-  ASSERT_TRUE(column.ok()) << column.status().ToString();
+  const MeasureColumn column = ColumnOf(presence, values);
   Bitmap matches(131);
   matches.Fill();
   for (const bool force : {false, true}) {
     ScopedForceScalar mode(force);
-    std::vector<double> got(131);
-    column.value().Gather(matches, got.data());
-    size_t stored = 0;
-    for (size_t r = 0; r < 131; ++r) {
-      const uint64_t want =
-          presence.Test(r)
-              ? patterns[stored++]
-              : Bits(std::numeric_limits<double>::quiet_NaN());
-      EXPECT_EQ(Bits(got[r]), want) << "record " << r << " scalar=" << force;
+    for (const uint64_t base : {uint64_t{0}, uint64_t{77}}) {
+      const std::vector<uint64_t> ids = IdsAt(matches, base);
+      std::vector<double> got(131);
+      EXPECT_EQ(column.Gather(ids.data(), ids.size(), base, got.data()),
+                131 - patterns.size());
+      size_t stored = 0;
+      for (size_t r = 0; r < 131; ++r) {
+        const uint64_t want = presence.Test(r) ? patterns[stored++] : kNullBits;
+        EXPECT_EQ(Bits(got[r]), want)
+            << "record " << r << " base " << base << " scalar=" << force;
+      }
+    }
+  }
+}
+
+// Records after a column's last value have rank one past the end of its
+// values: a NULL there must read no value (ASan reports a load past the
+// end even where it does not crash).
+TEST(GatherDifferentialTest, NullsPastTheLastValueReadNoValue) {
+  for (const bool force : {false, true}) {
+    ScopedForceScalar mode(force);
+    for (const size_t size : std::initializer_list<size_t>{1, 2, 63, 64, 65,
+                                                            130, 4097}) {
+      Bitmap presence(size);
+      presence.Set(0);
+      const MeasureColumn column = ColumnOf(presence, {2.5});
+      Bitmap matches(size);
+      matches.Fill();
+      for (const uint64_t base : {uint64_t{0}, uint64_t{7}}) {
+        const std::vector<uint64_t> ids = IdsAt(matches, base);
+        std::vector<double> got(size);
+        EXPECT_EQ(column.Gather(ids.data(), size, base, got.data()), size - 1);
+        EXPECT_EQ(got[0], 2.5);
+        for (size_t r = 1; r < size; ++r) {
+          ASSERT_EQ(Bits(got[r]), kNullBits)
+              << "record " << r << " size " << size << " scalar=" << force;
+        }
+      }
+    }
+  }
+}
+
+// A column with no values at all: every record is NULL and the value
+// array is never read, not even when it is null.
+TEST(GatherDifferentialTest, ColumnWithoutValuesReadsOnlyNulls) {
+  for (const bool force : {false, true}) {
+    ScopedForceScalar mode(force);
+    for (const size_t size : std::initializer_list<size_t>{1, 64, 65, 1000}) {
+      const MeasureColumn column = ColumnOf(Bitmap(size), {});
+      Bitmap matches(size);
+      matches.Fill();
+      for (const uint64_t base : {uint64_t{0}, uint64_t{65}}) {
+        const std::vector<uint64_t> ids = IdsAt(matches, base);
+        std::vector<double> got(size, 1.0);
+        EXPECT_EQ(column.Gather(ids.data(), size, base, got.data()), size);
+        std::vector<double> raw(size, 1.0);
+        EXPECT_EQ(simd::GatherIds(ids.data(), size, base,
+                                  column.presence().bits().words().data(),
+                                  column.presence().rank_directory().data(),
+                                  /*values=*/nullptr, raw.data()),
+                  size);
+        for (size_t r = 0; r < size; ++r) {
+          ASSERT_EQ(Bits(got[r]), kNullBits) << "record " << r;
+          ASSERT_EQ(Bits(raw[r]), kNullBits) << "record " << r;
+        }
+      }
     }
   }
 }
