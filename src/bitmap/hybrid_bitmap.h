@@ -1,4 +1,4 @@
-// Roaring-style hybrid compressed bitmap (ROADMAP item 3). The bit space is
+// Roaring-style hybrid compressed bitmap (ROADMAP item 6). The bit space is
 // split into 2^16-bit chunks and each non-empty chunk stores whichever of
 // three containers is smallest for its contents:
 //

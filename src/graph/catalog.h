@@ -5,13 +5,24 @@
 #pragma once
 
 #include <optional>
-#include <unordered_map>
 #include <vector>
 
 #include "graph/graph.h"
 #include "util/status.h"
 
 namespace colgraph {
+
+/// \brief A query graph's structural elements as edge-column ids, sorted
+/// and unique.
+///
+/// A structural *edge* absent from the catalog makes the query
+/// unsatisfiable (no record ever contained it) — flagged via `satisfiable`.
+/// An isolated *node* without a measure column is unconstrained and
+/// skipped (its column was dropped from the schema, Section 4.1).
+struct ResolvedGraph {
+  std::vector<EdgeId> ids;
+  bool satisfiable = true;
+};
 
 /// \brief Bidirectional edge <-> EdgeId mapping.
 ///
@@ -25,20 +36,28 @@ class EdgeCatalog {
   EdgeId GetOrAssign(const Edge& e);
 
   /// Returns the id of `e` or nullopt when the edge is not in the universe.
-  std::optional<EdgeId> Lookup(const Edge& e) const;
+  std::optional<EdgeId> Lookup(const Edge& e) const {
+    const auto id = universe_.IndexOf(e);
+    if (!id.has_value()) return std::nullopt;
+    return static_cast<EdgeId>(*id);
+  }
 
   /// Reverse lookup; id must be < size().
-  const Edge& edge(EdgeId id) const { return edges_[id]; }
+  const Edge& edge(EdgeId id) const { return universe_.edges()[id]; }
 
   /// Number of distinct edges in the universe.
-  size_t size() const { return edges_.size(); }
+  size_t size() const { return universe_.num_edges(); }
 
   /// Maps a set of edges to ids, failing on the first unknown edge.
   StatusOr<std::vector<EdgeId>> LookupAll(const std::vector<Edge>& edges) const;
 
+  /// Resolves a query graph's edges and isolated nodes (see ResolvedGraph).
+  ResolvedGraph Resolve(const DirectedGraph& query) const;
+
  private:
-  std::unordered_map<Edge, EdgeId, EdgeHash> ids_;
-  std::vector<Edge> edges_;
+  // An edge's id is its position in edges(), found through the graph's
+  // flat index.
+  DirectedGraph universe_;
 };
 
 }  // namespace colgraph

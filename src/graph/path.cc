@@ -70,27 +70,28 @@ std::string Path::ToString() const {
 
 namespace {
 
-// DFS path enumeration from each start node to any target node. The path
-// so far is its own on-path mark: query graphs are small, so a scan of
-// `current` is cheaper than a hash set updated at every step.
-Status Dfs(const DirectedGraph& graph, const std::vector<NodeRef>& targets,
+// DFS over node positions: every simple path from `current`'s last node,
+// `here`, on to a node marked in `is_target`. `on_path` marks the nodes
+// of `current`, since a road network may have cycles.
+Status Dfs(const DirectedGraph& graph, size_t here,
+           const std::vector<bool>& is_target, std::vector<bool>* on_path,
            std::vector<NodeRef>* current, std::vector<Path>* out,
            size_t max_paths) {
-  const NodeRef here = current->back();
-  if (std::binary_search(targets.begin(), targets.end(), here)) {
+  if (is_target[here]) {
     if (out->size() >= max_paths) {
       return Status::OutOfRange("path enumeration exceeded max_paths");
     }
     out->emplace_back(*current);
   }
-  for (const NodeRef& next : graph.OutNeighbors(here)) {
-    // Keep paths simple: a road network may have cycles.
-    if (std::find(current->begin(), current->end(), next) != current->end()) {
-      continue;
-    }
-    current->push_back(next);
-    COLGRAPH_RETURN_NOT_OK(Dfs(graph, targets, current, out, max_paths));
+  const DirectedGraph::NeighborRange next = graph.OutNeighborsAt(here);
+  for (auto it = next.begin(); it != next.end(); ++it) {
+    if ((*on_path)[it.index()]) continue;
+    (*on_path)[it.index()] = true;
+    current->push_back(*it);
+    COLGRAPH_RETURN_NOT_OK(
+        Dfs(graph, it.index(), is_target, on_path, current, out, max_paths));
     current->pop_back();
+    (*on_path)[it.index()] = false;
   }
   return Status::OK();
 }
@@ -100,14 +101,22 @@ Status Dfs(const DirectedGraph& graph, const std::vector<NodeRef>& targets,
 StatusOr<std::vector<Path>> EnumerateCompositePath(
     const DirectedGraph& graph, const std::vector<NodeRef>& from,
     const std::vector<NodeRef>& to, size_t max_paths) {
-  std::vector<NodeRef> targets = to;
-  std::sort(targets.begin(), targets.end());
+  std::vector<bool> is_target(graph.num_nodes(), false);
+  for (const NodeRef& n : to) {
+    if (const auto i = graph.IndexOf(n)) is_target[*i] = true;
+  }
+  std::vector<bool> on_path(graph.num_nodes(), false);
   std::vector<Path> result;
   std::vector<NodeRef> current;
+  current.reserve(graph.num_nodes());
   for (const NodeRef& start : from) {
-    if (!graph.HasNode(start)) continue;
+    const auto i = graph.IndexOf(start);
+    if (!i.has_value()) continue;
     current.assign(1, start);
-    COLGRAPH_RETURN_NOT_OK(Dfs(graph, targets, &current, &result, max_paths));
+    on_path[*i] = true;
+    COLGRAPH_RETURN_NOT_OK(
+        Dfs(graph, *i, is_target, &on_path, &current, &result, max_paths));
+    on_path[*i] = false;
   }
   return result;
 }

@@ -15,31 +15,6 @@
 
 namespace colgraph {
 
-QueryEngine::ResolvedQuery QueryEngine::Resolve(const GraphQuery& query) const {
-  ResolvedQuery resolved;
-  const DirectedGraph& g = query.graph();
-  for (const Edge& e : g.edges()) {
-    const auto id = catalog_->Lookup(e);
-    if (!id.has_value()) {
-      if (e.IsNode()) continue;  // node without a measure column: unconstrained
-      resolved.satisfiable = false;  // edge never seen: no record matches
-      continue;
-    }
-    resolved.ids.push_back(*id);
-  }
-  // Isolated nodes constrain the result when they carry a measure column.
-  for (const NodeRef& n : g.nodes()) {
-    if (g.OutDegree(n) == 0 && g.InDegree(n) == 0) {
-      const auto id = catalog_->Lookup(Edge{n, n});
-      if (id.has_value()) resolved.ids.push_back(*id);
-    }
-  }
-  std::sort(resolved.ids.begin(), resolved.ids.end());
-  resolved.ids.erase(std::unique(resolved.ids.begin(), resolved.ids.end()),
-                     resolved.ids.end());
-  return resolved;
-}
-
 namespace {
 
 // The bitmap column a plan source reads in `segment`: an edge's presence
@@ -164,7 +139,9 @@ Bitmap QueryEngine::MatchIds(const std::vector<EdgeId>& ids,
     all.Fill();
     return all;
   }
-  MatchPlan plan;
+  // The plan is built where the caller wants it, so it is never copied.
+  MatchPlan local_plan;
+  MatchPlan& plan = plan_out != nullptr ? *plan_out : local_plan;
   {
     const obs::Span span(obs::QueryPhase::kRewrite, options.trace);
     // One plan for every segment: it depends only on the catalog.
@@ -176,15 +153,16 @@ Bitmap QueryEngine::MatchIds(const std::vector<EdgeId>& ids,
       // come from the sealed columns' rank directories — free statistics,
       // summed over the segments once per source.
       std::vector<std::pair<size_t, BitmapSource>> keyed;
+      keyed.reserve(plan.sources.size());
       for (const BitmapSource& s : plan.sources) {
         keyed.emplace_back(SourceCardinality(s), s);
       }
       std::sort(keyed.begin(), keyed.end(),
                 [](const auto& a, const auto& b) { return a.first < b.first; });
-      plan.sources.clear();
-      for (const auto& entry : keyed) plan.sources.push_back(entry.second);
+      for (size_t i = 0; i < keyed.size(); ++i) {
+        plan.sources[i] = keyed[i].second;
+      }
     }
-    if (plan_out != nullptr) *plan_out = plan;
   }
   const obs::Span span(obs::QueryPhase::kBitmapAnd, options.trace);
   if (step_counts != nullptr) step_counts->assign(plan.sources.size(), 0);
@@ -335,13 +313,8 @@ void QueryEngine::AppendLogRecord(bool is_path_agg, AggFn fn,
       is_path_agg ? obs::QueryLogKind::kPathAgg : obs::QueryLogKind::kMatch;
   rec.fn = is_path_agg ? fn : AggFn::kSum;
 
-  const DirectedGraph& g = query.graph();
-  rec.edges = g.edges();
-  for (const NodeRef& n : g.nodes()) {
-    if (g.OutDegree(n) == 0 && g.InDegree(n) == 0) {
-      rec.isolated_nodes.push_back(n);
-    }
-  }
+  rec.edges = query.graph().edges();
+  rec.isolated_nodes = query.graph().IsolatedNodes();
 
   for (const BitmapSource& s : plan.sources) {
     if (s.kind == BitmapSource::Kind::kGraphView) {

@@ -107,17 +107,12 @@ class QueryEngine {
         log_(query_log),
         tails_(tails) {}
 
-  /// Resolves the query's structural elements to edge-column ids.
-  ///
-  /// A structural *edge* absent from the catalog makes the query
-  /// unsatisfiable (no record ever contained it) — flagged via `satisfiable`.
-  /// An isolated *node* without a measure column is unconstrained and
-  /// skipped (its column was dropped from the schema, Section 4.1).
-  struct ResolvedQuery {
-    std::vector<EdgeId> ids;
-    bool satisfiable = true;
-  };
-  ResolvedQuery Resolve(const GraphQuery& query) const;
+  /// Resolves the query's structural elements to edge-column ids
+  /// (EdgeCatalog::Resolve).
+  using ResolvedQuery = ResolvedGraph;
+  ResolvedQuery Resolve(const GraphQuery& query) const {
+    return catalog_->Resolve(query.graph());
+  }
 
   /// Records containing the query subgraph (bitmap over record ids).
   Bitmap Match(const GraphQuery& query, const QueryOptions& options = {}) const;

@@ -47,6 +47,9 @@ class QueryExpr {
 
   Op op() const { return op_; }
   const GraphQuery& query() const { return query_; }
+  /// Operands of an inner node (null for a leaf).
+  const QueryExpr* lhs() const { return lhs_.get(); }
+  const QueryExpr* rhs() const { return rhs_.get(); }
 
   /// Evaluates the expression to the bitmap of matching record ids.
   /// Leaf matches go through the engine (and thus use materialized views).

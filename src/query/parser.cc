@@ -1,8 +1,12 @@
 #include "query/parser.h"
 
+#include <algorithm>
 #include <cctype>
+#include <charconv>
 #include <limits>
-#include <vector>
+#include <optional>
+#include <string_view>
+#include <utility>
 
 namespace colgraph {
 
@@ -25,16 +29,22 @@ constexpr size_t kMaxParenDepth = 64;
 // recurses once per node; a cap keeps that bounded for adversarial input.
 constexpr size_t kMaxOperators = 4096;
 
+// ParseQuery reserves a graph for at most this many nodes and edges.
+constexpr size_t kMaxReserved = 4096;
+
+// The single-character tokens, in the order of their Token kinds.
+constexpr std::string_view kPunctuation = "[](),+";
+
 struct Token {
   enum class Kind : uint8_t {
-    kNumber,   // integer, value in `number`, primes in `primes`
-    kKeyword,  // AND OR NOT SUM MIN MAX AVG COUNT
     kLBracket,
     kRBracket,
     kLParen,
     kRParen,
     kComma,
     kPlus,
+    kNumber,   // integer, value in `number`, primes in `primes`
+    kKeyword,  // AND OR NOT SUM MIN MAX AVG COUNT, upper-cased
     kEnd,
   };
   Kind kind = Kind::kEnd;
@@ -44,76 +54,73 @@ struct Token {
   size_t position = 0;
 };
 
-class Lexer {
+// The aggregate function a keyword names, if any.
+std::optional<AggFn> AggFnNamed(const std::string& keyword) {
+  for (uint8_t f = 0; f <= static_cast<uint8_t>(AggFn::kAvg); ++f) {
+    if (keyword == AggFnName(static_cast<AggFn>(f))) {
+      return static_cast<AggFn>(f);
+    }
+  }
+  return std::nullopt;
+}
+
+// Recursive descent over a one-token lookahead. A token that fails to lex
+// fails the parse when it is reached, at its own position.
+class Parser {
  public:
-  // Lexing the first token can itself fail; the constructor records that
-  // status and Parse() surfaces it before consuming any tokens.
-  explicit Lexer(const std::string& text)
-      : text_(text), init_status_(Advance()) {}
+  explicit Parser(const std::string& text) : text_(text) {}
 
-  const Status& init_status() const { return init_status_; }
+  StatusOr<ParsedQuery> Parse() {
+    COLGRAPH_RETURN_NOT_OK(Advance());
+    ParsedQuery result;
+    if (token_.kind == Token::Kind::kKeyword) {
+      const std::optional<AggFn> fn = AggFnNamed(token_.keyword);
+      if (!fn.has_value()) {
+        return Error("unknown keyword '" + token_.keyword + "'");
+      }
+      COLGRAPH_RETURN_NOT_OK(Advance());
+      COLGRAPH_ASSIGN_OR_RETURN(result.query, ParseGraph());
+      COLGRAPH_RETURN_NOT_OK(ExpectEnd());
+      result.kind = ParsedQuery::Kind::kAggregate;
+      result.fn = *fn;
+      return result;
+    }
+    COLGRAPH_ASSIGN_OR_RETURN(result.expr, ParseExpr());
+    COLGRAPH_RETURN_NOT_OK(ExpectEnd());
+    result.kind = ParsedQuery::Kind::kMatch;
+    return result;
+  }
 
-  const Token& current() const { return current_; }
-
+ private:
   Status Advance() {
     while (pos_ < text_.size() && IsSpace(text_[pos_])) ++pos_;
-    current_ = Token{};
-    current_.position = pos_;
-    if (pos_ >= text_.size()) {
-      current_.kind = Token::Kind::kEnd;
+    token_ = Token{};
+    token_.position = pos_;
+    if (pos_ >= text_.size()) return Status::OK();
+    const char c = text_[pos_];
+    if (const size_t punct = kPunctuation.find(c);
+        punct != std::string_view::npos) {
+      token_.kind = static_cast<Token::Kind>(punct);
+      ++pos_;
       return Status::OK();
     }
-    const char c = text_[pos_];
-    switch (c) {
-      case '[':
-        current_.kind = Token::Kind::kLBracket;
-        ++pos_;
-        return Status::OK();
-      case ']':
-        current_.kind = Token::Kind::kRBracket;
-        ++pos_;
-        return Status::OK();
-      case '(':
-        current_.kind = Token::Kind::kLParen;
-        ++pos_;
-        return Status::OK();
-      case ')':
-        current_.kind = Token::Kind::kRParen;
-        ++pos_;
-        return Status::OK();
-      case ',':
-        current_.kind = Token::Kind::kComma;
-        ++pos_;
-        return Status::OK();
-      case '+':
-        current_.kind = Token::Kind::kPlus;
-        ++pos_;
-        return Status::OK();
-      default:
-        break;
-    }
     if (IsDigit(c)) {
-      current_.kind = Token::Kind::kNumber;
-      uint64_t value = 0;
-      while (pos_ < text_.size() && IsDigit(text_[pos_])) {
-        const uint64_t digit = static_cast<uint64_t>(text_[pos_] - '0');
-        if (value > (std::numeric_limits<uint64_t>::max() - digit) / 10) {
-          return Error("number too large");
-        }
-        value = value * 10 + digit;
-        ++pos_;
-      }
-      current_.number = value;
+      token_.kind = Token::Kind::kNumber;
+      const char* digits = text_.data() + pos_;
+      const std::from_chars_result scanned = std::from_chars(
+          digits, text_.data() + text_.size(), token_.number);
+      if (scanned.ec != std::errc{}) return Error("number too large");
+      pos_ += static_cast<size_t>(scanned.ptr - digits);
       while (pos_ < text_.size() && text_[pos_] == '\'') {
-        ++current_.primes;
+        ++token_.primes;
         ++pos_;
       }
       return Status::OK();
     }
     if (IsAlpha(c)) {
-      current_.kind = Token::Kind::kKeyword;
+      token_.kind = Token::Kind::kKeyword;
       while (pos_ < text_.size() && IsAlpha(text_[pos_])) {
-        current_.keyword += ToUpper(text_[pos_]);
+        token_.keyword += ToUpper(text_[pos_]);
         ++pos_;
       }
       return Status::OK();
@@ -123,79 +130,30 @@ class Lexer {
 
   Status Error(const std::string& message) const {
     return Status::InvalidArgument(message + " at position " +
-                                   std::to_string(current_.position));
+                                   std::to_string(token_.position));
   }
 
- private:
-  const std::string& text_;
-  size_t pos_ = 0;
-  Token current_;
-  Status init_status_;  // Must be declared after the fields Advance() uses.
-};
-
-class Parser {
- public:
-  explicit Parser(const std::string& text) : lexer_(text) {}
-
-  StatusOr<ParsedQuery> Parse() {
-    COLGRAPH_RETURN_NOT_OK(lexer_.init_status());
-    ParsedQuery result;
-    const Token& t = lexer_.current();
-    if (t.kind == Token::Kind::kKeyword) {
-      AggFn fn;
-      if (t.keyword == "SUM") {
-        fn = AggFn::kSum;
-      } else if (t.keyword == "MIN") {
-        fn = AggFn::kMin;
-      } else if (t.keyword == "MAX") {
-        fn = AggFn::kMax;
-      } else if (t.keyword == "AVG") {
-        fn = AggFn::kAvg;
-      } else if (t.keyword == "COUNT") {
-        fn = AggFn::kCount;
-      } else {
-        return lexer_.Error("unknown keyword '" + t.keyword + "'");
-      }
-      COLGRAPH_RETURN_NOT_OK(lexer_.Advance());
-      COLGRAPH_ASSIGN_OR_RETURN(GraphQuery graph, ParseGraph());
-      COLGRAPH_RETURN_NOT_OK(ExpectEnd());
-      result.kind = ParsedQuery::Kind::kAggregate;
-      result.query = std::move(graph);
-      result.fn = fn;
-      return result;
-    }
-    COLGRAPH_ASSIGN_OR_RETURN(std::shared_ptr<QueryExpr> expr, ParseExpr());
-    COLGRAPH_RETURN_NOT_OK(ExpectEnd());
-    result.kind = ParsedQuery::Kind::kMatch;
-    result.expr = std::move(expr);
-    return result;
-  }
-
- private:
-  Status ExpectEnd() {
-    if (lexer_.current().kind != Token::Kind::kEnd) {
-      return lexer_.Error("trailing input after query");
+  Status ExpectEnd() const {
+    if (token_.kind != Token::Kind::kEnd) {
+      return Error("trailing input after query");
     }
     return Status::OK();
   }
 
   StatusOr<std::shared_ptr<QueryExpr>> ParseExpr() {
     COLGRAPH_ASSIGN_OR_RETURN(std::shared_ptr<QueryExpr> lhs, ParseTerm());
-    while (lexer_.current().kind == Token::Kind::kKeyword) {
-      const std::string op = lexer_.current().keyword;
-      if (op != "AND" && op != "OR") break;
+    while (token_.kind == Token::Kind::kKeyword) {
+      const bool is_or = token_.keyword == "OR";
+      if (!is_or && token_.keyword != "AND") break;
       if (++num_operators_ > kMaxOperators) {
-        return lexer_.Error("query too complex (operator limit)");
+        return Error("query too complex (operator limit)");
       }
-      COLGRAPH_RETURN_NOT_OK(lexer_.Advance());
-      bool negate = false;
-      if (op == "AND" && lexer_.current().kind == Token::Kind::kKeyword &&
-          lexer_.current().keyword == "NOT") {
-        negate = true;
-        COLGRAPH_RETURN_NOT_OK(lexer_.Advance());
-      }
+      COLGRAPH_RETURN_NOT_OK(Advance());
+      const bool negate = !is_or && token_.kind == Token::Kind::kKeyword &&
+                          token_.keyword == "NOT";
+      if (negate) COLGRAPH_RETURN_NOT_OK(Advance());
       COLGRAPH_ASSIGN_OR_RETURN(std::shared_ptr<QueryExpr> rhs, ParseTerm());
-      if (op == "OR") {
+      if (is_or) {
         lhs = QueryExpr::Or(std::move(lhs), std::move(rhs));
       } else if (negate) {
         lhs = QueryExpr::AndNot(std::move(lhs), std::move(rhs));
@@ -207,70 +165,87 @@ class Parser {
   }
 
   StatusOr<std::shared_ptr<QueryExpr>> ParseTerm() {
-    if (lexer_.current().kind == Token::Kind::kLParen) {
-      if (paren_depth_ >= kMaxParenDepth) {
-        return lexer_.Error("query nesting too deep");
-      }
-      ++paren_depth_;
-      COLGRAPH_RETURN_NOT_OK(lexer_.Advance());
-      COLGRAPH_ASSIGN_OR_RETURN(std::shared_ptr<QueryExpr> inner, ParseExpr());
-      --paren_depth_;
-      if (lexer_.current().kind != Token::Kind::kRParen) {
-        return lexer_.Error("expected ')'");
-      }
-      COLGRAPH_RETURN_NOT_OK(lexer_.Advance());
-      return inner;
+    if (token_.kind != Token::Kind::kLParen) {
+      COLGRAPH_ASSIGN_OR_RETURN(GraphQuery graph, ParseGraph());
+      return QueryExpr::Leaf(std::move(graph));
     }
-    COLGRAPH_ASSIGN_OR_RETURN(GraphQuery graph, ParseGraph());
-    return QueryExpr::Leaf(std::move(graph));
+    if (paren_depth_ >= kMaxParenDepth) return Error("query nesting too deep");
+    ++paren_depth_;
+    COLGRAPH_RETURN_NOT_OK(Advance());
+    COLGRAPH_ASSIGN_OR_RETURN(std::shared_ptr<QueryExpr> inner, ParseExpr());
+    --paren_depth_;
+    if (token_.kind != Token::Kind::kRParen) return Error("expected ')'");
+    COLGRAPH_RETURN_NOT_OK(Advance());
+    return inner;
   }
 
+  // One graph, sized once from the text; each edge is added as its second
+  // node is scanned, and a one-node path adds its node.
   StatusOr<GraphQuery> ParseGraph() {
     DirectedGraph g;
+    const auto [max_nodes, max_edges] = GraphBounds();
+    g.Reserve(max_nodes, max_edges);
     while (true) {
-      COLGRAPH_ASSIGN_OR_RETURN(std::vector<NodeRef> nodes, ParsePath());
-      if (nodes.size() == 1) g.AddNode(nodes[0]);
-      for (size_t i = 0; i + 1 < nodes.size(); ++i) {
-        g.AddEdge(nodes[i], nodes[i + 1]);
+      if (token_.kind != Token::Kind::kLBracket) {
+        return Error("expected '[' to start a path");
       }
-      if (lexer_.current().kind != Token::Kind::kPlus) break;
-      COLGRAPH_RETURN_NOT_OK(lexer_.Advance());
+      NodeRef previous;
+      for (bool first = true;; first = false) {
+        COLGRAPH_RETURN_NOT_OK(Advance());
+        if (token_.kind != Token::Kind::kNumber) {
+          return Error("expected a node id");
+        }
+        if (token_.number > std::numeric_limits<NodeId>::max()) {
+          return Error("node id out of range");
+        }
+        const NodeRef node{static_cast<NodeId>(token_.number), token_.primes};
+        // AddEdge inserts its tail first, so the first node's own AddNode
+        // leaves the node order as the edges alone would.
+        if (first) {
+          g.AddNode(node);
+        } else {
+          g.AddEdge(previous, node);
+        }
+        previous = node;
+        COLGRAPH_RETURN_NOT_OK(Advance());
+        if (token_.kind != Token::Kind::kComma) break;
+      }
+      if (token_.kind != Token::Kind::kRBracket) {
+        return Error("expected ']' to close the path");
+      }
+      COLGRAPH_RETURN_NOT_OK(Advance());
+      if (token_.kind != Token::Kind::kPlus) break;
+      COLGRAPH_RETURN_NOT_OK(Advance());
     }
     return GraphQuery(std::move(g));
   }
 
-  StatusOr<std::vector<NodeRef>> ParsePath() {
-    if (lexer_.current().kind != Token::Kind::kLBracket) {
-      return lexer_.Error("expected '[' to start a path");
-    }
-    COLGRAPH_RETURN_NOT_OK(lexer_.Advance());
-    std::vector<NodeRef> nodes;
-    while (true) {
-      if (lexer_.current().kind != Token::Kind::kNumber) {
-        return lexer_.Error("expected a node id");
+  // Upper bounds on the nodes and edges of the graph that starts at the
+  // current token, read from the text up to the first character no graph
+  // holds: a node per number, and an edge per ',' but never more than the
+  // numbers, nor than kMaxReserved. Past that a graph grows by doubling,
+  // so a long text that fails early has reserved little.
+  std::pair<size_t, size_t> GraphBounds() const {
+    size_t numbers = 0;
+    size_t commas = 0;
+    for (size_t i = token_.position; i < text_.size(); ++i) {
+      const char c = text_[i];
+      if (IsDigit(c)) {
+        if (i == token_.position || !IsDigit(text_[i - 1])) ++numbers;
+      } else if (c == ',') {
+        ++commas;
+      } else if (!IsSpace(c) && c != '[' && c != ']' && c != '+' &&
+                 c != '\'') {
+        break;
       }
-      if (lexer_.current().number >
-          std::numeric_limits<NodeId>::max()) {
-        return lexer_.Error("node id out of range");
-      }
-      nodes.push_back(NodeRef{static_cast<NodeId>(lexer_.current().number),
-                              lexer_.current().primes});
-      COLGRAPH_RETURN_NOT_OK(lexer_.Advance());
-      if (lexer_.current().kind == Token::Kind::kComma) {
-        COLGRAPH_RETURN_NOT_OK(lexer_.Advance());
-        continue;
-      }
-      break;
     }
-    if (lexer_.current().kind != Token::Kind::kRBracket) {
-      return lexer_.Error("expected ']' to close the path");
-    }
-    COLGRAPH_RETURN_NOT_OK(lexer_.Advance());
-    if (nodes.empty()) return lexer_.Error("empty path");
-    return nodes;
+    return {std::min(numbers, kMaxReserved),
+            std::min({commas, numbers, kMaxReserved})};
   }
 
-  Lexer lexer_;
+  const std::string& text_;
+  size_t pos_ = 0;
+  Token token_;
   size_t paren_depth_ = 0;
   size_t num_operators_ = 0;
 };
@@ -278,8 +253,7 @@ class Parser {
 }  // namespace
 
 StatusOr<ParsedQuery> ParseQuery(const std::string& text) {
-  Parser parser(text);
-  return parser.Parse();
+  return Parser(text).Parse();
 }
 
 }  // namespace colgraph

@@ -42,6 +42,7 @@ CoverProblem CollectCoverProblem(const std::vector<EdgeId>& query_edge_ids,
   // query's own edges. CoverQueryWithViews drops the ones that reach
   // outside the query.
   std::vector<ViewCatalog::ViewRef> offered;
+  offered.reserve(problem.sorted_edges.size());
   for (const EdgeId e : problem.sorted_edges) {
     const std::vector<ViewCatalog::ViewRef>* starting =
         views->ViewsStartingAt(e);
@@ -82,6 +83,7 @@ MatchPlan PlanMatch(const std::vector<EdgeId>& query_edge_ids,
   }
   const QueryCover cover =
       CoverQueryWithViews(problem.sorted_edges, problem.cover_sets);
+  plan.sources.reserve(cover.view_indexes.size() + cover.residual_edges.size());
   for (size_t v : cover.view_indexes) {
     plan.sources.push_back(problem.cover_sources[v]);
   }

@@ -220,10 +220,20 @@ std::string RenderMatchResult(const Bitmap& matches) {
   out += "match ";
   AppendCount(&out, count);
   out += ':';
+  // Room for every match at its longest, then one cursor writes them all
+  // and the body is cut back to what was written.
+  const size_t start = out.size();
+  out.resize(start + count * per_match);
+  char* cursor = out.data() + start;
+  char* const end = out.data() + out.size();
   matches.ForEachSetBit([&](size_t r) {
-    out += " r";
-    AppendCount(&out, r);
+    *cursor++ = ' ';
+    *cursor++ = 'r';
+    const std::to_chars_result written = std::to_chars(cursor, end, r);
+    COLGRAPH_DCHECK(written.ec == std::errc{});
+    cursor = written.ptr;
   });
+  out.resize(static_cast<size_t>(cursor - out.data()));
   out += '\n';
   return out;
 }

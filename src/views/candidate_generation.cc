@@ -110,29 +110,20 @@ StatusOr<std::vector<GraphViewDef>> GenerateGraphViewCandidates(
 std::vector<NodeRef> InterestingNodes(
     const std::vector<std::vector<Path>>& maximal_paths_per_query) {
   std::set<NodeRef> interesting;
-  // Distinct traversed edges, grouped by start / end node.
-  std::unordered_set<Edge, EdgeHash> traversed;
-  std::map<NodeRef, std::set<NodeRef>> out_targets;
-  std::map<NodeRef, std::set<NodeRef>> in_sources;
-
+  // The distinct traversed edges; their degrees give branch and merge nodes.
+  DirectedGraph traversed;
   for (const auto& paths : maximal_paths_per_query) {
     for (const Path& p : paths) {
       if (p.empty()) continue;
       interesting.insert(p.front());  // origin of a maximal path
       interesting.insert(p.back());   // endpoint of a maximal path
-      for (const Edge& e : p.Edges()) {
-        if (traversed.insert(e).second) {
-          out_targets[e.from].insert(e.to);
-          in_sources[e.to].insert(e.from);
-        }
-      }
+      for (const Edge& e : p.Edges()) traversed.AddEdge(e);
     }
   }
-  for (const auto& [node, targets] : out_targets) {
-    if (targets.size() >= 2) interesting.insert(node);  // branch node
-  }
-  for (const auto& [node, sources] : in_sources) {
-    if (sources.size() >= 2) interesting.insert(node);  // merge node
+  for (size_t i = 0; i < traversed.num_nodes(); ++i) {
+    if (traversed.OutDegreeAt(i) >= 2 || traversed.InDegreeAt(i) >= 2) {
+      interesting.insert(traversed.nodes()[i]);  // branch or merge node
+    }
   }
   return std::vector<NodeRef>(interesting.begin(), interesting.end());
 }

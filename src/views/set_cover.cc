@@ -117,7 +117,11 @@ QueryCover CoverQueryWithViews(const std::vector<EdgeId>& query_edges,
   // accept when the refreshed gain still tops the heap. This touches a
   // handful of views per round instead of rescanning all of them, which
   // matters when many views are materialized and queries are cheap.
-  std::priority_queue<std::pair<size_t, size_t>> heap;  // (gain, view)
+  // (gain, view); a view is reinserted only after it is popped, so the
+  // heap never holds more than one entry per view.
+  std::vector<std::pair<size_t, size_t>> entries;
+  entries.reserve(views.size());
+  std::priority_queue<std::pair<size_t, size_t>> heap({}, std::move(entries));
   for (size_t v = 0; v < views.size(); ++v) {
     if (!MaskInQuery(query_edges, views[v]->edges, &masks[v * words])) {
       continue;
@@ -127,6 +131,8 @@ QueryCover CoverQueryWithViews(const std::vector<EdgeId>& query_edges,
   }
 
   QueryCover cover;
+  cover.view_indexes.reserve(heap.size());
+  cover.residual_edges.reserve(query_edges.size());
   while (!heap.empty()) {
     const auto [stale_gain, v] = heap.top();
     heap.pop();

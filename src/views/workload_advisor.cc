@@ -1,49 +1,10 @@
 #include "views/workload_advisor.h"
 
-#include <algorithm>
 #include <unordered_set>
 
 #include "views/set_cover.h"
 
 namespace colgraph {
-
-namespace {
-
-// Mirrors QueryEngine::Resolve (query/engine.cc) without needing a
-// relation: structural edges the catalog never saw make the query
-// unsatisfiable; unknown node measures are unconstrained; isolated nodes
-// resolve through their Edge{n,n} measure column.
-struct ResolvedUniverse {
-  std::vector<EdgeId> ids;
-  bool satisfiable = true;
-};
-
-ResolvedUniverse ResolveAgainstCatalog(const GraphQuery& query,
-                                       const EdgeCatalog& catalog) {
-  ResolvedUniverse resolved;
-  const DirectedGraph& g = query.graph();
-  for (const Edge& e : g.edges()) {
-    const auto id = catalog.Lookup(e);
-    if (!id.has_value()) {
-      if (e.IsNode()) continue;
-      resolved.satisfiable = false;
-      continue;
-    }
-    resolved.ids.push_back(*id);
-  }
-  for (const NodeRef& n : g.nodes()) {
-    if (g.OutDegree(n) == 0 && g.InDegree(n) == 0) {
-      const auto id = catalog.Lookup(Edge{n, n});
-      if (id.has_value()) resolved.ids.push_back(*id);
-    }
-  }
-  std::sort(resolved.ids.begin(), resolved.ids.end());
-  resolved.ids.erase(std::unique(resolved.ids.begin(), resolved.ids.end()),
-                     resolved.ids.end());
-  return resolved;
-}
-
-}  // namespace
 
 std::vector<GraphQuery> WorkloadFromQueryLog(
     const std::vector<obs::QueryLogRecord>& records) {
@@ -65,7 +26,7 @@ StatusOr<WorkloadAdvice> AdviseGraphViews(
   std::vector<std::vector<EdgeId>> universes;
   universes.reserve(workload.size());
   for (const GraphQuery& q : workload) {
-    const ResolvedUniverse resolved = ResolveAgainstCatalog(q, catalog);
+    const ResolvedGraph resolved = catalog.Resolve(q.graph());
     if (!resolved.satisfiable || resolved.ids.empty()) continue;
     advice.total_elements += resolved.ids.size();
     universes.push_back(resolved.ids);

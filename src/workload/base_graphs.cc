@@ -100,7 +100,8 @@ StatusOr<DirectedGraph> SelectEdgeUniverse(const DirectedGraph& base,
     }
     const NodeRef here = frontier.back();
     frontier.pop_back();
-    std::vector<NodeRef> neighbors = base.OutNeighbors(here);
+    const auto out = base.OutNeighbors(here);
+    std::vector<NodeRef> neighbors(out.begin(), out.end());
     rng.Shuffle(&neighbors);
     for (const NodeRef& next : neighbors) {
       if (universe.num_edges() >= num_edges) break;

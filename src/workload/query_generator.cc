@@ -1,7 +1,6 @@
 #include "workload/query_generator.h"
 
 #include <algorithm>
-#include <unordered_set>
 
 namespace colgraph {
 
@@ -53,29 +52,26 @@ GraphQuery QueryGenerator::StructuralQuery(size_t num_edges) {
   for (const NodeRef& n : universe_->nodes()) {
     if (universe_->OutDegree(n) > 0) nodes.push_back(n);
   }
-  DirectedGraph g;
-  std::unordered_set<NodeRef, NodeRefHash> visited;
-  std::vector<NodeRef> visited_order;
-  auto visit = [&](NodeRef n) {
-    if (visited.insert(n).second) visited_order.push_back(n);
-  };
   NodeRef here = nodes[rng_.Uniform(0, nodes.size() - 1)];
-  visit(here);
+  if (num_edges == 0) return GraphQuery();
+  // The walk's own graph is its visited set, in visiting order.
+  DirectedGraph g;
+  g.AddNode(here);
   while (g.num_edges() < num_edges) {
     std::vector<NodeRef> candidates;
     for (const NodeRef& n : universe_->OutNeighbors(here)) {
-      if (!visited.count(n)) candidates.push_back(n);
+      if (!g.HasNode(n)) candidates.push_back(n);
     }
     if (candidates.empty()) {
       NodeRef branch{};
       bool found = false;
-      std::vector<size_t> order(visited_order.size());
+      std::vector<size_t> order(g.num_nodes());
       for (size_t i = 0; i < order.size(); ++i) order[i] = i;
       rng_.Shuffle(&order);
       for (size_t idx : order) {
-        for (const NodeRef& n : universe_->OutNeighbors(visited_order[idx])) {
-          if (!visited.count(n)) {
-            branch = visited_order[idx];
+        for (const NodeRef& n : universe_->OutNeighbors(g.nodes()[idx])) {
+          if (!g.HasNode(n)) {
+            branch = g.nodes()[idx];
             found = true;
             break;
           }
@@ -88,7 +84,6 @@ GraphQuery QueryGenerator::StructuralQuery(size_t num_edges) {
     }
     const NodeRef next = candidates[rng_.Uniform(0, candidates.size() - 1)];
     g.AddEdge(here, next);
-    visit(next);
     here = next;
   }
   return GraphQuery(std::move(g));
