@@ -14,20 +14,10 @@ namespace colgraph {
 namespace {
 
 // Storage telemetry (DESIGN.md §15): seal and compaction are the two
-// durable state transitions the store performs; each gets a latency
-// histogram, and counters track throughput (datasets sealed, compactions
-// run, bytes merged, inputs retired). The published-dataset gauge tracks
-// how wide a LoadAll fan-out currently is.
-obs::LatencyHistogram& SealHistogram() {
-  static obs::LatencyHistogram& h =
-      obs::MetricsRegistry::Global().GetHistogram("store.seal_us");
-  return h;
-}
-obs::LatencyHistogram& CompactionHistogram() {
-  static obs::LatencyHistogram& h =
-      obs::MetricsRegistry::Global().GetHistogram("store.compaction_us");
-  return h;
-}
+// durable state transitions the store performs; each is a phase (its
+// latency histogram), and counters track throughput (datasets sealed,
+// compactions run, bytes merged, inputs retired). The published-dataset
+// gauge tracks how wide a LoadAll fan-out currently is.
 obs::Counter& SealedCounter() {
   static obs::Counter& c =
       obs::MetricsRegistry::Global().GetCounter("store.datasets_sealed");
@@ -188,7 +178,7 @@ StatusOr<std::string> DatasetStore::Seal(const MasterRelation& relation) {
   if (!relation.sealed()) {
     return Status::InvalidArgument("can only seal a sealed relation");
   }
-  const obs::Span span(&SealHistogram(), nullptr, "store_seal");
+  const obs::Span span(obs::Phase::kStoreSeal, nullptr);
   COLGRAPH_RETURN_NOT_OK(PublishInPlaceOf(names_.size(), relation).status());
   SealedCounter().Increment();
   return names_.back();
@@ -218,7 +208,7 @@ Status DatasetStore::ReplaceNewest(size_t k, const MasterRelation& merged) {
   (void)lock;  // held for scope; released (unlinked) on every exit path
   // Times failed attempts too: an aborted write still occupied the store's
   // single compaction slot for the duration.
-  const obs::Span span(&CompactionHistogram(), nullptr, "store_compaction");
+  const obs::Span span(obs::Phase::kStoreCompaction, nullptr);
   // Simulated crash before the write: published datasets and the manifest
   // are untouched; the next Open() sweeps the lock (and any stray file).
   COLGRAPH_FAILPOINT("compact:crash");

@@ -242,9 +242,7 @@ StatusOr<Reader> Reader::OpenMapped(const std::string& path, uint32_t magic,
     // The whole-file CRC pass doubles as the page prefault (header
     // comment): it is the open-time cost that makes mapped reads safe, so
     // its latency is a first-class storage metric (DESIGN.md §15).
-    static obs::LatencyHistogram& prefault_us =
-        obs::MetricsRegistry::Global().GetHistogram("io.crc_prefault_us");
-    const obs::Span span(&prefault_us, nullptr, "crc_prefault");
+    const obs::Span span(obs::Phase::kCrcPrefault, nullptr);
     COLGRAPH_RETURN_NOT_OK(r.Validate(magic, version));
   }
   return r;

@@ -1,7 +1,6 @@
 #include "columnstore/master_relation.h"
 
 #include <algorithm>
-#include <unordered_set>
 
 #include "util/check.h"
 
@@ -48,20 +47,6 @@ void MasterRelation::EnsureColumns(size_t n) {
   if (columns_.size() < n) columns_.resize(n);
 }
 
-const Bitmap& MasterRelation::FetchEdgeBitmap(EdgeId id) const {
-  COLGRAPH_CHECK(sealed_);
-  COLGRAPH_CHECK_LT(id, columns_.size());
-  ++stats_.bitmap_columns_fetched;
-  return columns_[id].presence().bits();
-}
-
-const MeasureColumn& MasterRelation::FetchMeasureColumn(EdgeId id) const {
-  COLGRAPH_CHECK(sealed_);
-  COLGRAPH_CHECK_LT(id, columns_.size());
-  ++stats_.measure_columns_fetched;
-  return columns_[id];
-}
-
 const MeasureColumn& MasterRelation::PeekMeasureColumn(EdgeId id) const {
   COLGRAPH_CHECK(sealed_);
   COLGRAPH_CHECK_LT(id, columns_.size());
@@ -96,12 +81,6 @@ size_t MasterRelation::AddGraphView(Bitmap bits) {
   return graph_views_.size() - 1;
 }
 
-const Bitmap& MasterRelation::FetchGraphView(size_t view_index) const {
-  COLGRAPH_CHECK_LT(view_index, graph_views_.size());
-  ++stats_.bitmap_columns_fetched;
-  return graph_views_[view_index].bits();
-}
-
 size_t MasterRelation::AddAggregateView(MeasureColumn column) {
   COLGRAPH_CHECK(sealed_);
   COLGRAPH_CHECK(column.sealed());
@@ -115,13 +94,6 @@ const MeasureColumn& MasterRelation::FetchAggregateView(
   COLGRAPH_CHECK_LT(view_index, agg_views_.size());
   ++stats_.measure_columns_fetched;
   return agg_views_[view_index];
-}
-
-const Bitmap& MasterRelation::FetchAggregateViewBitmap(
-    size_t view_index) const {
-  COLGRAPH_CHECK_LT(view_index, agg_views_.size());
-  ++stats_.bitmap_columns_fetched;
-  return agg_views_[view_index].presence().bits();
 }
 
 StatusOr<MasterRelation> MergeRelations(
@@ -182,12 +154,6 @@ StatusOr<MasterRelation> MergeRelations(
     merged.AddAggregateView(std::move(column));
   }
   return merged;
-}
-
-size_t MasterRelation::CountPartitions(const std::vector<EdgeId>& ids) const {
-  std::unordered_set<size_t> partitions;
-  for (EdgeId id : ids) partitions.insert(PartitionOf(id));
-  return partitions.size();
 }
 
 size_t MasterRelation::MemoryBytes() const {

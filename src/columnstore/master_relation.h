@@ -82,14 +82,13 @@ class MasterRelation {
   /// catalog avoids growth during ingest).
   void EnsureColumns(size_t n);
 
-  // --- Reads (sealed relation only). Accessors count fetches. ---
+  // --- Reads (sealed relation only). ---
+  //
+  // Only FetchAggregateView counts a fetch; the query engine counts every
+  // other bitmap and column where it reads one (FetchStats, stats()).
 
-  /// The bitmap column b_i of an edge.
-  const Bitmap& FetchEdgeBitmap(EdgeId id) const;
-  /// The measure column m_i of an edge.
-  const MeasureColumn& FetchMeasureColumn(EdgeId id) const;
-  /// Structure-only access that bypasses fetch accounting (used by
-  /// materialization, which the paper performs offline "in a single pass").
+  /// The measure column m_i of an edge (its presence bits are the bitmap
+  /// column b_i).
   const MeasureColumn& PeekMeasureColumn(EdgeId id) const;
   /// The column of an edge (m_i, whose presence bits are b_i), or nullptr
   /// when this relation never grew it: an empty column, which no record
@@ -102,7 +101,6 @@ class MasterRelation {
 
   /// Adds a graph-view bitmap column bv; returns its view index.
   size_t AddGraphView(Bitmap bits);
-  const Bitmap& FetchGraphView(size_t view_index) const;
   size_t num_graph_views() const { return graph_views_.size(); }
 
   /// Reconstructs a sealed relation from stored or merged columns (the
@@ -114,10 +112,8 @@ class MasterRelation {
 
   /// Adds an aggregate graph view (mp, bp); returns its view index.
   size_t AddAggregateView(MeasureColumn column);
+  /// The aggregate view's column, counted as a measure-column fetch.
   const MeasureColumn& FetchAggregateView(size_t view_index) const;
-  /// The bitmap half bp of an aggregate view, fetched alone (counted as a
-  /// bitmap-column fetch; mp and bp are physically separate columns).
-  const Bitmap& FetchAggregateViewBitmap(size_t view_index) const;
   size_t num_aggregate_views() const { return agg_views_.size(); }
 
   /// Accounting-free view access (persistence / maintenance paths).
@@ -135,10 +131,8 @@ class MasterRelation {
 
   // --- Hybrid encodings (seal-time per-column choice). ---
   //
-  // Nullptr when the column is plain-encoded. These do not count as
-  // fetches: the engine fetches a source once through the Fetch* accessors
-  // above and then peeks the hybrid sidecar of the same column, so fetch
-  // accounting is identical whichever encoding the AND loop consumes.
+  // Nullptr when the column is plain-encoded. The engine counts a source
+  // once, whichever encoding the AND loop consumes.
   const HybridBitmap* PeekEdgeBitmapHybrid(EdgeId id) const {
     return columns_[id].presence().hybrid();
   }
@@ -173,8 +167,6 @@ class MasterRelation {
                : (columns_.size() + options_.partition_width - 1) /
                      options_.partition_width;
   }
-  /// Distinct partitions spanned by a set of measure columns.
-  size_t CountPartitions(const std::vector<EdgeId>& ids) const;
 
   // --- Accounting & footprint. ---
 

@@ -101,23 +101,7 @@ MetricsRegistry& MetricsRegistry::Global() {
   return *registry;
 }
 
-namespace {
-
-// Shared no-op sinks handed out while metrics are disabled: a lookup must
-// not allocate or register anything (a disabled process would otherwise
-// still grow the registry map on every first-touch). Leaked intentionally,
-// like Global() — references escape to function-local statics at call
-// sites and must stay valid through shutdown.
-template <typename T>
-T& DisabledSink() {
-  static T* sink = new T();
-  return *sink;
-}
-
-}  // namespace
-
 Counter& MetricsRegistry::GetCounter(const std::string& name) {
-  if (!MetricsEnabled()) return DisabledSink<Counter>();
   const MutexLock lock(mu_);
   auto& slot = counters_[name];
   if (slot == nullptr) slot = std::make_unique<Counter>();
@@ -125,7 +109,6 @@ Counter& MetricsRegistry::GetCounter(const std::string& name) {
 }
 
 Gauge& MetricsRegistry::GetGauge(const std::string& name) {
-  if (!MetricsEnabled()) return DisabledSink<Gauge>();
   const MutexLock lock(mu_);
   auto& slot = gauges_[name];
   if (slot == nullptr) slot = std::make_unique<Gauge>();
@@ -133,26 +116,10 @@ Gauge& MetricsRegistry::GetGauge(const std::string& name) {
 }
 
 LatencyHistogram& MetricsRegistry::GetHistogram(const std::string& name) {
-  if (!MetricsEnabled()) return DisabledSink<LatencyHistogram>();
   const MutexLock lock(mu_);
   auto& slot = histograms_[name];
   if (slot == nullptr) slot = std::make_unique<LatencyHistogram>();
   return *slot;
-}
-
-size_t MetricsRegistry::num_counters() const {
-  const MutexLock lock(mu_);
-  return counters_.size();
-}
-
-size_t MetricsRegistry::num_gauges() const {
-  const MutexLock lock(mu_);
-  return gauges_.size();
-}
-
-size_t MetricsRegistry::num_histograms() const {
-  const MutexLock lock(mu_);
-  return histograms_.size();
 }
 
 std::string MetricsRegistry::ToJson() const {

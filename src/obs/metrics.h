@@ -27,21 +27,6 @@
 
 namespace colgraph::obs {
 
-namespace internal {
-// Global kill switch, checked by Span before any clock read. Relaxed: the
-// flag gates statistics, not correctness.
-inline std::atomic<bool> g_metrics_enabled{true};
-}  // namespace internal
-
-/// True when metric recording is on (the default). Span and the engine's
-/// instrumentation points skip all clock reads and stores when off.
-inline bool MetricsEnabled() {
-  return internal::g_metrics_enabled.load(std::memory_order_relaxed);
-}
-inline void SetMetricsEnabled(bool on) {
-  internal::g_metrics_enabled.store(on, std::memory_order_relaxed);
-}
-
 /// Whole seconds since the process started (anchored at static
 /// initialization, steady clock). Reported by DumpMetricsJson as
 /// `uptime_seconds` so a served metrics document says how long the daemon
@@ -133,21 +118,11 @@ class MetricsRegistry {
   /// Finds or creates the named metric. The returned reference is stable
   /// for the registry's lifetime — hot paths cache it (e.g. in a
   /// function-local static) instead of paying the map lookup per event.
-  ///
-  /// While metrics are disabled (SetMetricsEnabled(false)) lookups return
-  /// a shared no-op instance without allocating or registering anything —
-  /// a disabled process must not grow the registry. Consequence: the kill
-  /// switch is set-once-at-startup; a call site that caches its reference
-  /// while disabled keeps the no-op sink after re-enabling.
+  /// Library code outside src/obs/ times through obs::Span and its phase
+  /// table (obs/trace.h) instead of registering histograms itself.
   Counter& GetCounter(const std::string& name);
   Gauge& GetGauge(const std::string& name);
   LatencyHistogram& GetHistogram(const std::string& name);
-
-  /// Registered metric counts (regression guard: disabled lookups must
-  /// not register).
-  size_t num_counters() const;
-  size_t num_gauges() const;
-  size_t num_histograms() const;
 
   /// Renders every registered metric as one JSON object:
   /// {"counters":{...},"gauges":{...},"histograms":{name:{count,total_us,

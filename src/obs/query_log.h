@@ -31,6 +31,17 @@ inline constexpr FramedLogFormat kQueryLogFormat{
     "query log", kQueryLogMagic, kQueryLogVersion, kQueryLogFooterMagic,
     "query_log.dropped"};
 
+/// Per-phase timing slots of a record: the first phases of the taxonomy
+/// (obs/trace.h), in log order. The slots are part of the frame format.
+inline constexpr size_t kNumQueryPhases = 5;
+static_assert(static_cast<size_t>(Phase::kResolve) == 0 &&
+                  static_cast<size_t>(Phase::kRewrite) == 1 &&
+                  static_cast<size_t>(Phase::kBitmapAnd) == 2 &&
+                  static_cast<size_t>(Phase::kFetch) == 3 &&
+                  static_cast<size_t>(Phase::kAggregate) ==
+                      kNumQueryPhases - 1,
+              "the query log's phase slots are the first phases, in order");
+
 /// What kind of query a log record captures.
 enum class QueryLogKind : uint8_t { kMatch = 0, kPathAgg = 1 };
 
@@ -59,7 +70,8 @@ struct QueryLogRecord {
   /// Relation aggregate-view indexes whose bp bitmaps the rewriter chose.
   std::vector<uint32_t> agg_view_indexes;
 
-  /// Wall time spent in each QueryPhase, µs (zero for phases not run).
+  /// Wall time spent in each query phase (indexed by Phase), µs (zero
+  /// for phases not run).
   uint64_t phase_us[kNumQueryPhases] = {};
   /// End-to-end wall time of the query, µs.
   uint64_t total_us = 0;

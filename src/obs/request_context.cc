@@ -1,43 +1,8 @@
 #include "obs/request_context.h"
 
 #include "obs/json_writer.h"
-#include "util/check.h"
 
 namespace colgraph::obs {
-
-const char* ServerPhaseName(ServerPhase phase) {
-  switch (phase) {
-    case ServerPhase::kQueueWait:
-      return "queue_wait";
-    case ServerPhase::kAdmission:
-      return "admission";
-    case ServerPhase::kDecode:
-      return "decode";
-    case ServerPhase::kEvaluate:
-      return "evaluate";
-    case ServerPhase::kEncode:
-      return "encode";
-    case ServerPhase::kWrite:
-      return "write";
-  }
-  return "unknown";
-}
-
-LatencyHistogram& ServerPhaseHistogram(ServerPhase phase) {
-  // One stable histogram per phase, resolved once — same shape as
-  // PhaseHistogram (trace.cc).
-  static LatencyHistogram* histograms[kNumServerPhases] = {
-      &MetricsRegistry::Global().GetHistogram("server.phase.queue_wait_us"),
-      &MetricsRegistry::Global().GetHistogram("server.phase.admission_us"),
-      &MetricsRegistry::Global().GetHistogram("server.phase.decode_us"),
-      &MetricsRegistry::Global().GetHistogram("server.phase.evaluate_us"),
-      &MetricsRegistry::Global().GetHistogram("server.phase.encode_us"),
-      &MetricsRegistry::Global().GetHistogram("server.phase.write_us"),
-  };
-  const size_t index = static_cast<size_t>(phase);
-  COLGRAPH_DCHECK_LT(index, kNumServerPhases);
-  return *histograms[index];
-}
 
 std::string RequestContext::ToJson(uint64_t snapshot_epoch) const {
   JsonWriter w;
@@ -48,36 +13,9 @@ std::string RequestContext::ToJson(uint64_t snapshot_epoch) const {
   w.Uint(snapshot_epoch);
   w.Key("total_us");
   w.Uint(ElapsedUs());
-  w.Key("events");
-  w.BeginArray();
-  for (const TraceEvent& e : trace_->events()) {
-    w.BeginObject();
-    w.Key("name");
-    w.String(e.name);
-    w.Key("start_us");
-    w.Uint(e.start_us);
-    w.Key("duration_us");
-    w.Uint(e.duration_us);
-    w.EndObject();
-  }
-  w.EndArray();
+  trace_->WriteEvents(&w);
   w.EndObject();
   return w.str();
-}
-
-void RecordQueueWait(RequestContext* ctx, uint64_t enqueued_us,
-                     uint64_t dequeued_us) {
-  const uint64_t wait =
-      dequeued_us >= enqueued_us ? dequeued_us - enqueued_us : 0;
-  if (MetricsEnabled()) {
-    ServerPhaseHistogram(ServerPhase::kQueueWait).Record(wait);
-  }
-  if (ctx != nullptr) {
-    // Queue wait precedes the request's MarkStart; Trace::Add clamps the
-    // pre-origin start to 0, putting the wait at the head of the timeline.
-    ctx->trace().Add(ServerPhaseName(ServerPhase::kQueueWait), enqueued_us,
-                     wait);
-  }
 }
 
 }  // namespace colgraph::obs

@@ -2,16 +2,12 @@
 // RequestContext travels with one request through the daemon: it carries
 // the wire-propagated request id (or a daemon-assigned one when the client
 // sent none), whether the client asked for a trace echo, and a Trace that
-// collects both the server-phase spans recorded here and the engine's
-// QueryPhase spans (threaded in via QueryOptions::trace) — so a single
-// slow request is attributable end to end from one record.
-//
-// ServerPhase mirrors QueryPhase for the daemon's own pipeline: the time a
-// connection sat in the accept queue, admission, frame decode, snapshot
-// evaluation, response encode, and the socket write. Each phase feeds a
-// process-wide histogram ("server.phase.<name>_us") exactly like
-// PhaseHistogram, so the aggregate breakdown is visible without tracing a
-// single request.
+// collects both the serving phases (queue_wait, admission, decode,
+// evaluate, encode, write) and the engine's query phases (threaded in via
+// QueryOptions::trace) — so a single slow request is attributable end to
+// end from one record. Both kinds are obs::Phase spans (obs/trace.h), so
+// each also feeds its process-wide histogram and the aggregate breakdown
+// is visible without tracing a single request.
 #pragma once
 
 #include <cstdint>
@@ -21,27 +17,6 @@
 #include "obs/trace.h"
 
 namespace colgraph::obs {
-
-/// The fixed phases of request service inside the daemon, in pipeline
-/// order. Kept as an enum (not free-form strings) like QueryPhase, so the
-/// per-phase histograms are stable, cacheable and cheap.
-enum class ServerPhase : uint8_t {
-  kQueueWait = 0,  ///< accepted socket waiting for a worker
-  kAdmission,      ///< acquiring an in-flight slot (retry loop included)
-  kDecode,         ///< framed read + request decode
-  kEvaluate,       ///< snapshot acquire + engine evaluation (or ingest)
-  kEncode,         ///< response frame encode (trace echo included)
-  kWrite,          ///< socket write of the response frame
-};
-inline constexpr size_t kNumServerPhases = 6;
-
-/// Stable phase label ("queue_wait", "admission", "decode", "evaluate",
-/// "encode", "write") — the trace event name and the histogram suffix.
-const char* ServerPhaseName(ServerPhase phase);
-
-/// The global registry histogram for `phase`
-/// ("server.phase.<name>_us"), resolved once and cached.
-LatencyHistogram& ServerPhaseHistogram(ServerPhase phase);
 
 /// \brief Per-request identity + trace collector for the serving path.
 ///
@@ -84,7 +59,6 @@ class RequestContext {
   Trace& trace() { return *trace_; }
   const Trace& trace() const { return *trace_; }
 
-  uint64_t start_us() const { return start_us_; }
   uint64_t ElapsedUs() const { return NowMicros() - start_us_; }
 
   /// Renders the joined trace as one JSON object:
@@ -102,28 +76,5 @@ class RequestContext {
   // anchors its origin at construction and is deliberately not resettable.
   std::unique_ptr<Trace> trace_;
 };
-
-/// \brief RAII server-phase timer: records into the phase's global
-/// histogram and (when `ctx` is non-null) the request's trace, exactly
-/// like Span does for QueryPhase.
-class ServerSpan {
- public:
-  ServerSpan(ServerPhase phase, RequestContext* ctx)
-      : span_(&ServerPhaseHistogram(phase),
-              ctx != nullptr ? &ctx->trace() : nullptr,
-              ServerPhaseName(phase)) {}
-
-  ServerSpan(const ServerSpan&) = delete;
-  ServerSpan& operator=(const ServerSpan&) = delete;
-
- private:
-  Span span_;
-};
-
-/// Records an already-measured queue-wait interval (the accept queue is
-/// timed across threads, so no RAII scope exists): feeds the queue_wait
-/// histogram and, when `ctx` is non-null, adds the event to its trace.
-void RecordQueueWait(RequestContext* ctx, uint64_t enqueued_us,
-                     uint64_t dequeued_us);
 
 }  // namespace colgraph::obs

@@ -1,14 +1,17 @@
-// Scoped query tracing (DESIGN.md §9): Span is the one sanctioned way to
-// time a region of the query path — it feeds the process-wide phase
-// histograms and, when a Trace is attached via QueryOptions, records a
-// per-query event the EXPLAIN/tracing consumers can render. The repo lint
-// ([no-adhoc-timing]) bans ad-hoc Stopwatch timing inside src/query/ so
-// every measured phase is visible through this API.
+// One span taxonomy (DESIGN.md §9): every timed region of the program is a
+// Phase, and one table (trace.cc) gives each phase its trace event name and
+// its process-wide histogram. Span is the one timer: it feeds the phase's
+// histogram and, when a Trace is attached (QueryOptions::trace, or a
+// request's RequestContext), records a per-query event the EXPLAIN/tracing
+// consumers can render. The repo lint bans ad-hoc timing in the
+// instrumented layers ([no-adhoc-timing]) and registry histograms outside
+// src/obs/ ([phase-registry]), so every measured region is a phase.
 //
-// Phases mirror the paper's cost decomposition (Figures 6/7): a graph
+// Query phases mirror the paper's cost decomposition (Figures 6/7): a graph
 // query is resolve (parse ids against the catalog) → rewrite (set-cover
 // against the views) → bitmap-AND → fetch (measure columns); aggregate
-// queries add the fold phase.
+// queries add the fold phase. Serving phases follow the daemon's pipeline;
+// the rest time whole queries, batches and storage transitions.
 #pragma once
 
 #include <chrono>
@@ -21,6 +24,8 @@
 
 namespace colgraph::obs {
 
+class JsonWriter;
+
 /// Steady-clock microseconds since an arbitrary epoch (comparable within
 /// the process only).
 inline uint64_t NowMicros() {
@@ -30,28 +35,48 @@ inline uint64_t NowMicros() {
           .count());
 }
 
-/// The fixed phases of query evaluation. Kept as an enum (not free-form
-/// strings) so the per-phase histograms are stable, cacheable and cheap.
-enum class QueryPhase : uint8_t {
+/// Every timed phase. Kept as an enum (not free-form strings) so the
+/// histograms are stable, cacheable and cheap. The query phases come first,
+/// in the query log's slot order (obs/query_log.h).
+enum class Phase : uint8_t {
+  // Query evaluation.
   kResolve = 0,
   kRewrite,
   kBitmapAnd,
   kFetch,
   kAggregate,
+  // Request service inside the daemon, in pipeline order.
+  kQueueWait,  ///< accepted socket waiting for a worker
+  kAdmission,  ///< acquiring an in-flight slot (retry loop included)
+  kDecode,     ///< framed read + request decode
+  kEvaluate,   ///< snapshot acquire + engine evaluation (or ingest)
+  kEncode,     ///< response frame encode (trace echo included)
+  kWrite,      ///< socket write of the response frame
+  // Whole units of work and storage transitions; no caller traces them.
+  kGraphQuery,        ///< one graph query, end to end
+  kAggQuery,          ///< one path-aggregation query, end to end
+  kBatch,             ///< one EvaluateBatch / EvaluatePathAggBatch
+  kMaterialize,       ///< one view's column build
+  kStoreSeal,         ///< DatasetStore::Seal
+  kStoreCompaction,   ///< DatasetStore::ReplaceNewest's write and publish
+  kServerCompaction,  ///< a daemon compaction cycle's hold of the writer lock
+  kCrcPrefault,       ///< a mapped file's whole-file CRC pass
 };
-inline constexpr size_t kNumQueryPhases = 5;
+inline constexpr size_t kNumPhases =
+    static_cast<size_t>(Phase::kCrcPrefault) + 1;
 
-/// Stable phase label ("resolve", "rewrite", "bitmap_and", "fetch",
-/// "aggregate") — used as the trace event name and the histogram suffix.
-const char* PhaseName(QueryPhase phase);
+/// Stable phase label ("resolve", "rewrite", ..., "write", ...) — the
+/// trace event name.
+const char* PhaseName(Phase phase);
 
-/// The global registry histogram for `phase`
-/// ("query.phase.<name>_us"), resolved once and cached.
-LatencyHistogram& PhaseHistogram(QueryPhase phase);
+/// The phase's global registry histogram (e.g. "query.phase.fetch_us",
+/// "server.phase.decode_us", "store.seal_us"). The whole table registers
+/// on first use, once per process.
+LatencyHistogram& PhaseHistogram(Phase phase);
 
 /// \brief One timed region inside a trace.
 struct TraceEvent {
-  const char* name;      ///< static string (phase or caller-provided label)
+  Phase phase;
   uint64_t start_us;     ///< microseconds since the trace was constructed
   uint64_t duration_us;
 };
@@ -66,13 +91,19 @@ class Trace {
   Trace(const Trace&) = delete;
   Trace& operator=(const Trace&) = delete;
 
-  /// Records one event; `start_us` is absolute (NowMicros clock).
-  void Add(const char* name, uint64_t start_us, uint64_t duration_us);
+  /// Records one event; `start_us` is absolute (NowMicros clock). A start
+  /// before the trace's origin is clamped to 0.
+  void Add(Phase phase, uint64_t start_us, uint64_t duration_us);
 
   /// Snapshot of the events recorded so far, in completion order.
   std::vector<TraceEvent> events() const;
 
-  /// {"events":[{"name":...,"start_us":...,"duration_us":...},...]}
+  /// Writes the "events" key and its array,
+  /// [{"name":...,"start_us":...,"duration_us":...},...], into an open
+  /// object.
+  void WriteEvents(JsonWriter* w) const;
+
+  /// {"events":[...]} (WriteEvents in an object of its own).
   std::string ToJson() const;
 
  private:
@@ -81,37 +112,26 @@ class Trace {
   std::vector<TraceEvent> events_ COLGRAPH_GUARDED_BY(mu_);
 };
 
-/// \brief RAII timer: on destruction records the scope's duration into a
-/// histogram (if any) and a trace (if any). When metrics are disabled and
-/// no trace is attached, construction and destruction are branch-only —
-/// no clock reads, no stores.
+/// \brief RAII timer, the only one: on destruction records the scope's
+/// duration into the phase's histogram and, when `trace` is non-null, an
+/// event into the trace.
 class Span {
  public:
-  Span(LatencyHistogram* histogram, Trace* trace, const char* name)
-      : histogram_(MetricsEnabled() ? histogram : nullptr),
-        trace_(trace),
-        name_(name),
-        start_us_(histogram_ != nullptr || trace_ != nullptr ? NowMicros()
-                                                             : 0) {}
-
-  /// Phase convenience: times into the phase's global histogram.
-  Span(QueryPhase phase, Trace* trace)
-      : Span(&PhaseHistogram(phase), trace, PhaseName(phase)) {}
+  Span(Phase phase, Trace* trace)
+      : phase_(phase), trace_(trace), start_us_(NowMicros()) {}
 
   ~Span() {
-    if (histogram_ == nullptr && trace_ == nullptr) return;
     const uint64_t duration = NowMicros() - start_us_;
-    if (histogram_ != nullptr) histogram_->Record(duration);
-    if (trace_ != nullptr) trace_->Add(name_, start_us_, duration);
+    PhaseHistogram(phase_).Record(duration);
+    if (trace_ != nullptr) trace_->Add(phase_, start_us_, duration);
   }
 
   Span(const Span&) = delete;
   Span& operator=(const Span&) = delete;
 
  private:
-  LatencyHistogram* histogram_;
+  Phase phase_;
   Trace* trace_;
-  const char* name_;
   uint64_t start_us_;
 };
 

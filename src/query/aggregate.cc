@@ -141,7 +141,7 @@ StatusOr<PathAggResult> QueryEngine::AggregateAlongPath(
   const ViewCatalog* views = options.use_views ? views_ : nullptr;
   const PathPlan plan = PlanPathAggregation(elements, fn, views);
 
-  const obs::Span agg_span(obs::QueryPhase::kAggregate, options.trace);
+  const obs::Span agg_span(obs::Phase::kAggregate, options.trace);
   uint64_t values_fetched = 0;
   COLGRAPH_ASSIGN_OR_RETURN(
       std::vector<double> values,
@@ -167,7 +167,7 @@ StatusOr<PathAggResult> QueryEngine::RunAggregateQuery(
       RunAggregateQueryImpl(query, fn, opts, &plan, &path_views);
   if (options.trace != nullptr) {
     for (const obs::TraceEvent& ev : log_trace.events()) {
-      options.trace->Add(ev.name, start_us + ev.start_us, ev.duration_us);
+      options.trace->Add(ev.phase, start_us + ev.start_us, ev.duration_us);
     }
   }
   if (result.ok()) {
@@ -186,17 +186,15 @@ StatusOr<PathAggResult> QueryEngine::RunAggregateQueryImpl(
 
   static obs::Counter& queries =
       obs::MetricsRegistry::Global().GetCounter("query.agg.count");
-  static obs::LatencyHistogram& total =
-      obs::MetricsRegistry::Global().GetHistogram("query.agg.total_us");
-  if (obs::MetricsEnabled()) queries.Increment();
-  const obs::Span total_span(&total, nullptr, "query");
+  queries.Increment();
+  const obs::Span total_span(obs::Phase::kAggQuery, nullptr);
 
   COLGRAPH_RETURN_NOT_OK(CheckCancellation(options.cancel));
 
   PathAggResult result;
   ResolvedQuery resolved;
   {
-    const obs::Span span(obs::QueryPhase::kResolve, options.trace);
+    const obs::Span span(obs::Phase::kResolve, options.trace);
     resolved = Resolve(query);
   }
   if (!resolved.satisfiable) return result;
@@ -211,7 +209,7 @@ StatusOr<PathAggResult> QueryEngine::RunAggregateQueryImpl(
 
   const ViewCatalog* views = options.use_views ? views_ : nullptr;
 
-  const obs::Span agg_span(obs::QueryPhase::kAggregate, options.trace);
+  const obs::Span agg_span(obs::Phase::kAggregate, options.trace);
   // Counted locally and published once: every daemon worker writes the
   // shared counter.
   uint64_t values_fetched = 0;

@@ -17,23 +17,16 @@ namespace {
 // so chunks stay small to keep the claim-based schedule balanced.
 constexpr size_t kQueryGrain = 1;
 
-// Batch-level accounting: how many batches ran, how many queries they
-// fanned out, and the batch wall time (per-query phase time lands in the
-// query.phase.* histograms recorded by the per-query code path).
+// Batch-level accounting: how many batches ran and how many queries they
+// fanned out. The batch wall time is the batch phase; per-query phase time
+// lands in the query phases recorded by the per-query code path.
 void CountBatch(size_t num_queries) {
   static obs::Counter& batches =
       obs::MetricsRegistry::Global().GetCounter("query.batch.count");
   static obs::Counter& queries =
       obs::MetricsRegistry::Global().GetCounter("query.batch.queries");
-  if (!obs::MetricsEnabled()) return;
   batches.Increment();
   queries.Add(num_queries);
-}
-
-obs::LatencyHistogram& BatchHistogram() {
-  static obs::LatencyHistogram& hist =
-      obs::MetricsRegistry::Global().GetHistogram("query.batch.total_us");
-  return hist;
 }
 
 }  // namespace
@@ -42,7 +35,7 @@ StatusOr<std::vector<MeasureTable>> QueryEngine::EvaluateBatch(
     const std::vector<GraphQuery>& queries, const QueryOptions& options,
     ThreadPool* pool) const {
   CountBatch(queries.size());
-  const obs::Span batch_span(&BatchHistogram(), nullptr, "batch");
+  const obs::Span batch_span(obs::Phase::kBatch, nullptr);
   std::vector<MeasureTable> results(queries.size());
   COLGRAPH_RETURN_NOT_OK(colgraph::ParallelFor(
       pool, 0, queries.size(), kQueryGrain,
@@ -69,7 +62,7 @@ StatusOr<std::vector<PathAggResult>> QueryEngine::EvaluatePathAggBatch(
     const std::vector<GraphQuery>& queries, AggFn fn,
     const QueryOptions& options, ThreadPool* pool) const {
   CountBatch(queries.size());
-  const obs::Span batch_span(&BatchHistogram(), nullptr, "batch");
+  const obs::Span batch_span(obs::Phase::kBatch, nullptr);
   std::vector<PathAggResult> results(queries.size());
   COLGRAPH_RETURN_NOT_OK(colgraph::ParallelFor(
       pool, 0, queries.size(), kQueryGrain,

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstddef>
-#include <cstring>
 #include <limits>
 #include <map>
 #include <optional>
@@ -143,7 +142,7 @@ Bitmap QueryEngine::MatchIds(const std::vector<EdgeId>& ids,
   MatchPlan local_plan;
   MatchPlan& plan = plan_out != nullptr ? *plan_out : local_plan;
   {
-    const obs::Span span(obs::QueryPhase::kRewrite, options.trace);
+    const obs::Span span(obs::Phase::kRewrite, options.trace);
     // One plan for every segment: it depends only on the catalog.
     plan = PlanMatch(ids, options.use_views ? views_ : nullptr,
                      consider_agg_bitmaps);
@@ -164,7 +163,7 @@ Bitmap QueryEngine::MatchIds(const std::vector<EdgeId>& ids,
       }
     }
   }
-  const obs::Span span(obs::QueryPhase::kBitmapAnd, options.trace);
+  const obs::Span span(obs::Phase::kBitmapAnd, options.trace);
   if (step_counts != nullptr) step_counts->assign(plan.sources.size(), 0);
   return AndSegments(plan.sources, step_counts);
 }
@@ -195,10 +194,11 @@ Bitmap QueryEngine::AndNotSets(const Bitmap& a, const Bitmap& b) {
 }
 
 MeasureTable QueryEngine::FetchMeasures(const Bitmap& matches,
-                                        const std::vector<EdgeId>& edges) const {
+                                        const std::vector<EdgeId>& edges,
+                                        obs::Trace* trace) const {
   COLGRAPH_CHECK_EQ(matches.size(), TotalRecords())
       << "the match is not a bitmap over the collection's records";
-  const obs::Span span(obs::QueryPhase::kFetch, nullptr);
+  const obs::Span span(obs::Phase::kFetch, trace);
   MeasureTable table;
   table.edges = edges;
   matches.AppendSetBits(&table.records);
@@ -270,10 +270,8 @@ StatusOr<MeasureTable> QueryEngine::RunGraphQueryImpl(
     MatchPlan* plan_out) const {
   static obs::Counter& queries =
       obs::MetricsRegistry::Global().GetCounter("query.graph.count");
-  static obs::LatencyHistogram& total =
-      obs::MetricsRegistry::Global().GetHistogram("query.graph.total_us");
-  if (obs::MetricsEnabled()) queries.Increment();
-  const obs::Span total_span(&total, nullptr, "query");
+  queries.Increment();
+  const obs::Span total_span(obs::Phase::kGraphQuery, nullptr);
 
   // Cooperative cancellation: poll at the phase boundaries (the match can
   // fetch many bitmaps, the fetch many columns) so a fired deadline
@@ -282,7 +280,7 @@ StatusOr<MeasureTable> QueryEngine::RunGraphQueryImpl(
 
   ResolvedQuery resolved;
   {
-    const obs::Span span(obs::QueryPhase::kResolve, options.trace);
+    const obs::Span span(obs::Phase::kResolve, options.trace);
     resolved = Resolve(query);
   }
   if (!resolved.satisfiable) {
@@ -294,12 +292,7 @@ StatusOr<MeasureTable> QueryEngine::RunGraphQueryImpl(
   const Bitmap matches =
       MatchIds(resolved.ids, options, /*consider_agg_bitmaps=*/false, plan_out);
   COLGRAPH_RETURN_NOT_OK(CheckCancellation(options.cancel));
-  // FetchMeasures records the fetch-phase histogram itself (it is a public
-  // entry point too); the trace-only span here attributes the same
-  // interval to this query's trace without double-counting the histogram.
-  const obs::Span fetch_span(nullptr, options.trace,
-                             obs::PhaseName(obs::QueryPhase::kFetch));
-  return FetchMeasures(matches, resolved.ids);
+  return FetchMeasures(matches, resolved.ids, options.trace);
 }
 
 void QueryEngine::AppendLogRecord(bool is_path_agg, AggFn fn,
@@ -333,13 +326,8 @@ void QueryEngine::AppendLogRecord(bool is_path_agg, AggFn fn,
                              rec.agg_view_indexes.end());
 
   for (const obs::TraceEvent& ev : trace.events()) {
-    for (size_t p = 0; p < obs::kNumQueryPhases; ++p) {
-      if (std::strcmp(ev.name,
-                      obs::PhaseName(static_cast<obs::QueryPhase>(p))) == 0) {
-        rec.phase_us[p] += ev.duration_us;
-        break;
-      }
-    }
+    const size_t p = static_cast<size_t>(ev.phase);
+    if (p < obs::kNumQueryPhases) rec.phase_us[p] += ev.duration_us;
   }
   rec.total_us = obs::NowMicros() - start_us;
   rec.result_cardinality = result_cardinality;
@@ -362,7 +350,7 @@ StatusOr<MeasureTable> QueryEngine::RunGraphQuery(
   StatusOr<MeasureTable> result = RunGraphQueryImpl(query, opts, &plan);
   if (options.trace != nullptr) {
     for (const obs::TraceEvent& ev : log_trace.events()) {
-      options.trace->Add(ev.name, start_us + ev.start_us, ev.duration_us);
+      options.trace->Add(ev.phase, start_us + ev.start_us, ev.duration_us);
     }
   }
   if (result.ok()) {

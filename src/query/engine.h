@@ -57,7 +57,7 @@ struct QueryOptions {
   /// rewrite, bitmap-AND, fetch, aggregate) appends a timed event. The
   /// Trace is thread-safe, so one may be shared by a whole EvaluateBatch.
   /// Phase histograms in obs::MetricsRegistry::Global() are fed whether or
-  /// not a trace is attached (gated by obs::MetricsEnabled()).
+  /// not a trace is attached.
   obs::Trace* trace = nullptr;
   /// Cooperative cancellation (DESIGN.md §12): when set, the evaluation
   /// loops poll the token at phase boundaries, per batch query, and every
@@ -136,8 +136,10 @@ class QueryEngine {
   /// honoring vertical partitioning: when the columns span p partitions,
   /// the per-partition column groups are assembled separately and
   /// merge-joined on recid (p-1 joins), reproducing the Figure 5 effect.
+  /// Timed as the fetch phase, into `trace` too when one is given.
   MeasureTable FetchMeasures(const Bitmap& matches,
-                             const std::vector<EdgeId>& edges) const;
+                             const std::vector<EdgeId>& edges,
+                             obs::Trace* trace = nullptr) const;
 
   /// Full graph query: match then fetch all of the query's measures.
   [[nodiscard]] StatusOr<MeasureTable> RunGraphQuery(const GraphQuery& query,

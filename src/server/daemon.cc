@@ -66,15 +66,6 @@ obs::Gauge& TotalRecordsGauge() {
       obs::MetricsRegistry::Global().GetGauge("server.total_records");
   return g;
 }
-// A compaction cycle's whole hold of the writer lock (the in-memory merge,
-// the store's write and the publish): what it costs the ingests queued
-// behind it. store.compaction_us times the store's write alone.
-obs::LatencyHistogram& CompactionHistogram() {
-  static obs::LatencyHistogram& h =
-      obs::MetricsRegistry::Global().GetHistogram("server.compaction_us");
-  return h;
-}
-
 /// RAII +1/-1 on a gauge.
 class GaugeScope {
  public:
@@ -486,12 +477,13 @@ void Daemon::AcceptLoop() {
     conn_pool_->Schedule([this, socket, enqueued_us]() mutable {
       queued_connections_.fetch_sub(1, std::memory_order_acq_rel);
       QueueDepthGauge().Add(-1);
-      // The accept queue is timed across threads, so the wait is measured
-      // here and carried into the first request's trace by ReadRequest.
+      // The accept queue is timed across threads, so no Span scope exists:
+      // the wait is measured here, recorded into its phase's histogram and
+      // carried into the first request's trace by ReadRequest.
       const uint64_t dequeued_us = obs::NowMicros();
-      obs::RecordQueueWait(nullptr, enqueued_us, dequeued_us);
       const uint64_t wait_us =
           dequeued_us >= enqueued_us ? dequeued_us - enqueued_us : 0;
+      obs::PhaseHistogram(obs::Phase::kQueueWait).Record(wait_us);
       HandleConnection(std::move(*socket), wait_us);
     });
   }
@@ -518,11 +510,10 @@ Status Daemon::ReadRequest(UnixSocket* socket, Request* request,
   // accept-queue wait (already counted in the histogram by AcceptLoop).
   ctx->MarkStart();
   if (*pending_queue_wait_us > 0) {
-    ctx->trace().Add(obs::ServerPhaseName(obs::ServerPhase::kQueueWait), 0,
-                     *pending_queue_wait_us);
+    ctx->trace().Add(obs::Phase::kQueueWait, 0, *pending_queue_wait_us);
     *pending_queue_wait_us = 0;
   }
-  const obs::ServerSpan decode_span(obs::ServerPhase::kDecode, ctx);
+  const obs::Span decode_span(obs::Phase::kDecode, &ctx->trace());
 
   // Framed phase: once bytes start flowing the peer must complete the
   // frame within the IO budget or be dropped (hung-client defense).
@@ -583,13 +574,13 @@ void Daemon::HandleConnection(UnixSocket socket, uint64_t queue_wait_us) {
 
     std::vector<char> frame;
     {
-      const obs::ServerSpan encode_span(obs::ServerPhase::kEncode, &ctx);
+      const obs::Span encode_span(obs::Phase::kEncode, &ctx.trace());
       if (!fatal) MaybeEchoTrace(request, ctx, &response);
       AppendResponseFrame(response, &frame);
     }
     Status written;
     {
-      const obs::ServerSpan write_span(obs::ServerPhase::kWrite, &ctx);
+      const obs::Span write_span(obs::Phase::kWrite, &ctx.trace());
       written =
           socket.WriteAll(frame.data(), frame.size(), options_.io_timeout_ms);
     }
@@ -641,8 +632,8 @@ Response Daemon::ExecuteWithContext(const Request& request,
 
   // The admission span closes as soon as the slot outcome is known; the
   // slot itself stays held for the whole execution.
-  auto admission_span = std::make_unique<const obs::ServerSpan>(
-      obs::ServerPhase::kAdmission, ctx);
+  auto admission_span =
+      std::make_unique<const obs::Span>(obs::Phase::kAdmission, &ctx->trace());
   const AdmissionSlot slot(&admission_, "request");
   admission_span.reset();
   if (!slot.admitted()) {
@@ -663,7 +654,7 @@ Response Daemon::ExecuteWithContext(const Request& request,
     return ErrorResponse(pre);
   }
 
-  const obs::ServerSpan evaluate_span(obs::ServerPhase::kEvaluate, ctx);
+  const obs::Span evaluate_span(obs::Phase::kEvaluate, &ctx->trace());
   switch (request.op) {
     case RequestOp::kPing: {
       Response response;
@@ -727,7 +718,7 @@ void Daemon::MaybeCaptureSlowQuery(const Request& request,
   record.query = request.body;  // Append truncates to the cap
   for (const obs::TraceEvent& event : ctx->trace().events()) {
     record.spans.push_back(obs::SlowQuerySpan{
-        std::string(event.name), event.start_us, event.duration_us});
+        obs::PhaseName(event.phase), event.start_us, event.duration_us});
   }
   slow_log_->Append(record);
 }
@@ -839,7 +830,10 @@ StatusOr<Response> Daemon::Ingest(const std::string& trace_text) {
 Status Daemon::CompactNow() {
   const MutexLock writer_lock(writer_mu_);
   if (draining()) return Status::Unavailable("server draining");
-  const obs::Span span(&CompactionHistogram(), nullptr, "server_compaction");
+  // The cycle's whole hold of the writer lock (the in-memory merge, the
+  // store's write and the publish): what it costs the ingests queued
+  // behind it. The store's write alone is its own phase.
+  const obs::Span span(obs::Phase::kServerCompaction, nullptr);
 
   const std::shared_ptr<const ColGraphEngine> base = snapshots_.Acquire();
   if (base->tails().empty()) return Status::OK();

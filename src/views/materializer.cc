@@ -11,14 +11,6 @@ namespace colgraph {
 
 namespace {
 
-// Per-view build latency (the Section 5.2 "views are cheap to build"
-// claim, observable).
-obs::LatencyHistogram& MaterializeHistogram() {
-  static obs::LatencyHistogram& hist =
-      obs::MetricsRegistry::Global().GetHistogram("views.materialize_us");
-  return hist;
-}
-
 Status ValidateIds(const std::vector<EdgeId>& ids,
                    const MasterRelation& relation) {
   for (EdgeId id : ids) {
@@ -111,7 +103,9 @@ StatusOr<std::vector<size_t>> AddViews(const std::vector<Def>& defs,
       pool, 0, defs.size(), /*grain=*/1,
       [&](size_t begin, size_t end) -> Status {
         for (size_t i = begin; i < end; ++i) {
-          const obs::Span span(&MaterializeHistogram(), nullptr, "materialize");
+          // Per-view build latency (the Section 5.2 "views are cheap to
+          // build" claim, observable).
+          const obs::Span span(obs::Phase::kMaterialize, nullptr);
           columns[i] = ComputeView(defs[i], *relation);
         }
         return Status::OK();

@@ -355,8 +355,8 @@ TEST(DeterminismTest, MaterializedViewBitmapsAreIdenticalAcrossThreadCounts) {
       EXPECT_EQ(got_views[v].first.edges, ref_views[v].first.edges)
           << "threads=" << threads << " view " << v;
       EXPECT_EQ(got_views[v].second, ref_views[v].second);
-      EXPECT_TRUE(engine.relation().FetchGraphView(got_views[v].second) ==
-                  reference.relation().FetchGraphView(ref_views[v].second))
+      EXPECT_TRUE(engine.relation().PeekGraphView(got_views[v].second) ==
+                  reference.relation().PeekGraphView(ref_views[v].second))
           << "threads=" << threads << " view " << v << ": bitmaps differ";
     }
   }
@@ -379,8 +379,8 @@ TEST(DeterminismTest, MaterializedAggViewsAreByteIdenticalAcrossThreadCounts) {
     ASSERT_EQ(engine.relation().num_aggregate_views(),
               reference.relation().num_aggregate_views());
     for (size_t v = 0; v < reference.relation().num_aggregate_views(); ++v) {
-      const MeasureColumn& ref_col = reference.relation().FetchAggregateView(v);
-      const MeasureColumn& got_col = engine.relation().FetchAggregateView(v);
+      const MeasureColumn& ref_col = reference.relation().PeekAggregateView(v);
+      const MeasureColumn& got_col = engine.relation().PeekAggregateView(v);
       ASSERT_EQ(got_col.num_values(), ref_col.num_values())
           << "threads=" << threads << " view " << v;
       EXPECT_TRUE(got_col.presence().bits() == ref_col.presence().bits())

@@ -102,10 +102,11 @@ MeasureTable ReferenceFetch(const MasterRelation& primary,
       stats.partitions_touched += partitions.size();
       if (partitions.size() > 1) stats.partition_joins += partitions.size() - 1;
       for (size_t i = 0; i < edges.size(); ++i) {
-        if (edges[i] >= seg.relation->num_edge_columns()) continue;
-        const MeasureColumn& col = seg.relation->FetchMeasureColumn(edges[i]);
+        const MeasureColumn* col = seg.relation->FindEdgeColumn(edges[i]);
+        if (col == nullptr) continue;
+        ++seg.relation->stats().measure_columns_fetched;
         for (size_t r = first; r < row; ++r) {
-          const auto v = col.Get(table.records[r] - seg.base);
+          const auto v = col->Get(table.records[r] - seg.base);
           if (v.has_value()) table.columns[i][r] = *v;
         }
         stats.values_fetched += row - first;
@@ -122,7 +123,8 @@ MeasureTable ReferenceFetch(const MasterRelation& primary,
   for (const auto& [partition, slots] : by_partition) {
     (void)partition;
     for (const size_t slot : slots) {
-      const MeasureColumn& col = primary.FetchMeasureColumn(edges[slot]);
+      const MeasureColumn& col = primary.PeekMeasureColumn(edges[slot]);
+      ++stats.measure_columns_fetched;
       for (const RecordId r : table.records) {
         const auto v = col.Get(r);
         table.columns[slot].push_back(v.has_value() ? *v : kNull);

@@ -1,7 +1,8 @@
 // Deliberately broken fixture for lint_invariants_test: serving-layer code
 // timing itself with the ad-hoc Stopwatch machinery (and a raw chrono
-// clock) instead of the ServerSpan API (obs/request_context.h) — such a
-// measurement would never reach the phase histograms or a request trace.
+// clock) instead of the one timer, obs::Span over an obs::Phase
+// (obs/trace.h) — such a measurement would never reach the phase
+// histograms or a request trace.
 #include <chrono>
 
 #include "util/stopwatch.h"

@@ -57,6 +57,22 @@ TEST(LintInvariantsTest, KnownBadFixtureTripsEveryRule) {
       << r.output;
   EXPECT_EQ(r.output.find("src/obs/bad_frame_crc.cc:15:"), std::string::npos)
       << r.output;
+  EXPECT_NE(r.output.find("[phase-registry]"), std::string::npos) << r.output;
+  // The registry rule flags a histogram registered outside src/obs/ (line
+  // 10), not a phase's histogram or a counter (lines 14-15), and never the
+  // phase table's home, src/obs/.
+  EXPECT_NE(
+      r.output.find("src/views/bad_phase_registry.cc:10: [phase-registry]"),
+      std::string::npos)
+      << r.output;
+  EXPECT_EQ(r.output.find("src/views/bad_phase_registry.cc:14:"),
+            std::string::npos)
+      << r.output;
+  EXPECT_EQ(r.output.find("src/views/bad_phase_registry.cc:15:"),
+            std::string::npos)
+      << r.output;
+  EXPECT_EQ(r.output.find("phase_table_fixture.cc"), std::string::npos)
+      << r.output;
   // The socket rule's one carve-out: src/server/net_* may touch the raw
   // API, so the exempt fixture must never be flagged.
   EXPECT_EQ(r.output.find("net_fixture.cc"), std::string::npos) << r.output;

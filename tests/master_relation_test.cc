@@ -41,13 +41,13 @@ TEST(MasterRelationTest, Table1MeasuresAndNulls) {
 TEST(MasterRelationTest, Table1BitmapsMatchPresence) {
   MasterRelation rel = MakeTable1Relation();
   // b1 = 100, b4 = 111, b6 = 011 (records r1,r2,r3).
-  const Bitmap& b1 = rel.FetchEdgeBitmap(0);
+  const Bitmap& b1 = rel.PeekMeasureColumn(0).presence().bits();
   EXPECT_TRUE(b1.Test(0));
   EXPECT_FALSE(b1.Test(1));
   EXPECT_FALSE(b1.Test(2));
-  const Bitmap& b4 = rel.FetchEdgeBitmap(3);
+  const Bitmap& b4 = rel.PeekMeasureColumn(3).presence().bits();
   EXPECT_EQ(b4.Count(), 3u);
-  const Bitmap& b6 = rel.FetchEdgeBitmap(5);
+  const Bitmap& b6 = rel.PeekMeasureColumn(5).presence().bits();
   EXPECT_FALSE(b6.Test(0));
   EXPECT_TRUE(b6.Test(1));
   EXPECT_TRUE(b6.Test(2));
@@ -61,7 +61,7 @@ TEST(MasterRelationTest, Table1GraphViewBv1) {
     bv.And(rel.PeekMeasureColumn(e).presence().bits());
   }
   const size_t index = rel.AddGraphView(bv);
-  const Bitmap& view = rel.FetchGraphView(index);
+  const Bitmap& view = rel.PeekGraphView(index);
   EXPECT_TRUE(view.Test(0));
   EXPECT_FALSE(view.Test(1));
   EXPECT_FALSE(view.Test(2));
@@ -80,7 +80,7 @@ TEST(MasterRelationTest, Table1AggregateViewP1) {
   });
   mp.Seal(rel.num_records());
   const size_t index = rel.AddAggregateView(std::move(mp));
-  const MeasureColumn& view = rel.FetchAggregateView(index);
+  const MeasureColumn& view = rel.PeekAggregateView(index);
   EXPECT_FALSE(view.Get(0).has_value());
   EXPECT_EQ(view.Get(1), 5.0);
   EXPECT_EQ(view.Get(2), 4.0);
@@ -119,18 +119,6 @@ TEST(MasterRelationTest, AddAfterSealRejected) {
   EXPECT_TRUE(rel.Seal().IsInvalidArgument());
 }
 
-TEST(MasterRelationTest, FetchStatsCountColumnAccesses) {
-  MasterRelation rel = MakeTable1Relation();
-  rel.stats().Reset();
-  rel.FetchEdgeBitmap(0);
-  rel.FetchEdgeBitmap(1);
-  rel.FetchMeasureColumn(2);
-  EXPECT_EQ(rel.stats().bitmap_columns_fetched, 2u);
-  EXPECT_EQ(rel.stats().measure_columns_fetched, 1u);
-  rel.PeekMeasureColumn(3);  // Peek bypasses accounting
-  EXPECT_EQ(rel.stats().measure_columns_fetched, 1u);
-}
-
 TEST(MasterRelationTest, PartitioningMapsColumnsToSubRelations) {
   MasterRelationOptions options;
   options.partition_width = 10;
@@ -140,9 +128,8 @@ TEST(MasterRelationTest, PartitioningMapsColumnsToSubRelations) {
   EXPECT_EQ(rel.PartitionOf(0), 0u);
   EXPECT_EQ(rel.PartitionOf(9), 0u);
   EXPECT_EQ(rel.PartitionOf(10), 1u);
-  EXPECT_EQ(rel.CountPartitions({0, 5, 9}), 1u);
-  EXPECT_EQ(rel.CountPartitions({0, 10, 25, 34}), 4u);
-  EXPECT_EQ(rel.CountPartitions({0, 5, 10, 15}), 2u);
+  EXPECT_EQ(rel.PartitionOf(25), 2u);
+  EXPECT_EQ(rel.PartitionOf(34), 3u);
 }
 
 TEST(MasterRelationTest, DiskBytesSmallerThanDenseRepresentation) {

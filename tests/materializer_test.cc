@@ -23,7 +23,7 @@ TEST(MaterializeGraphViewTest, BitmapIsConjunction) {
   const auto index =
       MaterializeGraphView(GraphViewDef::Make({0, 1, 2}), &rel, &catalog);
   ASSERT_TRUE(index.ok());
-  const Bitmap& view = rel.FetchGraphView(*index);
+  const Bitmap& view = rel.PeekGraphView(*index);
   EXPECT_TRUE(view.Test(0));
   EXPECT_FALSE(view.Test(1));
   EXPECT_FALSE(view.Test(2));
@@ -64,7 +64,7 @@ TEST(MaterializeAggViewTest, SumAlongPath) {
   def.fn = AggFn::kSum;
   const auto index = MaterializeAggView(def, &rel, &catalog);
   ASSERT_TRUE(index.ok());
-  const MeasureColumn& mp = rel.FetchAggregateView(*index);
+  const MeasureColumn& mp = rel.PeekAggregateView(*index);
   EXPECT_EQ(mp.Get(0), 3.0);    // 1+2
   EXPECT_EQ(mp.Get(1), 9.0);    // 4+5
   EXPECT_FALSE(mp.Get(2).has_value());  // r2 lacks edge 0
@@ -80,7 +80,7 @@ TEST(MaterializeAggViewTest, MaxAlongPath) {
   def.fn = AggFn::kMax;
   const auto index = MaterializeAggView(def, &rel, &catalog);
   ASSERT_TRUE(index.ok());
-  const MeasureColumn& mp = rel.FetchAggregateView(*index);
+  const MeasureColumn& mp = rel.PeekAggregateView(*index);
   EXPECT_FALSE(mp.Get(0).has_value());
   EXPECT_EQ(mp.Get(2), 8.0);
   EXPECT_EQ(mp.Get(3), 12.0);
@@ -95,7 +95,7 @@ TEST(MaterializeAggViewTest, AvgStoresSumSubAggregate) {
   const auto index = MaterializeAggView(def, &rel, &catalog);
   ASSERT_TRUE(index.ok());
   // The stored value is the SUM (count = 2 is static).
-  EXPECT_EQ(rel.FetchAggregateView(*index).Get(0), 3.0);
+  EXPECT_EQ(rel.PeekAggregateView(*index).Get(0), 3.0);
 }
 
 TEST(MaterializeAggViewTest, SingleElementRejected) {
@@ -115,7 +115,7 @@ TEST(MaterializeAggViewTest, BitmapMatchesMeasurePresence) {
   def.fn = AggFn::kSum;
   const auto index = MaterializeAggView(def, &rel, &catalog);
   ASSERT_TRUE(index.ok());
-  const Bitmap& bp = rel.FetchAggregateViewBitmap(*index);
+  const Bitmap& bp = rel.PeekAggregateView(*index).presence().bits();
   EXPECT_EQ(bp.ToVector(), (std::vector<uint64_t>{2, 3}));
 }
 

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -11,17 +12,6 @@
 
 namespace colgraph::obs {
 namespace {
-
-// Restores the metrics kill switch on scope exit so a failing test cannot
-// leave the process-wide flag off for later tests.
-class MetricsEnabledGuard {
- public:
-  MetricsEnabledGuard() : was_(MetricsEnabled()) {}
-  ~MetricsEnabledGuard() { SetMetricsEnabled(was_); }
-
- private:
-  bool was_;
-};
 
 TEST(CounterTest, IncrementAndAdd) {
   Counter c;
@@ -187,44 +177,35 @@ TEST(MetricsRegistryTest, ConcurrentRecordingIsSafe) {
 }
 
 TEST(SpanTest, RecordsIntoHistogramAndTrace) {
-  MetricsEnabledGuard guard;
-  SetMetricsEnabled(true);
-  LatencyHistogram h;
+  const LatencyHistogram& h = PhaseHistogram(Phase::kMaterialize);
+  const uint64_t before = h.count();
   Trace trace;
-  { const Span span(&h, &trace, "work"); }
-  EXPECT_EQ(h.count(), 1u);
+  { const Span span(Phase::kMaterialize, &trace); }
+  { const Span span(Phase::kMaterialize, nullptr); }
+  // Every span feeds its phase's histogram; only an attached trace gets
+  // the event.
+  EXPECT_EQ(h.count(), before + 2);
   const auto events = trace.events();
   ASSERT_EQ(events.size(), 1u);
-  EXPECT_STREQ(events[0].name, "work");
-}
-
-TEST(SpanTest, DisabledMetricsSkipHistogramButNotTrace) {
-  MetricsEnabledGuard guard;
-  SetMetricsEnabled(false);
-  LatencyHistogram h;
-  Trace trace;
-  { const Span span(&h, &trace, "work"); }
-  { const Span span(&h, nullptr, "work"); }
-  // An explicitly attached trace is an opt-in request and still records;
-  // the global histograms do not.
-  EXPECT_EQ(h.count(), 0u);
-  EXPECT_EQ(trace.events().size(), 1u);
+  EXPECT_EQ(events[0].phase, Phase::kMaterialize);
 }
 
 TEST(TraceTest, EventsAreRelativeToTraceOrigin) {
   Trace trace;
-  trace.Add("a", NowMicros(), 5);
+  trace.Add(Phase::kResolve, NowMicros(), 5);
+  trace.Add(Phase::kQueueWait, 0, 7);  // before the origin: clamped to 0
   const auto events = trace.events();
-  ASSERT_EQ(events.size(), 1u);
+  ASSERT_EQ(events.size(), 2u);
   EXPECT_EQ(events[0].duration_us, 5u);
+  EXPECT_EQ(events[1].start_us, 0u);
   // Started after the trace itself: the relative offset is sane (< 1 min).
   EXPECT_LT(events[0].start_us, 60u * 1000 * 1000);
 }
 
 TEST(TraceTest, ToJsonListsEvents) {
   Trace trace;
-  trace.Add("resolve", NowMicros(), 1);
-  trace.Add("fetch", NowMicros(), 2);
+  trace.Add(Phase::kResolve, NowMicros(), 1);
+  trace.Add(Phase::kFetch, NowMicros(), 2);
   const std::string json = trace.ToJson();
   EXPECT_NE(json.find("\"name\":\"resolve\""), std::string::npos) << json;
   EXPECT_NE(json.find("\"name\":\"fetch\""), std::string::npos) << json;
@@ -232,13 +213,49 @@ TEST(TraceTest, ToJsonListsEvents) {
 }
 
 TEST(PhaseTest, NamesAndHistogramsAreStable) {
-  EXPECT_STREQ(PhaseName(QueryPhase::kResolve), "resolve");
-  EXPECT_STREQ(PhaseName(QueryPhase::kRewrite), "rewrite");
-  EXPECT_STREQ(PhaseName(QueryPhase::kBitmapAnd), "bitmap_and");
-  EXPECT_STREQ(PhaseName(QueryPhase::kFetch), "fetch");
-  EXPECT_STREQ(PhaseName(QueryPhase::kAggregate), "aggregate");
-  EXPECT_EQ(&PhaseHistogram(QueryPhase::kFetch),
-            &MetricsRegistry::Global().GetHistogram("query.phase.fetch_us"));
+  // The whole taxonomy, in enum order: trace event names (echoed traces,
+  // slow-query records) and histogram names (STATS, metric dumps) are read
+  // by consumers outside the process and must not drift.
+  struct Golden {
+    Phase phase;
+    const char* name;
+    const char* histogram;
+  };
+  const Golden golden[] = {
+      {Phase::kResolve, "resolve", "query.phase.resolve_us"},
+      {Phase::kRewrite, "rewrite", "query.phase.rewrite_us"},
+      {Phase::kBitmapAnd, "bitmap_and", "query.phase.bitmap_and_us"},
+      {Phase::kFetch, "fetch", "query.phase.fetch_us"},
+      {Phase::kAggregate, "aggregate", "query.phase.aggregate_us"},
+      {Phase::kQueueWait, "queue_wait", "server.phase.queue_wait_us"},
+      {Phase::kAdmission, "admission", "server.phase.admission_us"},
+      {Phase::kDecode, "decode", "server.phase.decode_us"},
+      {Phase::kEvaluate, "evaluate", "server.phase.evaluate_us"},
+      {Phase::kEncode, "encode", "server.phase.encode_us"},
+      {Phase::kWrite, "write", "server.phase.write_us"},
+      {Phase::kGraphQuery, "graph_query", "query.graph.total_us"},
+      {Phase::kAggQuery, "agg_query", "query.agg.total_us"},
+      {Phase::kBatch, "batch", "query.batch.total_us"},
+      {Phase::kMaterialize, "materialize", "views.materialize_us"},
+      {Phase::kStoreSeal, "store_seal", "store.seal_us"},
+      {Phase::kStoreCompaction, "store_compaction", "store.compaction_us"},
+      {Phase::kServerCompaction, "server_compaction", "server.compaction_us"},
+      {Phase::kCrcPrefault, "crc_prefault", "io.crc_prefault_us"},
+  };
+  ASSERT_EQ(std::size(golden), kNumPhases);
+  std::set<std::string> names;
+  std::set<const LatencyHistogram*> histograms;
+  for (size_t p = 0; p < kNumPhases; ++p) {
+    SCOPED_TRACE(golden[p].name);
+    EXPECT_EQ(static_cast<size_t>(golden[p].phase), p);
+    EXPECT_STREQ(PhaseName(golden[p].phase), golden[p].name);
+    EXPECT_EQ(&PhaseHistogram(golden[p].phase),
+              &MetricsRegistry::Global().GetHistogram(golden[p].histogram));
+    names.insert(PhaseName(golden[p].phase));
+    histograms.insert(&PhaseHistogram(golden[p].phase));
+  }
+  EXPECT_EQ(names.size(), kNumPhases);
+  EXPECT_EQ(histograms.size(), kNumPhases);
 }
 
 TEST(JsonWriterTest, NestedContainersAndCommas) {
@@ -279,40 +296,6 @@ TEST(JsonWriterTest, RawSplicesPreRenderedJson) {
   w.Int(2);
   w.EndObject();
   EXPECT_EQ(w.str(), "{\"inner\":{\"n\":1},\"after\":2}");
-}
-
-TEST(MetricsRegistryTest, DisabledLookupsDoNotRegister) {
-  const MetricsEnabledGuard guard;
-  MetricsRegistry registry;
-  SetMetricsEnabled(true);
-  registry.GetCounter("pre.counter").Increment();
-  registry.GetHistogram("pre.hist").Record(1);
-  const size_t counters = registry.num_counters();
-  const size_t gauges = registry.num_gauges();
-  const size_t histograms = registry.num_histograms();
-
-  SetMetricsEnabled(false);
-  // Lookups while disabled must return a shared no-op sink without growing
-  // the registry — a disabled process must not accumulate metric state.
-  Counter& c1 = registry.GetCounter("disabled.counter.a");
-  Counter& c2 = registry.GetCounter("disabled.counter.b");
-  Gauge& g1 = registry.GetGauge("disabled.gauge");
-  LatencyHistogram& h1 = registry.GetHistogram("disabled.hist");
-  EXPECT_EQ(&c1, &c2);  // one shared sink, not per-name instances
-  c1.Increment();
-  g1.Set(7);
-  h1.Record(123);
-  EXPECT_EQ(registry.num_counters(), counters);
-  EXPECT_EQ(registry.num_gauges(), gauges);
-  EXPECT_EQ(registry.num_histograms(), histograms);
-
-  SetMetricsEnabled(true);
-  // Re-enabled lookups register again and find the pre-existing metrics;
-  // the no-op sink absorbed the disabled-time writes.
-  EXPECT_NE(&registry.GetCounter("pre.counter"), &c1);
-  EXPECT_EQ(registry.GetCounter("pre.counter").value(), 1u);
-  registry.GetCounter("post.counter").Increment();
-  EXPECT_EQ(registry.num_counters(), counters + 1);
 }
 
 }  // namespace

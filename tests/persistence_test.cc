@@ -260,7 +260,8 @@ TEST_F(PersistenceTest, HybridSidecarDoesNotChangeTheBytes) {
   auto loaded = ReadRelation(path_);
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
   for (EdgeId e = 0; e < with_sidecar.num_edge_columns(); ++e) {
-    EXPECT_TRUE(loaded->FetchEdgeBitmap(e) == with_sidecar.FetchEdgeBitmap(e));
+    EXPECT_TRUE(loaded->PeekMeasureColumn(e).presence().bits() ==
+                with_sidecar.PeekMeasureColumn(e).presence().bits());
   }
 }
 

@@ -195,7 +195,8 @@ TEST_F(PersistenceTortureTest, HybridEncodedSnapshotNeverLoadsCorrupt) {
   const auto loaded = ReadRelation(path_);
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
   for (EdgeId e = 0; e < rel.num_edge_columns(); ++e) {
-    ASSERT_TRUE(loaded.value().FetchEdgeBitmap(e) == rel.FetchEdgeBitmap(e));
+    ASSERT_TRUE(loaded.value().PeekMeasureColumn(e).presence().bits() ==
+                rel.PeekMeasureColumn(e).presence().bits());
   }
   TortureFile(path_, LoadRelation);
 }

@@ -14,6 +14,7 @@
 #include "core/engine.h"
 #include "obs/metrics.h"
 #include "obs/query_log_reader.h"
+#include "obs/trace.h"
 #include "util/failpoint.h"
 
 namespace colgraph {
@@ -210,6 +211,62 @@ TEST_F(QueryLogTest, EngineCapturesMatchAndAggregateQueries) {
 
   const QueryLogRecord& u = (*records)[2];
   EXPECT_EQ(u.result_cardinality, 0u);
+}
+
+// A record's phase slots are the sums of its query's trace events by phase:
+// with a caller trace attached, the events the engine forwards to it are
+// exactly the ones the record was built from.
+TEST_F(QueryLogTest, PhaseSlotsSumTheForwardedTraceEvents) {
+  EngineOptions options;
+  options.query_log.path = path_;
+  ColGraphEngine engine(options);
+  for (int i = 0; i < 8; ++i) {
+    ASSERT_TRUE(engine.AddWalk({1, 2, 3, 4}, {1, 2, 3}).ok());
+  }
+  ASSERT_TRUE(engine.Seal().ok());
+
+  obs::Trace match_trace;
+  QueryOptions match_options;
+  match_options.trace = &match_trace;
+  ASSERT_TRUE(engine
+                  .RunGraphQuery(GraphQuery::FromPath({N(1), N(2), N(3)}),
+                                 match_options)
+                  .ok());
+  obs::Trace agg_trace;
+  QueryOptions agg_options;
+  agg_options.trace = &agg_trace;
+  ASSERT_TRUE(engine
+                  .RunAggregateQuery(GraphQuery::FromPath({N(2), N(3), N(4)}),
+                                     AggFn::kSum, agg_options)
+                  .ok());
+  ASSERT_TRUE(engine.CloseQueryLog().ok());
+
+  const auto records = obs::ReadQueryLog(path_);
+  ASSERT_TRUE(records.ok()) << records.status().ToString();
+  ASSERT_EQ(records->size(), 2u);
+  const obs::Trace* traces[] = {&match_trace, &agg_trace};
+  const obs::Phase last_phase[] = {obs::Phase::kFetch,
+                                   obs::Phase::kAggregate};
+  for (size_t q = 0; q < 2; ++q) {
+    SCOPED_TRACE(q == 0 ? "match" : "aggregate");
+    uint64_t sums[obs::kNumQueryPhases] = {};
+    size_t counts[obs::kNumQueryPhases] = {};
+    for (const obs::TraceEvent& e : traces[q]->events()) {
+      const size_t p = static_cast<size_t>(e.phase);
+      ASSERT_LT(p, obs::kNumQueryPhases) << obs::PhaseName(e.phase);
+      sums[p] += e.duration_us;
+      ++counts[p];
+    }
+    for (size_t p = 0; p < obs::kNumQueryPhases; ++p) {
+      const auto phase = static_cast<obs::Phase>(p);
+      EXPECT_EQ((*records)[q].phase_us[p], sums[p]) << obs::PhaseName(phase);
+      // Each query ran resolve, rewrite and the AND, then its own last
+      // phase (fetch or aggregate), and nothing else.
+      const bool ran = p <= static_cast<size_t>(obs::Phase::kBitmapAnd) ||
+                       phase == last_phase[q];
+      EXPECT_EQ(counts[p] > 0, ran) << obs::PhaseName(phase);
+    }
+  }
 }
 
 TEST_F(QueryLogTest, BatchEvaluationCapturesEveryQuery) {

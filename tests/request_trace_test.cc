@@ -127,6 +127,17 @@ TEST_F(RequestTraceTest, SlowRequestIsAttributableEndToEnd) {
   EXPECT_TRUE(HasSpan(*mine, "write"));
   // ...joined with engine phases in the same record.
   EXPECT_TRUE(HasSpan(*mine, "bitmap_and"));
+  // Spans close in pipeline order: the engine's phases (one rewrite and
+  // one AND per operand of the expression) inside evaluate, then the
+  // response's encode and write.
+  std::vector<std::string> order;
+  for (const obs::SlowQuerySpan& span : mine->spans) {
+    if (span.name != "queue_wait") order.push_back(span.name);
+  }
+  EXPECT_EQ(order,
+            (std::vector<std::string>{"decode", "admission", "rewrite",
+                                      "bitmap_and", "rewrite", "bitmap_and",
+                                      "evaluate", "encode", "write"}));
 }
 
 TEST_F(RequestTraceTest, UntracedRequestsCarryNoTraceExtension) {

@@ -46,12 +46,11 @@ Rules
   no-adhoc-timing    Instrumented layers (src/query/, src/views/, src/core/,
                      src/server/, src/columnstore/) must not time themselves
                      with Stopwatch / PhaseTimer / ScopedPhase or raw
-                     std::chrono clocks: all phase timing goes through the
-                     span API (obs/trace.h Span + QueryPhase, or
-                     obs/request_context.h ServerSpan + ServerPhase on the
-                     serving path) so every measurement lands in the metrics
-                     registry and in request traces instead of a one-off
-                     local that EXPLAIN and the slow-query log never see.
+                     std::chrono clocks: all timing goes through the one
+                     timer, obs::Span over an obs::Phase (obs/trace.h), so
+                     every measurement lands in the metrics registry and in
+                     request traces instead of a one-off local that EXPLAIN
+                     and the slow-query log never see.
   no-raw-mmap        Library code must not call raw mmap/munmap/mremap:
                      all memory mapping goes through columnstore/mem_map.h
                      (MemMap) so mappings are RAII-released, zero-length
@@ -76,6 +75,12 @@ Rules
                      sections, a different format) and util/crc32.{h,cc}.
                      The match is on the whole word, so Crc32cUpdate is not
                      matched.
+  phase-registry     Library code outside src/obs/ must not call
+                     GetHistogram(: every timed region is an obs::Phase,
+                     whose histogram the phase table in obs/trace.cc names,
+                     so a new timer cannot bypass the taxonomy. The match is
+                     on the whole word (PhaseHistogram is not matched);
+                     counters and gauges are not matched.
 """
 
 import argparse
@@ -105,6 +110,9 @@ RAW_MMAP_CALL = re.compile(
 # A direct CRC-32C call: the whole word, so simd::Crc32cUpdate never
 # matches while `Crc32c(` and `colgraph::Crc32c(` do.
 RAW_CRC_CALL = re.compile(r"\bCrc32c\s*\(")
+
+# A histogram registration: the whole word, so PhaseHistogram never matches.
+HISTOGRAM_LOOKUP = re.compile(r"\bGetHistogram\s*\(")
 
 # The files allowed to call Crc32c( directly.
 CRC_CALL_HOMES = (
@@ -266,6 +274,14 @@ def lint_file(path, rel, status_fns, errors, in_library):
                     f"only by the frame codec (util/frame.h FrameCrc, "
                     f"BeginFrame/EndFrame), not by direct Crc32c calls"
                 )
+            if not posix_rel.startswith("src/obs/") and HISTOGRAM_LOOKUP.search(
+                line
+            ):
+                errors.append(
+                    f"{rel}:{i}: [phase-registry] histograms are registered "
+                    f"only by the phase table (obs/trace.h Phase, Span); add "
+                    f"a phase instead of a GetHistogram call"
+                )
             if not is_net and RAW_SOCKET_CALL.search(line):
                 errors.append(
                     f"{rel}:{i}: [no-raw-socket] wire I/O must go through "
@@ -292,10 +308,10 @@ def lint_file(path, rel, status_fns, errors, in_library):
             ):
                 errors.append(
                     f"{rel}:{i}: [no-adhoc-timing] instrumented-layer "
-                    f"timing must go through the span API (obs/trace.h Span "
-                    f"/ obs/request_context.h ServerSpan), not ad-hoc "
-                    f"Stopwatch/PhaseTimer/chrono clocks, so measurements "
-                    f"reach the metrics registry and request traces"
+                    f"timing must go through the one timer (obs/trace.h "
+                    f"Span over a Phase), not ad-hoc Stopwatch/PhaseTimer/"
+                    f"chrono clocks, so measurements reach the metrics "
+                    f"registry and request traces"
                 )
 
         if stripped.startswith("#include"):
