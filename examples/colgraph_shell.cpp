@@ -73,13 +73,14 @@ StatusOr<size_t> AppendTraceFile(ColGraphEngine* engine,
   if (!engine->relation().sealed()) {
     return Status::InvalidArgument("append needs a sealed engine; use load");
   }
-  COLGRAPH_ASSIGN_OR_RETURN(const std::vector<WalkTrace> traces,
+  COLGRAPH_ASSIGN_OR_RETURN(std::vector<WalkTrace> traces,
                             LoadTraceFile(path));
   std::vector<GraphRecord> records;
   records.reserve(traces.size());
-  for (const WalkTrace& trace : traces) {
-    COLGRAPH_ASSIGN_OR_RETURN(GraphRecord record,
-                              WalkToRecord(trace.walk, trace.measures));
+  for (WalkTrace& trace : traces) {
+    COLGRAPH_ASSIGN_OR_RETURN(
+        GraphRecord record,
+        WalkToRecord(trace.walk, std::move(trace.measures)));
     records.push_back(std::move(record));
   }
   ColGraphEngine next = engine->SharedCopy();

@@ -49,15 +49,14 @@ size_t BitmapColumn::Rank(size_t pos) const {
 }
 
 Status MeasureColumn::Append(size_t record, double value) {
-  if (!pending_records_.empty() && record <= pending_records_.back()) {
-    return Status::InvalidArgument(
-        "MeasureColumn::Append requires strictly increasing record ids");
-  }
   if (presence_.sealed()) {
     return Status::InvalidArgument("cannot append to a sealed column");
   }
-  pending_records_.push_back(record);
-  values_.push_back(value);
+  if (record < presence_.size()) {
+    return Status::InvalidArgument(
+        "MeasureColumn::Append requires strictly increasing record ids");
+  }
+  AppendUnchecked(record, value);
   return Status::OK();
 }
 
@@ -75,9 +74,9 @@ StatusOr<MeasureColumn> MeasureColumn::FromParts(Bitmap presence,
 
 void MeasureColumn::Seal(size_t num_records) {
   presence_.Resize(num_records);
-  for (uint64_t r : pending_records_) presence_.Set(r);
-  pending_records_.clear();
-  pending_records_.shrink_to_fit();
+  // The words grew by doubling as records arrived; sealed, the column
+  // keeps exactly the words it uses.
+  presence_.mutable_bits().mutable_words().shrink_to_fit();
   presence_.Seal();
 }
 

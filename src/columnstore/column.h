@@ -101,15 +101,27 @@ class MeasureColumn {
   MeasureColumn() = default;
 
   /// Appends a value for `record`. Records must arrive in increasing order
-  /// (bulk ingest); Seal() freezes the column.
+  /// (bulk ingest); Seal() freezes the column. The presence bits grow to
+  /// the newest record as it arrives.
   [[nodiscard]] Status Append(size_t record, double value);
+
+  /// Append without its checks, for a caller that guarantees both (the
+  /// master relation's ingest: its record ids ascend and an unsealed
+  /// relation has only unsealed columns). DCHECKed.
+  void AppendUnchecked(size_t record, double value) {
+    COLGRAPH_DCHECK(!sealed());
+    COLGRAPH_DCHECK_GE(record, presence_.size());
+    presence_.Resize(record + 1);
+    presence_.Set(record);
+    values_.push_back(value);
+  }
 
   /// Reconstructs a sealed column from its stored parts: the presence
   /// bitmap and the packed values (one per set bit, in record order).
   static StatusOr<MeasureColumn> FromParts(Bitmap presence,
                                            std::vector<double> values);
 
-  /// Resizes the presence domain to the final record count and builds rank.
+  /// Grows the presence domain to the final record count and builds rank.
   void Seal(size_t num_records);
   bool sealed() const { return presence_.sealed(); }
 
@@ -145,9 +157,6 @@ class MeasureColumn {
   }
 
  private:
-  // During ingest, presence bits live in `pending_records_` until Seal
-  // learns the final record count.
-  std::vector<uint64_t> pending_records_;
   std::vector<double> values_;
   BitmapColumn presence_;
 };

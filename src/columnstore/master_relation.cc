@@ -11,24 +11,37 @@ StatusOr<RecordId> MasterRelation::AddRecord(
   if (sealed_) {
     return Status::InvalidArgument("cannot add records to a sealed relation");
   }
-  const RecordId rid = num_records_;
   // Validate before mutating any column so a failed insert has no effect:
-  // equal ids sit side by side in a sorted copy.
-  std::vector<EdgeId> ids;
-  ids.reserve(elements.size());
-  for (const auto& element : elements) ids.push_back(element.first);
-  std::sort(ids.begin(), ids.end());
-  const auto duplicate = std::adjacent_find(ids.begin(), ids.end());
-  if (duplicate != ids.end()) {
+  // an id already stamped with this record's generation repeats.
+  if (++generation_ == 0) {  // wrapped: an old stamp could match again
+    std::fill(stamps_.begin(), stamps_.end(), 0);
+    generation_ = 1;
+  }
+  size_t width = columns_.size();
+  bool repeated = false;
+  EdgeId smallest_repeat = 0;
+  for (const auto& element : elements) {
+    const EdgeId id = element.first;
+    if (id >= stamps_.size()) stamps_.resize(size_t{id} + 1, 0);
+    if (stamps_[id] == generation_) {
+      smallest_repeat = repeated ? std::min(smallest_repeat, id) : id;
+      repeated = true;
+    }
+    stamps_[id] = generation_;
+    width = std::max(width, size_t{id} + 1);
+  }
+  if (repeated) {
     return Status::InvalidArgument("duplicate edge id " +
-                                   std::to_string(*duplicate) +
+                                   std::to_string(smallest_repeat) +
                                    " in record; flatten cycles first");
   }
+  EnsureColumns(width);
+  // Record ids ascend and the relation is unsealed, which is all that
+  // MeasureColumn::Append would check.
+  const RecordId rid = num_records_++;
   for (const auto& [edge_id, value] : elements) {
-    if (edge_id >= columns_.size()) EnsureColumns(edge_id + 1);
-    COLGRAPH_RETURN_NOT_OK(columns_[edge_id].Append(rid, value));
+    columns_[edge_id].AppendUnchecked(rid, value);
   }
-  ++num_records_;
   return rid;
 }
 
@@ -39,6 +52,7 @@ Status MasterRelation::Seal() {
     col.ChooseEncoding(options_.hybrid_bitmaps);
   }
   sealed_ = true;
+  stamps_ = std::vector<uint32_t>();
   return Status::OK();
 }
 

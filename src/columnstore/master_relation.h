@@ -63,7 +63,10 @@ class MasterRelation {
 
   /// Appends one shredded record: (edge-id, measure) pairs. Edge ids beyond
   /// the current universe grow the relation. Duplicate edge ids within one
-  /// record are rejected.
+  /// record are rejected (the message names the smallest) before any
+  /// column or the universe changes. One pass over the record: a duplicate
+  /// is found in O(1) per element, and a record whose columns have room
+  /// allocates nothing.
   [[nodiscard]] StatusOr<RecordId> AddRecord(
       const std::vector<std::pair<EdgeId, double>>& elements);
 
@@ -185,6 +188,12 @@ class MasterRelation {
   size_t num_records_ = 0;
   bool sealed_ = false;
   std::vector<MeasureColumn> columns_;  // indexed by EdgeId
+  // AddRecord's duplicate check: stamps_[id] == generation_ once the
+  // record being added holds edge id `id`, and each record takes the next
+  // generation, so no per-record clearing. Sized to the largest id seen;
+  // Seal() frees it.
+  std::vector<uint32_t> stamps_;
+  uint32_t generation_ = 0;
   std::vector<BitmapColumn> graph_views_;
   std::vector<MeasureColumn> agg_views_;
   mutable FetchStats stats_;

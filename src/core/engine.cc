@@ -100,31 +100,39 @@ ColGraphEngine ColGraphEngine::FromParts(EngineOptions options,
   return engine;
 }
 
-StatusOr<RecordId> ColGraphEngine::ShredInto(const GraphRecord& record,
-                                             MasterRelation* relation) {
+namespace {
+
+Status CheckRecord(const GraphRecord& record) {
   if (record.elements.size() != record.measures.size()) {
     return Status::InvalidArgument(
         "record elements/measures size mismatch for record " +
         std::to_string(record.id));
   }
-  std::vector<std::pair<EdgeId, double>> shredded;
-  shredded.reserve(record.elements.size());
-  for (size_t i = 0; i < record.elements.size(); ++i) {
-    shredded.emplace_back(catalog_.GetOrAssign(record.elements[i]),
-                          record.measures[i]);
+  return Status::OK();
+}
+
+}  // namespace
+
+StatusOr<RecordId> ColGraphEngine::ShredInto(std::span<const Edge> elements,
+                                             std::span<const double> measures,
+                                             MasterRelation* relation) {
+  COLGRAPH_DCHECK_EQ(elements.size(), measures.size());
+  shredded_.clear();
+  for (size_t i = 0; i < elements.size(); ++i) {
+    shredded_.emplace_back(catalog_.GetOrAssign(elements[i]), measures[i]);
   }
-  return relation->AddRecord(shredded);
+  return relation->AddRecord(shredded_);
 }
 
 StatusOr<RecordId> ColGraphEngine::AddRecord(const GraphRecord& record) {
-  return ShredInto(record, &OwnedRelation());
+  COLGRAPH_RETURN_NOT_OK(CheckRecord(record));
+  return ShredInto(record.elements, record.measures, &OwnedRelation());
 }
 
 StatusOr<RecordId> ColGraphEngine::AddWalk(const std::vector<NodeId>& walk,
                                            const std::vector<double>& measures) {
-  COLGRAPH_ASSIGN_OR_RETURN(const GraphRecord record,
-                            WalkToRecord(walk, measures));
-  return AddRecord(record);
+  COLGRAPH_RETURN_NOT_OK(CheckWalk(walk, measures.size()));
+  return ShredInto(WalkToEdges(walk), measures, &OwnedRelation());
 }
 
 void ColGraphEngine::RegisterUniverse(const std::vector<Edge>& edges) {
@@ -138,7 +146,9 @@ StatusOr<MasterRelation> ColGraphEngine::BuildTailRelation(
     const std::vector<GraphRecord>& records) {
   MasterRelation tail(options_.relation);
   for (const GraphRecord& record : records) {
-    COLGRAPH_RETURN_NOT_OK(ShredInto(record, &tail).status());
+    COLGRAPH_RETURN_NOT_OK(CheckRecord(record));
+    COLGRAPH_RETURN_NOT_OK(
+        ShredInto(record.elements, record.measures, &tail).status());
   }
   COLGRAPH_RETURN_NOT_OK(tail.Seal());
   return BuildTailRelation(std::move(tail));

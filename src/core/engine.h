@@ -12,6 +12,8 @@
 #pragma once
 
 #include <memory>
+#include <span>
+#include <utility>
 #include <vector>
 
 #include "columnstore/master_relation.h"
@@ -271,10 +273,12 @@ class ColGraphEngine {
   /// Copy-on-write funnel: every in-place relation mutator goes through
   /// here, cloning the relation first if a SharedCopy still references it.
   MasterRelation& OwnedRelation();
-  /// Resolves `record`'s elements through the catalog (growing it) and
-  /// adds the shredded record to `relation`: the primary (AddRecord) or a
-  /// tail under construction (BuildTailRelation).
-  [[nodiscard]] StatusOr<RecordId> ShredInto(const GraphRecord& record,
+  /// Resolves `elements` through the catalog (growing it) and adds them,
+  /// with one measure each, as one record of `relation`: the primary
+  /// (AddRecord, AddWalk) or a tail under construction
+  /// (BuildTailRelation).
+  [[nodiscard]] StatusOr<RecordId> ShredInto(std::span<const Edge> elements,
+                                             std::span<const double> measures,
                                              MasterRelation* relation);
   /// Recomputes segments_ (tail base offsets) after relation_/tails_
   /// change.
@@ -289,6 +293,9 @@ class ColGraphEngine {
   /// without duplicating columns; never null; mutations go through
   /// OwnedRelation() (copy-on-write).
   std::shared_ptr<MasterRelation> relation_;
+  /// ShredInto's (edge id, measure) pairs, reused from record to record.
+  /// Scratch: copies start without it.
+  std::vector<std::pair<EdgeId, double>> shredded_;
   /// Immutable tail datasets behind the primary (DESIGN.md §14), in
   /// ingest order. Shared freely between engine copies.
   std::vector<std::shared_ptr<const MasterRelation>> tails_;

@@ -16,18 +16,25 @@ namespace colgraph {
 ///
 /// The i-th visit to base node X becomes NodeRef{X, i-1}: the walk
 /// A,B,C,A,D turns into A, B, C, A', D and its edges (A,B), (B,C), (C,A'),
-/// (A',D) — exactly the paper's example.
+/// (A',D) — exactly the paper's example. Visits are numbered in one pass
+/// through a flat table the calling thread reuses, so flattening allocates
+/// the result and nothing per node.
 std::vector<NodeRef> FlattenWalk(const std::vector<NodeId>& walk);
 
-/// \brief Converts the walk directly into the flattened edge sequence.
+/// \brief Converts the walk directly into the flattened edge sequence, in
+/// the same one pass: the result is the only allocation.
 std::vector<Edge> WalkToEdges(const std::vector<NodeId>& walk);
 
-/// \brief The one walk → record conversion of every ingest path (AddWalk,
-/// colgraphd's ingest, the shell's append): the flattened edge sequence
-/// with one measure per hop. InvalidArgument when the walk has fewer than
-/// two nodes or `measures.size() != walk.size() - 1`.
+/// \brief The rule every ingest path applies to a walk: InvalidArgument
+/// when it has fewer than two nodes or `num_measures != walk.size() - 1`.
+Status CheckWalk(const std::vector<NodeId>& walk, size_t num_measures);
+
+/// \brief A walk as a record (CheckWalk, then WalkToEdges, with one
+/// measure per hop): the form colgraphd's ingest and the shell's append
+/// flatten a batch into before shredding it. `measures` is taken by value
+/// so a caller done with its parsed walk moves them in.
 StatusOr<GraphRecord> WalkToRecord(const std::vector<NodeId>& walk,
-                                   const std::vector<double>& measures);
+                                   std::vector<double> measures);
 
 /// \brief DAG-ifies an arbitrary directed graph.
 ///

@@ -34,9 +34,16 @@ class RequestContext {
 
   /// Re-anchors the request start time and discards any previously
   /// recorded events. Call at the moment the request's first byte arrives.
-  void MarkStart() {
-    start_us_ = NowMicros();
-    trace_ = std::make_unique<Trace>();
+  /// A nonzero `queue_wait_us` (the accept-queue wait the connection's
+  /// first request absorbs) back-dates the start by the wait and records
+  /// it as the first event, so every event of the request starts at or
+  /// after 0 and ends at or before its total.
+  void MarkStart(uint64_t queue_wait_us = 0) {
+    start_us_ = NowMicros() - queue_wait_us;
+    trace_ = std::make_unique<Trace>(start_us_);
+    if (queue_wait_us > 0) {
+      trace_->Add(Phase::kQueueWait, start_us_, queue_wait_us);
+    }
     request_id_ = 0;
     trace_requested_ = false;
   }

@@ -86,7 +86,9 @@ struct TraceEvent {
 /// mutex in completion order. Attach via QueryOptions::trace.
 class Trace {
  public:
-  Trace() : origin_us_(NowMicros()) {}
+  Trace() : Trace(NowMicros()) {}
+  /// A trace whose events count from `origin_us` (NowMicros clock).
+  explicit Trace(uint64_t origin_us) : origin_us_(origin_us) {}
 
   Trace(const Trace&) = delete;
   Trace& operator=(const Trace&) = delete;

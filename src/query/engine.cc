@@ -170,7 +170,11 @@ Bitmap QueryEngine::MatchIds(const std::vector<EdgeId>& ids,
 
 Bitmap QueryEngine::Match(const GraphQuery& query,
                           const QueryOptions& options) const {
-  const ResolvedQuery resolved = Resolve(query);
+  ResolvedQuery resolved;
+  {
+    const obs::Span span(obs::Phase::kResolve, options.trace);
+    resolved = Resolve(query);
+  }
   if (!resolved.satisfiable) return Bitmap(TotalRecords());
   return MatchIds(resolved.ids, options, /*consider_agg_bitmaps=*/false);
 }

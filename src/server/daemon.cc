@@ -506,13 +506,11 @@ Status Daemon::ReadRequest(UnixSocket* socket, Request* request,
   }
 
   // The request begins now: re-anchor the context so keep-alive idle time
-  // is excluded, then let the first request on the connection absorb the
-  // accept-queue wait (already counted in the histogram by AcceptLoop).
-  ctx->MarkStart();
-  if (*pending_queue_wait_us > 0) {
-    ctx->trace().Add(obs::Phase::kQueueWait, 0, *pending_queue_wait_us);
-    *pending_queue_wait_us = 0;
-  }
+  // is excluded. The first request on the connection absorbs the
+  // accept-queue wait (already counted in the histogram by AcceptLoop):
+  // its start moves back by the wait, which becomes its first event.
+  ctx->MarkStart(*pending_queue_wait_us);
+  *pending_queue_wait_us = 0;
   const obs::Span decode_span(obs::Phase::kDecode, &ctx->trace());
 
   // Framed phase: once bytes start flowing the peer must complete the
@@ -760,17 +758,19 @@ Response Daemon::ExecuteQuery(const Request& request,
 
 StatusOr<Response> Daemon::Ingest(const std::string& trace_text) {
   // Parsing and flattening depend on the body alone, so they run before
-  // the writer lock and concurrent ingests parse in parallel.
-  COLGRAPH_ASSIGN_OR_RETURN(const std::vector<WalkTrace> traces,
+  // the writer lock and concurrent ingests parse in parallel. Each record
+  // takes its walk's flattened edges and the parsed measures, moved.
+  COLGRAPH_ASSIGN_OR_RETURN(std::vector<WalkTrace> traces,
                             ParseTraces(trace_text));
   if (traces.empty()) {
     return Status::InvalidArgument("ingest body contains no trace records");
   }
   std::vector<GraphRecord> records;
   records.reserve(traces.size());
-  for (const WalkTrace& trace : traces) {
-    COLGRAPH_ASSIGN_OR_RETURN(GraphRecord record,
-                              WalkToRecord(trace.walk, trace.measures));
+  for (WalkTrace& trace : traces) {
+    COLGRAPH_ASSIGN_OR_RETURN(
+        GraphRecord record,
+        WalkToRecord(trace.walk, std::move(trace.measures)));
     records.push_back(std::move(record));
   }
 

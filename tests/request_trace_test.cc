@@ -10,14 +10,17 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <cstdlib>
 #include <map>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include <unistd.h>
 
 #include "core/engine.h"
+#include "obs/metrics.h"
 #include "obs/slow_query_log.h"
 #include "server/client.h"
 #include "server/daemon.h"
@@ -45,6 +48,10 @@ class RequestTraceTest : public ::testing::Test {
                      std::to_string(::getpid()) + "_" +
                      std::to_string(instance_) + ".sqlog";
 
+    StartDaemon(/*num_workers=*/8);
+  }
+
+  void StartDaemon(size_t num_workers) {
     auto initial = std::make_shared<ColGraphEngine>();
     ASSERT_TRUE(initial->AddWalk({1, 2, 3}, {5, 6}).ok());
     ASSERT_TRUE(initial->AddWalk({2, 3, 4}, {7, 8}).ok());
@@ -52,7 +59,7 @@ class RequestTraceTest : public ::testing::Test {
 
     DaemonOptions options;
     options.socket_path = socket_path_;
-    options.num_workers = 8;
+    options.num_workers = num_workers;
     // Threshold 0: every request is "slow", so each one must land in the
     // log — the test can key records by request id exhaustively.
     options.slow_query_log.path = slow_log_path_;
@@ -127,17 +134,107 @@ TEST_F(RequestTraceTest, SlowRequestIsAttributableEndToEnd) {
   EXPECT_TRUE(HasSpan(*mine, "write"));
   // ...joined with engine phases in the same record.
   EXPECT_TRUE(HasSpan(*mine, "bitmap_and"));
-  // Spans close in pipeline order: the engine's phases (one rewrite and
-  // one AND per operand of the expression) inside evaluate, then the
-  // response's encode and write.
+  // Spans close in pipeline order: the engine's phases (one resolve, one
+  // rewrite and one AND per operand of the expression) inside evaluate,
+  // then the response's encode and write.
   std::vector<std::string> order;
   for (const obs::SlowQuerySpan& span : mine->spans) {
     if (span.name != "queue_wait") order.push_back(span.name);
   }
   EXPECT_EQ(order,
-            (std::vector<std::string>{"decode", "admission", "rewrite",
-                                      "bitmap_and", "rewrite", "bitmap_and",
-                                      "evaluate", "encode", "write"}));
+            (std::vector<std::string>{"decode", "admission", "resolve",
+                                      "rewrite", "bitmap_and", "resolve",
+                                      "rewrite", "bitmap_and", "evaluate",
+                                      "encode", "write"}));
+}
+
+// The events of the echoed trace: (name, start_us, duration_us).
+struct EchoedEvent {
+  std::string name;
+  uint64_t start_us;
+  uint64_t duration_us;
+};
+
+// The number after the first `key` (e.g. "\"total_us\":") at or after
+// `from` in `json`; 0 when there is none.
+uint64_t NumberAfter(const std::string& json, const std::string& key,
+                     size_t from) {
+  const size_t at = json.find(key, from);
+  if (at == std::string::npos) return 0;
+  return std::strtoull(json.c_str() + at + key.size(), nullptr, 10);
+}
+
+std::vector<EchoedEvent> EchoedEvents(const std::string& json) {
+  const std::string name_key = "{\"name\":\"";
+  std::vector<EchoedEvent> events;
+  for (size_t at = json.find(name_key); at != std::string::npos;
+       at = json.find(name_key, at + 1)) {
+    const size_t begin = at + name_key.size();
+    const size_t end = json.find('"', begin);
+    events.push_back(EchoedEvent{json.substr(begin, end - begin),
+                                 NumberAfter(json, "\"start_us\":", end),
+                                 NumberAfter(json, "\"duration_us\":", end)});
+  }
+  return events;
+}
+
+// A connection that waits in the accept queue carries the wait into its
+// first request's timeline: the queue_wait event comes first, at 0, and
+// every event, it included, ends within the request's total, in the
+// echoed trace and in the slow-query record alike.
+TEST_F(RequestTraceTest, QueueWaitLiesInsideItsRequestTimeline) {
+  daemon_.reset();
+  (void)std::remove(slow_log_path_.c_str());
+  StartDaemon(/*num_workers=*/1);
+
+  // The one worker serves `holder`'s connection until it hangs up, so the
+  // traced client's connection waits in the accept queue meanwhile.
+  Client holder = MakeClient(/*seed=*/1);
+  ASSERT_TRUE(holder.Ping().ok());
+  obs::Gauge& queue_depth =
+      obs::MetricsRegistry::Global().GetGauge("server.queue_depth");
+  StatusOr<Response> queued = Status::Internal("not sent");
+  uint64_t queued_id = 0;
+  std::thread waiter([&] {
+    Client client = MakeClient(/*seed=*/2);
+    queued = client.QueryTraced("[1,2,3]");
+    queued_id = client.last_request_id();
+  });
+  for (int i = 0; i < 5000 && queue_depth.value() < 1; ++i) SleepMs(1);
+  ASSERT_GE(queue_depth.value(), 1) << "the traced connection never queued";
+  SleepMs(20);
+  holder.Disconnect();
+  waiter.join();
+  ASSERT_TRUE(queued.ok()) << queued.status().ToString();
+  ASSERT_TRUE(queued->ok()) << queued->body;
+
+  const std::vector<EchoedEvent> events = EchoedEvents(queued->trace_json);
+  const uint64_t total_us =
+      NumberAfter(queued->trace_json, "\"total_us\":", 0);
+  ASSERT_FALSE(events.empty()) << queued->trace_json;
+  EXPECT_EQ(events.front().name, "queue_wait") << queued->trace_json;
+  EXPECT_EQ(events.front().start_us, 0u);
+  EXPECT_GE(events.front().duration_us, 1000u) << queued->trace_json;
+  for (const EchoedEvent& event : events) {
+    EXPECT_LE(event.start_us + event.duration_us, total_us)
+        << event.name << " in " << queued->trace_json;
+  }
+
+  ASSERT_TRUE(daemon_->Drain().ok());
+  const auto records = obs::ReadSlowQueryLog(slow_log_path_);
+  ASSERT_TRUE(records.ok()) << records.status().ToString();
+  const obs::SlowQueryRecord* mine = nullptr;
+  for (const obs::SlowQueryRecord& record : *records) {
+    if (record.request_id == queued_id) mine = &record;
+  }
+  ASSERT_NE(mine, nullptr) << "no slow-query record for request " << queued_id;
+  ASSERT_FALSE(mine->spans.empty());
+  EXPECT_EQ(mine->spans.front().name, "queue_wait");
+  EXPECT_EQ(mine->spans.front().start_us, 0u);
+  EXPECT_EQ(mine->spans.front().duration_us, events.front().duration_us);
+  for (const obs::SlowQuerySpan& span : mine->spans) {
+    EXPECT_LE(span.start_us + span.duration_us, mine->total_us) << span.name;
+  }
 }
 
 TEST_F(RequestTraceTest, UntracedRequestsCarryNoTraceExtension) {
