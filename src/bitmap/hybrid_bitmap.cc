@@ -161,12 +161,6 @@ void OrContainerIntoWords(const HybridBitmap::Container& c, uint64_t* words) {
   }
 }
 
-std::vector<uint64_t> MaterializeWords(const HybridBitmap::Container& c) {
-  std::vector<uint64_t> words(HybridBitmap::kChunkWords, 0);
-  OrContainerIntoWords(c, words.data());
-  return words;
-}
-
 HybridBitmap::Container MakeArrayContainer(std::vector<uint16_t> values) {
   HybridBitmap::Container c;
   c.type = HybridBitmap::ContainerType::kArray;
@@ -263,29 +257,6 @@ Bitmap HybridBitmap::ToBitmap() const {
   Bitmap out(num_bits_);
   OrInto(&out);
   return out;
-}
-
-bool HybridBitmap::Test(size_t pos) const {
-  COLGRAPH_DCHECK_LT(pos, num_bits_);
-  const uint32_t key = static_cast<uint32_t>(pos / kChunkBits);
-  const auto it = std::lower_bound(keys_.begin(), keys_.end(), key);
-  if (it == keys_.end() || *it != key) return false;
-  const Container& c = containers_[static_cast<size_t>(it - keys_.begin())];
-  const uint16_t off = static_cast<uint16_t>(pos % kChunkBits);
-  switch (c.type) {
-    case ContainerType::kArray:
-      return std::binary_search(c.array.begin(), c.array.end(), off);
-    case ContainerType::kBitset:
-      return ((c.bitset[off / kWordBits] >> (off % kWordBits)) & 1) != 0;
-    case ContainerType::kRun: {
-      // First run whose last >= off; it contains off iff its first <= off.
-      const auto rit = std::lower_bound(
-          c.runs.begin(), c.runs.end(), off,
-          [](uint32_t run, uint16_t o) { return RunLast(run) < o; });
-      return rit != c.runs.end() && RunFirst(*rit) <= off;
-    }
-  }
-  return false;
 }
 
 HybridBitmap::Container HybridBitmap::FinishBitset(std::vector<uint64_t> words) {
@@ -410,15 +381,6 @@ HybridBitmap::Container HybridBitmap::AndContainers(const Container& a,
   return CanonicalizeRuns(std::move(runs), card);
 }
 
-HybridBitmap::Container HybridBitmap::OrContainers(const Container& a,
-                                                   const Container& b,
-                                                   size_t chunk_bits) {
-  (void)chunk_bits;  // invariants keep every element inside the chunk
-  std::vector<uint64_t> words = MaterializeWords(a);
-  OrContainerIntoWords(b, words.data());
-  return FinishBitset(std::move(words));
-}
-
 HybridBitmap HybridBitmap::And(const HybridBitmap& a, const HybridBitmap& b) {
   COLGRAPH_CHECK_EQ(a.num_bits_, b.num_bits_);
   HybridBitmap out;
@@ -435,33 +397,6 @@ HybridBitmap HybridBitmap::And(const HybridBitmap& a, const HybridBitmap& b) {
     } else {
       Container c = AndContainers(a.containers_[i], b.containers_[j]);
       if (c.cardinality != 0) out.AppendContainer(a.keys_[i], std::move(c));
-      ++i;
-      ++j;
-    }
-  }
-  return out;
-}
-
-HybridBitmap HybridBitmap::Or(const HybridBitmap& a, const HybridBitmap& b) {
-  COLGRAPH_CHECK_EQ(a.num_bits_, b.num_bits_);
-  HybridBitmap out;
-  out.num_bits_ = a.num_bits_;
-  size_t i = 0, j = 0;
-  while (i < a.keys_.size() || j < b.keys_.size()) {
-    if (j == b.keys_.size() ||
-        (i < a.keys_.size() && a.keys_[i] < b.keys_[j])) {
-      out.AppendContainer(a.keys_[i], a.containers_[i]);
-      ++i;
-    } else if (i == a.keys_.size() || b.keys_[j] < a.keys_[i]) {
-      out.AppendContainer(b.keys_[j], b.containers_[j]);
-      ++j;
-    } else {
-      const size_t chunk_base = static_cast<size_t>(a.keys_[i]) * kChunkBits;
-      const size_t chunk_bits =
-          std::min(kChunkBits, a.num_bits_ - chunk_base);
-      out.AppendContainer(
-          a.keys_[i],
-          OrContainers(a.containers_[i], b.containers_[j], chunk_bits));
       ++i;
       ++j;
     }
@@ -523,46 +458,15 @@ void HybridBitmap::OrInto(Bitmap* dst) const {
   std::vector<uint64_t>& words = dst->mutable_words();
   for (size_t i = 0; i < keys_.size(); ++i) {
     const size_t word_begin = static_cast<size_t>(keys_[i]) * kChunkWords;
-    const size_t word_end = std::min(word_begin + kChunkWords, words.size());
     const Container& c = containers_[i];
     if (c.type == ContainerType::kBitset) {
+      // Bounded by the words present: the last chunk may be partial.
+      const size_t word_end = std::min(word_begin + kChunkWords, words.size());
       simd::OrWords(words.data() + word_begin, c.bitset.data(),
                     word_end - word_begin);
     } else {
-      // Array/run writes are sparse; apply them at the absolute offset.
-      Bitmap unused;  // silence clang-tidy on the lambda-free path
-      (void)unused;
-      switch (c.type) {
-        case ContainerType::kArray:
-          for (const uint16_t raw : c.array) {
-            const size_t v = raw;
-            words[word_begin + v / kWordBits] |= uint64_t{1}
-                                                 << (v % kWordBits);
-          }
-          break;
-        case ContainerType::kRun:
-          for (const uint32_t run : c.runs) {
-            const size_t first = RunFirst(run);
-            const size_t last = RunLast(run);
-            const size_t fw = word_begin + first / kWordBits;
-            const size_t lw = word_begin + last / kWordBits;
-            const uint64_t head = ~uint64_t{0} << (first % kWordBits);
-            const uint64_t tail =
-                (last % kWordBits) == kWordBits - 1
-                    ? ~uint64_t{0}
-                    : ((uint64_t{1} << ((last % kWordBits) + 1)) - 1);
-            if (fw == lw) {
-              words[fw] |= head & tail;
-            } else {
-              words[fw] |= head;
-              for (size_t k = fw + 1; k < lw; ++k) words[k] = ~uint64_t{0};
-              words[lw] |= tail;
-            }
-          }
-          break;
-        case ContainerType::kBitset:
-          break;  // handled above
-      }
+      // Array and run elements lie inside the bitmap's length.
+      OrContainerIntoWords(c, words.data() + word_begin);
     }
   }
 }

@@ -74,11 +74,9 @@ class HybridBitmap {
   size_t size_bits() const { return num_bits_; }
   size_t Count() const { return count_; }
   bool None() const { return count_ == 0; }
-  bool Test(size_t pos) const;
 
-  /// Compressed conjunction / disjunction. Operands must share size_bits().
+  /// Compressed conjunction. Operands must share size_bits().
   static HybridBitmap And(const HybridBitmap& a, const HybridBitmap& b);
-  static HybridBitmap Or(const HybridBitmap& a, const HybridBitmap& b);
 
   /// In-place conjunction into an uncompressed bitmap of the same length
   /// (the engine's running-result loop): words in chunks absent here are
@@ -86,7 +84,8 @@ class HybridBitmap {
   /// kernels, array/run chunks rewrite only the covered words.
   void AndInto(Bitmap* dst) const;
 
-  /// In-place disjunction into an uncompressed bitmap of the same length.
+  /// In-place disjunction into an uncompressed bitmap of the same length
+  /// (ToBitmap).
   void OrInto(Bitmap* dst) const;
 
   /// Serialized form: [u64 container_count] then one descriptor word per
@@ -130,8 +129,6 @@ class HybridBitmap {
   }
   static uint64_t PayloadWords(const Container& c);
   static Container AndContainers(const Container& a, const Container& b);
-  static Container OrContainers(const Container& a, const Container& b,
-                                size_t chunk_bits);
   /// Applies the size rule to an intersection expressed as runs.
   static Container CanonicalizeRuns(std::vector<uint32_t> runs,
                                     uint32_t cardinality);

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <filesystem>
+#include <system_error>
 #include <unordered_set>
 #include <utility>
 
@@ -73,11 +74,7 @@ size_t NewestRunToCompact(const std::vector<uint64_t>& records,
 
 StatusOr<DatasetStore> DatasetStore::Open(const std::string& dir,
                                           Options options) {
-  std::error_code ec;
-  std::filesystem::create_directories(dir, ec);
-  if (ec) {
-    return Status::IOError("cannot create dataset directory: " + dir);
-  }
+  COLGRAPH_RETURN_NOT_OK(io::CreateDirectories(dir));
 
   DatasetStore store;
   store.dir_ = dir;
@@ -85,7 +82,7 @@ StatusOr<DatasetStore> DatasetStore::Open(const std::string& dir,
 
   // Crash debris, pass 1: a compactor that died mid-merge leaves its lock
   // behind; we are the single opener, so no live holder can exist.
-  io::ExclusiveFile::BreakStale(store.LockPath());
+  io::RemoveFile(store.LockPath());
   io::RemoveStaleTemp(store.ManifestPath());
 
   if (std::filesystem::exists(store.ManifestPath())) {
@@ -118,13 +115,14 @@ StatusOr<DatasetStore> DatasetStore::Open(const std::string& dir,
   // sealed-but-never-published (or retired-but-unremoved) dataset files.
   const std::unordered_set<std::string> live(store.names_.begin(),
                                              store.names_.end());
+  std::error_code ec;
   for (const auto& entry : std::filesystem::directory_iterator(dir, ec)) {
     const std::string name = entry.path().filename().string();
     const bool stale_tmp = HasSuffix(name, ".tmp");
     const bool orphan_dataset =
         HasSuffix(name, kDatasetSuffix) && live.count(name) == 0;
     if (stale_tmp || orphan_dataset) {
-      std::filesystem::remove(entry.path(), ec);
+      io::RemoveFile(entry.path().string());
     }
   }
   DatasetsGauge().Set(static_cast<int64_t>(store.names_.size()));
@@ -158,13 +156,13 @@ StatusOr<uint64_t> DatasetStore::PublishInPlaceOf(
   ids.push_back(id);
   const Status st = WriteManifest(ids, id + 1);
   if (!st.ok()) {
-    std::remove(PathFor(name).c_str());
+    io::RemoveFile(PathFor(name));
     return st;
   }
   // Retire what it replaces. Readers holding mappings of these files are
   // unaffected: unlink does not invalidate an existing mmap.
   for (size_t i = first; i < names_.size(); ++i) {
-    std::remove(PathFor(names_[i]).c_str());
+    io::RemoveFile(PathFor(names_[i]));
   }
   ids_ = std::move(ids);
   names_.resize(first);
@@ -224,7 +222,7 @@ Status DatasetStore::CompactNewest(size_t k) {
   if (k > names_.size()) {
     return Status::InvalidArgument("cannot merge more datasets than are live");
   }
-  if (k == 0 || k < options_.min_datasets_to_compact) return Status::OK();
+  if (k < kMinDatasetsToCompact) return Status::OK();
   std::vector<MasterRelation> inputs;
   inputs.reserve(k);
   for (size_t i = names_.size() - k; i < names_.size(); ++i) {

@@ -24,7 +24,9 @@
 // atomically rewriting MANIFEST; a crash at any point leaves a manifest
 // that references only complete, durable files. Open() sweeps the debris
 // a crash can leave: stale `*.tmp`, dataset files the manifest does not
-// reference, and an orphaned compact.lock.
+// reference, and an orphaned compact.lock. Every file the store creates,
+// publishes, retires or sweeps goes through io_util (io::Writer::Commit,
+// io::RemoveFile, io::CreateDirectories).
 #pragma once
 
 #include <cstdint>
@@ -48,10 +50,11 @@ namespace colgraph {
 /// invalidate.
 struct DatasetStoreOptions {
   MasterRelationOptions relation;
-  /// CompactNewest(k) is a no-op for k below this; CompactAll() until at
-  /// least this many datasets exist.
-  size_t min_datasets_to_compact = 2;
 };
+
+/// CompactNewest(k) is a no-op for k below this: merging one dataset
+/// would only rewrite it.
+inline constexpr size_t kMinDatasetsToCompact = 2;
 
 /// The size-tiered compaction pick (DESIGN.md §14): how many of the newest
 /// datasets one cycle merges. `records` holds every live dataset's record
@@ -105,8 +108,7 @@ class DatasetStore {
   Status ReplaceNewest(size_t k, const MasterRelation& merged);
   /// Merges the newest `k` live datasets: loads them, merges them with
   /// MergeRelations and writes the result with ReplaceNewest. No-op for k
-  /// below min_datasets_to_compact (or 0); InvalidArgument for
-  /// k > num_datasets().
+  /// below kMinDatasetsToCompact; InvalidArgument for k > num_datasets().
   Status CompactNewest(size_t k);
   /// Merges every live dataset: CompactNewest(num_datasets()).
   Status CompactAll() { return CompactNewest(names_.size()); }

@@ -1,10 +1,13 @@
 #include "columnstore/io_util.h"
 
 #include <fcntl.h>
+#include <sys/stat.h>
 #include <unistd.h>
 
 #include <algorithm>
 #include <cstdio>
+#include <filesystem>
+#include <system_error>
 
 #include "obs/trace.h"
 #include "util/check.h"
@@ -108,48 +111,7 @@ Status Writer::Commit() {
   WritePod(body_crc);
   WritePod(body_len);
   WritePod(kFooterMagic);
-
-  size_t write_bytes = body_.size();
-  uint64_t short_arg = 0;
-  if (failpoint::Hit("io:short_write", &short_arg) ==
-      failpoint::Action::kShortWrite) {
-    // Simulated lying filesystem: persist only a prefix but report success.
-    write_bytes = std::min(write_bytes, static_cast<size_t>(short_arg));
-  }
-
-  const std::string tmp = path_ + ".tmp";
-  COLGRAPH_FAILPOINT("io:open_write");
-  std::FILE* f = std::fopen(tmp.c_str(), "wb");
-  if (f == nullptr) {
-    return Status::IOError("cannot open for write: " + tmp);
-  }
-  if (write_bytes > 0 &&
-      std::fwrite(body_.data(), 1, write_bytes, f) != write_bytes) {
-    std::fclose(f);
-    std::remove(tmp.c_str());
-    return Status::IOError("write failed: " + tmp);
-  }
-  bool sync_ok = std::fflush(f) == 0 && ::fsync(fileno(f)) == 0;
-  if (failpoint::Hit("io:fsync") != failpoint::Action::kOff) sync_ok = false;
-  if (std::fclose(f) != 0) sync_ok = false;
-  if (!sync_ok) {
-    std::remove(tmp.c_str());
-    return Status::IOError("flush/fsync failed: " + tmp);
-  }
-
-  if (failpoint::Hit("persist:before_rename") == failpoint::Action::kCrash) {
-    // Simulated crash between the durable tmp write and the publish: the
-    // .tmp stays behind and the previous snapshot at path_ is untouched,
-    // exactly what a real crash would leave.
-    return Status::IOError(
-        "failpoint 'persist:before_rename' simulated crash");
-  }
-  if (std::rename(tmp.c_str(), path_.c_str()) != 0) {
-    std::remove(tmp.c_str());
-    return Status::IOError("atomic rename failed: " + path_);
-  }
-  SyncParentDir(path_);
-  return Status::OK();
+  return WriteFileAtomic(path_, body_.data(), body_.size());
 }
 
 StatusOr<std::vector<char>> ReadFileBytes(const std::string& path) {
@@ -158,15 +120,21 @@ StatusOr<std::vector<char>> ReadFileBytes(const std::string& path) {
   if (f == nullptr) {
     return Status::IOError("cannot open for read: " + path);
   }
-  long size = -1;
-  if (std::fseek(f, 0, SEEK_END) == 0) size = std::ftell(f);
-  if (size < 0) {
+  // Sized from the open file itself. A directory opens too, and its
+  // stream reports no meaningful length, so anything but a regular file
+  // is refused before a byte is allocated.
+  struct stat st;
+  if (::fstat(fileno(f), &st) != 0) {
     std::fclose(f);
     return Status::IOError("cannot stat: " + path);
   }
-  std::rewind(f);
-  std::vector<char> data(static_cast<size_t>(size));
-  if (size > 0 && std::fread(data.data(), 1, data.size(), f) != data.size()) {
+  if (!S_ISREG(st.st_mode)) {
+    std::fclose(f);
+    return Status::IOError("not a regular file: " + path);
+  }
+  std::vector<char> data(static_cast<size_t>(st.st_size));
+  if (!data.empty() &&
+      std::fread(data.data(), 1, data.size(), f) != data.size()) {
     std::fclose(f);
     return Status::IOError("read failed: " + path);
   }
@@ -175,11 +143,11 @@ StatusOr<std::vector<char>> ReadFileBytes(const std::string& path) {
 }
 
 Status WriteFileAtomic(const std::string& path, const void* data, size_t n) {
-  size_t write_bytes = n;
   uint64_t short_arg = 0;
   if (failpoint::Hit("io:short_write", &short_arg) ==
       failpoint::Action::kShortWrite) {
-    write_bytes = std::min(write_bytes, static_cast<size_t>(short_arg));
+    // Simulated lying filesystem: persist only a prefix but report success.
+    n = std::min(n, static_cast<size_t>(short_arg));
   }
 
   const std::string tmp = path + ".tmp";
@@ -188,31 +156,43 @@ Status WriteFileAtomic(const std::string& path, const void* data, size_t n) {
   if (f == nullptr) {
     return Status::IOError("cannot open for write: " + tmp);
   }
-  if (write_bytes > 0 &&
-      std::fwrite(data, 1, write_bytes, f) != write_bytes) {
+  if (n > 0 && std::fwrite(data, 1, n, f) != n) {
     std::fclose(f);
-    std::remove(tmp.c_str());
+    RemoveFile(tmp);
     return Status::IOError("write failed: " + tmp);
   }
-  // A short write that "succeeded" must still fail the commit: the tmp
-  // holds a prefix, and renaming a prefix into place would tear the file.
-  bool ok = write_bytes == n;
-  if (std::fflush(f) != 0 || ::fsync(fileno(f)) != 0) ok = false;
-  if (failpoint::Hit("io:fsync") != failpoint::Action::kOff) ok = false;
-  if (std::fclose(f) != 0) ok = false;
-  if (!ok) {
-    std::remove(tmp.c_str());
+  bool sync_ok = std::fflush(f) == 0 && ::fsync(fileno(f)) == 0;
+  if (failpoint::Hit("io:fsync") != failpoint::Action::kOff) sync_ok = false;
+  if (std::fclose(f) != 0) sync_ok = false;
+  if (!sync_ok) {
+    RemoveFile(tmp);
     return Status::IOError("flush/fsync failed: " + tmp);
   }
+
   if (failpoint::Hit("persist:before_rename") == failpoint::Action::kCrash) {
+    // Simulated crash between the durable tmp write and the publish: the
+    // .tmp stays behind and the previous contents of `path` are untouched,
+    // exactly what a real crash would leave.
     return Status::IOError(
         "failpoint 'persist:before_rename' simulated crash");
   }
   if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-    std::remove(tmp.c_str());
+    RemoveFile(tmp);
     return Status::IOError("atomic rename failed: " + path);
   }
   SyncParentDir(path);
+  return Status::OK();
+}
+
+void RemoveFile(const std::string& path) { (void)::unlink(path.c_str()); }
+
+Status CreateDirectories(const std::string& dir) {
+  std::error_code ec;
+  std::filesystem::create_directories(dir, ec);
+  if (ec) {
+    return Status::IOError("cannot create directory " + dir + ": " +
+                           ec.message());
+  }
   return Status::OK();
 }
 
@@ -366,12 +346,7 @@ StatusOr<MeasureColumn> Reader::ReadMeasureColumn(uint64_t expected_bits) {
   return MeasureColumn::FromParts(std::move(presence), std::move(values));
 }
 
-void RemoveStaleTemp(const std::string& path) {
-  // Best-effort: ENOENT (the common case) and permission failures are
-  // both fine to ignore — the sweep exists so a crashed Commit() cannot
-  // leak `<path>.tmp` forever, not to guarantee its absence.
-  std::remove((path + ".tmp").c_str());
-}
+void RemoveStaleTemp(const std::string& path) { RemoveFile(path + ".tmp"); }
 
 StatusOr<ExclusiveFile> ExclusiveFile::Acquire(const std::string& path) {
   const int fd = ::open(path.c_str(), O_CREAT | O_EXCL | O_WRONLY, 0644);
@@ -383,10 +358,6 @@ StatusOr<ExclusiveFile> ExclusiveFile::Acquire(const std::string& path) {
   lock.held_ = true;
   lock.path_ = path;
   return lock;
-}
-
-void ExclusiveFile::BreakStale(const std::string& path) {
-  std::remove(path.c_str());
 }
 
 ExclusiveFile& ExclusiveFile::operator=(ExclusiveFile&& other) noexcept {
@@ -401,7 +372,7 @@ ExclusiveFile& ExclusiveFile::operator=(ExclusiveFile&& other) noexcept {
 
 void ExclusiveFile::Release() {
   if (held_) {
-    std::remove(path_.c_str());
+    RemoveFile(path_);
     held_ = false;
   }
 }

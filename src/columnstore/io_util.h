@@ -25,17 +25,21 @@
 // page once — which is why post-open reads cannot SIGBUS). Every bitmap
 // on disk is in the container codec (HybridBitmap::ToRaw).
 //
-// Writer buffers the whole snapshot, then commits it atomically: the bytes
-// go to `<path>.tmp`, are fsync'd, and the tmp is rename(2)'d over the
-// final path, so a crash at any point leaves the previous snapshot intact.
-// Reader loads the file once (or maps it via OpenMapped), verifies the
-// footer and every section CRC, and bounds every read by the bytes
-// actually present — a corrupt length prefix surfaces as
-// Status::Corruption, never as a multi-GB resize or an out-of-bounds
+// Writer buffers the whole snapshot, then commits it atomically through
+// WriteFileAtomic, the one publish routine: the bytes go to `<path>.tmp`,
+// are fsync'd, the tmp is rename(2)'d over the final path, and the parent
+// directory is fsync'd, so a crash at any point leaves the previous
+// snapshot intact. Reader loads the file once (or maps it via
+// OpenMapped), verifies the footer and every section CRC, and bounds every
+// read by the bytes actually present — a corrupt length prefix surfaces
+// as Status::Corruption, never as a multi-GB resize or an out-of-bounds
 // read.
 //
-// All snapshot file I/O in the library must go through these helpers (the
-// repo lint bans raw std::ifstream/std::ofstream elsewhere in src/).
+// All file I/O in the library goes through this module: the repo lint
+// bans raw std::ifstream/std::ofstream elsewhere in src/ ([raw-stream]),
+// and every durable change — fsync, rename, unlink, directory creation —
+// is made only in io_util.cc ([durable-io]), so there is one place that
+// knows how a file is published or retired.
 #pragma once
 
 #include <cstdint>
@@ -72,10 +76,19 @@ inline constexpr uint64_t kMaxSnapshotRecords = uint64_t{1} << 33;
 }
 
 /// Best-effort sweep of the orphaned `<path>.tmp` that a crash between
-/// Writer::Commit()'s tmp write and its rename leaves behind. Call on the
+/// WriteFileAtomic()'s tmp write and its rename leaves behind. Call on the
 /// open/read path (single-writer discipline makes this safe: nobody can be
 /// mid-Commit on `path` while its owner is opening it).
 void RemoveStaleTemp(const std::string& path);
+
+/// The one unlink primitive. Best-effort: a missing file (the common case
+/// for sweeps) and any other failure are ignored, because every caller's
+/// leftover is unreferenced and the next DatasetStore::Open or
+/// RemoveStaleTemp sweeps it again.
+void RemoveFile(const std::string& path);
+
+/// Creates `dir` and any missing parents; an existing directory is fine.
+[[nodiscard]] Status CreateDirectories(const std::string& dir);
 
 /// \brief Buffered, checksummed, crash-atomic snapshot writer.
 ///
@@ -136,11 +149,9 @@ class Writer {
   /// Payload-mode only: returns the encoded bytes. The writer is spent.
   std::vector<char> TakePayload();
 
-  /// Appends the footer and atomically publishes the snapshot:
-  /// write to `<path>.tmp`, fsync, rename over `path`, fsync the parent
-  /// directory. On failure the previous snapshot at `path` is untouched.
-  /// Failpoints: "io:open_write", "io:short_write", "io:fsync",
-  /// "persist:before_rename" (crash: leaves the .tmp behind, skips rename).
+  /// Appends the footer and publishes the snapshot through
+  /// WriteFileAtomic (same steps, same failpoints). On failure the
+  /// previous snapshot at `path` is untouched.
   [[nodiscard]] Status Commit();
 
  private:
@@ -280,18 +291,23 @@ class Reader {
 /// instrumented path. Failpoint: "trace:open".
 StatusOr<std::ifstream> OpenTextForRead(const std::string& path);
 
-/// Loads a whole file into memory. The read is size-bounded by the file's
-/// actual length (never by an untrusted header), so corrupt inputs cannot
-/// trigger oversized allocations here. Failpoint: "io:open_read".
+/// Loads a whole file into memory. The read is sized by fstat of the open
+/// file (never by an untrusted header), so corrupt inputs cannot trigger
+/// oversized allocations here; anything but a regular file (a directory,
+/// say) is IOError naming the path. Failpoint: "io:open_read".
 StatusOr<std::vector<char>> ReadFileBytes(const std::string& path);
 
-/// Atomically replaces `path` with `n` bytes: write to `<path>.tmp`,
-/// fsync, rename(2) over the final path, fsync the parent directory —
-/// the Writer::Commit discipline for callers that bring their own bytes
-/// (the metrics exporter's snapshot files). A reader never observes a
-/// partial file; on failure the previous contents of `path` are untouched
-/// and the .tmp is removed. Failpoints: "io:open_write", "io:short_write",
-/// "io:fsync", "persist:before_rename" (shared with Writer::Commit).
+/// The one publish routine: atomically replaces `path` with `n` bytes.
+/// Write to `<path>.tmp`, fsync, rename(2) over the final path, fsync the
+/// parent directory (best-effort: a failure there cannot un-publish the
+/// file). Writer::Commit publishes every snapshot, relation image, engine
+/// image and MANIFEST through it; the metrics exporter publishes its
+/// documents with it directly. On failure the previous contents of `path`
+/// are untouched and the .tmp is removed. Failpoints, in order:
+/// "io:short_write" (a lying filesystem: only the first B bytes persist
+/// and success is reported; a snapshot reader's footer check catches
+/// it), "io:open_write", "io:fsync", "persist:before_rename" (crash:
+/// leaves the .tmp behind, skips the rename).
 [[nodiscard]] Status WriteFileAtomic(const std::string& path,
                                      const void* data, size_t n);
 
@@ -301,7 +317,7 @@ StatusOr<std::vector<char>> ReadFileBytes(const std::string& path);
 /// framing and checksumming (obs/query_log.h); this class owns the raw
 /// descriptor so all file I/O stays inside io_util (repo lint
 /// [raw-stream]). Failpoints: "io:open_append", "io:short_write" (shared
-/// with Writer::Commit), "io:fsync".
+/// with WriteFileAtomic), "io:fsync".
 class AppendFile {
  public:
   /// Creates (or truncates) `path` for appending.
@@ -337,14 +353,11 @@ class AppendFile {
 /// single-writer operations like dataset compaction. Acquire() fails with
 /// Status::Unavailable when another holder exists; the file is unlinked on
 /// Release()/destruction. A crashed holder leaves the file behind —
-/// BreakStale() removes it, and is only safe where single-writer
+/// RemoveFile() breaks it, which is only safe where single-writer
 /// discipline rules out a live holder (e.g. DatasetStore::Open).
 class ExclusiveFile {
  public:
   static StatusOr<ExclusiveFile> Acquire(const std::string& path);
-
-  /// Removes a leftover lock file unconditionally.
-  static void BreakStale(const std::string& path);
 
   ExclusiveFile(ExclusiveFile&& other) noexcept
       : held_(other.held_), path_(std::move(other.path_)) {

@@ -44,6 +44,11 @@ StatusOr<MemMap> MemMap::Open(const std::string& path) {
     ::close(fd);
     return Status::IOError("cannot stat for mmap: " + path);
   }
+  if (!S_ISREG(st.st_mode)) {
+    // A directory opens read-only too; its st_size is not a byte count.
+    ::close(fd);
+    return Status::IOError("not a regular file: " + path);
+  }
   MemMap map;
   map.size_ = static_cast<size_t>(st.st_size);
   if (map.size_ == 0) {

@@ -24,7 +24,8 @@ namespace colgraph::io {
 /// as an empty byte range.
 class MemMap {
  public:
-  /// Maps `path` read-only. Failpoint: "io:mmap" (forces the error path).
+  /// Maps `path` read-only; anything but a regular file is IOError.
+  /// Failpoint: "io:mmap" (forces the error path).
   static StatusOr<MemMap> Open(const std::string& path);
 
   MemMap(MemMap&& other) noexcept : data_(other.data_), size_(other.size_) {

@@ -1,6 +1,7 @@
 #include "columnstore/persistence.h"
 
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "columnstore/io_util.h"
@@ -23,19 +24,8 @@ StatusOr<MasterRelation> ReadRelationFrom(io::Reader in,
                                           MasterRelationOptions options) {
   internal::RelationLayout layout;
   COLGRAPH_ASSIGN_OR_RETURN(layout, internal::ReadRelationLayout(&in, path));
-  std::vector<MeasureColumn> columns;
-  columns.reserve(layout.extents.size());
-  for (const internal::Extent& e : layout.extents) {
-    COLGRAPH_ASSIGN_OR_RETURN(io::Reader sub, in.AtExtent(e.offset, e.len));
-    COLGRAPH_ASSIGN_OR_RETURN(MeasureColumn col,
-                              sub.ReadMeasureColumn(layout.num_records));
-    if (sub.remaining() != 0) {
-      return Status::Corruption("trailing bytes in column extent in " + path);
-    }
-    columns.push_back(std::move(col));
-  }
-  return MasterRelation::FromColumns(static_cast<size_t>(layout.num_records),
-                                     std::move(columns), options);
+  return internal::ReadRelationColumns(in, layout.extents, layout.num_records,
+                                       path, std::move(options));
 }
 
 }  // namespace
@@ -126,23 +116,70 @@ StatusOr<std::vector<Extent>> ReadExtentDirectory(io::Reader* in,
   return extents;
 }
 
+void WriteRelationHeader(io::Writer* out, const MasterRelation& relation) {
+  out->BeginSection();
+  out->WritePod(static_cast<uint64_t>(relation.num_records()));
+  out->WritePod(static_cast<uint64_t>(relation.num_edge_columns()));
+  out->EndSection();
+}
+
+StatusOr<RelationHeader> ReadRelationHeader(io::Reader* in,
+                                            const std::string& path) {
+  RelationHeader header;
+  COLGRAPH_RETURN_NOT_OK(in->BeginSection("relation header"));
+  if (!in->ReadPod(&header.num_records).ok() ||
+      !in->ReadPod(&header.num_columns).ok()) {
+    return Status::Corruption("truncated relation header in " + path);
+  }
+  COLGRAPH_RETURN_NOT_OK(in->EndSection("relation header"));
+  COLGRAPH_RETURN_NOT_OK(io::ValidateRecordCount(header.num_records, path));
+  return header;
+}
+
+StatusOr<MeasureColumn> ReadColumnExtent(const io::Reader& in,
+                                         const Extent& extent,
+                                         uint64_t num_records,
+                                         const std::string& path) {
+  COLGRAPH_ASSIGN_OR_RETURN(io::Reader sub,
+                            in.AtExtent(extent.offset, extent.len));
+  COLGRAPH_ASSIGN_OR_RETURN(MeasureColumn col,
+                            sub.ReadMeasureColumn(num_records));
+  if (sub.remaining() != 0) {
+    return Status::Corruption("trailing bytes in column extent in " + path);
+  }
+  return col;
+}
+
+StatusOr<MasterRelation> ReadRelationColumns(const io::Reader& in,
+                                             std::span<const Extent> extents,
+                                             uint64_t num_records,
+                                             const std::string& path,
+                                             MasterRelationOptions options) {
+  std::vector<MeasureColumn> columns;
+  columns.reserve(extents.size());
+  for (const Extent& e : extents) {
+    COLGRAPH_ASSIGN_OR_RETURN(MeasureColumn col,
+                              ReadColumnExtent(in, e, num_records, path));
+    columns.push_back(std::move(col));
+  }
+  return MasterRelation::FromColumns(static_cast<size_t>(num_records),
+                                     std::move(columns), std::move(options));
+}
+
 StatusOr<uint64_t> WriteRelationImage(const MasterRelation& relation,
                                       const std::string& path) {
   if (!relation.sealed()) {
     return Status::InvalidArgument("can only persist a sealed relation");
   }
-  const uint64_t num_records = relation.num_records();
-  const size_t num_columns = relation.num_edge_columns();
-  COLGRAPH_RETURN_NOT_OK(io::ValidateRecordCount(num_records, path));
+  COLGRAPH_RETURN_NOT_OK(io::ValidateRecordCount(relation.num_records(), path));
   io::Writer out(path, kRelationMagic, kRelationVersion);
-  out.BeginSection();
-  out.WritePod(num_records);
-  out.WritePod(static_cast<uint64_t>(num_columns));
-  out.EndSection();
+  WriteRelationHeader(&out, relation);
   COLGRAPH_FAILPOINT("persist:after_header");
-  const uint64_t extent_bytes = WriteExtents(&out, num_columns, [&](size_t c) {
-    out.WriteMeasureColumn(relation.PeekMeasureColumn(static_cast<EdgeId>(c)));
-  });
+  const uint64_t extent_bytes =
+      WriteExtents(&out, relation.num_edge_columns(), [&](size_t c) {
+        out.WriteMeasureColumn(
+            relation.PeekMeasureColumn(static_cast<EdgeId>(c)));
+      });
   COLGRAPH_RETURN_NOT_OK(out.Commit());
   return extent_bytes;
 }
@@ -150,16 +187,11 @@ StatusOr<uint64_t> WriteRelationImage(const MasterRelation& relation,
 StatusOr<RelationLayout> ReadRelationLayout(io::Reader* in,
                                             const std::string& path) {
   RelationLayout layout;
-  uint64_t num_columns = 0;
-  COLGRAPH_RETURN_NOT_OK(in->BeginSection("relation header"));
-  if (!in->ReadPod(&layout.num_records).ok() ||
-      !in->ReadPod(&num_columns).ok()) {
-    return Status::Corruption("truncated header in " + path);
-  }
-  COLGRAPH_RETURN_NOT_OK(in->EndSection("relation header"));
-  COLGRAPH_RETURN_NOT_OK(io::ValidateRecordCount(layout.num_records, path));
+  COLGRAPH_ASSIGN_OR_RETURN(const RelationHeader header,
+                            ReadRelationHeader(in, path));
+  layout.num_records = header.num_records;
   COLGRAPH_ASSIGN_OR_RETURN(layout.extents,
-                            ReadExtentDirectory(in, num_columns, path));
+                            ReadExtentDirectory(in, header.num_columns, path));
   return layout;
 }
 

@@ -16,6 +16,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -77,6 +78,38 @@ StatusOr<std::vector<Extent>> ReadExtentDirectory(io::Reader* in,
 StatusOr<uint64_t> WriteRelationImage(const MasterRelation& relation,
                                       const std::string& path);
 
+/// The relation header section, the first section of a relation image
+/// and the second of an engine image.
+struct RelationHeader {
+  uint64_t num_records = 0;
+  uint64_t num_columns = 0;
+};
+
+/// Writes `relation`'s header section: its record and column counts.
+/// Shared by the relation and engine image writers.
+void WriteRelationHeader(io::Writer* out, const MasterRelation& relation);
+
+/// Reads the section WriteRelationHeader wrote and validates the record
+/// count. Shared by the relation and engine image readers.
+StatusOr<RelationHeader> ReadRelationHeader(io::Reader* in,
+                                            const std::string& path);
+
+/// Decodes the measure column in `extent` of `in` (a base column or an
+/// aggregate view): its presence bitmap must span `num_records` records
+/// and the extent must be consumed exactly.
+StatusOr<MeasureColumn> ReadColumnExtent(const io::Reader& in,
+                                         const Extent& extent,
+                                         uint64_t num_records,
+                                         const std::string& path);
+
+/// Decodes one base column per extent (ReadColumnExtent) and builds the
+/// sealed relation they form. Shared by the relation and engine readers.
+StatusOr<MasterRelation> ReadRelationColumns(const io::Reader& in,
+                                             std::span<const Extent> extents,
+                                             uint64_t num_records,
+                                             const std::string& path,
+                                             MasterRelationOptions options);
+
 /// The parsed relation header + extent directory. Produced by
 /// ReadRelationLayout once the Reader's open-time validation passed.
 struct RelationLayout {
@@ -84,10 +117,10 @@ struct RelationLayout {
   std::vector<Extent> extents;  // one per column, ascending offsets
 };
 
-/// Parses the two header sections from `in` (which must be positioned at
-/// the first section of a relation image) and validates the extent
-/// directory: entries must be in-bounds, non-overlapping, and ascending.
-/// Shared by the relation reader and the layout tests.
+/// Parses the header section and the extent directory from `in` (which
+/// must be positioned at the first section of a relation image) and
+/// validates the directory: entries must be in-bounds, non-overlapping,
+/// and ascending. Shared by the relation reader and the layout tests.
 StatusOr<RelationLayout> ReadRelationLayout(io::Reader* in,
                                             const std::string& path);
 

@@ -1,5 +1,6 @@
 #include "core/engine_io.h"
 
+#include <span>
 #include <utility>
 
 #include "columnstore/io_util.h"
@@ -92,10 +93,7 @@ Status WriteEngine(const ColGraphEngine& engine, const std::string& path) {
   // view payloads move to packed extents. Extent order: base
   // columns, then graph-view bitmaps, then agg-view columns — the same
   // order the defs are written in.
-  out.BeginSection();
-  out.WritePod(static_cast<uint64_t>(relation.num_records()));
-  out.WritePod(static_cast<uint64_t>(relation.num_edge_columns()));
-  out.EndSection();
+  internal::WriteRelationHeader(&out, relation);
 
   out.BeginSection();
   out.WritePod(static_cast<uint64_t>(graph_views.size()));
@@ -141,13 +139,10 @@ namespace {
 StatusOr<ColGraphEngine> ReadRelationAndViews(io::Reader& in, const std::string& path,
                                       EngineOptions options,
                                       EdgeCatalog catalog) {
-  COLGRAPH_RETURN_NOT_OK(in.BeginSection("relation header"));
-  uint64_t num_records = 0, num_columns = 0;
-  if (!in.ReadPod(&num_records).ok() || !in.ReadPod(&num_columns).ok()) {
-    return Status::Corruption("truncated relation header in " + path);
-  }
-  COLGRAPH_RETURN_NOT_OK(in.EndSection("relation header"));
-  COLGRAPH_RETURN_NOT_OK(io::ValidateRecordCount(num_records, path));
+  COLGRAPH_ASSIGN_OR_RETURN(const internal::RelationHeader header,
+                            internal::ReadRelationHeader(&in, path));
+  const uint64_t num_records = header.num_records;
+  const uint64_t num_columns = header.num_columns;
 
   COLGRAPH_RETURN_NOT_OK(in.BeginSection("graph view defs"));
   uint64_t num_graph_views = 0;
@@ -200,31 +195,21 @@ StatusOr<ColGraphEngine> ReadRelationAndViews(io::Reader& in, const std::string&
   COLGRAPH_ASSIGN_OR_RETURN(
       extents, internal::ReadExtentDirectory(&in, total_extents, path));
 
-  size_t next = 0;
-  auto extent_reader = [&]() -> StatusOr<io::Reader> {
-    const internal::Extent& e = extents[next++];
-    return in.AtExtent(e.offset, e.len);
-  };
-
-  std::vector<MeasureColumn> columns;
-  columns.reserve(static_cast<size_t>(num_columns));
-  for (uint64_t i = 0; i < num_columns; ++i) {
-    COLGRAPH_ASSIGN_OR_RETURN(io::Reader sub, extent_reader());
-    COLGRAPH_ASSIGN_OR_RETURN(MeasureColumn col,
-                              sub.ReadMeasureColumn(num_records));
-    if (sub.remaining() != 0) {
-      return Status::Corruption("trailing bytes in column extent in " + path);
-    }
-    columns.push_back(std::move(col));
+  // The sum above wraps only for a column count no directory can hold.
+  if (num_columns > extents.size()) {
+    return Status::Corruption("implausible column count in " + path);
   }
+  size_t next = static_cast<size_t>(num_columns);
   COLGRAPH_ASSIGN_OR_RETURN(
       MasterRelation relation,
-      MasterRelation::FromColumns(static_cast<size_t>(num_records),
-                                  std::move(columns), options.relation));
+      internal::ReadRelationColumns(
+          in, std::span<const internal::Extent>(extents).first(next),
+          num_records, path, options.relation));
 
   ViewCatalog views;
   for (GraphViewEntry& entry : graph_defs) {
-    COLGRAPH_ASSIGN_OR_RETURN(io::Reader sub, extent_reader());
+    const internal::Extent& e = extents[next++];
+    COLGRAPH_ASSIGN_OR_RETURN(io::Reader sub, in.AtExtent(e.offset, e.len));
     COLGRAPH_ASSIGN_OR_RETURN(Bitmap bits, sub.ReadBitmap(num_records));
     if (sub.remaining() != 0) {
       return Status::Corruption("trailing bytes in view extent in " + path);
@@ -236,12 +221,9 @@ StatusOr<ColGraphEngine> ReadRelationAndViews(io::Reader& in, const std::string&
     views.AddGraphView(std::move(entry.def), actual);
   }
   for (AggViewEntry& entry : agg_defs) {
-    COLGRAPH_ASSIGN_OR_RETURN(io::Reader sub, extent_reader());
-    COLGRAPH_ASSIGN_OR_RETURN(MeasureColumn col,
-                              sub.ReadMeasureColumn(num_records));
-    if (sub.remaining() != 0) {
-      return Status::Corruption("trailing bytes in view extent in " + path);
-    }
+    COLGRAPH_ASSIGN_OR_RETURN(
+        MeasureColumn col,
+        internal::ReadColumnExtent(in, extents[next++], num_records, path));
     const size_t actual = relation.AddAggregateView(std::move(col));
     if (actual != entry.index) {
       return Status::Corruption("agg-view indexes not dense in " + path);

@@ -1,6 +1,5 @@
 #include "obs/metrics_exporter.h"
 
-#include <filesystem>
 #include <utility>
 
 #include "columnstore/io_util.h"
@@ -35,11 +34,7 @@ StatusOr<std::unique_ptr<MetricsExporter>> MetricsExporter::Start(
   if (options.period_ms == 0) {
     return Status::InvalidArgument("metrics export period must be > 0");
   }
-  std::error_code ec;
-  std::filesystem::create_directories(options.dir, ec);
-  if (ec) {
-    return Status::IOError("cannot create metrics dir: " + options.dir);
-  }
+  COLGRAPH_RETURN_NOT_OK(io::CreateDirectories(options.dir));
   std::unique_ptr<MetricsExporter> exporter(
       new MetricsExporter(std::move(options)));
   // The first document exists before Start returns; a write failure here

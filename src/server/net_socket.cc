@@ -3,8 +3,10 @@
 #include <cerrno>
 #include <cstring>
 
+#include <fcntl.h>
 #include <poll.h>
 #include <sys/socket.h>
+#include <sys/stat.h>
 #include <sys/un.h>
 #include <unistd.h>
 
@@ -68,6 +70,43 @@ Status FillSockaddr(const std::string& path, struct sockaddr_un* addr) {
   addr->sun_family = AF_UNIX;
   std::memcpy(addr->sun_path, path.c_str(), path.size() + 1);
   return Status::OK();
+}
+
+/// Clears the way for a bind at `path`. A socket that refuses a connection
+/// is what a crashed listener leaves behind, and is removed; nothing at
+/// the path is fine. A live listener's socket, or anything that is not a
+/// socket, fails with a status naming the path and is left untouched.
+Status RemoveStaleSocket(const std::string& path,
+                         const struct sockaddr_un& addr) {
+  struct stat st;
+  if (::lstat(path.c_str(), &st) != 0) {
+    if (errno == ENOENT) return Status::OK();
+    return Status::IOError(ErrnoMessage("stat " + path, errno));
+  }
+  if (!S_ISSOCK(st.st_mode)) {
+    return Status::AlreadyExists("socket path exists and is not a socket: " +
+                                 path);
+  }
+  const int probe = ::socket(AF_UNIX, SOCK_STREAM, 0);
+  if (probe < 0) return Status::IOError(ErrnoMessage("socket", errno));
+  // Non-blocking, so a live listener with a full backlog answers EAGAIN
+  // instead of stalling the probe.
+  (void)::fcntl(probe, F_SETFL, O_NONBLOCK);
+  int rc;
+  do {
+    rc = ::connect(probe, reinterpret_cast<const struct sockaddr*>(&addr),
+                   sizeof(addr));
+  } while (rc < 0 && errno == EINTR);
+  const int err = rc == 0 ? 0 : errno;
+  ::close(probe);
+  if (err == ECONNREFUSED) {
+    (void)::unlink(path.c_str());
+    return Status::OK();
+  }
+  if (err == 0 || err == EAGAIN || err == EINPROGRESS) {
+    return Status::AlreadyExists("a listener is live at " + path);
+  }
+  return Status::IOError(ErrnoMessage("probe " + path, err));
 }
 
 }  // namespace
@@ -259,20 +298,18 @@ StatusOr<UnixListener> UnixListener::Bind(const std::string& path,
                                           int backlog) {
   struct sockaddr_un addr;
   COLGRAPH_RETURN_NOT_OK(FillSockaddr(path, &addr));
+  COLGRAPH_RETURN_NOT_OK(RemoveStaleSocket(path, addr));
 
   const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
   if (fd < 0) return Status::IOError(ErrnoMessage("socket", errno));
-  UnixListener listener(fd, path);
-
-  // A stale socket file from a crashed daemon would make bind fail with
-  // EADDRINUSE even though nothing is listening; remove it first. A *live*
-  // daemon is not protected against double-starts by this — deployments
-  // use distinct paths per instance.
-  (void)::unlink(path.c_str());
+  // The listener owns (and Close unlinks) the path only once bound: a
+  // failed bind must leave whatever is there untouched.
+  UnixListener listener(fd, "");
   if (::bind(fd, reinterpret_cast<struct sockaddr*>(&addr), sizeof(addr)) <
       0) {
     return Status::IOError(ErrnoMessage("bind " + path, errno));
   }
+  listener.path_ = path;
   if (::listen(fd, backlog) < 0) {
     return Status::IOError(ErrnoMessage("listen " + path, errno));
   }

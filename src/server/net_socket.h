@@ -93,9 +93,11 @@ class UnixListener {
   UnixListener(const UnixListener&) = delete;
   UnixListener& operator=(const UnixListener&) = delete;
 
-  /// Binds and listens at `path` (unlinking any stale socket file first).
-  /// AF_UNIX paths are limited to ~107 bytes; longer paths are
-  /// InvalidArgument.
+  /// Binds and listens at `path`. A socket file left by a crashed
+  /// listener (one that refuses a connection) is unlinked first; a live
+  /// listener's socket or a path that is not a socket is AlreadyExists,
+  /// and the path is left untouched. AF_UNIX paths are limited to ~107
+  /// bytes; longer paths are InvalidArgument.
   [[nodiscard]] static StatusOr<UnixListener> Bind(const std::string& path,
                                                    int backlog);
 

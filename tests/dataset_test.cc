@@ -372,14 +372,15 @@ TEST_F(DatasetStoreTest, OpenRejectsPermutedManifest) {
 }
 
 TEST_F(DatasetStoreTest, CompactAllIsNoOpBelowThreshold) {
-  DatasetStoreOptions options;
-  options.min_datasets_to_compact = 3;
-  auto store = DatasetStore::Open(dir_, options);
+  auto store = DatasetStore::Open(dir_);
   ASSERT_TRUE(store.ok()) << store.status().ToString();
   ASSERT_TRUE(store.value().Seal(MakeRelation(5, 8)).ok());
-  ASSERT_TRUE(store.value().Seal(MakeRelation(6, 8)).ok());
+  const std::string sealed = store.value().dataset_names()[0];
+  ASSERT_LT(store.value().num_datasets(), kMinDatasetsToCompact);
   ASSERT_TRUE(store.value().CompactAll().ok());
-  EXPECT_EQ(store.value().num_datasets(), 2u);  // below threshold: untouched
+  // Below the threshold: the one dataset is neither merged nor rewritten.
+  EXPECT_EQ(store.value().num_datasets(), 1u);
+  EXPECT_EQ(store.value().dataset_names()[0], sealed);
 }
 
 TEST_F(DatasetStoreTest, CompactAllContendedLockIsUnavailable) {

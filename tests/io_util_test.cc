@@ -9,6 +9,9 @@
 #include <string>
 #include <vector>
 
+#include "columnstore/persistence.h"
+#include "core/engine_io.h"
+
 namespace colgraph {
 namespace {
 
@@ -207,6 +210,27 @@ TEST_F(IoUtilTest, CommitToDirectoryPathIsIOError) {
   rmdir(dir.c_str());
 }
 
+TEST_F(IoUtilTest, DirectoryPathIsIOErrorNotACrash) {
+  // A directory opens for reading, but its stream reports no meaningful
+  // length: every whole-file reader must refuse it with IOError naming
+  // the path instead of sizing a read from it.
+  const std::string dir = path_ + ".d";
+  (void)rmdir(dir.c_str());
+  ASSERT_EQ(mkdir(dir.c_str(), 0755), 0);
+  auto expect_io_error = [&dir](const Status& st, const char* what) {
+    EXPECT_TRUE(st.IsIOError()) << what << ": " << st.ToString();
+    EXPECT_NE(st.ToString().find(dir), std::string::npos)
+        << what << ": " << st.ToString();
+  };
+  expect_io_error(io::ReadFileBytes(dir).status(), "ReadFileBytes");
+  expect_io_error(io::Reader::Open(dir, kMagic, 2).status(), "Reader::Open");
+  expect_io_error(io::Reader::OpenMapped(dir, kMagic, 2).status(),
+                  "Reader::OpenMapped");
+  expect_io_error(ReadRelation(dir).status(), "ReadRelation");
+  expect_io_error(ReadEngine(dir).status(), "ReadEngine");
+  EXPECT_EQ(rmdir(dir.c_str()), 0);
+}
+
 TEST_F(IoUtilTest, OpenTextForReadMissingFileIsIOError) {
   EXPECT_TRUE(
       io::OpenTextForRead("/nonexistent/dir/file.txt").status().IsIOError());
@@ -330,13 +354,13 @@ TEST_F(IoUtilTest, ExclusiveFileLockLifecycle) {
   EXPECT_TRUE(io::ExclusiveFile::Acquire(lock_path).status().IsUnavailable());
   moved.Release();
 
-  // BreakStale clears a crashed holder's leftover file.
+  // RemoveFile clears a crashed holder's leftover file.
   {
     std::ofstream stale(lock_path, std::ios::binary);
     stale << "dead pid";
   }
   EXPECT_TRUE(io::ExclusiveFile::Acquire(lock_path).status().IsUnavailable());
-  io::ExclusiveFile::BreakStale(lock_path);
+  io::RemoveFile(lock_path);
   auto fresh = io::ExclusiveFile::Acquire(lock_path);
   EXPECT_TRUE(fresh.ok()) << fresh.status().ToString();
 }

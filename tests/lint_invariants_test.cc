@@ -76,6 +76,26 @@ TEST(LintInvariantsTest, KnownBadFixtureTripsEveryRule) {
   // The socket rule's one carve-out: src/server/net_* may touch the raw
   // API, so the exempt fixture must never be flagged.
   EXPECT_EQ(r.output.find("net_fixture.cc"), std::string::npos) << r.output;
+  // The durable-io rule flags each durable change outside io_util.cc
+  // (fsync, std::rename, std::remove(path), unlink, create_directories,
+  // std::filesystem::remove on lines 13-18), not the std::remove
+  // algorithm or the io_util wrappers (lines 22-24), and never the socket
+  // path unlink in src/server/net_socket.cc.
+  EXPECT_NE(r.output.find("[durable-io]"), std::string::npos) << r.output;
+  for (int line = 13; line <= 18; ++line) {
+    EXPECT_NE(r.output.find("src/columnstore/bad_durable_io.cc:" +
+                            std::to_string(line) + ": [durable-io]"),
+              std::string::npos)
+        << "line " << line << "\n" << r.output;
+  }
+  for (int line = 22; line <= 24; ++line) {
+    EXPECT_EQ(r.output.find("src/columnstore/bad_durable_io.cc:" +
+                            std::to_string(line) + ":"),
+              std::string::npos)
+        << "line " << line << "\n" << r.output;
+  }
+  EXPECT_EQ(r.output.find("src/server/net_socket.cc:"), std::string::npos)
+      << r.output;
   // The timing rule covers every instrumented layer, not just src/query/:
   // each layer's fixture must trip it independently.
   EXPECT_NE(r.output.find("src/query/bad_timing.cc"), std::string::npos)

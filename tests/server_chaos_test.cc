@@ -4,7 +4,9 @@
 // IO timeout, and drain with live connections. The contract under every
 // fault: no torn snapshot is ever served, failures surface as clean
 // retryable statuses, a client retry succeeds end-to-end, and drain
-// flushes the query log and removes the socket file.
+// flushes the query log and removes the socket file. SocketPathTest covers
+// what Bind finds at the socket path: a stale socket, a live daemon's
+// socket, a regular file.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -14,7 +16,9 @@
 #include <string>
 #include <vector>
 
+#include <sys/socket.h>
 #include <sys/stat.h>
+#include <sys/un.h>
 #include <unistd.h>
 
 #include "core/engine.h"
@@ -372,6 +376,115 @@ TEST_F(ServerChaosTest, MetricsExporterFailureDoesNotAffectServing) {
   struct stat st;
   EXPECT_EQ(
       ::stat(daemon_->metrics_exporter()->target_path().c_str(), &st), 0);
+}
+
+// What Bind may find at the socket path (DESIGN.md §12). A socket a
+// crashed listener left behind is replaced; a live daemon's socket and a
+// path that is not a socket are refused, and left exactly as they were.
+// No failpoints: these run in every build.
+class SocketPathTest : public ::testing::Test {
+ protected:
+  void TearDown() override { (void)std::remove(path_.c_str()); }
+
+  static std::shared_ptr<ColGraphEngine> SealedEngine() {
+    auto engine = std::make_shared<ColGraphEngine>();
+    EXPECT_TRUE(engine->AddWalk({1, 2, 3}, {5, 6}).ok());
+    EXPECT_TRUE(engine->Seal().ok());
+    return engine;
+  }
+
+  StatusOr<std::unique_ptr<Daemon>> StartDaemon() {
+    DaemonOptions options;
+    options.socket_path = path_;
+    options.num_workers = 1;
+    return Daemon::Start(SealedEngine(), options);
+  }
+
+  StatusOr<Response> Ping() {
+    ClientOptions options;
+    options.socket_path = path_;
+    options.max_attempts = 1;
+    return Client(options).Ping();
+  }
+
+  std::string path_ =
+      "/tmp/colgraph_bind_" + std::to_string(::getpid()) + "_" +
+      ::testing::UnitTest::GetInstance()->current_test_info()->name() +
+      ".sock";
+};
+
+TEST_F(SocketPathTest, StartOverRegularFileFailsAndKeepsItsBytes) {
+  const std::string bytes = "not a socket\n";
+  {
+    std::FILE* f = std::fopen(path_.c_str(), "wb");
+    ASSERT_NE(f, nullptr);
+    ASSERT_EQ(std::fwrite(bytes.data(), 1, bytes.size(), f), bytes.size());
+    ASSERT_EQ(std::fclose(f), 0);
+  }
+  const auto daemon = StartDaemon();
+  ASSERT_FALSE(daemon.ok()) << "a daemon bound over a regular file";
+  EXPECT_NE(daemon.status().ToString().find(path_), std::string::npos)
+      << daemon.status().ToString();
+
+  struct stat st;
+  ASSERT_EQ(::stat(path_.c_str(), &st), 0);
+  EXPECT_TRUE(S_ISREG(st.st_mode));
+  std::string kept(bytes.size() + 1, '\0');
+  std::FILE* f = std::fopen(path_.c_str(), "rb");
+  ASSERT_NE(f, nullptr);
+  kept.resize(std::fread(kept.data(), 1, kept.size(), f));
+  std::fclose(f);
+  EXPECT_EQ(kept, bytes);
+}
+
+TEST_F(SocketPathTest, SecondDaemonOnLivePathFailsAndFirstStillAnswers) {
+  auto first = StartDaemon();
+  ASSERT_TRUE(first.ok()) << first.status().ToString();
+  const auto second = StartDaemon();
+  ASSERT_FALSE(second.ok()) << "two daemons bound one path";
+  EXPECT_NE(second.status().ToString().find(path_), std::string::npos)
+      << second.status().ToString();
+
+  const auto pong = Ping();
+  ASSERT_TRUE(pong.ok()) << pong.status().ToString();
+  EXPECT_TRUE(pong->ok());
+  ASSERT_TRUE(first.value()->Drain().ok());
+}
+
+TEST_F(SocketPathTest, StaleSocketFromClosedListenerIsReplaced) {
+  // A listener that dies without unlinking leaves a socket file that
+  // refuses connections, as a crashed daemon does.
+  {
+    const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
+    ASSERT_GE(fd, 0);
+    struct sockaddr_un addr;
+    std::memset(&addr, 0, sizeof(addr));
+    addr.sun_family = AF_UNIX;
+    std::memcpy(addr.sun_path, path_.c_str(), path_.size() + 1);
+    ASSERT_EQ(::bind(fd, reinterpret_cast<struct sockaddr*>(&addr),
+                     sizeof(addr)),
+              0);
+    ASSERT_EQ(::listen(fd, 1), 0);
+    ::close(fd);
+  }
+  struct stat st;
+  ASSERT_EQ(::stat(path_.c_str(), &st), 0);
+  ASSERT_TRUE(S_ISSOCK(st.st_mode));
+  ASSERT_FALSE(Ping().ok());
+
+  auto daemon = StartDaemon();
+  ASSERT_TRUE(daemon.ok()) << daemon.status().ToString();
+  const auto pong = Ping();
+  ASSERT_TRUE(pong.ok()) << pong.status().ToString();
+  EXPECT_TRUE(pong->ok());
+
+  // The reclaimed path is a live daemon's now: a duplicate restart is
+  // refused and the restarted daemon keeps answering.
+  EXPECT_FALSE(StartDaemon().ok()) << "a duplicate restart bound the path";
+  const auto still = Ping();
+  ASSERT_TRUE(still.ok()) << still.status().ToString();
+  EXPECT_TRUE(still->ok());
+  ASSERT_TRUE(daemon.value()->Drain().ok());
 }
 
 }  // namespace

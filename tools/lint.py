@@ -75,6 +75,19 @@ Rules
                      sections, a different format) and util/crc32.{h,cc}.
                      The match is on the whole word, so Crc32cUpdate is not
                      matched.
+  durable-io         Library code must not change durable file state
+                     itself: fsync/fdatasync, rename (std::rename,
+                     std::filesystem::rename), unlink/unlinkat/rmdir,
+                     std::remove(path) and std::filesystem::remove /
+                     remove_all, and directory creation (mkdir,
+                     std::filesystem::create_directory/-ies) happen only
+                     in src/columnstore/io_util.cc, the one module that
+                     knows how a file is published (WriteFileAtomic) or
+                     retired (RemoveFile). The one exemption is
+                     src/server/net_socket.cc's unlink of its socket
+                     path, which is not durable state. The
+                     std::remove(first, last, value) algorithm (a comma
+                     inside its parentheses) is not matched.
   phase-registry     Library code outside src/obs/ must not call
                      GetHistogram(: every timed region is an obs::Phase,
                      whose histogram the phase table in obs/trace.cc names,
@@ -113,6 +126,61 @@ RAW_CRC_CALL = re.compile(r"\bCrc32c\s*\(")
 
 # A histogram registration: the whole word, so PhaseHistogram never matches.
 HISTOGRAM_LOOKUP = re.compile(r"\bGetHistogram\s*\(")
+
+# Durable file mutations outside io_util.cc: raw POSIX calls (same shape
+# as RAW_SOCKET_CALL, so RemoveFile or a .rename( member never match),
+# std::rename, std::filesystem's mutators, and std::remove, whose
+# one-argument form is checked separately from the algorithm.
+RAW_DURABLE_CALL = re.compile(
+    r"(^|[^\w.>:])(::\s*)?"
+    r"(?P<name>fsync|fdatasync|rename|renameat2?|unlink|unlinkat|rmdir|"
+    r"mkdir|mkdirat)\s*\("
+)
+STD_DURABLE_CALL = re.compile(
+    r"\bstd::(?:rename|filesystem::(?:rename|remove|remove_all|"
+    r"create_directory|create_directories))\s*\("
+)
+STD_REMOVE_CALL = re.compile(r"\bstd::remove\s*\(")
+# The one durable-io home, and the file that may unlink its socket path.
+DURABLE_IO_HOME = "src/columnstore/io_util.cc"
+SOCKET_UNLINK_HOME = "src/server/net_socket.cc"
+
+
+def is_path_remove(line):
+    """True for a std::remove(path) call on `line`; the
+    std::remove(first, last, value) algorithm has a comma at the top level
+    of its parentheses. A call that does not close on this line counts as
+    the one-argument form unless a comma was seen."""
+    for m in STD_REMOVE_CALL.finditer(line):
+        depth = 0
+        has_comma = False
+        for ch in line[m.end() - 1:]:
+            if ch == "(":
+                depth += 1
+            elif ch == ")":
+                depth -= 1
+                if depth == 0:
+                    break
+            elif ch == "," and depth == 1:
+                has_comma = True
+                break
+        if not has_comma:
+            return True
+    return False
+
+
+def durable_io_violation(posix_rel, line):
+    """True when `line` makes a durable file change outside its home."""
+    if posix_rel == DURABLE_IO_HOME:
+        return False
+    for m in RAW_DURABLE_CALL.finditer(line):
+        socket_unlink = (
+            posix_rel == SOCKET_UNLINK_HOME and m.group("name") == "unlink"
+        )
+        if not socket_unlink:
+            return True
+    return bool(STD_DURABLE_CALL.search(line) or is_path_remove(line))
+
 
 # The files allowed to call Crc32c( directly.
 CRC_CALL_HOMES = (
@@ -273,6 +341,14 @@ def lint_file(path, rel, status_fns, errors, in_library):
                     f"{rel}:{i}: [raw-frame-crc] frames are checksummed "
                     f"only by the frame codec (util/frame.h FrameCrc, "
                     f"BeginFrame/EndFrame), not by direct Crc32c calls"
+                )
+            if durable_io_violation(posix_rel, line):
+                errors.append(
+                    f"{rel}:{i}: [durable-io] durable file changes (fsync, "
+                    f"rename, unlink/remove, directory creation) go "
+                    f"through columnstore/io_util.h (WriteFileAtomic, "
+                    f"RemoveFile, CreateDirectories), the one module that "
+                    f"knows how a file is published or retired"
                 )
             if not posix_rel.startswith("src/obs/") and HISTOGRAM_LOOKUP.search(
                 line
